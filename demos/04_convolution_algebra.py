@@ -42,9 +42,8 @@ w = rep.worst_witness
 print(f"  int(g*h) = {w['lhs']:.10f}   int(g)*int(h) = {w['rhs']:.10f}")
 
 print("\nfractional kernels behave like fractional-order Bernoulli entries:")
-# order 1.5 sits on the slowest-converging series; 1e-8 keeps the demo quick
-fa = zeta_power_kernel(1.5, series_bound=1e-8)
-fb = zeta_power_kernel(2.5, series_bound=1e-8)
+fa = zeta_power_kernel(1.5)
+fb = zeta_power_kernel(2.5)
 conv = convolve(fa, fb, 1e-8)
 fab = zeta_power_kernel(4.0)
 for x in (0.1, 0.5, 0.9):

@@ -47,7 +47,13 @@ from .core import (
     ratio_nearest,
 )
 from .errors import RejectedInputError
-from .special import _hurwitz_sum_branch, bernoulli_poly, hurwitz_zeta, log_gamma_abs
+from .special import (
+    ZETA_NEG_TOLERANCE,
+    _hurwitz_sum_branch,
+    bernoulli_poly,
+    hurwitz_zeta,
+    log_gamma_abs,
+)
 
 _LD = np.longdouble
 _TWO_PI = 2.0 * math.pi
@@ -396,7 +402,7 @@ def _make_e13(s: float) -> InvariantFunction:
         value=value,
         params={"s": s},
         singular_points=_lattice_locator(),
-        series_tolerance=1e-10,
+        series_tolerance=ZETA_NEG_TOLERANCE,
         piecewise=True,  # periodized branch has lattice kinks
     )
 

@@ -4,15 +4,13 @@ Subcommands: eval, verify, convolve, integral, covering, table.  Output is
 JSON (or CSV for `table`), written to stdout or to `--out`.  Exit codes:
 0 success, 1 property or check failed, 2 usage error, 3 numeric
 non-convergence.  Identical invocations with identical seeds produce
-byte-identical output; INVK_THREADS optionally caps worker threads for
-`verify --all`.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -168,8 +166,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _grid_from(args)
     if args.all:
-        threads = max(1, int(os.environ.get("INVK_THREADS", "1")))
-        reports = standard_suite(grid, threads=threads)
+        reports = standard_suite(grid)
         _emit(args, _dump_json([r.to_json_dict() for r in reports]))
         return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
     if not args.fn:

@@ -2,10 +2,13 @@
 
 Bernoulli numbers are kept as exact rationals (``fractions.Fraction``) and only
 converted to floating point at the evaluation boundary, so multiplication and
-recurrence identities can be tested exactly.  Hurwitz zeta is supported on two
-branches: ``s > 1`` by tail-corrected direct summation and ``s < 0`` by the
-trigonometric series of its analytic continuation, which is 1-periodic in the
-second argument.  The strip ``0 <= s <= 1`` is not supported.
+recurrence identities can be tested exactly.  Hurwitz zeta is supported for
+``s > 1`` and ``s < 0``.  Both ``s > 1`` and ``-4 <= s < 0`` use tail-corrected
+(Euler-Maclaurin) direct summation; below ``s = -4`` that sum loses accuracy to
+cancellation, and a fixed-length trigonometric series of the analytic
+continuation is used instead.  For ``s < 0`` the second argument is reduced
+into ``(0, 1]``, so the result is 1-periodic in it.  The strip ``0 <= s <= 1``
+is not supported.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class BernoulliTable:
         if n < 0:
             raise RejectedInputError("Bernoulli index must be nonnegative")
         if n >= len(self._values):
-            self.extend_to(max(n, 2 * len(self._values)) if n <= TABLE_LIMIT else n)
+            # doubling ahead of demand, but never past the cap
+            self.extend_to(max(n, min(2 * len(self._values), TABLE_LIMIT)))
         return self._values[n]
 
 
@@ -132,21 +136,28 @@ def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-_EM_BASE = 16.0          # tail-correction anchor for the s > 1 branch
-_SERIES_TERM_BOUND = 1e-12
-_KMAX_FOURIER = 200_000_000
+_EM_BASE = 16.0          # tail-correction anchor for the summation branch
 
-_FOURIER_CACHE: dict[tuple[float, float], tuple] = {}
-_FOURIER_CACHE_LOCK = threading.Lock()
-_FOURIER_CACHE_BUDGET = 6_000_000  # total cached ndarray elements
+# Below this s the direct sum (n + x)^-s up to _EM_BASE cancels to ~16^(1-s)
+# times the extended-precision epsilon: 4e-14 relative at s = -4, 4e-12 at
+# -5.5, 3e-9 at -8.  From here down, k^(s-1) < 1e-17 for every k past
+# _FOURIER_TERMS, so a fixed-length trigonometric series is accurate to rounding.
+_FOURIER_BELOW = -4.0
+_FOURIER_TERMS = 2512
+
+# Series tolerance declared by the entries built on zeta(s < 0), E13 and the
+# fractional kernels; on -20.5 <= s < 0 both branches stay within
+# 4e-14 * max(1, |zeta|) of mpmath.
+ZETA_NEG_TOLERANCE = 1e-10
 
 
 def _hurwitz_sum_branch(s: float, x: float) -> float:
-    """zeta(s, x) for s > 1, x > 0: direct sum plus tail corrections.
+    """zeta(s, x) for x > 0 and s > 1, or x in (0, 1] and -4 <= s < 0.
 
     Sums (n + x)^-s until the base exceeds a fixed anchor, then corrects the
     tail with the standard midpoint and even-derivative terms built from the
-    Bernoulli numbers, stopping when the next term is below 1e-12 relative.
+    Bernoulli numbers (Euler-Maclaurin), stopping when the next term is below
+    2e-17 relative.  For negative integer s the correction terminates exactly.
     """
     sd = _LD(s)
     xd = _LD(x)
@@ -172,83 +183,33 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     return float(acc)
 
 
-def _fourier_cutoff(s: float, coef: float, term_bound: float) -> int:
-    # smallest k with coef * k^(s-1) < term_bound (s < 0 so exponent < -1)
-    if coef <= term_bound:
-        return 1
-    k = (coef / term_bound) ** (1.0 / (1.0 - s))
-    return max(2, int(math.ceil(k)))
+def _hurwitz_fourier_sum(s: float, u: float) -> float:
+    """zeta(s, u) for s < -4, u in (0, 1], by Hurwitz's trigonometric series
 
+        2 Gamma(1-s) / (2 pi)^(1-s) * sum_k [sin(pi s/2) cos(2 pi k u)
+                                             + cos(pi s/2) sin(2 pi k u)] k^(s-1)
 
-def _fourier_setup(s: float, term_bound: float) -> tuple:
-    """(c_cos, c_sin, need_cos, need_sin, kmax, ks, kp) for the s < 0 series.
-
-    Cached per (s, term_bound): the coefficient work and the k / k^(s-1)
-    arrays dominate otherwise, and verification sweeps hit the same s tens of
-    thousands of times.
+    summed over k = 1.._FOURIER_TERMS.
     """
-    key = (s, term_bound)
-    with _FOURIER_CACHE_LOCK:
-        hit = _FOURIER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    k = np.arange(1.0, _FOURIER_TERMS + 1.0)
+    phase = (_TWO_PI * u) * k
+    weight = k ** (s - 1.0)
     pref = 2.0 * math.exp(log_gamma_abs(1.0 - s)) / _TWO_PI ** (1.0 - s)
-    c_cos = pref * math.sin(0.5 * math.pi * s)
-    c_sin = pref * math.cos(0.5 * math.pi * s)
-    coef = abs(c_cos) + abs(c_sin)
-    kmax = _fourier_cutoff(s, coef, term_bound)
-    if kmax > _KMAX_FOURIER:
-        raise CapacityError(
-            f"zeta({s}, x) needs {kmax} series terms for bound {term_bound:g}"
-        )
-    # either trig sum is skipped when its coefficient cannot matter; for
-    # integer s one of the two vanishes up to roundoff
-    skip = 0.01 * term_bound
-    zbound = 1.0 + 1.0 / (-s)  # sum_k k^(s-1) <= 1 + integral tail
-    need_cos = abs(c_cos) * zbound > skip
-    need_sin = abs(c_sin) * zbound > skip
-    ks = np.arange(1, kmax + 1, dtype=float)
-    kp = ks ** (s - 1.0)
-    entry = (c_cos, c_sin, need_cos, need_sin, kmax, ks, kp)
-    with _FOURIER_CACHE_LOCK:
-        used = sum(e[5].size * 2 for e in _FOURIER_CACHE.values())
-        if used + 2 * kmax <= _FOURIER_CACHE_BUDGET:
-            _FOURIER_CACHE[key] = entry
-    return entry
+    # elementwise sums, not a dot product, so no BLAS threads start
+    cos_sum = float(np.sum(weight * np.cos(phase)))
+    sin_sum = float(np.sum(weight * np.sin(phase)))
+    return pref * (math.sin(0.5 * math.pi * s) * cos_sum + math.cos(0.5 * math.pi * s) * sin_sum)
 
 
-def _hurwitz_fourier_branch(s: float, x: float, term_bound: float) -> float:
-    """zeta(s, x) for s < 0 via its trigonometric expansion.
-
-    The expansion is 1-periodic in x, so x is reduced to (0, 1]; callers that
-    pass a non-reduced x receive the periodized value.  Truncated at the first
-    k whose term magnitude bound drops below `term_bound`.
-    """
-    u = x - math.floor(x)
-    if u == 0.0:
-        u = 1.0
-    c_cos, c_sin, need_cos, need_sin, kmax, ks, kp = _fourier_setup(s, term_bound)
-    total = 0.0
-    buf = np.multiply(ks, _TWO_PI * u)
-    if need_cos and need_sin:
-        total += c_cos * float(kp @ np.cos(buf))
-        total += c_sin * float(kp @ np.sin(buf))
-    elif need_cos:
-        np.cos(buf, out=buf)
-        total = c_cos * float(kp @ buf)
-    elif need_sin:
-        np.sin(buf, out=buf)
-        total = c_sin * float(kp @ buf)
-    return total
-
-
-def hurwitz_zeta(s: float, x: float, term_bound: float = _SERIES_TERM_BOUND) -> float:
+def hurwitz_zeta(s: float, x: float) -> float:
     """Hurwitz zeta zeta(s, x) on the branches s > 1 and s < 0.
 
-    s > 1 requires x > 0.  For s < 0 the periodic expansion is used, and x is
-    reduced modulo 1 into (0, 1]; the result is the periodized value, which is
-    what the scale-sum catalog needs.  `term_bound` controls the truncation of
-    the s < 0 series only.
+    s > 1 requires x > 0 and uses Euler-Maclaurin summation.  For s < 0, x is
+    reduced modulo 1 into (0, 1] and the periodized value is returned, which
+    is what the scale-sum catalog needs.  On -4 <= s < 0 the same
+    Euler-Maclaurin sum is used (within 4e-14 * max(1, |zeta|)); below -4 its
+    direct sum cancels catastrophically, and the trigonometric series of the
+    analytic continuation, which converges like k^(s-1), takes over.
     """
     if not math.isfinite(s) or not math.isfinite(x):
         raise RejectedInputError("zeta arguments must be finite")
@@ -258,7 +219,12 @@ def hurwitz_zeta(s: float, x: float, term_bound: float = _SERIES_TERM_BOUND) -> 
         if x <= 0.0:
             raise RejectedInputError(f"zeta(s, x) with s > 1 needs x > 0, got x={x}")
         return _hurwitz_sum_branch(s, x)
-    return _hurwitz_fourier_branch(s, x, term_bound)
+    u = x - math.floor(x)
+    if u == 0.0:
+        u = 1.0
+    if s >= _FOURIER_BELOW:
+        return _hurwitz_sum_branch(s, u)
+    return _hurwitz_fourier_sum(s, u)
 
 
 # ---------------------------------------------------------------------------

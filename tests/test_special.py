@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from invk.errors import CapacityError, PoleError, RejectedInputError, UnsupportedRegionError
 from invk.special import (
+    TABLE_LIMIT,
     BernoulliTable,
     bernoulli_number,
     bernoulli_poly,
@@ -45,6 +46,15 @@ class TestBernoulliNumbers:
             table.extend_to(100000)
         with pytest.raises(RejectedInputError):
             bernoulli_number(-1)
+
+    def test_sequential_growth_stops_at_the_cap(self):
+        # growth doubles ahead of demand; it must not ask past TABLE_LIMIT
+        table = BernoulliTable(8)
+        for n in range(0, TABLE_LIMIT + 1, 2):
+            table.number(n)
+        assert len(table) == TABLE_LIMIT + 1
+        with pytest.raises(CapacityError):
+            table.number(TABLE_LIMIT + 1)
 
 
 class TestBernoulliPolynomials:
@@ -123,6 +133,9 @@ class TestHurwitzZetaUpperBranch:
             hurwitz_zeta(2.0, -1.0)
 
 
+_UNIT_INTERVAL_X = (1e-7, 0.3, 0.85, 1.0 - 1e-12, 1.0)
+
+
 class TestHurwitzZetaLowerBranch:
     def test_quarter_point_closed_form(self):
         # zeta(-1, 1/4) = -B_2(1/4)/2 = 1/96
@@ -136,9 +149,18 @@ class TestHurwitzZetaLowerBranch:
             assert hurwitz_zeta(1.0 - m, x) == pytest.approx(want, abs=1e-6), (m, x)
 
     def test_against_mpmath_inside_unit_interval(self):
-        for s, x in [(-0.5, 0.3), (-1.5, 0.85), (-2.0, 0.4), (-3.0, 0.6)]:
+        # Euler-Maclaurin side of the split, -4 <= s < 0
+        for s in (-0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -3.7, -4.0):
+            for x in _UNIT_INTERVAL_X + (0.4, 0.6):
+                want = float(mpmath.zeta(s, x))
+                assert abs(hurwitz_zeta(s, x) - want) <= 1e-13 * max(1.0, abs(want)), (s, x)
+
+    @pytest.mark.parametrize("s", [-5.5, -8.0, -10.5, -15.0, -20.5])
+    def test_trigonometric_series_side_against_mpmath(self, s):
+        # s < -4, where the direct sum would cancel catastrophically
+        for x in _UNIT_INTERVAL_X:
             want = float(mpmath.zeta(s, x))
-            assert hurwitz_zeta(s, x) == pytest.approx(want, abs=5e-9), (s, x)
+            assert abs(hurwitz_zeta(s, x) - want) <= 1e-11 * max(1.0, abs(want)), (s, x)
 
     def test_periodized_outside_unit_interval(self):
         # the expansion is 1-periodic: outside (0, 1] the periodized value is
@@ -147,11 +169,9 @@ class TestHurwitzZetaLowerBranch:
         assert abs(hurwitz_zeta(-1.5, 2.7) - float(mpmath.zeta(-1.5, 2.7))) > 1e-3
 
     def test_lattice_value_is_riemann_zeta(self):
-        # continuity at integers: value equals zeta(s); exactly on the
-        # lattice the series tail loses its oscillation cancellation, so the
-        # achievable accuracy is term_bound * cutoff ~ 2.3e-7, not 1e-12
-        assert hurwitz_zeta(-1.0, 1.0) == pytest.approx(-1 / 12, abs=5e-7)
-        assert hurwitz_zeta(-1.0, 3.0) == pytest.approx(-1 / 12, abs=5e-7)
+        # continuity at integers: value equals zeta(s)
+        assert hurwitz_zeta(-1.0, 1.0) == pytest.approx(-1 / 12, abs=1e-14)
+        assert hurwitz_zeta(-1.0, 3.0) == pytest.approx(-1 / 12, abs=1e-14)
 
 
 class TestLogGammaAbs:

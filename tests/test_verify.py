@@ -2,12 +2,14 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 
+from invk import verify
 from invk.catalog import make
 from invk.covering import parse_system
 from invk.errors import RejectedInputError
-from invk.quadrature import integrate
+from invk.quadrature import LimitResult, integrate
 from invk.special import bernoulli_poly
 from invk.verify import (
     DEFAULT_GRID,
@@ -123,6 +125,14 @@ class TestLimits:
         rep = check_step_limit(make("E3a"), PROBE_GRID, 1e-6)
         assert rep.passed
 
+    def test_report_that_skipped_every_sample_fails(self, monkeypatch):
+        unconverged = LimitResult(value=1.0, error_estimate=1.0, steps=1, converged=False)
+        monkeypatch.setattr(verify, "limit_scaled", lambda f, x, tol=1e-8: unconverged)
+        rep = check_integral_limit(make("E1"), PROBE_GRID, 1e-6)
+        assert rep.samples == 0 and rep.max_abs_error < 0.0
+        assert "limit-nonconverged-skipped" in rep.flags
+        assert not rep.passed
+
 
 class TestYDerivative:
     def test_scaled_quadratic_by_hand(self):
@@ -199,6 +209,24 @@ class TestConvolutionChecks:
     def test_zeta_convolution_fractional_orders(self):
         rep = check_zeta_convolution(1.5, 2.5, 1.0, tol=1e-5)
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "f, s, gamma",
+        [(make("E13", s=-1.0), -1.0, 1.0), (make("E13", s=-2.0), -2.0, 1.0),
+         (zeta_power_kernel(1.5), -0.5, math.gamma(1.5))],
+        ids=["E13(-1)", "E13(-2)", "F(1.5)"],
+    )
+    def test_zeta_entries_meet_declared_series_tolerance_near_lattice(self, f, s, gamma):
+        # y^(-s) zeta(s, x/y) / gamma, periodized, on the lattice and 1e-7 y,
+        # 1e-4 y and 0.023 y off it on either side
+        for y in (0.25, 1.0, 4.0):
+            for k in (-2, 0, 1, 3):
+                for d in (0.0, 1e-7, -1e-7, 1e-4, -1e-4, 0.023, -0.023):
+                    x = (k + d) * y
+                    u = mpmath.mpf(x) / y
+                    u -= mpmath.floor(u)
+                    want = mpmath.mpf(y) ** -s * mpmath.zeta(s, u if u > 0 else 1) / gamma
+                    assert abs(f.value(x, y) - float(want)) <= f.series_tolerance, (y, k, d)
 
     def test_zeta_kernel_rejects_small_order(self):
         with pytest.raises(RejectedInputError):
