@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from .core import InvariantFunction
-from .errors import ConvergenceError, RejectedInputError
-from .quadrature import integrate
+from .errors import RejectedInputError
+from .quadrature import converged_integral
 
 
 def _require_integrable(f: InvariantFunction, op: str) -> None:
@@ -24,16 +24,6 @@ def _require_integrable(f: InvariantFunction, op: str) -> None:
         raise RejectedInputError(
             f"{f.name} has a non-integrable singularity and cannot enter {op}"
         )
-
-
-def _oriented_integral(phi, a, b, tol, pts, context):
-    res = integrate(phi, a, b, tol=tol, interior_singularities=pts)
-    if not res.converged:
-        raise ConvergenceError(
-            f"{context}: quadrature stalled on [{a:g}, {b:g}] "
-            f"(estimate {res.error_estimate:.3g} > tol {tol:.3g})"
-        )
-    return res.value
 
 
 def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> InvariantFunction:
@@ -53,16 +43,16 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         lo1, hi1 = min(0.0, x), max(0.0, x)
         pts1 = list(g.singular_points(y, lo1, hi1))
         pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
-        term1 = _oriented_integral(
+        term1 = converged_integral(
             lambda t: g.value(t, y) * h.value(x - t, y),
-            0.0, x, half, pts1, f"convolve({g.name},{h.name}) first term",
+            0.0, x, half, f"convolve({g.name},{h.name}) first term", pts1,
         )
         lo2, hi2 = min(x, y), max(x, y)
         pts2 = list(g.singular_points(y, lo2, hi2))
         pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
-        term2 = _oriented_integral(
+        term2 = converged_integral(
             lambda t: g.value(t, y) * h.value(x + y - t, y),
-            x, y, half, pts2, f"convolve({g.name},{h.name}) second term",
+            x, y, half, f"convolve({g.name},{h.name}) second term", pts2,
         )
         return term1 + term2
 
@@ -88,15 +78,15 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
 
     def value(x, y):
         lo, hi = min(x, y), max(x, y)
-        run = _oriented_integral(
+        run = converged_integral(
             lambda t: f.value(t, y),
-            y, x, half, f.singular_points(y, lo, hi),
-            f"antiderivative({f.name}) running term",
+            y, x, half, f"antiderivative({f.name}) running term",
+            f.singular_points(y, lo, hi),
         )
-        mean = _oriented_integral(
+        mean = converged_integral(
             lambda t: t * f.value(t, y),
-            0.0, y, half, f.singular_points(y, 0.0, y),
-            f"antiderivative({f.name}) mean term",
+            0.0, y, half, f"antiderivative({f.name}) mean term",
+            f.singular_points(y, 0.0, y),
         )
         return run + mean / y
 
@@ -133,14 +123,14 @@ def geometric_convolve(g: InvariantFunction, a: float, tol: float = 1e-10) -> In
         def phi(t):
             return math.exp((x - t) * L) * g.value(t, y)
 
-        full = _oriented_integral(
-            phi, 0.0, y, half, g.singular_points(y, 0.0, y),
-            f"geometric_convolve({g.name}) period term",
+        full = converged_integral(
+            phi, 0.0, y, half, f"geometric_convolve({g.name}) period term",
+            g.singular_points(y, 0.0, y),
         )
         lo, hi = min(x, y), max(x, y)
-        partial = _oriented_integral(
-            phi, x, y, half, g.singular_points(y, lo, hi),
-            f"geometric_convolve({g.name}) running term",
+        partial = converged_integral(
+            phi, x, y, half, f"geometric_convolve({g.name}) running term",
+            g.singular_points(y, lo, hi),
         )
         return full / math.expm1(y * L) + partial
 

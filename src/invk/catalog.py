@@ -60,16 +60,6 @@ _TWO_PI = 2.0 * math.pi
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _lattice_predicate(offset: float = 0.0, halves: bool = False):
-    def singular(x, y):
-        step = 0.5 if halves else 1.0
-        u = (_LD(x) - _LD(offset)) / _LD(y) / _LD(step)
-        k = np.rint(u)
-        return abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u)))
-
-    return singular
-
-
 def _lattice_locator(offset: float = 0.0, halves: bool = False, nonpositive: bool = False):
     def points(y, lo, hi):
         step = y / 2.0 if halves else y
@@ -119,7 +109,6 @@ def _make_e3a() -> InvariantFunction:
     return InvariantFunction(
         name="E3a",
         value=lambda x, y: floor_ratio(x, y),
-        singular_in_x=_lattice_predicate(),
         singular_points=_lattice_locator(),
         piecewise=True,
     )
@@ -129,7 +118,6 @@ def _make_e3b() -> InvariantFunction:
     return InvariantFunction(
         name="E3b",
         value=lambda x, y: frac_ratio(x, y) - 0.5,
-        singular_in_x=_lattice_predicate(),
         singular_points=_lattice_locator(),
         piecewise=True,
     )
@@ -145,7 +133,6 @@ def _make_e4(a: float) -> InvariantFunction:
         name="E4",
         value=value,
         params={"a": a},
-        singular_in_x=lambda x, y: is_lattice(a - x, y),
         singular_points=_lattice_locator(offset=a),
         piecewise=True,
     )
@@ -323,7 +310,6 @@ def _make_e10() -> InvariantFunction:
     return InvariantFunction(
         name="E10",
         value=value,
-        singular_in_x=_lattice_predicate(),
         singular_points=_lattice_locator(),
         piecewise=True,
     )
@@ -341,7 +327,6 @@ def _make_e11() -> InvariantFunction:
     return InvariantFunction(
         name="E11",
         value=value,
-        singular_in_x=_lattice_predicate(),
         singular_points=_lattice_locator(),
         piecewise=True,
         integrable_in_x=False,
@@ -357,14 +342,9 @@ def _make_e12() -> InvariantFunction:
         u = x / y
         return u * math.log(y) + log_gamma_abs(u) - 0.5 * (_LOG_2PI + math.log(y))
 
-    def singular(x, y):
-        k, _ = ratio_nearest(x, y)
-        return k <= 0 and is_lattice(x, y)
-
     return InvariantFunction(
         name="E12",
         value=value,
-        singular_in_x=singular,
         singular_points=_lattice_locator(nonpositive=True),
         piecewise=True,
     )
@@ -418,7 +398,6 @@ def _make_e14() -> InvariantFunction:
     return InvariantFunction(
         name="E14",
         value=value,
-        singular_in_x=_lattice_predicate(halves=True),
         singular_points=_lattice_locator(halves=True),
         piecewise=True,
     )

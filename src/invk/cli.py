@@ -90,8 +90,6 @@ def _add_point_flags(p):
 
 
 def _add_output_flags(p):
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="output format (default json; table defaults to csv)")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 

@@ -71,10 +71,6 @@ def frac_ratio(x: float, y: float) -> float:
     return float(u - np.floor(u))
 
 
-def _never_singular(x: float, y: float) -> bool:
-    return False
-
-
 def _no_points(y: float, lo: float, hi: float) -> tuple[float, ...]:
     return ()
 
@@ -107,9 +103,9 @@ class InvariantFunction:
     """Immutable descriptor of an invariant function.
 
     `value` is the evaluation rule; `dx`/`dy` are optional analytic partials
-    with the same signature.  `singular_in_x` marks points where the value is
-    non-smooth or branch-defined, and `singular_points` enumerates that locus
-    inside an x-window at a given y so integrators can split panels there.
+    with the same signature.  `singular_points(y, lo, hi)` lists the x in
+    [lo, hi] where the value at scale y is non-smooth or branch-defined, so
+    sample grids keep clear of them and integrators split panels there.
     `domain`, when set, restricts the valid x-region (e.g. x > 0).
     `series_tolerance` is the truncation budget when the value rule sums a
     series; `piecewise` marks jump-type functions for which smooth limit
@@ -122,7 +118,6 @@ class InvariantFunction:
     params: Mapping[str, object] = field(default_factory=dict)
     dx: Optional[ValueRule] = None
     dy: Optional[ValueRule] = None
-    singular_in_x: Callable[[float, float], bool] = _never_singular
     singular_points: Callable[[float, float, float], Sequence[float]] = _no_points
     domain: Optional[Callable[[float, float], bool]] = None
     series_tolerance: float = 0.0
@@ -176,7 +171,6 @@ def affine_transform(f: InvariantFunction, a: float, b: float, c: float) -> Inva
         params={"a": a, "b": b, "c": c, "inner": f.name},
         dx=dx,
         dy=dy,
-        singular_in_x=lambda x, y: f.singular_in_x(b + c * x, c * y),
         singular_points=points,
         domain=dom,
         series_tolerance=abs(a) * f.series_tolerance,
@@ -206,7 +200,6 @@ def x_derivative(f: InvariantFunction) -> InvariantFunction:
         name=f"d/dx {f.name}",
         value=value,
         params=dict(f.params),
-        singular_in_x=f.singular_in_x,
         singular_points=f.singular_points,
         domain=f.domain,
         series_tolerance=f.series_tolerance,
@@ -237,7 +230,6 @@ def reflect(f: InvariantFunction) -> InvariantFunction:
         params=dict(f.params),
         dx=dx,
         dy=dy,
-        singular_in_x=lambda x, y: f.singular_in_x(y - x, y),
         singular_points=points,
         domain=(lambda x, y: f.domain(y - x, y)) if f.domain else None,
         series_tolerance=f.series_tolerance,
@@ -269,9 +261,6 @@ def frac_compose(f: InvariantFunction, t: float, sign: str = "plus") -> Invarian
 
     dx = (lambda x, y: sgn * f.dx(inner_arg(x, y), y)) if f.dx else None
 
-    def singular(x, y):
-        return is_lattice(t + sgn * x, y) or f.singular_in_x(inner_arg(x, y), y)
-
     def points(y, lo, hi):
         pts = set(lattice_points(sgn * -t, y, lo, hi) if sign == "minus" else lattice_points(-t, y, lo, hi))
         # wrap points where (t +/- x)/y is an integer: x = sgn*(k*y - t)
@@ -284,7 +273,6 @@ def frac_compose(f: InvariantFunction, t: float, sign: str = "plus") -> Invarian
         value=value,
         params={"t": t, "sign": sign, "inner": f.name},
         dx=dx,
-        singular_in_x=singular,
         singular_points=points,
         series_tolerance=f.series_tolerance,
         piecewise=True,
@@ -325,7 +313,6 @@ def linear_combination(
         params={"coefficients": tuple(c for c, _ in terms)},
         dx=dx,
         dy=dy,
-        singular_in_x=lambda x, y: any(f.singular_in_x(x, y) for _, f in terms),
         singular_points=points,
         domain=(lambda x, y: all(d(x, y) for d in doms)) if doms else None,
         series_tolerance=math.fsum(abs(c) * f.series_tolerance for c, f in terms),

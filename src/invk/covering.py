@@ -145,7 +145,7 @@ def covering_identity_check(
     The system must already be accepted; running the identity on a rejected
     system is a precondition error.
     """
-    from .verify import VerificationReport  # local import keeps modules acyclic
+    from .verify import _report, _Worst  # local import keeps modules acyclic
 
     decision = is_disjoint_covering(system)
     if not decision.accepted:
@@ -156,16 +156,8 @@ def covering_identity_check(
         raise RejectedInputError("y must be positive")
     lhs = math.fsum(f.value(x + a * y, n * y) for a, n in system.classes)
     rhs = f.value(x, y)
-    err = abs(lhs - rhs)
+    worst = _Worst()
+    worst.add(abs(lhs - rhs), x, y, len(system.classes), lhs, rhs)
     eff_tol = tol + (len(system.classes) + 1) * f.series_tolerance
-    return VerificationReport(
-        property="covering-certificate",
-        function=f.name,
-        params={"system": str(system), **{k: v for k, v in f.params.items()}},
-        samples=1,
-        max_abs_error=err,
-        tolerance=eff_tol,
-        passed=err <= eff_tol,
-        worst_witness={"x": x, "y": y, "n": len(system.classes), "lhs": lhs, "rhs": rhs},
-        flags=sorted(f.flags),
-    )
+    params = {"system": str(system), **f.params}
+    return _report("covering-certificate", f, params, 1, worst, eff_tol, f.flags)

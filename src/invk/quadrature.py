@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import RejectedInputError
+from .errors import ConvergenceError, RejectedInputError
 
 _EPS = 2.220446049250313e-16
 
@@ -160,6 +160,18 @@ def integrate(
     value = math.fsum(v for _, _, _, _, v, _, _ in heap) + math.fsum(v for v, _ in done)
     err = math.fsum(e for _, _, _, _, _, e, _ in heap) + math.fsum(e for _, e in done)
     return QuadratureResult(sign * value, err, evals, err <= tol)
+
+
+def converged_integral(phi, a, b, tol, context, interior_singularities=()) -> float:
+    """The value of `integrate`, raising ConvergenceError (naming `context` and
+    the range) when the error estimate misses `tol`."""
+    res = integrate(phi, a, b, tol=tol, interior_singularities=interior_singularities)
+    if not res.converged:
+        raise ConvergenceError(
+            f"{context}: quadrature stalled on [{a:g}, {b:g}] "
+            f"(estimate {res.error_estimate:.3g} > tol {tol:.3g})"
+        )
+    return res.value
 
 
 # ---------------------------------------------------------------------------

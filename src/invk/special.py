@@ -52,9 +52,13 @@ class BernoulliTable:
         with self._lock:
             while len(self._values) <= n:
                 m = len(self._values)  # computing B_m from the recurrence with n = m+1
+                if m >= 3 and m % 2:
+                    self._values.append(Fraction(0))  # odd indices past 1 vanish
+                    continue
                 acc = Fraction(0)
                 for k in range(m):
-                    acc += math.comb(m + 1, k) * self._values[k]
+                    if k < 3 or k % 2 == 0:  # skip the vanishing odd terms
+                        acc += math.comb(m + 1, k) * self._values[k]
                 self._values.append(-acc / (m + 1))
 
     def __len__(self) -> int:
@@ -75,6 +79,10 @@ _TABLE = BernoulliTable(64)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
     return _TABLE.number(n)
+
+
+def _ld(q: Fraction) -> _LD:
+    return _LD(q.numerator) / _LD(q.denominator)
 
 
 def _poly_coeffs(m: int) -> tuple[Fraction, ...]:
@@ -102,7 +110,7 @@ def _poly_coeffs_ld(m: int) -> np.ndarray:
         arr = _COEFF_CACHE_LD.get(m)
     if arr is None:
         cs = bernoulli_poly_coeffs(m)
-        arr = np.array([_LD(c.numerator) / _LD(c.denominator) for c in cs], dtype=_LD)
+        arr = np.array([_ld(c) for c in cs], dtype=_LD)
         with _COEFF_LOCK:
             _COEFF_CACHE_LD[m] = arr
     return arr
@@ -151,6 +159,10 @@ _FOURIER_TERMS = 2512
 ZETA_NEG_TOLERANCE = 1e-10
 
 
+# B_2j / (2j)! for j = 1..59, the Euler-Maclaurin tail coefficients
+_EM_COEFFS = tuple(_ld(bernoulli_number(2 * j)) / _LD(math.factorial(2 * j)) for j in range(1, 60))
+
+
 def _hurwitz_sum_branch(s: float, x: float) -> float:
     """zeta(s, x) for x > 0 and s > 1, or x in (0, 1] and -4 <= s < 0.
 
@@ -170,9 +182,8 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     acc += a ** (1.0 - sd) / (sd - 1.0) + 0.5 * a ** (-sd)
     rising = sd                       # s (s+1) ... (s+2j-2)
     apow = a ** (-sd - 1.0)
-    for j in range(1, 60):
-        b = bernoulli_number(2 * j)
-        term = (_LD(b.numerator) / _LD(b.denominator)) / _LD(math.factorial(2 * j)) * rising * apow
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        term = coeff * rising * apow
         acc += term
         # the contract needs the first omitted term below 1e-12 relative;
         # extended precision lets us run it to ~1e-17 for free
@@ -183,6 +194,17 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     return float(acc)
 
 
+def _sin_cos_pi(t):
+    """sin(pi t) and cos(pi t) from t = n + f, n the nearest integer, as
+    (-1)^n sin(pi f) and (-1)^n cos(pi f): the sine is exactly 0 at integer t,
+    so the trivial zeros zeta(-2m, 1) = zeta(-2m, 1/2) = 0 stay exact instead
+    of the huge prefactor times rounding."""
+    n = np.rint(t)
+    sign = 1.0 - 2.0 * np.fmod(np.abs(n), 2.0)
+    f = math.pi * (t - n)
+    return sign * np.sin(f), sign * np.cos(f)
+
+
 def _hurwitz_fourier_sum(s: float, u: float) -> float:
     """zeta(s, u) for s < -4, u in (0, 1], by Hurwitz's trigonometric series
 
@@ -191,14 +213,19 @@ def _hurwitz_fourier_sum(s: float, u: float) -> float:
 
     summed over k = 1.._FOURIER_TERMS.
     """
+    try:
+        pref = 2.0 * math.exp(log_gamma_abs(1.0 - s)) / _TWO_PI ** (1.0 - s)
+    except OverflowError:
+        raise UnsupportedRegionError(f"zeta(s, x) overflows double precision at s={s}") from None
     k = np.arange(1.0, _FOURIER_TERMS + 1.0)
-    phase = (_TWO_PI * u) * k
+    sin_k, cos_k = _sin_cos_pi(2.0 * k * u)
+    sin_s, cos_s = _sin_cos_pi(0.5 * s)
     weight = k ** (s - 1.0)
-    pref = 2.0 * math.exp(log_gamma_abs(1.0 - s)) / _TWO_PI ** (1.0 - s)
     # elementwise sums, not a dot product, so no BLAS threads start
-    cos_sum = float(np.sum(weight * np.cos(phase)))
-    sin_sum = float(np.sum(weight * np.sin(phase)))
-    return pref * (math.sin(0.5 * math.pi * s) * cos_sum + math.cos(0.5 * math.pi * s) * sin_sum)
+    cos_sum = float(np.sum(weight * cos_k))
+    sin_sum = float(np.sum(weight * sin_k))
+    # + 0.0 turns a signed zero into 0.0 and leaves every other value as is
+    return pref * (float(sin_s) * cos_sum + float(cos_s) * sin_sum) + 0.0
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -209,7 +236,9 @@ def hurwitz_zeta(s: float, x: float) -> float:
     is what the scale-sum catalog needs.  On -4 <= s < 0 the same
     Euler-Maclaurin sum is used (within 4e-14 * max(1, |zeta|)); below -4 its
     direct sum cancels catastrophically, and the trigonometric series of the
-    analytic continuation, which converges like k^(s-1), takes over.
+    analytic continuation, which converges like k^(s-1), takes over; it
+    returns the trivial zeros zeta(-2m, 1) = 0 exactly, and raises
+    UnsupportedRegionError below s ~ -170, where zeta overflows a double.
     """
     if not math.isfinite(s) or not math.isfinite(x):
         raise RejectedInputError("zeta arguments must be finite")
@@ -234,6 +263,9 @@ def hurwitz_zeta(s: float, x: float) -> float:
 _LOG_2PI = math.log(_TWO_PI)
 _STIRLING_MIN = 10.0
 
+# (B_2j, 2j (2j - 1)) for j = 1..23, the Stirling series coefficients
+_STIRLING_COEFFS = tuple((_ld(bernoulli_number(2 * j)), _LD(2 * j * (2 * j - 1))) for j in range(1, 24))
+
 
 def _stirling(t: _LD) -> _LD:
     # asymptotic series, valid for t >= 10; terms shrink below 1e-21 relative
@@ -241,9 +273,8 @@ def _stirling(t: _LD) -> _LD:
     acc = (t - 0.5) * np.log(t) - t + 0.5 * _LD(_LOG_2PI)
     tpow = t
     t2 = t * t
-    for j in range(1, 24):
-        b = bernoulli_number(2 * j)
-        term = (_LD(b.numerator) / _LD(b.denominator)) / (_LD(2 * j) * _LD(2 * j - 1) * tpow)
+    for b, d in _STIRLING_COEFFS:
+        term = b / (d * tpow)
         acc += term
         if abs(float(term)) < 1e-20 * abs(float(acc)):
             break

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import catalog
 from .algebra import convolve
-from .core import EPS_SING, InvariantFunction, affine_transform
-from .covering import CoveringSystem, covering_identity_check, is_disjoint_covering
+from .core import EPS_SING, InvariantFunction, affine_transform, lattice_points, step_difference
+from .covering import CoveringSystem, covering_identity_check
 from .errors import RejectedInputError
-from .quadrature import extrapolate_limit, integrate, limit_scaled, y_partial_fd
+from .quadrature import converged_integral, extrapolate_limit, limit_scaled, y_partial_fd
 from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, hurwitz_zeta, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -156,23 +156,48 @@ def _invariance_eval_points(grid: GridSpec):
     return points
 
 
-def _report(prop, f_or_name, params, samples, maxerr, tol, worst, flags=()):
+class _Worst:
+    """The first strictly largest error of a check and its witness.
+
+    A NaN error becomes the worst and stays there, so the report fails
+    instead of passing on the samples that did compare.
+    """
+
+    err = -1.0
+    sample = (0.0, 1.0, 0, 0.0, 0.0)  # x, y, n, lhs, rhs
+
+    def add(self, err, x=0.0, y=1.0, n=0, lhs=0.0, rhs=0.0) -> bool:
+        """Record one sample; True when it became the worst."""
+        if math.isnan(self.err) or not (err > self.err or math.isnan(err)):
+            return False
+        self.err, self.sample = err, (x, y, n, lhs, rhs)
+        return True
+
+    def witness(self) -> dict:
+        x, y, n, lhs, rhs = self.sample
+        return {"x": float(x), "y": float(y), "n": int(n), "lhs": float(lhs), "rhs": float(rhs)}
+
+
+def _report(prop, f_or_name, params, samples, worst: _Worst, tol, flags=()):
     name = f_or_name if isinstance(f_or_name, str) else f_or_name.name
     return VerificationReport(
         property=prop,
         function=name,
         params=dict(params),
         samples=samples,
-        max_abs_error=float(maxerr),
+        max_abs_error=float(worst.err),
         tolerance=float(tol),
-        passed=bool(0.0 <= maxerr <= tol),  # a report that compared nothing fails
-        worst_witness=worst,
+        passed=bool(0.0 <= worst.err <= tol),  # a report that compared nothing fails
+        worst_witness=worst.witness(),
         flags=sorted(flags),
     )
 
 
-def _witness(x=0.0, y=1.0, n=0, lhs=0.0, rhs=0.0):
-    return {"x": float(x), "y": float(y), "n": int(n), "lhs": float(lhs), "rhs": float(rhs)}
+def _period_integral(f: InvariantFunction, y: float, lo: float, hi: float, tol: float) -> float:
+    """int_lo^hi f(t, y) dt with panels split at f's singular points."""
+    return converged_integral(
+        lambda t: f.value(t, y), lo, hi, tol, f"{f.name} at y={y:g}", f.singular_points(y, lo, hi)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +210,18 @@ def check_invariance(
 ) -> VerificationReport:
     """sum_{r<n} f(x + r y, n y) against f(x, y) over the seeded grid."""
     pts = grid_points(f, grid, _invariance_eval_points(grid))
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for x, y in pts:
         rhs = f.value(x, y)
         for n in range(1, grid.n_max + 1):
             ny = n * y
             lhs = math.fsum(f.value(x + r * y, ny) for r in range(n))
-            err = abs(lhs - rhs)
-            if err > maxerr:
-                maxerr = err
-                worst = _witness(x, y, n, lhs, rhs)
+            worst.add(abs(lhs - rhs), x, y, n, lhs, rhs)
     eff_tol = tol + grid.n_max * f.series_tolerance
     flags = set(f.flags)
     if grid.n_max * f.series_tolerance > tol:
         flags.add("truncation-dominated")
-    return _report("invariance", f, f.params, len(pts), maxerr, eff_tol, worst, flags)
+    return _report("invariance", f, f.params, len(pts), worst, eff_tol, flags)
 
 
 def check_exchange(
@@ -225,80 +246,57 @@ def check_exchange(
         return out
 
     pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for x, y in pts:
         lhs = math.fsum(f.value(x + r * m * y, n * y) for r in range(n))
         rhs = math.fsum(f.value(x + r * n * y, m * y) for r in range(m))
-        err = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, n, lhs, rhs)
+        worst.add(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)), x, y, n, lhs, rhs)
     eff_tol = tol + (m + n) * f.series_tolerance
     return _report(
-        "exchange", f, {**f.params, "m": m, "n": n}, len(pts), maxerr, eff_tol, worst, f.flags
+        "exchange", f, {**f.params, "m": m, "n": n}, len(pts), worst, eff_tol, f.flags
     )
+
+
+def _limit_report(prop, f, grid, tol, side, limit) -> VerificationReport:
+    """side(x, y) against limit(x) over the seeded grid; samples
+    whose limit does not converge are skipped and flagged."""
+    pts = grid_points(f, grid, lambda x, y: ((x, y), (x + y, y)))
+    worst = _Worst()
+    flags = set(f.flags)
+    used = 0
+    for x, y in pts:
+        lim = limit(x)
+        if not lim.converged:
+            flags.add("limit-nonconverged-skipped")
+            continue
+        used += 1
+        lhs = side(x, y)
+        worst.add(abs(lhs - lim.value), x, y, 0, lhs, lim.value)
+    return _report(prop, f, f.params, used, worst, tol, flags)
 
 
 def check_integral_limit(
     f: InvariantFunction, grid: GridSpec = DEFAULT_GRID, tol: float = 1e-6
 ) -> VerificationReport:
     """Period integral int_x^{x+y} f(t, y) dt against lim_{a->0+} a f(x, a)."""
-
-    def eval_points(x, y):
-        return ((x, y), (x + y, y))
-
-    pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
-    flags = set(f.flags)
-    used = 0
-    for x, y in pts:
-        lim = limit_scaled(f, x, tol=min(1e-8, 0.25 * tol))
-        if not lim.converged:
-            flags.add("limit-nonconverged-skipped")
-            continue
-        quad = integrate(
-            lambda t: f.value(t, y), x, x + y,
-            tol=1e-10, interior_singularities=f.singular_points(y, x, x + y),
-        )
-        used += 1
-        err = abs(quad.value - lim.value)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, 0, quad.value, lim.value)
-    return _report("integral-limit", f, f.params, used, maxerr, tol, worst, flags)
+    return _limit_report(
+        "integral-limit", f, grid, tol,
+        lambda x, y: _period_integral(f, y, x, x + y, 1e-10),
+        lambda x: limit_scaled(f, x, tol=min(1e-8, 0.25 * tol)),
+    )
 
 
 def check_step_limit(
     f: InvariantFunction, grid: GridSpec = DEFAULT_GRID, tol: float = 1e-6
 ) -> VerificationReport:
     """f(x+y, y) - f(x, y) against lim_{a->0+} (f(x+a, a) - f(x, a))."""
-
-    def eval_points(x, y):
-        return ((x, y), (x + y, y))
-
-    pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
-    flags = set(f.flags)
-    used = 0
-    for x, y in pts:
-        delta = f.value(x + y, y) - f.value(x, y)
-        lim = extrapolate_limit(
-            lambda a: f.value(x + a, a) - f.value(x, a),
-            tol=min(1e-8, 0.25 * tol),
-            smooth=not f.piecewise,
-        )
-        if not lim.converged:
-            flags.add("limit-nonconverged-skipped")
-            continue
-        used += 1
-        err = abs(delta - lim.value)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, 0, delta, lim.value)
-    return _report("step-limit", f, f.params, used, maxerr, tol, worst, flags)
+    step = step_difference(f)
+    return _limit_report(
+        "step-limit", f, grid, tol, step,
+        lambda x: extrapolate_limit(
+            lambda a: step(x, a), tol=min(1e-8, 0.25 * tol), smooth=not f.piecewise
+        ),
+    )
 
 
 def check_y_derivative_identities(
@@ -322,14 +320,14 @@ def check_y_derivative_identities(
         return ((x, y), (x - y, y), (x + y, y))
 
     pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     flags = set(f.flags)
     if fd_mode:
         flags.add("fd-fallback")
     for x, y in pts:
-        quad = integrate(lambda t: g(t, y), x, x - y, tol=1e-9)
-        err_a = abs(f.value(x, y) - quad.value)
+        fxy = f.value(x, y)
+        quad = converged_integral(lambda t: g(t, y), x, x - y, 1e-9, f"d/dy {f.name}")
+        err_a = abs(fxy - quad)
         if f.dx is not None:
             dfdx = f.dx(x, y)
         else:
@@ -337,12 +335,9 @@ def check_y_derivative_identities(
             dfdx = (f.value(x + h, y) - f.value(x - h, y)) / (2.0 * h)
             flags.add("fd-dx")
         err_b = abs(dfdx - (g(x - y, y) - g(x, y)))
-        err = max(err_a, err_b)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, 0, f.value(x, y), quad.value)
+        worst.add(max(err_a, err_b), x, y, 0, fxy, quad)
     params = {**f.params, "mode": "fd" if fd_mode else "analytic"}
-    return _report("y-derivative", f, params, len(pts), maxerr, tol, worst, flags)
+    return _report("y-derivative", f, params, len(pts), worst, tol, flags)
 
 
 def check_parity(
@@ -355,44 +350,24 @@ def check_parity(
     half-period (even) or full-period (odd) integral value."""
     if parity not in ("even", "odd"):
         raise RejectedInputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    sign = 1.0 if parity == "even" else -1.0
+    even = parity == "even"
+    sign = 1.0 if even else -1.0
 
     def eval_points(x, y):
         return ((x, y), (y - x, y))
 
     pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for x, y in pts:
         lhs = f.value(y - x, y)
         rhs = sign * f.value(x, y)
-        err = abs(lhs - rhs)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, 0, lhs, rhs)
-    ys = sorted({y for _, y in pts[:5]})
-    if parity == "even":
-        lim = limit_scaled(f, 0.0, tol=1e-9)
-        for y in ys:
-            quad = integrate(
-                lambda t: f.value(t, y), 0.0, 0.5 * y,
-                tol=1e-10, interior_singularities=f.singular_points(y, 0.0, 0.5 * y),
-            )
-            err = abs(quad.value - 0.5 * lim.value)
-            if err > maxerr:
-                maxerr = err
-                worst = _witness(0.0, y, 0, quad.value, 0.5 * lim.value)
-    else:
-        for y in ys:
-            quad = integrate(
-                lambda t: f.value(t, y), 0.0, y,
-                tol=1e-10, interior_singularities=f.singular_points(y, 0.0, y),
-            )
-            err = abs(quad.value)
-            if err > maxerr:
-                maxerr = err
-                worst = _witness(0.0, y, 0, quad.value, 0.0)
-    return _report("parity", f, {**f.params, "parity": parity}, len(pts), maxerr, tol, worst, f.flags)
+        worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
+    # int_0^{y/2} f = (1/2) lim a f(0, a) when even, int_0^y f = 0 when odd
+    expected = 0.5 * limit_scaled(f, 0.0, tol=1e-9).value if even else 0.0
+    for y in sorted({y for _, y in pts[:5]}):
+        quad = _period_integral(f, y, 0.0, 0.5 * y if even else y, 1e-10)
+        worst.add(abs(quad - expected), 0.0, y, 0, quad, expected)
+    return _report("parity", f, {**f.params, "parity": parity}, len(pts), worst, tol, f.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +383,13 @@ def check_product_integral(
 ) -> VerificationReport:
     """Period integral of g * h against the product of period integrals."""
     conv = convolve(g, h, tol=1e-9)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for y in y_list:
-        lhs = integrate(lambda x: conv.value(x, y), 0.0, y, tol=1e-9).value
-        ig = integrate(
-            lambda t: g.value(t, y), 0.0, y,
-            tol=1e-11, interior_singularities=g.singular_points(y, 0.0, y),
-        ).value
-        ih = integrate(
-            lambda t: h.value(t, y), 0.0, y,
-            tol=1e-11, interior_singularities=h.singular_points(y, 0.0, y),
-        ).value
-        rhs = ig * ih
-        err = abs(lhs - rhs)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(0.0, y, 0, lhs, rhs)
+        lhs = _period_integral(conv, y, 0.0, y, 1e-9)
+        rhs = _period_integral(g, y, 0.0, y, 1e-11) * _period_integral(h, y, 0.0, y, 1e-11)
+        worst.add(abs(lhs - rhs), 0.0, y, 0, lhs, rhs)
     params = {"g": g.name, "g_params": dict(g.params), "h": h.name, "h_params": dict(h.params)}
-    return _report("product-integral", f"{g.name}*{h.name}", params, len(y_list), maxerr, tol, worst)
+    return _report("product-integral", f"{g.name}*{h.name}", params, len(y_list), worst, tol)
 
 
 def check_convolution_invariance(
@@ -461,21 +424,15 @@ def check_bernoulli_convolution(
     """
     conv = convolve(_scaled_bernoulli_entry(m), _scaled_bernoulli_entry(n), tol=1e-10)
     fac = math.factorial(m + n)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for y in y_list:
         for x in np.linspace(0.0, y, x_count):
             x = float(x)
             lhs = conv.value(x, y)
             rhs = -(y ** (m + n - 1)) * bernoulli_poly(m + n, x / y) / fac
-            err = abs(lhs - rhs)
-            if err > maxerr:
-                maxerr = err
-                worst = _witness(x, y, 0, lhs, rhs)
+            worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
     samples = len(y_list) * x_count
-    return _report(
-        "bernoulli-convolution", "E2*E2", {"m": m, "n": n}, samples, maxerr, tol, worst
-    )
+    return _report("bernoulli-convolution", "E2*E2", {"m": m, "n": n}, samples, worst, tol)
 
 
 def check_bernoulli_integral_identity(
@@ -487,21 +444,16 @@ def check_bernoulli_integral_identity(
                                   + m int_x^1 (x-t)^(m-1) B_n(t) dt )
     """
     cmn = math.comb(m + n, m)
-    maxerr = -1.0
-    worst = _witness()
+    ctx = f"bernoulli-identity m={m} n={n}"
+    worst = _Worst()
     for x in np.linspace(0.0, 1.0, x_count):
         x = float(x)
-        i1 = integrate(lambda t: bernoulli_poly(m, x - t) * bernoulli_poly(n, t), 0.0, 1.0, tol=1e-12).value
-        i2 = integrate(lambda t: (x - t) ** (m - 1) * bernoulli_poly(n, t), x, 1.0, tol=1e-12).value
+        i1 = converged_integral(lambda t: bernoulli_poly(m, x - t) * bernoulli_poly(n, t), 0.0, 1.0, 1e-12, ctx)
+        i2 = converged_integral(lambda t: (x - t) ** (m - 1) * bernoulli_poly(n, t), x, 1.0, 1e-12, ctx)
         lhs = -cmn * (i1 + m * i2)
         rhs = bernoulli_poly(m + n, x)
-        err = abs(lhs - rhs)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, 1.0, 0, lhs, rhs)
-    return _report(
-        "bernoulli-identity", "B_{m+n}", {"m": m, "n": n}, x_count, maxerr, tol, worst
-    )
+        worst.add(abs(lhs - rhs), x, 1.0, 0, lhs, rhs)
+    return _report("bernoulli-identity", "B_{m+n}", {"m": m, "n": n}, x_count, worst, tol)
 
 
 def zeta_power_kernel(alpha: float) -> InvariantFunction:
@@ -522,18 +474,10 @@ def zeta_power_kernel(alpha: float) -> InvariantFunction:
         name=f"F({alpha:g})",
         value=value,
         params={"alpha": alpha},
-        singular_points=lambda y, lo, hi: tuple(
-            p for p in _lattice_range(y, lo, hi)
-        ),
+        singular_points=lambda y, lo, hi: lattice_points(0.0, y, lo, hi),
         series_tolerance=ZETA_NEG_TOLERANCE,
         piecewise=True,
     )
-
-
-def _lattice_range(y, lo, hi):
-    k0 = math.ceil(lo / y - 1e-12)
-    k1 = math.floor(hi / y + 1e-12)
-    return [k * y for k in range(k0, k1 + 1)]
 
 
 def check_zeta_convolution(
@@ -554,24 +498,19 @@ def check_zeta_convolution(
     fb = zeta_power_kernel(beta)
     fab = zeta_power_kernel(alpha + beta)
     conv = convolve(fa, fb, tol=max(1e-10, tol * 1e-2))
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for xs in x_samples:
         x = float(xs) * y
         lhs = conv.value(x, y)
         rhs = fab.value(x, y)
-        err = abs(lhs - rhs)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(x, y, 0, lhs, rhs)
+        worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
     return _report(
         "zeta-convolution",
         f"F({alpha:g})*F({beta:g})",
         {"alpha": alpha, "beta": beta, "y": y},
         len(x_samples),
-        maxerr,
-        tol,
         worst,
+        tol,
     )
 
 
@@ -588,23 +527,23 @@ def golden_integral(name: str, **params) -> tuple[float, float]:
     raabe (a):      int_a^{a+1} log Gamma(t) dt        = a (log a - 1) + log sqrt(2 pi)
     """
     if name == "euler":
-        got = integrate(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, tol=1e-11)
-        return got.value, -0.5 * math.pi * math.log(2.0)
+        got = converged_integral(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11, name)
+        return got, -0.5 * math.pi * math.log(2.0)
     if name == "poisson":
         r = float(params.get("r", 2.0))
         if r <= 0.0 or r == 1.0:
             raise RejectedInputError(f"poisson integral needs r > 0, r != 1, got r={r}")
-        got = integrate(
-            lambda t: math.log(1.0 - 2.0 * r * math.cos(t) + r * r), 0.0, math.pi, tol=1e-11
+        got = converged_integral(
+            lambda t: math.log(1.0 - 2.0 * r * math.cos(t) + r * r), 0.0, math.pi, 1e-11, name
         )
         expected = 2.0 * math.pi * math.log(r) if r > 1.0 else 0.0
-        return got.value, expected
+        return got, expected
     if name == "raabe":
         a = float(params.get("a", 1.0))
         if a <= 0.0:
             raise RejectedInputError(f"raabe integral needs a > 0, got a={a}")
-        got = integrate(lambda t: log_gamma_abs(t), a, a + 1.0, tol=1e-11)
-        return got.value, a * (math.log(a) - 1.0) + _LOG_SQRT_2PI
+        got = converged_integral(lambda t: log_gamma_abs(t), a, a + 1.0, 1e-11, name)
+        return got, a * (math.log(a) - 1.0) + _LOG_SQRT_2PI
     raise RejectedInputError(f"unknown integral {name!r}; options: euler, poisson, raabe")
 
 
@@ -618,19 +557,16 @@ def check_known_integrals(tol: float = 1e-7) -> VerificationReport:
         ("raabe", {"a": 2.0}),
         ("raabe", {"a": 0.5}),
     ]
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     worst_case = ""
     for name, params in cases:
         value, expected = golden_integral(name, **params)
-        err = abs(value - expected)
-        if err > maxerr:
-            maxerr = err
-            worst = _witness(next(iter(params.values()), 0.0), 1.0, 0, value, expected)
+        arg = next(iter(params.values()), 0.0)
+        if worst.add(abs(value - expected), arg, 1.0, 0, value, expected):
             worst_case = name
     return _report(
         "known-integrals", "golden", {"cases": len(cases), "worst_case": worst_case},
-        len(cases), maxerr, tol, worst,
+        len(cases), worst, tol,
     )
 
 
@@ -645,26 +581,20 @@ def check_covering_certificates(
     grid: GridSpec = DEFAULT_GRID,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Certificate identity over seeded points for an accepted system."""
-    decision = is_disjoint_covering(system)
-    if not decision.accepted:
-        raise RejectedInputError("certificates need an accepted covering system")
+    """Certificate identity over seeded points for an accepted system; a
+    rejected one raises RejectedInputError from `covering_identity_check`."""
 
     def eval_points(x, y):
         return [(x, y)] + [(x + a * y, n * y) for a, n in system.classes]
 
     pts = grid_points(f, grid, eval_points)
-    maxerr = -1.0
-    worst = _witness()
+    worst = _Worst()
     for x, y in pts:
         rep = covering_identity_check(system, f, x, y, tol)
-        if rep.max_abs_error > maxerr:
-            maxerr = rep.max_abs_error
-            worst = rep.worst_witness
-    eff_tol = tol + (len(system.classes) + 1) * f.series_tolerance
+        worst.add(rep.max_abs_error, **rep.worst_witness)
     return _report(
         "covering-certificate", f, {**f.params, "system": str(system)},
-        len(pts), maxerr, eff_tol, worst, f.flags,
+        len(pts), worst, rep.tolerance, f.flags,  # the per-point certificate tolerance
     )
 
 

@@ -40,6 +40,24 @@ class TestEval:
         code, _, _ = run_cli(["eval", "--fn", "E1", "--x", "1", "--y", "1", "--bogus", "3"], capsys)
         assert code == 2
 
+    def test_zeta_overflow_is_a_usage_error(self, capsys):
+        # below s ~ -170 zeta(s, u) overflows a double: unsupported region, exit 2
+        code, _, err = run_cli(
+            ["eval", "--fn", "E13", "--params", "s=-200", "--x", "0.3", "--y", "1"], capsys
+        )
+        assert code == 2 and "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "E1", "--x", "1", "--y", "1", "--format", "json"],
+        ["verify", "--fn", "E1", "--samples", "4", "--format", "csv"],
+        ["table", "--fn", "E1", "--y", "1", "--x0", "0", "--x1", "1", "--steps", "2",
+         "--format", "json"],
+    ])
+    def test_format_flag_is_gone(self, argv, capsys):
+        # output is JSON, or CSV for table; there is no --format to choose it
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+
 
 class TestVerify:
     def test_single_entry(self, capsys):

@@ -31,7 +31,9 @@ class TestBernoulliNumbers:
 
     def test_defining_recurrence_exact(self):
         # sum_{k<n} C(n,k) B_k = 0 for n >= 2
-        for n in range(2, 66):
+        # up to B_130: the table skips the vanishing odd terms, and the
+        # Euler-Maclaurin coefficients use B_2..B_118
+        for n in range(2, 131):
             acc = sum(math.comb(n, k) * bernoulli_number(k) for k in range(n))
             assert acc == 0, n
 
@@ -155,12 +157,24 @@ class TestHurwitzZetaLowerBranch:
                 want = float(mpmath.zeta(s, x))
                 assert abs(hurwitz_zeta(s, x) - want) <= 1e-13 * max(1.0, abs(want)), (s, x)
 
-    @pytest.mark.parametrize("s", [-5.5, -8.0, -10.5, -15.0, -20.5])
+    @pytest.mark.parametrize("s", [-5.5, -6.0, -7.0, -8.0, -10.5, -12.0, -15.0, -20.5])
     def test_trigonometric_series_side_against_mpmath(self, s):
         # s < -4, where the direct sum would cancel catastrophically
         for x in _UNIT_INTERVAL_X:
             want = float(mpmath.zeta(s, x))
             assert abs(hurwitz_zeta(s, x) - want) <= 1e-11 * max(1.0, abs(want)), (s, x)
+
+    @pytest.mark.parametrize("s", [-6.0, -8.0, -40.0, -100.0, -168.0])
+    def test_trivial_zeros_are_exact(self, s):
+        # zeta(-2m) = 0, and zeta(-2m, 1/2) = (2^(2m) - 1) zeta(-2m) = 0; the
+        # series prefactor is ~5e77 at s = -100, so any rounding shows
+        for x in (1.0, 0.5, 3.0):
+            assert math.copysign(1.0, hurwitz_zeta(s, x)) == 1.0 and hurwitz_zeta(s, x) == 0.0
+
+    @pytest.mark.parametrize("s", [-171.0, -200.0, -1e4])
+    def test_overflowing_region_is_unsupported(self, s):
+        with pytest.raises(UnsupportedRegionError, match="overflows"):
+            hurwitz_zeta(s, 0.3)
 
     def test_periodized_outside_unit_interval(self):
         # the expansion is 1-periodic: outside (0, 1] the periodized value is

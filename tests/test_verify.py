@@ -5,11 +5,11 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from invk import verify
+from invk import quadrature, verify
 from invk.catalog import make
 from invk.covering import parse_system
-from invk.errors import RejectedInputError
-from invk.quadrature import LimitResult, integrate
+from invk.errors import ConvergenceError, RejectedInputError
+from invk.quadrature import LimitResult, QuadratureResult, integrate
 from invk.special import bernoulli_poly
 from invk.verify import (
     DEFAULT_GRID,
@@ -73,6 +73,19 @@ class TestInvariance:
         assert d["pass"] is True and d["samples"] == SMALL_GRID.samples
         json.dumps(d)  # serializable
 
+    def test_nan_sample_fails_the_report(self):
+        # one NaN among good samples is the worst error, not a skipped one
+        e1 = make("E1")
+        x0, y0 = verify.grid_points(e1, SMALL_GRID, verify._invariance_eval_points(SMALL_GRID))[3]
+        nan_at_one_point = replace(
+            e1, value=lambda x, y: math.nan if (x, y) == (x0, y0) else 1.0 / y
+        )
+        rep = check_invariance(nan_at_one_point, SMALL_GRID, 1e-8)
+        assert rep.passed is False
+        assert math.isnan(rep.max_abs_error)
+        assert (rep.worst_witness["x"], rep.worst_witness["y"]) == (x0, y0)
+        assert check_invariance(e1, SMALL_GRID, 1e-8).passed
+
     def test_deterministic_bytes(self):
         a = check_invariance(make("E10"), SMALL_GRID, 1e-8).to_json_dict()
         b = check_invariance(make("E10"), SMALL_GRID, 1e-8).to_json_dict()
@@ -132,6 +145,20 @@ class TestLimits:
         assert rep.samples == 0 and rep.max_abs_error < 0.0
         assert "limit-nonconverged-skipped" in rep.flags
         assert not rep.passed
+
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # an integral that misses its tolerance must not feed a report
+        def stalled(phi, a, b, tol=1e-10, interior_singularities=()):
+            return QuadratureResult(value=0.0, error_estimate=1.0, evaluations=15, converged=False)
+
+        monkeypatch.setattr(quadrature, "integrate", stalled)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            check_integral_limit(make("E1"), PROBE_GRID, 1e-6)
+        with pytest.raises(ConvergenceError):
+            check_known_integrals(1e-7)
+        with pytest.raises(ConvergenceError):
+            golden_integral("euler")
 
 
 class TestYDerivative:
