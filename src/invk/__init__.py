@@ -46,6 +46,7 @@ from .errors import (
 from .quadrature import (
     LimitResult,
     QuadratureResult,
+    Vectorized,
     integrate,
     limit_scaled,
     y_partial_fd,

@@ -8,15 +8,21 @@ with oriented integrals, evaluated literally for any real x.  On 0 <= x < y
 this is the cyclic convolution of the operands' restrictions to one period,
 so it commutes and associates there, and the period integral of the product
 factorizes into the product of the period integrals.
+
+Every integrand here is `Vectorized`: it evaluates the operands through
+`InvariantFunction.values`, so an operand with an array rule costs one call
+per refinement step of the quadrature.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import InvariantFunction
 from .errors import RejectedInputError
-from .quadrature import converged_integral
+from .quadrature import Vectorized, converged_integral
 
 
 def _require_integrable(f: InvariantFunction, op: str) -> None:
@@ -44,14 +50,14 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         pts1 = list(g.singular_points(y, lo1, hi1))
         pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
         term1 = converged_integral(
-            lambda t: g.value(t, y) * h.value(x - t, y),
+            Vectorized(lambda ts: g.values(ts, y) * h.values(x - ts, y)),
             0.0, x, half, f"convolve({g.name},{h.name}) first term", pts1,
         )
         lo2, hi2 = min(x, y), max(x, y)
         pts2 = list(g.singular_points(y, lo2, hi2))
         pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
         term2 = converged_integral(
-            lambda t: g.value(t, y) * h.value(x + y - t, y),
+            Vectorized(lambda ts: g.values(ts, y) * h.values(x + y - ts, y)),
             x, y, half, f"convolve({g.name},{h.name}) second term", pts2,
         )
         return term1 + term2
@@ -79,12 +85,12 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
     def value(x, y):
         lo, hi = min(x, y), max(x, y)
         run = converged_integral(
-            lambda t: f.value(t, y),
+            Vectorized(lambda ts: f.values(ts, y)),
             y, x, half, f"antiderivative({f.name}) running term",
             f.singular_points(y, lo, hi),
         )
         mean = converged_integral(
-            lambda t: t * f.value(t, y),
+            Vectorized(lambda ts: ts * f.values(ts, y)),
             0.0, y, half, f"antiderivative({f.name}) mean term",
             f.singular_points(y, 0.0, y),
         )
@@ -120,16 +126,18 @@ def geometric_convolve(g: InvariantFunction, a: float, tol: float = 1e-10) -> In
         # a^x is folded into the integrands: computing a^x * int a^-t g dt
         # directly pairs a huge factor with a tiny integral (or vice versa)
         # once |x| grows, and the cancellation defeats absolute tolerances
-        def phi(t):
-            return math.exp((x - t) * L) * g.value(t, y)
+        def phi(ts):
+            # math.exp, as in E5, so this equals the scalar form bit for bit
+            grow = np.array([math.exp(v) for v in ((x - ts) * L).tolist()])
+            return grow * g.values(ts, y)
 
         full = converged_integral(
-            phi, 0.0, y, half, f"geometric_convolve({g.name}) period term",
+            Vectorized(phi), 0.0, y, half, f"geometric_convolve({g.name}) period term",
             g.singular_points(y, 0.0, y),
         )
         lo, hi = min(x, y), max(x, y)
         partial = converged_integral(
-            phi, x, y, half, f"geometric_convolve({g.name}) running term",
+            Vectorized(phi), x, y, half, f"geometric_convolve({g.name}) running term",
             g.singular_points(y, lo, hi),
         )
         return full / math.expm1(y * L) + partial

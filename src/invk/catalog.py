@@ -51,6 +51,7 @@ from .special import (
     ZETA_NEG_TOLERANCE,
     _hurwitz_sum_branch,
     bernoulli_poly,
+    bernoulli_poly_array,
     hurwitz_zeta,
     log_gamma_abs,
 )
@@ -77,6 +78,7 @@ def _make_e1() -> InvariantFunction:
         value=lambda x, y: 1.0 / y,
         dx=lambda x, y: 0.0,
         dy=lambda x, y: -1.0 / (y * y),
+        array_value=lambda xs, y: np.full(xs.shape, 1.0 / y),
     )
 
 
@@ -90,6 +92,11 @@ def _make_e2(m: int) -> InvariantFunction:
         u = _LD(x) / yd
         return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(u))))
 
+    def array_value(xs, y):
+        yd = _LD(y)
+        u = (xs.astype(_LD) / yd).astype(float)
+        return (yd ** (m - 1) * bernoulli_poly_array(m, u).astype(_LD)).astype(float)
+
     def dx(x, y):
         if m == 1:
             return 1.0 / y
@@ -102,7 +109,9 @@ def _make_e2(m: int) -> InvariantFunction:
         chain = m * yd ** (m - 3) * _LD(x) * _LD(bernoulli_poly(m - 1, u))
         return float(lead - chain)
 
-    return InvariantFunction(name="E2", value=value, params={"m": m}, dx=dx, dy=dy)
+    return InvariantFunction(
+        name="E2", value=value, params={"m": m}, dx=dx, dy=dy, array_value=array_value
+    )
 
 
 def _make_e3a() -> InvariantFunction:
@@ -147,6 +156,10 @@ def _make_e5(a: float) -> InvariantFunction:
     def value(x, y):
         return math.exp(x * L) / math.expm1(y * L)
 
+    def array_value(xs, y):
+        # math.exp, not np.exp, which may differ in the last bit
+        return np.array([math.exp(t) for t in (xs * L).tolist()]) / math.expm1(y * L)
+
     def dx(x, y):
         return L * math.exp(x * L) / math.expm1(y * L)
 
@@ -154,7 +167,9 @@ def _make_e5(a: float) -> InvariantFunction:
         d = math.expm1(y * L)
         return -L * math.exp((x + y) * L) / (d * d)
 
-    return InvariantFunction(name="E5", value=value, params={"a": a}, dx=dx, dy=dy)
+    return InvariantFunction(
+        name="E5", value=value, params={"a": a}, dx=dx, dy=dy, array_value=array_value
+    )
 
 
 def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
@@ -204,6 +219,16 @@ def _trig_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble]:
         s1 = -s1
     s2 = np.sin(_LD(_TWO_PI) * d)
     return s1, s2
+
+
+def _trig_parts_array(xs: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_trig_parts` at each x of a float ndarray, bit for bit."""
+    u = xs.astype(_LD) / _LD(y)
+    k = np.rint(u)
+    d = u - k
+    s1 = np.sin(_LD(math.pi) * d)
+    s1 = np.where(np.fmod(k, 2.0) != 0.0, -s1, s1)
+    return s1, np.sin(_LD(_TWO_PI) * d)
 
 
 def _rho_parts(r: float, y: float) -> tuple[np.longdouble, np.longdouble]:
@@ -287,6 +312,23 @@ def _make_e9(r: float) -> InvariantFunction:
         w, omw = _pole_free_w(r, x, y)
         return ((1.0 + w) / omw).real / y
 
+    def array_value(xs, y):
+        # `_pole_free_w`, then the real part of CPython's complex division
+        # (1 + w) / (1 - w), which divides through by the larger-magnitude
+        # part of 1 - w (Smith's method); the roles are swapped elementwise
+        rho, rm1 = _rho_parts(r, y)
+        s1, s2 = _trig_parts_array(xs, y)
+        ar = 1.0 + (rho * (1.0 - 2.0 * s1 * s1)).astype(float)
+        ai = (rho * s2).astype(float)
+        br = (-rm1 + 2.0 * rho * s1 * s1).astype(float)
+        bi = (-rho * s2).astype(float)
+        by_real = np.abs(br) >= np.abs(bi)
+        a1, a2 = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+        b1, b2 = np.where(by_real, br, bi), np.where(by_real, bi, br)
+        ratio = b2 / b1
+        real = (a1 + a2 * ratio) / (b1 + b2 * ratio)
+        return real / y
+
     def dx(x, y):
         w, omw = _pole_free_w(r, x, y)
         return (4.0j * math.pi * w / (omw * omw)).real / (y * y)
@@ -297,7 +339,9 @@ def _make_e9(r: float) -> InvariantFunction:
         term2 = -2.0 * w * complex(L, _TWO_PI * x) / (omw * omw) / y ** 3
         return (term1 + term2).real
 
-    return InvariantFunction(name="E9", value=value, params={"r": r}, dx=dx, dy=dy)
+    return InvariantFunction(
+        name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+    )
 
 
 def _make_e10() -> InvariantFunction:

@@ -32,6 +32,7 @@ EPS_SING = 1e-6
 LATTICE_RTOL = 1e-9
 
 ValueRule = Callable[[float, float], float]
+ArrayRule = Callable[[np.ndarray, float], np.ndarray]
 
 
 def ratio_nearest(x: float, y: float) -> tuple[int, float]:
@@ -111,6 +112,11 @@ class InvariantFunction:
     series; `piecewise` marks jump-type functions for which smooth limit
     extrapolation is invalid; `integrable_in_x` is False only for entries
     whose singularities are non-integrable (cotangent-type).
+
+    `array_value(xs, y)`, when set, is the value rule over a float ndarray of
+    x at one scalar y, equal to `value` bit for bit.  `values(xs, y)` calls
+    it, or maps the scalar `value` over xs when it is absent, so an
+    integrand can evaluate all the nodes of a quadrature step in one call.
     """
 
     name: str
@@ -124,11 +130,18 @@ class InvariantFunction:
     piecewise: bool = False
     integrable_in_x: bool = True
     flags: frozenset = frozenset()
+    array_value: Optional[ArrayRule] = None
 
     def __post_init__(self):
         if self.series_tolerance < 0.0:
             raise RejectedInputError("series_tolerance must be nonnegative")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def values(self, xs: np.ndarray, y: float) -> np.ndarray:
+        """The value at each x of the float ndarray xs, at scale y."""
+        if self.array_value is not None:
+            return self.array_value(xs, y)
+        return np.array([self.value(x, y) for x in xs.tolist()], dtype=float)
 
     def with_flags(self, *extra: str) -> "InvariantFunction":
         return replace(self, flags=self.flags | frozenset(extra))
@@ -204,6 +217,9 @@ def x_derivative(f: InvariantFunction) -> InvariantFunction:
         domain=f.domain,
         series_tolerance=f.series_tolerance,
         piecewise=f.piecewise,
+        # at the branch points of a piecewise entry the derivative can blow
+        # up non-integrably: d/dx E10 is cotangent-like
+        integrable_in_x=f.integrable_in_x and not f.piecewise,
         flags=flags,
     )
 
@@ -396,7 +412,7 @@ def _call_vectorized(h, args: np.ndarray) -> np.ndarray:
         out = np.asarray(h(args), dtype=float)
         if out.shape == args.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):  # a scalar-only h: math.* or an `if t > 0` branch
         pass
     return np.array([h(float(t)) for t in args], dtype=float)
 

@@ -6,6 +6,13 @@ log t at 0 are safe), splits panels at caller-listed interior singular
 points, and refines the worst panel globally until the summed error estimate
 meets the tolerance.  Orientation is handled by sign so that swapping the
 endpoints negates the result exactly.
+
+The nodes of one refinement step are evaluated together, as
+`scipy.integrate.quad_vec` does: first those of every initial panel, then
+those of both halves of a bisection.  An integrand wrapped in `Vectorized`
+receives them as one ndarray; a scalar integrand is still accepted and is
+called node by node.  Panel selection, error control and the order of every
+sum are the same either way, so the two forms give identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ConvergenceError, RejectedInputError
 
@@ -67,29 +76,44 @@ class LimitResult:
     converged: bool
 
 
-def _gk15(phi: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One Kronrod application on [lo, hi]: (integral, error estimate)."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    fc = phi(c)
+@dataclass(frozen=True)
+class Vectorized:
+    """Marks an integrand that takes an ndarray of nodes and returns their
+    values as one array, so `integrate` evaluates a refinement step in one call."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+
+def _nodes(lefts: list[float], rights: list[float]) -> list[float]:
+    """The 15 Kronrod nodes of each panel [lo, hi], panel after panel, as
+    c - h x_0, ..., c - h x_6, c, c + h x_6, ..., c + h x_0."""
+    nodes: list[float] = []
+    for lo, hi in zip(lefts, rights):
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        dx = [h * x for x in _XGK[:7]]
+        nodes += [c - d for d in dx]
+        nodes.append(c)
+        nodes += [c + d for d in reversed(dx)]
+    return nodes
+
+
+def _gk15(fv: list, h: float) -> tuple[float, float]:
+    """One Kronrod application from the 15 node values `fv` (in the order of
+    `_nodes`) of a panel of half-width h: (integral, error estimate)."""
+    fc = fv[7]
+    left, right = fv[:7], fv[14:7:-1]
+    pairs = [f1 + f2 for f1, f2 in zip(left, right)]
     resk = _WGK[7] * fc
-    resg = _WG[3] * fc
     resabs = _WGK[7] * abs(fc)
-    fv = [fc] * 15
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = phi(c - dx)
-        f2 = phi(c + dx)
-        fv[i] = f1
-        fv[14 - i] = f2
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
+    for w, f1, f2, p in zip(_WGK, left, right, pairs):
+        resk += w * p
+        resabs += w * (abs(f1) + abs(f2))
+    resg = _WG[3] * fc + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
     reskh = 0.5 * resk
     resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fv[i] - reskh) + abs(fv[14 - i] - reskh))
+    for w, f1, f2 in zip(_WGK, left, right):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
     value = resk * h
     resasc *= abs(h)
     err = abs((resk - resg) * h)
@@ -99,14 +123,30 @@ def _gk15(phi: Callable[[float], float], lo: float, hi: float) -> tuple[float, f
     return value, err
 
 
+def _panels(batch, lefts: list[float], rights: list[float]) -> list[tuple[float, float]]:
+    """(integral, error estimate) of every panel, from one call of `batch`."""
+    fv = batch(_nodes(lefts, rights))
+    return [
+        _gk15(fv[15 * p:15 * p + 15], 0.5 * (right - left))
+        for p, (left, right) in enumerate(zip(lefts, rights))
+    ]
+
+
 def integrate(
-    phi: Callable[[float], float],
+    phi: Callable[[float], float] | Vectorized,
     a: float,
     b: float,
     tol: float = 1e-10,
     interior_singularities: Iterable[float] = (),
 ) -> QuadratureResult:
     """Oriented adaptive integral of phi over [a, b].
+
+    `phi` is either a scalar function of one float or a `Vectorized`
+    integrand.  Each refinement step makes one batch of nodes: first the 15
+    nodes of every initial panel, then the 30 nodes of the two halves of the
+    bisected panel.  A `Vectorized` integrand receives the batch as one
+    ndarray; a scalar one is called node by node.  Panel choice, error
+    control and summation do not depend on which form is given.
 
     Points in `interior_singularities` that fall strictly inside the range
     become panel boundaries, so the integrand is never evaluated there.
@@ -117,6 +157,10 @@ def integrate(
         raise RejectedInputError("quadrature tolerance must be positive")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
+    if isinstance(phi, Vectorized):
+        batch = lambda ts: phi.fn(np.array(ts)).tolist()
+    else:
+        batch = lambda ts: [phi(t) for t in ts]
     sign = 1.0
     lo, hi = a, b
     if lo > hi:
@@ -125,18 +169,17 @@ def integrate(
     cuts = sorted({float(p) for p in interior_singularities if lo < p < hi})
     edges = [lo, *cuts, hi]
 
-    evals = 0
     heap: list[tuple[float, int, float, float, float, float, int]] = []
     done: list[tuple[float, float]] = []  # (value, err) of unsplittable panels
-    serial = 0
     heap_err = 0.0
     done_err = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        v, e = _gk15(phi, left, right)
-        evals += 15
+    lefts, rights = edges[:-1], edges[1:]
+    initial = zip(lefts, rights, _panels(batch, lefts, rights))
+    for serial, (left, right, (v, e)) in enumerate(initial):
         heapq.heappush(heap, (-e, serial, left, right, v, e, 0))
         heap_err += e
-        serial += 1
+    serial = len(lefts)
+    evals = 15 * serial
 
     span = hi - lo
     while heap and heap_err + done_err > tol and serial <= _MAX_PANELS:
@@ -148,8 +191,7 @@ def integrate(
             done_err += e
             continue
         mid = 0.5 * (left + right)
-        v1, e1 = _gk15(phi, left, mid)
-        v2, e2 = _gk15(phi, mid, right)
+        (v1, e1), (v2, e2) = _panels(batch, [left, mid], [mid, right])
         evals += 30
         heapq.heappush(heap, (-e1, serial, left, mid, v1, e1, depth + 1))
         serial += 1

@@ -131,6 +131,17 @@ def bernoulli_poly(m: int, t: float) -> float:
     return float(acc)
 
 
+def bernoulli_poly_array(m: int, ts: np.ndarray) -> np.ndarray:
+    """B_m(t) at each t of a float ndarray: the Horner loop of `bernoulli_poly`
+    run over the whole array, equal to it bit for bit."""
+    cs = _poly_coeffs_ld(m)
+    td = ts.astype(_LD)
+    acc = np.zeros_like(td)
+    for j in range(m, -1, -1):
+        acc = acc * td + cs[j]
+    return acc.astype(float)
+
+
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:
     """B_m(t) for rational t, computed exactly."""
     cs = bernoulli_poly_coeffs(m)

@@ -22,8 +22,14 @@ from . import catalog
 from .algebra import convolve
 from .core import EPS_SING, InvariantFunction, affine_transform, lattice_points, step_difference
 from .covering import CoveringSystem, covering_identity_check
-from .errors import RejectedInputError
-from .quadrature import converged_integral, extrapolate_limit, limit_scaled, y_partial_fd
+from .errors import ConvergenceError, RejectedInputError
+from .quadrature import (
+    Vectorized,
+    converged_integral,
+    extrapolate_limit,
+    limit_scaled,
+    y_partial_fd,
+)
 from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, hurwitz_zeta, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -196,7 +202,8 @@ def _report(prop, f_or_name, params, samples, worst: _Worst, tol, flags=()):
 def _period_integral(f: InvariantFunction, y: float, lo: float, hi: float, tol: float) -> float:
     """int_lo^hi f(t, y) dt with panels split at f's singular points."""
     return converged_integral(
-        lambda t: f.value(t, y), lo, hi, tol, f"{f.name} at y={y:g}", f.singular_points(y, lo, hi)
+        Vectorized(lambda ts: f.values(ts, y)), lo, hi, tol, f"{f.name} at y={y:g}",
+        f.singular_points(y, lo, hi),
     )
 
 
@@ -363,7 +370,15 @@ def check_parity(
         rhs = sign * f.value(x, y)
         worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
     # int_0^{y/2} f = (1/2) lim a f(0, a) when even, int_0^y f = 0 when odd
-    expected = 0.5 * limit_scaled(f, 0.0, tol=1e-9).value if even else 0.0
+    expected = 0.0
+    if even:
+        lim = limit_scaled(f, 0.0, tol=1e-9)
+        if not lim.converged:
+            raise ConvergenceError(
+                f"parity of {f.name}: lim a f(0, a) did not converge "
+                f"(estimate {lim.error_estimate:.3g} after {lim.steps} steps)"
+            )
+        expected = 0.5 * lim.value
     for y in sorted({y for _, y in pts[:5]}):
         quad = _period_integral(f, y, 0.0, 0.5 * y if even else y, 1e-10)
         worst.add(abs(quad - expected), 0.0, y, 0, quad, expected)

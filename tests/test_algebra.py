@@ -4,11 +4,11 @@ import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
-from invk.core import affine_transform
+from invk.core import affine_transform, x_derivative
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import integrate
 from invk.special import bernoulli_poly
-from invk.verify import check_invariance
+from invk.verify import _PRODUCT_PAIRS, check_invariance
 
 from conftest import SMALL_GRID
 
@@ -52,6 +52,11 @@ class TestConvolve:
         )
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
+    def test_rejects_derivative_of_jump_entry(self):
+        # d/dx E10 is cotangent-like: not integrable across the lattice
+        with pytest.raises(RejectedInputError):
+            convolve(x_derivative(make("E10")), make("E1"))
+
     def test_rejects_nonintegrable_operands(self):
         with pytest.raises(RejectedInputError):
             convolve(make("E11"), make("E1"))
@@ -75,6 +80,45 @@ class TestConvolve:
         c = convolve(make("E2", m=1), make("E9", r=0.5), 1e-9)
         rep = check_invariance(c, SMALL_GRID, 1e-7)
         assert rep.passed, (rep.max_abs_error, rep.worst_witness)
+
+
+def _scalar_convolution(g, h, x, y, tol):
+    """`convolve(g, h, tol).value(x, y)` rebuilt from scalar integrands, for
+    operands without singular points."""
+    half = 0.5 * tol
+    term1 = integrate(lambda t: g.value(t, y) * h.value(x - t, y), 0.0, x, half).value
+    term2 = integrate(lambda t: g.value(t, y) * h.value(x + y - t, y), x, y, half).value
+    return term1 + term2
+
+
+FIXED_POINTS = ((0.3, 1.0), (-1.7, 0.6), (2.9, 1.4), (0.0, 0.25), (5.1, 3.7))
+
+
+class TestArrayIntegrands:
+    """The batched integrands give the values of their scalar forms, bit for bit."""
+
+    @pytest.mark.parametrize("pair", _PRODUCT_PAIRS, ids=lambda p: f"{p[0][0]}*{p[1][0]}")
+    def test_product_pairs(self, pair):
+        (gid, gp), (hid, hp) = pair
+        g, h = make(gid, **gp), make(hid, **hp)
+        conv = convolve(g, h, tol=1e-9)
+        for x, y in FIXED_POINTS:
+            assert conv.value(x, y).hex() == _scalar_convolution(g, h, x, y, 1e-9).hex()
+
+    def test_antiderivative_and_geometric_convolution(self):
+        f = make("E9", r=0.5)
+        anti, geo = antiderivative(f), geometric_convolve(f, 2.0)
+        for x, y in FIXED_POINTS:
+            run = integrate(lambda t: f.value(t, y), y, x, 0.5e-10).value
+            mean = integrate(lambda t: t * f.value(t, y), 0.0, y, 0.5e-10).value
+            assert anti.value(x, y).hex() == (run + mean / y).hex()
+
+            def phi(t):
+                return math.exp((x - t) * math.log(2.0)) * f.value(t, y)
+
+            full = integrate(phi, 0.0, y, 0.5e-10).value
+            partial = integrate(phi, x, y, 0.5e-10).value
+            assert geo.value(x, y).hex() == (full / math.expm1(y * math.log(2.0)) + partial).hex()
 
 
 class TestAntiderivative:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from invk.catalog import ENTRY_IDS, make, standard_configs
@@ -201,3 +202,42 @@ class TestCatalogInvariance:
             fd_y = (f.value(x, y + h) - f.value(x, y - h)) / (2 * h)
             assert f.dx(x, y) == pytest.approx(fd_x, rel=2e-7, abs=2e-7)
             assert f.dy(x, y) == pytest.approx(fd_y, rel=2e-7, abs=2e-7)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayRules:
+    """Each `array_value` equals the scalar `value` bit for bit, on, near and
+    off the lattice, at the scales that the invariance and exchange checks reach."""
+
+    @pytest.mark.parametrize("eid,params", [
+        ("E1", {}),
+        ("E2", {"m": 1}), ("E2", {"m": 2}), ("E2", {"m": 3}), ("E2", {"m": 6}),
+        ("E5", {"a": 2.0}), ("E5", {"a": 0.5}), ("E5", {"a": math.e}),
+        ("E9", {"r": 0.5}),
+    ])
+    def test_equals_scalar_rule(self, eid, params):
+        f = make(eid, **params)
+        assert f.array_value is not None
+        rng = np.random.default_rng(5)
+        ks = np.arange(-25.0, 26.0)
+        for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 12).tolist()]:
+            lattice = ks * y
+            xs = np.concatenate([
+                rng.uniform(-25.0, 25.0, 64) * y,
+                lattice, lattice + 1e-6 * y, lattice - 1e-6 * y, [0.0, -0.0],
+            ])
+            if eid == "E5":  # keep a^x finite, as the scalar rule needs
+                xs = xs[np.abs(xs * math.log(params["a"])) < 700.0]
+            scalar = [f.value(x, y) for x in xs.tolist()]
+            got = f.values(xs, y)
+            assert got.shape == xs.shape
+            assert np.array_equal(_bits(got), _bits(scalar)), (eid, params, y)
+
+    def test_entry_without_array_rule_maps_its_value(self):
+        f = make("E10")
+        assert f.array_value is None
+        xs = np.array([-1.3, 0.0, 0.25, 0.5, 2.0])
+        assert np.array_equal(_bits(f.values(xs, 0.5)), _bits([f.value(x, 0.5) for x in xs.tolist()]))

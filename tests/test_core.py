@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invk.catalog import make
 from invk.core import (
     EvalPoint,
+    _call_vectorized,
     affine_transform,
     evaluate,
     frac_compose,
@@ -103,6 +105,12 @@ class TestXDerivative:
         d = x_derivative(make("E7", r=0.5))
         e8 = make("E8", r=0.5)
         assert d.value(0.2, 1.0) == pytest.approx(4 * math.pi * e8.value(0.2, 1.0), abs=1e-8)
+
+    def test_integrability(self):
+        assert x_derivative(make("E2", m=2)).integrable_in_x
+        assert x_derivative(make("E7", r=0.5)).integrable_in_x
+        assert not x_derivative(make("E10")).integrable_in_x
+        assert not x_derivative(make("E11")).integrable_in_x
 
     def test_fd_fallback_flagged(self):
         d = x_derivative(make("E10"))
@@ -214,6 +222,24 @@ class TestFourierConstructor:
     def test_rejects_bad_mode(self):
         with pytest.raises(RejectedInputError):
             from_fourier(lambda t: 0.5 ** t, "tan", 1e-10)
+
+
+class TestCallVectorized:
+    def test_error_of_the_array_call_propagates(self):
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return 1.0 / 0.0
+
+        with pytest.raises(ZeroDivisionError):
+            _call_vectorized(h, np.arange(3.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("h", [math.exp, lambda t: 1.0 if t > 0 else 0.0, lambda t: 0.0])
+    def test_scalar_only_callable_is_mapped(self, h):
+        args = np.array([-1.0, 0.5, 2.0])
+        assert _call_vectorized(h, args).tolist() == [float(h(t)) for t in args.tolist()]
 
 
 class TestTailSeriesConstructor:

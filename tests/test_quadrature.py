@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from invk.catalog import make
 from invk.errors import RejectedInputError
-from invk.quadrature import extrapolate_limit, integrate, limit_scaled, y_partial_fd
+from invk.quadrature import Vectorized, extrapolate_limit, integrate, limit_scaled, y_partial_fd
 
 
 class TestIntegrate:
@@ -84,6 +84,53 @@ class TestIntegrate:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RejectedInputError):
             integrate(math.sin, 0.0, 1.0, tol=0.0)
+
+
+def _inverse_sqrt_kink(t):
+    return 1.0 / math.sqrt(abs(t - 0.3))
+
+
+class TestVectorized:
+    """An array integrand reaches the same panels, sums and counts as its
+    scalar form; only the number of integrand calls changes."""
+
+    E9 = make("E9", r=0.5)
+    E10 = make("E10")
+
+    CASES = [
+        # (scalar, array, a, b, tol, interior singularities)
+        (lambda t: TestVectorized.E9.value(t, 0.7), lambda ts: TestVectorized.E9.values(ts, 0.7),
+         -1.1, 2.3, 1e-11, ()),
+        (lambda t: TestVectorized.E9.value(t, 0.7), lambda ts: TestVectorized.E9.values(ts, 0.7),
+         2.3, -1.1, 1e-11, ()),
+        (_inverse_sqrt_kink, lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3)), 1.0, -0.5, 1e-8, (0.3,)),
+        (lambda t: TestVectorized.E10.value(t, 0.4), lambda ts: TestVectorized.E10.values(ts, 0.4),
+         -0.9, 1.3, 1e-10, (-0.8, -0.4, 0.0, 0.4, 0.8, 1.2)),
+        (lambda t: t * t, lambda ts: ts * ts, 0.5, 0.5, 1e-10, ()),
+        (lambda t: 1.0 / t if t > 0 else 0.0, lambda ts: np.where(ts > 0, 1.0 / ts, 0.0),
+         0.0, 1.0, 1e-10, ()),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_same_result_as_scalar_form(self, case):
+        scalar, array, a, b, tol, cuts = self.CASES[case]
+        want = integrate(scalar, a, b, tol=tol, interior_singularities=cuts)
+        got = integrate(Vectorized(array), a, b, tol=tol, interior_singularities=cuts)
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
+
+    def test_one_call_per_refinement_step(self):
+        sizes = []
+
+        def phi(ts):
+            sizes.append(ts.size)
+            return np.exp(-ts * ts)
+
+        res = integrate(Vectorized(phi), -3.0, 3.0, tol=1e-12, interior_singularities=(-1.0, 1.0))
+        assert sizes[0] == 3 * 15  # every initial panel at once
+        assert sizes[1:] and all(n == 30 for n in sizes[1:])  # both halves of a bisection
+        assert sum(sizes) == res.evaluations
 
 
 class TestLimitScaled:

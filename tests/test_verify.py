@@ -147,6 +147,14 @@ class TestLimits:
         assert not rep.passed
 
 
+    def test_unconverged_parity_limit_raises(self, monkeypatch):
+        # the even-parity expectation must not come from a limit that missed its tolerance
+        unconverged = LimitResult(value=1.0, error_estimate=1.0, steps=49, converged=False)
+        monkeypatch.setattr(verify, "limit_scaled", lambda f, x, tol=1e-8: unconverged)
+        with pytest.raises(ConvergenceError, match="E9"):
+            check_parity(make("E9", r=0.5), "even", PROBE_GRID, 1e-7)
+        assert check_parity(make("E2", m=1), "odd", PROBE_GRID, 1e-7).passed
+
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # an integral that misses its tolerance must not feed a report
         def stalled(phi, a, b, tol=1e-10, interior_singularities=()):
