@@ -48,6 +48,7 @@ from .quadrature import (
     QuadratureResult,
     Vectorized,
     integrate,
+    integrate_many,
     limit_scaled,
     y_partial_fd,
 )

@@ -9,9 +9,10 @@ this is the cyclic convolution of the operands' restrictions to one period,
 so it commutes and associates there, and the period integral of the product
 factorizes into the product of the period integrals.
 
-Every integrand here is `Vectorized`: it evaluates the operands through
+Every integrand here evaluates the operands through
 `InvariantFunction.values`, so an operand with an array rule costs one call
-per refinement step of the quadrature.
+per refinement round of the quadrature.  The convolution's two terms, at
+every point of one `values` call, share those rounds (`integrate_many`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import InvariantFunction
 from .errors import RejectedInputError
-from .quadrature import Vectorized, converged_integral
+from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
 
 
 def _require_integrable(f: InvariantFunction, op: str) -> None:
@@ -36,35 +37,58 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     """The convolution product g * h as an invariant function.
 
     Panels are split at the operands' singular x-points, both directly (for g)
-    and pulled back through t -> x - t and t -> x + y - t (for h).  Quadrature
-    failure on either term raises ConvergenceError naming the offending range.
+    and pulled back through t -> x - t and t -> x + y - t (for h).  The
+    descriptor's array rule evaluates N points by running their 2N term
+    integrals through one `integrate_many`, so every quadrature round calls
+    each operand's `values` once; the scalar value is its one-point case.
+    Each term equals a lone `integrate` of its integrand bit for bit.  When a
+    term misses its tolerance, ConvergenceError names the first such term,
+    in point order, and its range.
     """
     if tol <= 0.0:
         raise RejectedInputError("convolution tolerance must be positive")
     _require_integrable(g, "convolution")
     _require_integrable(h, "convolution")
     half = 0.5 * tol
+    label = f"convolve({g.name},{h.name})"
 
-    def value(x, y):
-        lo1, hi1 = min(0.0, x), max(0.0, x)
-        pts1 = list(g.singular_points(y, lo1, hi1))
-        pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
-        term1 = converged_integral(
-            Vectorized(lambda ts: g.values(ts, y) * h.values(x - ts, y)),
-            0.0, x, half, f"convolve({g.name},{h.name}) first term", pts1,
-        )
-        lo2, hi2 = min(x, y), max(x, y)
-        pts2 = list(g.singular_points(y, lo2, hi2))
-        pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
-        term2 = converged_integral(
-            Vectorized(lambda ts: g.values(ts, y) * h.values(x + y - ts, y)),
-            x, y, half, f"convolve({g.name},{h.name}) second term", pts2,
-        )
-        return term1 + term2
+    def products(xs: list[float], ys: list[float] | float) -> list[float]:
+        """(g * h)(xs[i], y_i), with y_i = ys[i], or ys itself when it is one scale."""
+        per_point = isinstance(ys, list)
+        jobs, shifts = [], []
+        for i, x in enumerate(xs):
+            y = ys[i] if per_point else ys
+            lo1, hi1 = min(0.0, x), max(0.0, x)
+            pts1 = list(g.singular_points(y, lo1, hi1))
+            pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
+            lo2, hi2 = min(x, y), max(x, y)
+            pts2 = list(g.singular_points(y, lo2, hi2))
+            pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
+            jobs += ((0.0, x, pts1), (x, y, pts2))
+            shifts += (x, x + y)  # h's argument is shift - t in each term
+        shifts = np.array(shifts)
+        scales = np.repeat(ys, 2) if per_point else None  # the scale of each job
+
+        def batch(ts, owners):
+            ts = np.array(ts)
+            own = np.repeat(owners, 15)  # the job of each node
+            at = ys if scales is None else scales[own]
+            return (g.values(ts, at) * h.values(shifts[own] - ts, at)).tolist()
+
+        results = integrate_many(batch, jobs, half)
+        for k, ((a, b, _), res) in enumerate(zip(jobs, results)):
+            if not res.converged:
+                term = "second" if k % 2 else "first"
+                raise stall_error(f"{label} {term} term", a, b, res, half)
+        return [t1.value + t2.value for t1, t2 in zip(results[::2], results[1::2])]
+
+    def array_value(xs, ys):
+        return np.array(products(xs.tolist(), ys.tolist() if isinstance(ys, np.ndarray) else ys))
 
     return InvariantFunction(
         name=f"conv({g.name},{h.name})",
-        value=value,
+        value=lambda x, y: products([x], y)[0],
+        array_value=array_value,
         params={"g": g.name, "h": h.name, "tol": tol},
         series_tolerance=tol + g.series_tolerance + h.series_tolerance,
         flags=g.flags | h.flags,

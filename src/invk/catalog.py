@@ -78,8 +78,14 @@ def _make_e1() -> InvariantFunction:
         value=lambda x, y: 1.0 / y,
         dx=lambda x, y: 0.0,
         dy=lambda x, y: -1.0 / (y * y),
-        array_value=lambda xs, y: np.full(xs.shape, 1.0 / y),
+        array_value=_e1_values,
     )
+
+
+def _e1_values(xs, ys):
+    if isinstance(ys, np.ndarray):
+        return 1.0 / ys
+    return np.full(xs.shape, 1.0 / ys)
 
 
 def _make_e2(m: int) -> InvariantFunction:
@@ -92,8 +98,8 @@ def _make_e2(m: int) -> InvariantFunction:
         u = _LD(x) / yd
         return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(u))))
 
-    def array_value(xs, y):
-        yd = _LD(y)
+    def array_value(xs, ys):
+        yd = _LD(ys)  # one longdouble, or an array of them
         u = (xs.astype(_LD) / yd).astype(float)
         return (yd ** (m - 1) * bernoulli_poly_array(m, u).astype(_LD)).astype(float)
 
@@ -156,9 +162,13 @@ def _make_e5(a: float) -> InvariantFunction:
     def value(x, y):
         return math.exp(x * L) / math.expm1(y * L)
 
-    def array_value(xs, y):
-        # math.exp, not np.exp, which may differ in the last bit
-        return np.array([math.exp(t) for t in (xs * L).tolist()]) / math.expm1(y * L)
+    def array_value(xs, ys):
+        # math.exp and math.expm1, not np.exp and np.expm1, which may differ
+        # in the last bit
+        grow = np.array([math.exp(t) for t in (xs * L).tolist()])
+        if isinstance(ys, np.ndarray):
+            return grow / np.array([math.expm1(t) for t in (ys * L).tolist()])
+        return grow / math.expm1(ys * L)
 
     def dx(x, y):
         return L * math.exp(x * L) / math.expm1(y * L)
@@ -221,9 +231,10 @@ def _trig_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble]:
     return s1, s2
 
 
-def _trig_parts_array(xs: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_trig_parts` at each x of a float ndarray, bit for bit."""
-    u = xs.astype(_LD) / _LD(y)
+def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
+    """`_trig_parts` at each x of a float ndarray, at one scale ys or at an
+    array of scales aligned with xs, bit for bit."""
+    u = xs.astype(_LD) / _LD(ys)
     k = np.rint(u)
     d = u - k
     s1 = np.sin(_LD(math.pi) * d)
@@ -231,8 +242,9 @@ def _trig_parts_array(xs: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]
     return s1, np.sin(_LD(_TWO_PI) * d)
 
 
-def _rho_parts(r: float, y: float) -> tuple[np.longdouble, np.longdouble]:
-    """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation."""
+def _rho_parts(r: float, y) -> tuple[np.longdouble, np.longdouble]:
+    """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation; y may
+    also be a float ndarray, giving arrays."""
     e = _LD(math.log(r)) / _LD(y)
     rm1 = np.expm1(e)
     return rm1 + 1.0, rm1
@@ -312,12 +324,12 @@ def _make_e9(r: float) -> InvariantFunction:
         w, omw = _pole_free_w(r, x, y)
         return ((1.0 + w) / omw).real / y
 
-    def array_value(xs, y):
+    def array_value(xs, ys):
         # `_pole_free_w`, then the real part of CPython's complex division
         # (1 + w) / (1 - w), which divides through by the larger-magnitude
         # part of 1 - w (Smith's method); the roles are swapped elementwise
-        rho, rm1 = _rho_parts(r, y)
-        s1, s2 = _trig_parts_array(xs, y)
+        rho, rm1 = _rho_parts(r, ys)
+        s1, s2 = _trig_parts_array(xs, ys)
         ar = 1.0 + (rho * (1.0 - 2.0 * s1 * s1)).astype(float)
         ai = (rho * s2).astype(float)
         br = (-rm1 + 2.0 * rho * s1 * s1).astype(float)
@@ -327,7 +339,7 @@ def _make_e9(r: float) -> InvariantFunction:
         b1, b2 = np.where(by_real, br, bi), np.where(by_real, bi, br)
         ratio = b2 / b1
         real = (a1 + a2 * ratio) / (b1 + b2 * ratio)
-        return real / y
+        return real / ys
 
     def dx(x, y):
         w, omw = _pole_free_w(r, x, y)

@@ -2,7 +2,8 @@
 
 Subcommands: eval, verify, convolve, integral, covering, table.  Output is
 JSON (or CSV for `table`), written to stdout or to `--out`.  Exit codes:
-0 success, 1 property or check failed, 2 usage error, 3 numeric
+0 success, 1 property or check failed, 2 usage error (a value that
+overflows a double at the requested point counts as one), 3 numeric
 non-convergence.  Identical invocations with identical seeds produce
 byte-identical output.
 """
@@ -251,6 +252,9 @@ def run(argv) -> int:
         return EXIT_USAGE
     except InvkError as exc:
         print(f"invk: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"invk: floating-point overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

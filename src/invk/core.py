@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -32,7 +33,7 @@ EPS_SING = 1e-6
 LATTICE_RTOL = 1e-9
 
 ValueRule = Callable[[float, float], float]
-ArrayRule = Callable[[np.ndarray, float], np.ndarray]
+ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 
 
 def ratio_nearest(x: float, y: float) -> tuple[int, float]:
@@ -113,10 +114,14 @@ class InvariantFunction:
     extrapolation is invalid; `integrable_in_x` is False only for entries
     whose singularities are non-integrable (cotangent-type).
 
-    `array_value(xs, y)`, when set, is the value rule over a float ndarray of
-    x at one scalar y, equal to `value` bit for bit.  `values(xs, y)` calls
-    it, or maps the scalar `value` over xs when it is absent, so an
-    integrand can evaluate all the nodes of a quadrature step in one call.
+    `array_value(xs, ys)`, when set, is the value rule over a float ndarray
+    of x, with ys one scale or a float ndarray aligned with xs, equal to
+    `value` at each point bit for bit.  `values(xs, ys)` calls it, or maps
+    the scalar `value` when it is absent, so an integrand can evaluate all
+    the nodes of a quadrature round, and a check all the points of a
+    sample, in one call.  The two rules must agree: a descriptor made with
+    `dataclasses.replace(f, value=...)` has to replace or clear
+    `array_value` too, or `values` keeps evaluating the old rule.
     """
 
     name: str
@@ -137,11 +142,14 @@ class InvariantFunction:
             raise RejectedInputError("series_tolerance must be nonnegative")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
-    def values(self, xs: np.ndarray, y: float) -> np.ndarray:
-        """The value at each x of the float ndarray xs, at scale y."""
+    def values(self, xs: np.ndarray, ys: "float | np.ndarray") -> np.ndarray:
+        """The value at each point (xs[i], ys[i]) of the float ndarray xs,
+        where ys is one scale for every point or a float ndarray aligned
+        with xs; equal to `value` at each point, bit for bit."""
         if self.array_value is not None:
-            return self.array_value(xs, y)
-        return np.array([self.value(x, y) for x in xs.tolist()], dtype=float)
+            return self.array_value(xs, ys)
+        scales = ys.tolist() if isinstance(ys, np.ndarray) else repeat(ys)
+        return np.array([self.value(x, y) for x, y in zip(xs.tolist(), scales)], dtype=float)
 
     def with_flags(self, *extra: str) -> "InvariantFunction":
         return replace(self, flags=self.flags | frozenset(extra))
@@ -171,6 +179,9 @@ def affine_transform(f: InvariantFunction, a: float, b: float, c: float) -> Inva
     def value(x, y):
         return a * f.value(b + c * x, c * y)
 
+    def array_value(xs, ys):
+        return a * f.values(b + c * xs, c * ys)
+
     dx = (lambda x, y: a * c * f.dx(b + c * x, c * y)) if f.dx else None
     dy = (lambda x, y: a * c * f.dy(b + c * x, c * y)) if f.dy else None
     dom = (lambda x, y: f.domain(b + c * x, c * y)) if f.domain else None
@@ -182,6 +193,7 @@ def affine_transform(f: InvariantFunction, a: float, b: float, c: float) -> Inva
         name=f"affine({f.name})",
         value=value,
         params={"a": a, "b": b, "c": c, "inner": f.name},
+        array_value=array_value if f.array_value is not None else None,
         dx=dx,
         dy=dy,
         singular_points=points,

@@ -7,12 +7,17 @@ points, and refines the worst panel globally until the summed error estimate
 meets the tolerance.  Orientation is handled by sign so that swapping the
 endpoints negates the result exactly.
 
-The nodes of one refinement step are evaluated together, as
-`scipy.integrate.quad_vec` does: first those of every initial panel, then
-those of both halves of a bisection.  An integrand wrapped in `Vectorized`
-receives them as one ndarray; a scalar integrand is still accepted and is
-called node by node.  Panel selection, error control and the order of every
-sum are the same either way, so the two forms give identical results.
+`integrate_many` runs many independent integrals in lockstep.  Each round
+evaluates the nodes of every job's next refinement step in one batch: first
+those of every initial panel, then those of both halves of each bisection.
+This is the batching of `scipy.integrate.quad_vec`, applied across
+integrals rather than within one.  Every job keeps its own QUADPACK-style
+panel choice and error control (Piessens et al., 1983), so its result is
+bit for bit that of a lone `integrate`, which is the one-job case.  An
+integrand wrapped in `Vectorized` receives a batch as one ndarray; a scalar
+integrand is still accepted and is called node by node.  Panel selection,
+error control and the order of every sum are the same either way, so the
+two forms give identical results.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,18 +89,16 @@ class Vectorized:
     fn: Callable[[np.ndarray], np.ndarray]
 
 
-def _nodes(lefts: list[float], rights: list[float]) -> list[float]:
-    """The 15 Kronrod nodes of each panel [lo, hi], panel after panel, as
-    c - h x_0, ..., c - h x_6, c, c + h x_6, ..., c + h x_0."""
-    nodes: list[float] = []
+def _nodes(lefts: list[float], rights: list[float], out: list[float]) -> None:
+    """Append the 15 Kronrod nodes of each panel [lo, hi] to `out`, panel
+    after panel, as c - h x_0, ..., c - h x_6, c, c + h x_6, ..., c + h x_0."""
+    x0, x1, x2, x3, x4, x5, x6 = _XGK[:7]
     for lo, hi in zip(lefts, rights):
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        dx = [h * x for x in _XGK[:7]]
-        nodes += [c - d for d in dx]
-        nodes.append(c)
-        nodes += [c + d for d in reversed(dx)]
-    return nodes
+        d0, d1, d2, d3, d4, d5, d6 = h * x0, h * x1, h * x2, h * x3, h * x4, h * x5, h * x6
+        out += (c - d0, c - d1, c - d2, c - d3, c - d4, c - d5, c - d6, c,
+                c + d6, c + d5, c + d4, c + d3, c + d2, c + d1, c + d0)
 
 
 def _gk15(fv: list, h: float) -> tuple[float, float]:
@@ -123,13 +126,114 @@ def _gk15(fv: list, h: float) -> tuple[float, float]:
     return value, err
 
 
-def _panels(batch, lefts: list[float], rights: list[float]) -> list[tuple[float, float]]:
-    """(integral, error estimate) of every panel, from one call of `batch`."""
-    fv = batch(_nodes(lefts, rights))
-    return [
-        _gk15(fv[15 * p:15 * p + 15], 0.5 * (right - left))
-        for p, (left, right) in enumerate(zip(lefts, rights))
-    ]
+class _Job:
+    """The adaptive state of one integral of `integrate_many`: its heap of
+    panels, the panels it can no longer split, their error sums, the next
+    serial number and the evaluation count."""
+
+    __slots__ = ("sign", "span", "heap", "done", "heap_err", "done_err", "serial", "evals")
+
+    def __init__(self, lo: float, hi: float, sign: float):
+        self.sign = sign
+        self.span = hi - lo
+        self.heap: list[tuple[float, int, float, float, float, float, int]] = []
+        self.done: list[tuple[float, float]] = []
+        self.heap_err = 0.0
+        self.done_err = 0.0
+        self.serial = 0
+        self.evals = 0
+
+    def step(self, lefts, rights, fv, pos: int, depth: int, tol: float):
+        """Push the panels [lefts[i], rights[i]], whose node values start at
+        fv[pos], then pop panels until one needs a bisection.  Returns the
+        (lefts, rights, depth) of its two halves, or None once the job is
+        finished."""
+        heap = self.heap
+        serial = self.serial
+        added = 0.0  # summed before it joins heap_err, so both halves add as e1 + e2
+        for left, right in zip(lefts, rights):
+            v, e = _gk15(fv[pos:pos + 15], 0.5 * (right - left))
+            heapq.heappush(heap, (-e, serial, left, right, v, e, depth))
+            serial += 1
+            added += e
+            pos += 15
+        self.serial = serial
+        self.evals += 15 * len(lefts)
+        heap_err = self.heap_err + added
+        done_err = self.done_err
+        halves = None
+        while heap and heap_err + done_err > tol and serial <= _MAX_PANELS:
+            _, _, left, right, v, e, depth = heapq.heappop(heap)
+            heap_err -= e
+            if depth >= MAX_DEPTH or right - left <= 4.0 * _EPS * max(abs(left), abs(right), self.span):
+                self.done.append((v, e))
+                done_err += e
+                continue
+            mid = 0.5 * (left + right)
+            halves = [left, mid], [mid, right], depth + 1
+            break
+        self.heap_err, self.done_err = heap_err, done_err
+        return halves
+
+    def result(self, tol: float) -> QuadratureResult:
+        heap, done = self.heap, self.done
+        value = math.fsum(v for _, _, _, _, v, _, _ in heap) + math.fsum(v for v, _ in done)
+        err = math.fsum(e for _, _, _, _, _, e, _ in heap) + math.fsum(e for _, e in done)
+        return QuadratureResult(self.sign * value, err, self.evals, err <= tol)
+
+
+def integrate_many(
+    batch: Callable[[list[float], list[int]], Sequence[float]],
+    jobs: Iterable[tuple[float, float, Iterable[float]]],
+    tol: float,
+) -> list[QuadratureResult]:
+    """Independent adaptive integrals run in lockstep, one batch per round.
+
+    Each job (a, b, interior_singularities) is the oriented integral over
+    [a, b] of one integrand, with panels split at its interior singular
+    points.  The first round evaluates the initial panels of every job.
+    Each later round lets every unfinished job pop panels as a lone
+    integral does, until it needs a bisection, and then evaluates the
+    halves of all those bisections together.
+
+    `batch(ts, owners)` gets the round's nodes as a list of floats, 15 per
+    panel, and `owners`, the index in `jobs` of each panel's job: panel p
+    covers ts[15p:15p + 15].  It returns the integrand values at ts as a
+    list of floats.
+
+    Every job keeps its own heap, serial numbers, depth and panel budgets,
+    error sums and `fsum` order, so its result is the one a lone `integrate`
+    of its integrand gives, bit for bit.  A job that cannot meet `tol`
+    within the depth and panel budgets returns converged=False and does not
+    raise.
+    """
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise RejectedInputError("quadrature tolerance must be positive")
+    states = []
+    pending = []  # (job index, lefts, rights, depth) of the panels to evaluate
+    for a, b, singular in jobs:
+        lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
+        if a != b:
+            cuts = sorted({float(p) for p in singular if lo < p < hi})
+            edges = [lo, *cuts, hi]
+            pending.append((len(states), edges[:-1], edges[1:], 0))
+        states.append(_Job(lo, hi, sign))
+    while pending:
+        nodes: list[float] = []
+        owners: list[int] = []
+        for j, lefts, rights, _ in pending:
+            _nodes(lefts, rights, nodes)
+            owners += [j] * len(lefts)
+        fv = batch(nodes, owners)
+        pos = 0
+        split = []
+        for j, lefts, rights, depth in pending:
+            halves = states[j].step(lefts, rights, fv, pos, depth, tol)
+            pos += 15 * len(lefts)
+            if halves is not None:
+                split.append((j, *halves))
+        pending = split
+    return [job.result(tol) for job in states]
 
 
 def integrate(
@@ -139,7 +243,7 @@ def integrate(
     tol: float = 1e-10,
     interior_singularities: Iterable[float] = (),
 ) -> QuadratureResult:
-    """Oriented adaptive integral of phi over [a, b].
+    """Oriented adaptive integral of phi over [a, b]: `integrate_many` with one job.
 
     `phi` is either a scalar function of one float or a `Vectorized`
     integrand.  Each refinement step makes one batch of nodes: first the 15
@@ -153,55 +257,20 @@ def integrate(
     Returns converged=False (never raises) when the error estimate cannot be
     pushed below `tol` within the depth and panel budgets.
     """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise RejectedInputError("quadrature tolerance must be positive")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0, True)
     if isinstance(phi, Vectorized):
-        batch = lambda ts: phi.fn(np.array(ts)).tolist()
+        fn = phi.fn
+        batch = lambda ts, owners: fn(np.array(ts)).tolist()
     else:
-        batch = lambda ts: [phi(t) for t in ts]
-    sign = 1.0
-    lo, hi = a, b
-    if lo > hi:
-        lo, hi = hi, lo
-        sign = -1.0
-    cuts = sorted({float(p) for p in interior_singularities if lo < p < hi})
-    edges = [lo, *cuts, hi]
+        batch = lambda ts, owners: [phi(t) for t in ts]
+    return integrate_many(batch, ((a, b, interior_singularities),), tol)[0]
 
-    heap: list[tuple[float, int, float, float, float, float, int]] = []
-    done: list[tuple[float, float]] = []  # (value, err) of unsplittable panels
-    heap_err = 0.0
-    done_err = 0.0
-    lefts, rights = edges[:-1], edges[1:]
-    initial = zip(lefts, rights, _panels(batch, lefts, rights))
-    for serial, (left, right, (v, e)) in enumerate(initial):
-        heapq.heappush(heap, (-e, serial, left, right, v, e, 0))
-        heap_err += e
-    serial = len(lefts)
-    evals = 15 * serial
 
-    span = hi - lo
-    while heap and heap_err + done_err > tol and serial <= _MAX_PANELS:
-        _, _, left, right, v, e, depth = heapq.heappop(heap)
-        heap_err -= e
-        width = right - left
-        if depth >= MAX_DEPTH or width <= 4.0 * _EPS * max(abs(left), abs(right), span):
-            done.append((v, e))
-            done_err += e
-            continue
-        mid = 0.5 * (left + right)
-        (v1, e1), (v2, e2) = _panels(batch, [left, mid], [mid, right])
-        evals += 30
-        heapq.heappush(heap, (-e1, serial, left, mid, v1, e1, depth + 1))
-        serial += 1
-        heapq.heappush(heap, (-e2, serial, mid, right, v2, e2, depth + 1))
-        serial += 1
-        heap_err += e1 + e2
-
-    value = math.fsum(v for _, _, _, _, v, _, _ in heap) + math.fsum(v for v, _ in done)
-    err = math.fsum(e for _, _, _, _, _, e, _ in heap) + math.fsum(e for _, e in done)
-    return QuadratureResult(sign * value, err, evals, err <= tol)
+def stall_error(context: str, a: float, b: float, res: QuadratureResult, tol: float) -> ConvergenceError:
+    """The error that reports an unconverged integral over [a, b]."""
+    return ConvergenceError(
+        f"{context}: quadrature stalled on [{a:g}, {b:g}] "
+        f"(estimate {res.error_estimate:.3g} > tol {tol:.3g})"
+    )
 
 
 def converged_integral(phi, a, b, tol, context, interior_singularities=()) -> float:
@@ -209,10 +278,7 @@ def converged_integral(phi, a, b, tol, context, interior_singularities=()) -> fl
     the range) when the error estimate misses `tol`."""
     res = integrate(phi, a, b, tol=tol, interior_singularities=interior_singularities)
     if not res.converged:
-        raise ConvergenceError(
-            f"{context}: quadrature stalled on [{a:g}, {b:g}] "
-            f"(estimate {res.error_estimate:.3g} > tol {tol:.3g})"
-        )
+        raise stall_error(context, a, b, res, tol)
     return res.value
 
 

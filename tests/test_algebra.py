@@ -1,14 +1,22 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
 from invk.core import affine_transform, x_derivative
 from invk.errors import ConvergenceError, RejectedInputError
-from invk.quadrature import integrate
+from invk.quadrature import Vectorized, integrate
 from invk.special import bernoulli_poly
-from invk.verify import _PRODUCT_PAIRS, check_invariance
+from invk.verify import (
+    DEFAULT_GRID,
+    _PRODUCT_PAIRS,
+    _invariance_eval_points,
+    check_invariance,
+    grid_points,
+)
 
 from conftest import SMALL_GRID
 
@@ -119,6 +127,74 @@ class TestArrayIntegrands:
             full = integrate(phi, 0.0, y, 0.5e-10).value
             partial = integrate(phi, x, y, 0.5e-10).value
             assert geo.value(x, y).hex() == (full / math.expm1(y * math.log(2.0)) + partial).hex()
+
+
+def _conv_grid_sample(conv):
+    """The 22 points of the first sample of the suite's convolution grid."""
+    grid = replace(DEFAULT_GRID, n_max=6)
+    eval_points = _invariance_eval_points(grid)
+    x, y = grid_points(conv, grid, eval_points)[0]
+    return eval_points(x, y)
+
+
+class TestLockstepConvolution:
+    """`values` runs the 2N term integrals of N points in lockstep."""
+
+    @pytest.mark.parametrize("pair", _PRODUCT_PAIRS, ids=lambda p: f"{p[0][0]}*{p[1][0]}")
+    def test_grid_sample_equals_scalar_form(self, pair):
+        (gid, gp), (hid, hp) = pair
+        g, h = make(gid, **gp), make(hid, **hp)
+        conv = convolve(g, h, tol=1e-9)
+        points = _conv_grid_sample(conv)
+        assert len(points) == 22
+        xs, ys = (np.array(c) for c in zip(*points))
+        got = conv.values(xs, ys).tolist()
+        want = [_scalar_convolution(g, h, x, y, 1e-9) for x, y in points]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_operand_is_called_once_per_round(self):
+        g, h = make("E5", a=2.0), make("E9", r=0.5)
+        sizes = []
+
+        def counted(xs, ys):
+            sizes.append(xs.size)
+            return g.array_value(xs, ys)
+
+        conv = convolve(replace(g, array_value=counted), h, tol=1e-9)
+        points = _conv_grid_sample(conv)
+        xs, ys = (np.array(c) for c in zip(*points))
+        conv.values(xs, ys)
+        rounds, nodes = len(sizes), sum(sizes)
+        lone_rounds, lone_nodes = [], 0
+        for x, y in points:
+            for a, b, shift in ((0.0, x, x), (x, y, x + y)):
+                calls = []
+
+                def phi(ts):
+                    calls.append(ts.size)
+                    return g.values(ts, y) * h.values(shift - ts, y)
+
+                lone_nodes += integrate(Vectorized(phi), a, b, 0.5e-9).evaluations
+                lone_rounds.append(len(calls))
+        assert rounds == max(lone_rounds) and nodes == lone_nodes
+        assert nodes > 10 * rounds  # the batches are wide
+
+    def test_scalar_value_is_the_one_point_case(self):
+        conv = convolve(make("E2", m=1), make("E9", r=0.5), tol=1e-9)
+        for x, y in FIXED_POINTS:
+            assert conv.value(x, y).hex() == conv.values(np.array([x]), y)[0].hex()
+
+    def test_stalled_batch_raises_the_scalar_message(self):
+        conv = convolve(make("E1"), make("E1"), tol=1e-16)
+        xs = np.array([0.4, 1.3, -0.6])
+        with pytest.raises(ConvergenceError) as scalar:
+            conv.value(0.4, 1.0)
+        with pytest.raises(ConvergenceError) as batched:
+            conv.values(xs, 1.0)
+        assert str(batched.value) == str(scalar.value)
+        assert str(scalar.value).startswith(
+            "convolve(E1,E1) first term: quadrature stalled on [0, 0.4] (estimate "
+        )
 
 
 class TestAntiderivative:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invk.catalog import ENTRY_IDS, make, standard_configs
-from invk.core import EvalPoint, evaluate
+from invk.core import EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
 from invk.special import bernoulli_poly
 from invk.verify import check_invariance
@@ -236,8 +236,43 @@ class TestArrayRules:
             assert got.shape == xs.shape
             assert np.array_equal(_bits(got), _bits(scalar)), (eid, params, y)
 
+    @pytest.mark.parametrize("f", [
+        make("E1"),
+        make("E2", m=1), make("E2", m=2), make("E2", m=3), make("E2", m=6),
+        make("E5", a=2.0), make("E5", a=0.5), make("E5", a=math.e),
+        make("E9", r=0.5),
+        affine_transform(make("E2", m=2), a=-0.5, b=0.25, c=1.5),
+    ], ids=lambda f: f"{f.name}{dict(f.params)}")
+    def test_equals_scalar_rule_at_mixed_scales(self, f):
+        # ys aligned with xs, as a batched check or convolution passes them
+        assert f.array_value is not None
+        rng = np.random.default_rng(11)
+        ks = np.arange(-25.0, 26.0)
+        ys = np.concatenate([[0.25, 1.0, 40.0], rng.uniform(0.25, 40.0, 29)])
+        xs, scales = [], []
+        for y in ys.tolist():
+            lattice = ks * y
+            pts = np.concatenate([
+                rng.uniform(-25.0, 25.0, 16) * y,
+                lattice, lattice + 1e-6 * y, lattice - 1e-6 * y, [0.0, -0.0],
+            ])
+            xs.append(pts)
+            scales.append(np.full(pts.size, y))
+        order = rng.permutation(sum(p.size for p in xs))  # mix the scales
+        xs, ys = np.concatenate(xs)[order], np.concatenate(scales)[order]
+        if f.name == "E5":  # keep a^x and a^y finite, as the scalar rule needs
+            keep = np.abs(xs * math.log(f.params["a"])) < 700.0
+            xs, ys = xs[keep], ys[keep]
+        scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        got = f.values(xs, ys)
+        assert got.shape == xs.shape
+        assert np.array_equal(_bits(got), _bits(scalar))
+
     def test_entry_without_array_rule_maps_its_value(self):
         f = make("E10")
         assert f.array_value is None
         xs = np.array([-1.3, 0.0, 0.25, 0.5, 2.0])
         assert np.array_equal(_bits(f.values(xs, 0.5)), _bits([f.value(x, 0.5) for x in xs.tolist()]))
+        ys = np.array([0.5, 0.3, 2.0, 0.25, 1.7])
+        want = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits(want))

@@ -40,6 +40,16 @@ class TestEval:
         code, _, _ = run_cli(["eval", "--fn", "E1", "--x", "1", "--y", "1", "--bogus", "3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "E5", "--params", "a=2", "--x", "2000", "--y", "1"],
+        ["eval", "--fn", "E5", "--params", "a=2", "--x", "0.3", "--y", "2000"],
+        ["eval", "--fn", "E6", "--params", "r=2,theta=0.5,part=cos", "--x", "2000", "--y", "1"],
+    ])
+    def test_float_overflow_is_a_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invk:") and "overflow" in err
+
     def test_zeta_overflow_is_a_usage_error(self, capsys):
         # below s ~ -170 zeta(s, u) overflows a double: unsupported region, exit 2
         code, _, err = run_cli(
@@ -82,6 +92,15 @@ class TestVerify:
     def test_needs_fn_or_all(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--all", "--seed", "-1"],
+        ["verify", "--fn", "E9", "--params", "r=0.5", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invk:") and "seed" in err
 
 
 class TestConvolve:

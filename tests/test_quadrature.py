@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from invk.catalog import make
 from invk.errors import RejectedInputError
-from invk.quadrature import Vectorized, extrapolate_limit, integrate, limit_scaled, y_partial_fd
+from invk.quadrature import (
+    Vectorized,
+    extrapolate_limit,
+    integrate,
+    integrate_many,
+    limit_scaled,
+    y_partial_fd,
+)
 
 
 class TestIntegrate:
@@ -131,6 +138,74 @@ class TestVectorized:
         assert sizes[0] == 3 * 15  # every initial panel at once
         assert sizes[1:] and all(n == 30 for n in sizes[1:])  # both halves of a bisection
         assert sum(sizes) == res.evaluations
+
+
+class TestIntegrateMany:
+    """Lockstep integrals: each job's result is a lone `integrate` of its
+    integrand, bit for bit, and every round makes one batch call."""
+
+    E9 = make("E9", r=0.5)
+    E10 = make("E10")
+
+    JOBS = [
+        # (array integrand, a, b, interior singularities)
+        (lambda ts: TestIntegrateMany.E9.values(ts, 0.7), -1.1, 2.3, ()),   # deep
+        (lambda ts: TestIntegrateMany.E9.values(ts, 0.7), 2.3, -1.1, ()),   # reversed
+        (lambda ts: np.exp(-ts * ts), -3.0, 3.0, (-1.0, 1.0)),              # shallow, cut
+        (lambda ts: ts * ts, 0.5, 0.5, ()),                                 # a == b
+        (lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)),    # reversed, cut
+        (lambda ts: np.where(ts > 0, 1.0 / ts, 0.0), 0.0, 1.0, ()),         # unconverged
+        (lambda ts: TestIntegrateMany.E10.values(ts, 0.4), -0.9, 1.3,
+         (-0.8, -0.4, 0.0, 0.4, 0.8, 1.2)),                                 # many cuts
+    ]
+    TOL = 1e-10
+
+    def test_each_job_equals_a_lone_integral(self):
+        calls, sizes = [], []
+
+        def batch(ts, owners):
+            ts = np.array(ts)
+            own = np.repeat(owners, 15)
+            out = np.empty(ts.size)
+            for j in set(owners):
+                out[own == j] = self.JOBS[j][0](ts[own == j])
+            calls.append(sorted(set(owners)))
+            sizes.append(ts.size)
+            return out.tolist()
+
+        jobs = [(a, b, cuts) for _, a, b, cuts in self.JOBS]
+        got = integrate_many(batch, jobs, self.TOL)
+        lone_calls = []
+        for (fn, a, b, cuts), res in zip(self.JOBS, got):
+            n = []
+            want = integrate(Vectorized(lambda ts: n.append(0) or fn(ts)), a, b, self.TOL, cuts)
+            lone_calls.append(len(n))
+            assert res.value.hex() == want.value.hex()
+            assert res.error_estimate.hex() == want.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
+        assert [r.converged for r in got] == [True, True, True, True, False, False, True]
+        assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
+        assert len(calls) == max(lone_calls)  # one batch per round
+        assert sum(sizes) == sum(r.evaluations for r in got)
+        # a job takes part in exactly the rounds of its lone integral
+        for j, n in enumerate(lone_calls):
+            assert sum(j in c for c in calls) == n
+
+    def test_integrate_is_the_one_job_case(self):
+        seen = []
+
+        def batch(ts, owners):
+            seen.append(owners)
+            return np.cos(np.array(ts)).tolist()
+
+        (res,) = integrate_many(batch, [(0.0, 5.0, (1.0,))], 1e-12)
+        want = integrate(math.cos, 0.0, 5.0, 1e-12, (1.0,))
+        assert (res.value.hex(), res.evaluations) == (want.value.hex(), want.evaluations)
+        assert seen[0] == [0, 0] and all(o == [0, 0] for o in seen[1:])
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(RejectedInputError):
+            integrate_many(lambda ts, owners: ts, [(0.0, 1.0, ())], -1.0)
 
 
 class TestLimitScaled:

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from invk import quadrature, verify
@@ -47,6 +48,8 @@ class TestGridSpec:
             GridSpec(y_range=(0.0, 1.0))
         with pytest.raises(RejectedInputError):
             GridSpec(eps_sing=0.0)
+        with pytest.raises(RejectedInputError):
+            GridSpec(seed=-1)
 
 
 class TestInvariance:
@@ -77,14 +80,50 @@ class TestInvariance:
         # one NaN among good samples is the worst error, not a skipped one
         e1 = make("E1")
         x0, y0 = verify.grid_points(e1, SMALL_GRID, verify._invariance_eval_points(SMALL_GRID))[3]
+        # a consistent descriptor: the replaced value rule has no array rule
         nan_at_one_point = replace(
-            e1, value=lambda x, y: math.nan if (x, y) == (x0, y0) else 1.0 / y
+            e1, value=lambda x, y: math.nan if (x, y) == (x0, y0) else 1.0 / y,
+            array_value=None,
         )
         rep = check_invariance(nan_at_one_point, SMALL_GRID, 1e-8)
         assert rep.passed is False
         assert math.isnan(rep.max_abs_error)
         assert (rep.worst_witness["x"], rep.worst_witness["y"]) == (x0, y0)
         assert check_invariance(e1, SMALL_GRID, 1e-8).passed
+
+    def test_nan_from_array_rule_fails_the_report(self):
+        # the batched path: the array rule returns NaN at one shifted point
+        # of one sample, and that sample becomes the witness
+        e1 = make("E1")
+        eval_points = verify._invariance_eval_points(SMALL_GRID)
+        x0, y0 = verify.grid_points(e1, SMALL_GRID, eval_points)[5]
+        xb, yb = eval_points(x0, y0)[4]
+
+        def array_value(xs, ys):
+            return np.where((xs == xb) & (ys == yb), math.nan, e1.array_value(xs, ys))
+
+        rep = check_invariance(replace(e1, array_value=array_value), SMALL_GRID, 1e-8)
+        assert rep.passed is False
+        assert math.isnan(rep.max_abs_error)
+        assert (rep.worst_witness["x"], rep.worst_witness["y"]) == (x0, y0)
+
+    def test_one_values_call_per_sample(self):
+        calls = []
+        e9 = make("E9", r=0.5)
+
+        def counted(xs, ys):
+            calls.append(xs.size)
+            return e9.array_value(xs, ys)
+
+        f = replace(e9, array_value=counted)
+        rep = check_invariance(f, SMALL_GRID, 1e-8)
+        points = 1 + SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
+        assert calls == [points] * SMALL_GRID.samples
+        assert rep.to_json_dict() == check_invariance(e9, SMALL_GRID, 1e-8).to_json_dict()
+        calls.clear()
+        rep = check_exchange(f, 2, 3, SMALL_GRID, 1e-8)
+        assert calls == [2 + 3] * SMALL_GRID.samples
+        assert rep.to_json_dict() == check_exchange(e9, 2, 3, SMALL_GRID, 1e-8).to_json_dict()
 
     def test_deterministic_bytes(self):
         a = check_invariance(make("E10"), SMALL_GRID, 1e-8).to_json_dict()
