@@ -8,6 +8,10 @@ detection rule from `core`, and near-lattice trigonometry is computed from
 the distance to the nearest lattice point so it stays accurate where the
 verification grids probe closest.
 
+Every entry but E6 also has an array rule over an ndarray of points, built
+from the array forms of the same helpers, that equals its value rule bit
+for bit; E6 keeps its `cmath` rule, which `values` maps point by point.
+
 Entry summary (x, y real, y > 0, u = x/y):
 
   E1            1/y
@@ -44,16 +48,22 @@ from .core import (
     frac_ratio,
     is_lattice,
     lattice_points,
+    lattice_split,
+    per_scale,
     ratio_nearest,
+    scale_runs,
 )
 from .errors import RejectedInputError
 from .special import (
     ZETA_NEG_TOLERANCE,
+    _hurwitz_sum_array,
     _hurwitz_sum_branch,
     bernoulli_poly,
     bernoulli_poly_array,
     hurwitz_zeta,
+    hurwitz_zeta_neg_array,
     log_gamma_abs,
+    log_gamma_abs_array,
 )
 
 _LD = np.longdouble
@@ -121,20 +131,30 @@ def _make_e2(m: int) -> InvariantFunction:
 
 
 def _make_e3a() -> InvariantFunction:
+    def array_value(xs, ys):
+        u, k, on = lattice_split(xs, ys)
+        return np.where(on, k, np.floor(u)).astype(float)
+
     return InvariantFunction(
         name="E3a",
         value=lambda x, y: floor_ratio(x, y),
         singular_points=_lattice_locator(),
         piecewise=True,
+        array_value=array_value,
     )
 
 
 def _make_e3b() -> InvariantFunction:
+    def array_value(xs, ys):
+        u, _, on = lattice_split(xs, ys)
+        return np.where(on, 0.0, (u - np.floor(u)).astype(float)) - 0.5
+
     return InvariantFunction(
         name="E3b",
         value=lambda x, y: frac_ratio(x, y) - 0.5,
         singular_points=_lattice_locator(),
         piecewise=True,
+        array_value=array_value,
     )
 
 
@@ -144,12 +164,17 @@ def _make_e4(a: float) -> InvariantFunction:
     def value(x, y):
         return 1.0 if is_lattice(a - x, y) else 0.0
 
+    def array_value(xs, ys):
+        _, _, on = lattice_split(a - xs, ys)
+        return on.astype(float)
+
     return InvariantFunction(
         name="E4",
         value=value,
         params={"a": a},
         singular_points=_lattice_locator(offset=a),
         piecewise=True,
+        array_value=array_value,
     )
 
 
@@ -166,9 +191,7 @@ def _make_e5(a: float) -> InvariantFunction:
         # math.exp and math.expm1, not np.exp and np.expm1, which may differ
         # in the last bit
         grow = np.array([math.exp(t) for t in (xs * L).tolist()])
-        if isinstance(ys, np.ndarray):
-            return grow / np.array([math.expm1(t) for t in (ys * L).tolist()])
-        return grow / math.expm1(ys * L)
+        return grow / per_scale(lambda y: math.expm1(y * L), ys)
 
     def dx(x, y):
         return L * math.exp(x * L) / math.expm1(y * L)
@@ -231,11 +254,8 @@ def _trig_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble]:
     return s1, s2
 
 
-def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
-    """`_trig_parts` at each x of a float ndarray, at one scale ys or at an
-    array of scales aligned with xs, bit for bit."""
-    u = xs.astype(_LD) / _LD(ys)
-    k = np.rint(u)
+def _trig_parts_array(u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_trig_parts` from the u and k of `lattice_split`, bit for bit."""
     d = u - k
     s1 = np.sin(_LD(math.pi) * d)
     s1 = np.where(np.fmod(k, 2.0) != 0.0, -s1, s1)
@@ -244,9 +264,13 @@ def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def _rho_parts(r: float, y) -> tuple[np.longdouble, np.longdouble]:
     """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation; y may
-    also be a float ndarray, giving arrays."""
-    e = _LD(math.log(r)) / _LD(y)
-    rm1 = np.expm1(e)
+    also be a float ndarray, giving arrays, with one `expm1` per run of
+    equal scales."""
+    if isinstance(y, np.ndarray):
+        starts, lengths = scale_runs(y)
+        rm1 = np.repeat(np.expm1(_LD(math.log(r)) / y[starts].astype(_LD)), lengths)
+    else:
+        rm1 = np.expm1(_LD(math.log(r)) / _LD(y))
     return rm1 + 1.0, rm1
 
 
@@ -265,6 +289,12 @@ def _make_e7(r: float) -> InvariantFunction:
         _, D = denom(x, y)
         return float(np.log(D))
 
+    def array_value(xs, ys):
+        rho, rm1 = _rho_parts(r, ys)
+        u, k, _ = lattice_split(xs, ys)
+        s1, _ = _trig_parts_array(u, k)
+        return np.log(rm1 * rm1 + 4.0 * rho * s1 * s1).astype(float)
+
     def dx(x, y):
         rho, D = denom(x, y)
         _, s2 = _trig_parts(x, y)
@@ -279,7 +309,9 @@ def _make_e7(r: float) -> InvariantFunction:
         dD = 2.0 * drho * (rho - c) - 2.0 * rho * dc
         return float(dD / D)
 
-    return InvariantFunction(name="E7", value=value, params={"r": r}, dx=dx, dy=dy)
+    return InvariantFunction(
+        name="E7", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+    )
 
 
 def _pole_free_w(r: float, x: float, y: float) -> tuple[complex, complex]:
@@ -289,6 +321,34 @@ def _pole_free_w(r: float, x: float, y: float) -> tuple[complex, complex]:
     w = complex(float(rho * (1.0 - 2.0 * s1 * s1)), float(rho * s2))
     one_minus = complex(float(-rm1 + 2.0 * rho * s1 * s1), float(-rho * s2))
     return w, one_minus
+
+
+def _pole_free_w_array(r: float, xs: np.ndarray, ys):
+    """`_pole_free_w` at each x of a float ndarray, as the float arrays
+    (re w, im w, re (1 - w), im (1 - w)), bit for bit."""
+    rho, rm1 = _rho_parts(r, ys)
+    u, k, _ = lattice_split(xs, ys)
+    s1, s2 = _trig_parts_array(u, k)
+    return (
+        (rho * (1.0 - 2.0 * s1 * s1)).astype(float),
+        (rho * s2).astype(float),
+        (-rm1 + 2.0 * rho * s1 * s1).astype(float),
+        (-rho * s2).astype(float),
+    )
+
+
+def _complex_quotient(ar, ai, br, bi):
+    """Real and imaginary parts of CPython's complex division
+    (ar + i ai) / (br + i bi), elementwise: it divides through by the
+    larger-magnitude part of the divisor (Smith's method), so the roles of
+    the parts are swapped where |bi| > |br|."""
+    by_real = np.abs(br) >= np.abs(bi)
+    a1, a2 = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+    b1, b2 = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    ratio = b2 / b1
+    denom = b1 + b2 * ratio
+    imag = np.where(by_real, a2 - a1 * ratio, a1 * ratio - a2)
+    return (a1 + a2 * ratio) / denom, imag / denom
 
 
 def _make_e8(r: float) -> InvariantFunction:
@@ -301,6 +361,10 @@ def _make_e8(r: float) -> InvariantFunction:
         w, omw = _pole_free_w(r, x, y)
         return (w / omw).imag / y
 
+    def array_value(xs, ys):
+        wr, wi, br, bi = _pole_free_w_array(r, xs, ys)
+        return _complex_quotient(wr, wi, br, bi)[1] / ys
+
     def dx(x, y):
         w, omw = _pole_free_w(r, x, y)
         return (2.0j * math.pi * w / (omw * omw)).imag / (y * y)
@@ -311,7 +375,9 @@ def _make_e8(r: float) -> InvariantFunction:
         term2 = -w * complex(L, _TWO_PI * x) / (omw * omw) / y ** 3
         return (term1 + term2).imag
 
-    return InvariantFunction(name="E8", value=value, params={"r": r}, dx=dx, dy=dy)
+    return InvariantFunction(
+        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+    )
 
 
 def _make_e9(r: float) -> InvariantFunction:
@@ -325,21 +391,10 @@ def _make_e9(r: float) -> InvariantFunction:
         return ((1.0 + w) / omw).real / y
 
     def array_value(xs, ys):
-        # `_pole_free_w`, then the real part of CPython's complex division
-        # (1 + w) / (1 - w), which divides through by the larger-magnitude
-        # part of 1 - w (Smith's method); the roles are swapped elementwise
-        rho, rm1 = _rho_parts(r, ys)
-        s1, s2 = _trig_parts_array(xs, ys)
-        ar = 1.0 + (rho * (1.0 - 2.0 * s1 * s1)).astype(float)
-        ai = (rho * s2).astype(float)
-        br = (-rm1 + 2.0 * rho * s1 * s1).astype(float)
-        bi = (-rho * s2).astype(float)
-        by_real = np.abs(br) >= np.abs(bi)
-        a1, a2 = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
-        b1, b2 = np.where(by_real, br, bi), np.where(by_real, bi, br)
-        ratio = b2 / b1
-        real = (a1 + a2 * ratio) / (b1 + b2 * ratio)
-        return real / ys
+        # (1 + w) / (1 - w); the imaginary part of 1 + w is that of w, up
+        # to the sign of a zero, which does not reach the real quotient
+        wr, wi, br, bi = _pole_free_w_array(r, xs, ys)
+        return _complex_quotient(1.0 + wr, wi, br, bi)[0] / ys
 
     def dx(x, y):
         w, omw = _pole_free_w(r, x, y)
@@ -363,11 +418,21 @@ def _make_e10() -> InvariantFunction:
         s1, _ = _trig_parts(x, y)
         return float(np.log(2.0 * np.abs(s1)))
 
+    def array_value(xs, ys):
+        u, k, on = lattice_split(xs, ys)
+        s1, _ = _trig_parts_array(u, k)
+        with np.errstate(divide="ignore"):  # log 0 on the exact lattice
+            out = np.log(2.0 * np.abs(s1)).astype(float)
+        if on.any():
+            out = np.where(on, -per_scale(math.log, ys), out)
+        return out
+
     return InvariantFunction(
         name="E10",
         value=value,
         singular_points=_lattice_locator(),
         piecewise=True,
+        array_value=array_value,
     )
 
 
@@ -380,12 +445,20 @@ def _make_e11() -> InvariantFunction:
         pd = _LD(math.pi) * d
         return float(np.cos(pd) / np.sin(pd) / _LD(y))
 
+    def array_value(xs, ys):
+        u, k, on = lattice_split(xs, ys)
+        pd = _LD(math.pi) * (u - k)
+        with np.errstate(divide="ignore"):  # 1/0 on the exact lattice
+            out = (np.cos(pd) / np.sin(pd) / _LD(ys)).astype(float)
+        return np.where(on, 0.0, out)
+
     return InvariantFunction(
         name="E11",
         value=value,
         singular_points=_lattice_locator(),
         piecewise=True,
         integrable_in_x=False,
+        array_value=array_value,
     )
 
 
@@ -398,11 +471,26 @@ def _make_e12() -> InvariantFunction:
         u = x / y
         return u * math.log(y) + log_gamma_abs(u) - 0.5 * (_LOG_2PI + math.log(y))
 
+    def array_value(xs, ys):
+        _, k, on = lattice_split(xs, ys)
+        k = k.astype(float)
+        pole = on & (k <= 0.0)
+        logy = np.broadcast_to(per_scale(math.log, ys), xs.shape)
+        out = np.empty(xs.shape)
+        off = ~pole
+        u, ly = (xs / ys)[off], logy[off]
+        out[off] = u * ly + log_gamma_abs_array(u) - 0.5 * (_LOG_2PI + ly)
+        if pole.any():
+            k, ly = k[pole], logy[pole]
+            out[pole] = k * ly + 0.5 * (_LOG_2PI + ly) - log_gamma_abs_array(1.0 - k)
+        return out
+
     return InvariantFunction(
         name="E12",
         value=value,
         singular_points=_lattice_locator(nonpositive=True),
         piecewise=True,
+        array_value=array_value,
     )
 
 
@@ -421,6 +509,14 @@ def _make_e13(s: float) -> InvariantFunction:
                 raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {float(u)}")
             return float(_LD(y) ** _LD(-s) * _LD(_hurwitz_sum_branch(s, u)))
 
+        def array_value(xs, ys):
+            u = xs.astype(_LD) / _LD(ys)
+            if not (u > 0.0).all():
+                bad = float(u[~(u > 0.0)][0])
+                raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {bad}")
+            zeta = _hurwitz_sum_array(s, u).astype(_LD)
+            return (_LD(ys) ** _LD(-s) * zeta).astype(float)
+
         return InvariantFunction(
             name="E13",
             value=value,
@@ -428,10 +524,15 @@ def _make_e13(s: float) -> InvariantFunction:
             domain=lambda x, y: x > 0.0,
             singular_points=_lattice_locator(nonpositive=True),
             integrable_in_x=False,  # u^-s blows up non-integrably at u = 0
+            array_value=array_value,
         )
 
     def value(x, y):
         return float(_LD(y) ** _LD(-s) * _LD(hurwitz_zeta(s, x / y)))
+
+    def array_value(xs, ys):
+        zeta = hurwitz_zeta_neg_array(s, xs / ys).astype(_LD)
+        return (_LD(ys) ** _LD(-s) * zeta).astype(float)
 
     return InvariantFunction(
         name="E13",
@@ -440,6 +541,7 @@ def _make_e13(s: float) -> InvariantFunction:
         singular_points=_lattice_locator(),
         series_tolerance=ZETA_NEG_TOLERANCE,
         piecewise=True,  # periodized branch has lattice kinks
+        array_value=array_value,
     )
 
 
@@ -451,11 +553,22 @@ def _make_e14() -> InvariantFunction:
             return 0.0 if int(k2) % 2 != 0 else 1.0
         return 1.0 if float(u - np.floor(u)) < 0.5 else -1.0
 
+    def array_value(xs, ys):
+        u = xs.astype(_LD) / _LD(ys)
+        k2 = np.rint(2.0 * u)
+        band = np.abs((2.0 * u - k2).astype(float)) <= 2.0 * LATTICE_RTOL * np.maximum(
+            1.0, np.abs(u.astype(float))
+        )
+        on = np.where(np.fmod(k2, 2.0) != 0.0, 0.0, 1.0)
+        off = np.where((u - np.floor(u)).astype(float) < 0.5, 1.0, -1.0)
+        return np.where(band, on, off)
+
     return InvariantFunction(
         name="E14",
         value=value,
         singular_points=_lattice_locator(halves=True),
         piecewise=True,
+        array_value=array_value,
     )
 
 

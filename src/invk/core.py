@@ -73,6 +73,36 @@ def frac_ratio(x: float, y: float) -> float:
     return float(u - np.floor(u))
 
 
+def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice test at each x of a float ndarray, at one scale ys or at
+    an array of scales aligned with xs: (u, k, on), with u = x/y and its
+    nearest integer k in extended precision (as `ratio_nearest` forms them)
+    and `on` the detection rule of `is_lattice`, bit for bit.  `floor_ratio`
+    is where(on, k, floor(u)) and `frac_ratio` where(on, 0, u - floor(u))."""
+    u = xs.astype(_LD) / _LD(ys)
+    k = np.rint(u)
+    on = np.abs((u - k).astype(float)) <= LATTICE_RTOL * np.maximum(1.0, np.abs(u.astype(float)))
+    return u, k, on
+
+
+def scale_runs(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start index and the length of each run of equal values in a float
+    ndarray of scales.  The nodes of one panel, of one quadrature job and
+    the points of one check sample share a scale, so a batch holds few runs."""
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))[:ys.size])
+    return starts, np.diff(np.append(starts, ys.size))
+
+
+def per_scale(fn: Callable[[float], float], ys):
+    """fn at one scale ys, or at each scale of a float ndarray, called once
+    per run of equal scales: a value that must come from a Python float
+    function, such as `math.log` or `**`, which numpy may round differently."""
+    if not isinstance(ys, np.ndarray):
+        return fn(ys)
+    starts, lengths = scale_runs(ys)
+    return np.repeat(np.array([fn(y) for y in ys[starts].tolist()]), lengths)
+
+
 def _no_points(y: float, lo: float, hi: float) -> tuple[float, ...]:
     return ()
 
@@ -116,11 +146,14 @@ class InvariantFunction:
 
     `array_value(xs, ys)`, when set, is the value rule over a float ndarray
     of x, with ys one scale or a float ndarray aligned with xs, equal to
-    `value` at each point bit for bit.  `values(xs, ys)` calls it, or maps
-    the scalar `value` when it is absent, so an integrand can evaluate all
-    the nodes of a quadrature round, and a check all the points of a
-    sample, in one call.  The two rules must agree: a descriptor made with
-    `dataclasses.replace(f, value=...)` has to replace or clear
+    `value` at each point bit for bit, inside the lattice-detection band
+    too.  `values(xs, ys)` calls it, or maps the scalar `value` when it is
+    absent, so an integrand can evaluate all the nodes of a quadrature
+    round, and a check all the points of a sample, in one call.  Every
+    catalog entry but E6 has one, as do the zeta kernels F(alpha), affine
+    transforms of entries that have one, and every convolution product; the
+    other combinators map `value`.  The two rules must agree: a descriptor
+    made with `dataclasses.replace(f, value=...)` has to replace or clear
     `array_value` too, or `values` keeps evaluating the old rule.
     """
 

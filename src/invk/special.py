@@ -9,6 +9,11 @@ cancellation, and a fixed-length trigonometric series of the analytic
 continuation is used instead.  For ``s < 0`` the second argument is reduced
 into ``(0, 1]``, so the result is 1-periodic in it.  The strip ``0 <= s <= 1``
 is not supported.
+
+The Euler-Maclaurin sum, zeta for ``s < 0`` and ``log |Gamma|`` also have
+array forms that run the scalar sums over an ndarray in the same order,
+masked so that each element stops at its own term, and equal the scalar
+functions bit for bit.
 """
 
 from __future__ import annotations
@@ -205,6 +210,36 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     return float(acc)
 
 
+def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
+    """`_hurwitz_sum_branch` at each x of a float or longdouble ndarray, bit
+    for bit: the same sums in the same order, masked, so that each element
+    takes its own number of direct terms and stops its tail at its own term."""
+    sd = _LD(s)
+    xd = xs.astype(_LD)
+    xf = xd.astype(float)
+    acc = np.zeros_like(xd)
+    n = np.zeros(xd.shape)
+    live = xf < _EM_BASE
+    while live.any():
+        acc = np.where(live, acc + (xd + n) ** (-sd), acc)
+        n += live
+        live = xf + n < _EM_BASE
+    a = xd + n
+    acc += a ** (1.0 - sd) / (sd - 1.0) + 0.5 * a ** (-sd)
+    rising = sd
+    apow = a ** (-sd - 1.0)
+    live = np.ones(xd.shape, dtype=bool)
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        term = coeff * rising * apow
+        acc = np.where(live, acc + term, acc)
+        live &= ~(np.abs(term.astype(float)) < 2e-17 * np.abs(acc.astype(float)))
+        if not live.any():
+            break
+        rising *= (sd + (2 * j - 1)) * (sd + 2 * j)
+        apow /= a * a
+    return acc.astype(float)
+
+
 def _sin_cos_pi(t):
     """sin(pi t) and cos(pi t) from t = n + f, n the nearest integer, as
     (-1)^n sin(pi f) and (-1)^n cos(pi f): the sine is exactly 0 at integer t,
@@ -267,6 +302,19 @@ def hurwitz_zeta(s: float, x: float) -> float:
     return _hurwitz_fourier_sum(s, u)
 
 
+def hurwitz_zeta_neg_array(s: float, xs: np.ndarray) -> np.ndarray:
+    """`hurwitz_zeta(s, x)` for s < 0 at each x of a float ndarray, bit for
+    bit: the masked Euler-Maclaurin sum on -4 <= s < 0, the scalar
+    trigonometric series per point below."""
+    if not (s < 0.0 and math.isfinite(s)) or not np.isfinite(xs).all():
+        raise RejectedInputError("zeta arguments must be finite, with s < 0")
+    u = xs - np.floor(xs)
+    u[u == 0.0] = 1.0
+    if s >= _FOURIER_BELOW:
+        return _hurwitz_sum_array(s, u)
+    return np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # log |Gamma|
 # ---------------------------------------------------------------------------
@@ -290,6 +338,23 @@ def _stirling(t: _LD) -> _LD:
         if abs(float(term)) < 1e-20 * abs(float(acc)):
             break
         tpow *= t2
+    return acc
+
+
+def _stirling_array(t: np.ndarray) -> np.ndarray:
+    """`_stirling` at each element of a longdouble ndarray, masked so that
+    each element stops at its own term, bit for bit."""
+    acc = (t - 0.5) * np.log(t) - t + 0.5 * _LD(_LOG_2PI)
+    tpow = t
+    t2 = t * t
+    live = np.ones(t.shape, dtype=bool)
+    for b, d in _STIRLING_COEFFS:
+        term = b / (d * tpow)
+        acc = np.where(live, acc + term, acc)
+        live &= ~(np.abs(term.astype(float)) < 1e-20 * np.abs(acc.astype(float)))
+        if not live.any():
+            break
+        tpow = tpow * t2
     return acc
 
 
@@ -323,3 +388,34 @@ def log_gamma_abs(t: float) -> float:
     d = td - np.rint(td)
     sin_abs = np.abs(np.sin(_LD(math.pi) * d))
     return float(_LD(math.log(math.pi)) - np.log(sin_abs) - _log_gamma_pos(1.0 - t))
+
+
+def _log_gamma_pos_array(ts: np.ndarray) -> np.ndarray:
+    """`_log_gamma_pos` at each t > 0 of a float ndarray: the shift terms
+    log(t + i) added in order, masked per element, bit for bit.  Past the
+    Stirling threshold the shift is 0 and adding it changes nothing."""
+    td = ts.astype(_LD)
+    ks = np.where(ts >= _STIRLING_MIN, 0.0, np.ceil(_STIRLING_MIN - ts))
+    shift = np.zeros_like(td)
+    for i in range(int(ks.max(initial=0.0))):
+        shift = np.where(i < ks, shift + np.log(td + i), shift)
+    return _stirling_array(td + ks) - shift
+
+
+def log_gamma_abs_array(ts: np.ndarray) -> np.ndarray:
+    """`log_gamma_abs` at each t of a float ndarray, bit for bit."""
+    if not np.isfinite(ts).all():
+        raise RejectedInputError("log_gamma_abs argument must be finite")
+    poles = (ts <= 0.0) & (ts == np.floor(ts))
+    if poles.any():
+        raise PoleError(f"Gamma pole at t={ts[poles][0]}")
+    pos = ts > 0.0
+    out = np.empty(ts.shape)
+    out[pos] = _log_gamma_pos_array(ts[pos]).astype(float)
+    if not pos.all():
+        t = ts[~pos]
+        td = t.astype(_LD)
+        sin_abs = np.abs(np.sin(_LD(math.pi) * (td - np.rint(td))))
+        logs = _LD(math.log(math.pi)) - np.log(sin_abs) - _log_gamma_pos_array(1.0 - t)
+        out[~pos] = logs.astype(float)
+    return out

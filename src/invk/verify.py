@@ -20,7 +20,14 @@ import numpy as np
 
 from . import catalog
 from .algebra import convolve
-from .core import EPS_SING, InvariantFunction, affine_transform, lattice_points, step_difference
+from .core import (
+    EPS_SING,
+    InvariantFunction,
+    affine_transform,
+    lattice_points,
+    per_scale,
+    step_difference,
+)
 from .covering import CoveringSystem, covering_identity_check
 from .errors import ConvergenceError, RejectedInputError
 from .quadrature import (
@@ -30,7 +37,13 @@ from .quadrature import (
     limit_scaled,
     y_partial_fd,
 )
-from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, hurwitz_zeta, log_gamma_abs
+from .special import (
+    ZETA_NEG_TOLERANCE,
+    bernoulli_poly,
+    hurwitz_zeta,
+    hurwitz_zeta_neg_array,
+    log_gamma_abs,
+)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -499,9 +512,16 @@ def zeta_power_kernel(alpha: float) -> InvariantFunction:
     def value(x, y):
         return y ** (alpha - 1.0) * hurwitz_zeta(s, x / y) / gamma_alpha
 
+    def array_value(xs, ys):
+        # Python's float **, once per run of equal scales: np.power rounds
+        # some powers differently
+        scale = per_scale(lambda y: y ** (alpha - 1.0), ys)
+        return scale * hurwitz_zeta_neg_array(s, xs / ys) / gamma_alpha
+
     return InvariantFunction(
         name=f"F({alpha:g})",
         value=value,
+        array_value=array_value,
         params={"alpha": alpha},
         singular_points=lambda y, lo, hi: lattice_points(0.0, y, lo, hi),
         series_tolerance=ZETA_NEG_TOLERANCE,

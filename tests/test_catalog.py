@@ -7,7 +7,7 @@ from invk.catalog import ENTRY_IDS, make, standard_configs
 from invk.core import EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
 from invk.special import bernoulli_poly
-from invk.verify import check_invariance
+from invk.verify import check_invariance, zeta_power_kernel
 
 from conftest import SMALL_GRID, scale_sum
 
@@ -208,29 +208,53 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _probe_points(f, rng, y, n_random):
+    """Seeded points at scale y, with the lattice points of f, the points
+    1e-6 y off them (the grids' singular margin), and the points 1e-10 y off
+    them (inside the 1e-9 detection band); half-lattice points too, which
+    are E14's.  Only points inside the domain the scalar rule accepts."""
+    offset = f.params["a"] if f.name == "E4" else 0.0
+    lattice = offset + np.arange(-50.0, 51.0) * (0.5 * y)
+    xs = np.concatenate([
+        rng.uniform(-25.0, 25.0, n_random) * y,
+        lattice, lattice + 1e-6 * y, lattice - 1e-6 * y,
+        lattice + 1e-10 * y, lattice - 1e-10 * y, [0.0, -0.0],
+    ])
+    if f.name == "E5":  # keep a^x finite, as the scalar rule needs
+        xs = xs[np.abs(xs * math.log(f.params["a"])) < 700.0]
+    if f.name == "E13" and f.params["s"] > 1.0:
+        xs = xs[xs / y > 0.0]
+    return xs
+
+
+# Every array rule: appended to as entries gained one, so ids stay stable
+_ARRAY_CONFIGS = [
+    ("E1", {}),
+    ("E2", {"m": 1}), ("E2", {"m": 2}), ("E2", {"m": 3}), ("E2", {"m": 6}),
+    ("E5", {"a": 2.0}), ("E5", {"a": 0.5}), ("E5", {"a": math.e}),
+    ("E9", {"r": 0.5}),
+    ("E3a", {}), ("E3b", {}),
+    ("E4", {"a": 2.0}), ("E4", {"a": 0.5}), ("E4", {"a": math.e}),
+    ("E7", {"r": 0.5}), ("E7", {"r": 2.0}), ("E8", {"r": 0.5}), ("E8", {"r": 2.0}),
+    ("E10", {}), ("E11", {}), ("E12", {}),
+    ("E13", {"s": 2.0}), ("E13", {"s": 3.0}), ("E13", {"s": -1.0}), ("E13", {"s": -2.0}),
+    ("E13", {"s": -0.5}), ("E13", {"s": -3.7}),
+    ("E14", {}),
+]
+
+
 class TestArrayRules:
     """Each `array_value` equals the scalar `value` bit for bit, on, near and
-    off the lattice, at the scales that the invariance and exchange checks reach."""
+    off the lattice, inside the detection band too, at the scales that the
+    invariance and exchange checks reach."""
 
-    @pytest.mark.parametrize("eid,params", [
-        ("E1", {}),
-        ("E2", {"m": 1}), ("E2", {"m": 2}), ("E2", {"m": 3}), ("E2", {"m": 6}),
-        ("E5", {"a": 2.0}), ("E5", {"a": 0.5}), ("E5", {"a": math.e}),
-        ("E9", {"r": 0.5}),
-    ])
+    @pytest.mark.parametrize("eid,params", _ARRAY_CONFIGS)
     def test_equals_scalar_rule(self, eid, params):
         f = make(eid, **params)
         assert f.array_value is not None
         rng = np.random.default_rng(5)
-        ks = np.arange(-25.0, 26.0)
         for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 12).tolist()]:
-            lattice = ks * y
-            xs = np.concatenate([
-                rng.uniform(-25.0, 25.0, 64) * y,
-                lattice, lattice + 1e-6 * y, lattice - 1e-6 * y, [0.0, -0.0],
-            ])
-            if eid == "E5":  # keep a^x finite, as the scalar rule needs
-                xs = xs[np.abs(xs * math.log(params["a"])) < 700.0]
+            xs = _probe_points(f, rng, y, 64)
             scalar = [f.value(x, y) for x in xs.tolist()]
             got = f.values(xs, y)
             assert got.shape == xs.shape
@@ -242,34 +266,53 @@ class TestArrayRules:
         make("E5", a=2.0), make("E5", a=0.5), make("E5", a=math.e),
         make("E9", r=0.5),
         affine_transform(make("E2", m=2), a=-0.5, b=0.25, c=1.5),
+        *(make(eid, **params) for eid, params in _ARRAY_CONFIGS[9:]),
+        affine_transform(make("E10"), a=2.0, b=-0.3, c=0.75),
+        zeta_power_kernel(1.5), zeta_power_kernel(2.0), zeta_power_kernel(2.5),
+        zeta_power_kernel(4.0),
     ], ids=lambda f: f"{f.name}{dict(f.params)}")
     def test_equals_scalar_rule_at_mixed_scales(self, f):
         # ys aligned with xs, as a batched check or convolution passes them
         assert f.array_value is not None
         rng = np.random.default_rng(11)
-        ks = np.arange(-25.0, 26.0)
         ys = np.concatenate([[0.25, 1.0, 40.0], rng.uniform(0.25, 40.0, 29)])
         xs, scales = [], []
         for y in ys.tolist():
-            lattice = ks * y
-            pts = np.concatenate([
-                rng.uniform(-25.0, 25.0, 16) * y,
-                lattice, lattice + 1e-6 * y, lattice - 1e-6 * y, [0.0, -0.0],
-            ])
+            pts = _probe_points(f, rng, y, 16)
             xs.append(pts)
             scales.append(np.full(pts.size, y))
         order = rng.permutation(sum(p.size for p in xs))  # mix the scales
         xs, ys = np.concatenate(xs)[order], np.concatenate(scales)[order]
-        if f.name == "E5":  # keep a^x and a^y finite, as the scalar rule needs
-            keep = np.abs(xs * math.log(f.params["a"])) < 700.0
-            xs, ys = xs[keep], ys[keep]
         scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         got = f.values(xs, ys)
         assert got.shape == xs.shape
         assert np.array_equal(_bits(got), _bits(scalar))
 
+    def test_zeta_entry_below_minus_four_maps_its_series(self):
+        # below s = -4 the array rule runs the scalar trigonometric series
+        # point by point; a few points suffice, each costs ~0.2 ms
+        f = make("E13", s=-6.0)
+        rng = np.random.default_rng(13)
+        ys = rng.uniform(0.25, 40.0, 24)
+        xs = np.concatenate([rng.uniform(-3.0, 3.0, 12), np.arange(-6.0, 6.0)]) * ys
+        scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits(scalar))
+        assert np.array_equal(_bits(f.values(xs[:6], 0.7)), _bits([f.value(x, 0.7) for x in xs[:6]]))
+
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_zeta_entry_rejects_nonpositive_ratio(self, s):
+        # as the scalar rule does, on a lone point or anywhere in a batch
+        f = make("E13", s=s)
+        for x in (0.0, -0.0, -0.7):
+            with pytest.raises(RejectedInputError):
+                f.value(x, 1.3)
+            with pytest.raises(RejectedInputError):
+                f.values(np.array([0.4, x, 1.1]), 1.3)
+            with pytest.raises(RejectedInputError):
+                f.values(np.array([x, 0.2]), np.array([1.3, 0.5]))
+
     def test_entry_without_array_rule_maps_its_value(self):
-        f = make("E10")
+        f = make("E6", r=2.0, theta=1.0, part="sin")
         assert f.array_value is None
         xs = np.array([-1.3, 0.0, 0.25, 0.5, 2.0])
         assert np.array_equal(_bits(f.values(xs, 0.5)), _bits([f.value(x, 0.5) for x in xs.tolist()]))

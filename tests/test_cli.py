@@ -205,3 +205,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"value": 0.25}
+
+    def test_package_invocation(self):
+        # `python -m invk` runs the same front end from a checkout
+        proc = subprocess.run(
+            [sys.executable, "-m", "invk", "verify", "--fn", "E1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,10 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invk import quadrature
+from invk.algebra import convolve
 from invk.catalog import make
-from invk.errors import RejectedInputError
+from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import (
+    _EPS,
+    _WG,
+    _WGK,
     Vectorized,
+    _gk15,
     extrapolate_limit,
     integrate,
     integrate_many,
@@ -91,6 +98,67 @@ class TestIntegrate:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RejectedInputError):
             integrate(math.sin, 0.0, 1.0, tol=0.0)
+
+
+def _gk15_loop(fv, h):
+    """The loop form of `_gk15`, QUADPACK's order of operations written with
+    zips and slices: the oracle for the straight-line kernel."""
+    fc = fv[7]
+    left, right = fv[:7], fv[14:7:-1]
+    pairs = [f1 + f2 for f1, f2 in zip(left, right)]
+    resk = _WGK[7] * fc
+    resabs = _WGK[7] * abs(fc)
+    for w, f1, f2, p in zip(_WGK, left, right, pairs):
+        resk += w * p
+        resabs += w * (abs(f1) + abs(f2))
+    resg = _WG[3] * fc + _WG[0] * pairs[1] + _WG[1] * pairs[3] + _WG[2] * pairs[5]
+    reskh = 0.5 * resk
+    resasc = _WGK[7] * abs(fc - reskh)
+    for w, f1, f2 in zip(_WGK, left, right):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    value = resk * h
+    resasc *= abs(h)
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs * abs(h)
+    return value, max(err, floor), floor
+
+
+def _outcome(fn, fv, h):
+    try:
+        return tuple(v.hex() if v == v else "nan" for v in fn(fv, h))
+    except ArithmeticError as exc:  # a ** 1.5 that overflows
+        return (type(exc).__name__,)
+
+
+class TestKernel:
+    def test_straight_line_kernel_equals_loop_oracle(self):
+        rng = np.random.default_rng(1983)
+        panels = 100_000
+        specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                             2.2250738585072014e-308, 1e-310, -1e-310, 1.7e308, -1.7e308])
+        smooth = rng.uniform(-1.0, 1.0, (panels, 1)) + rng.uniform(-1e-9, 1e-9, (panels, 15))
+        wide = rng.standard_normal((panels, 15)) * 10.0 ** rng.integers(-320, 300, (panels, 15))
+        bits = rng.integers(0, 2 ** 63, (panels, 15), dtype=np.int64).view(float)  # any double
+        pick = rng.integers(0, 4, (panels, 1))
+        fvs = np.where(pick == 0, smooth, np.where(pick == 1, wide, np.where(pick == 2, bits, 0.0)))
+        flip = rng.random((panels, 15)) < 0.5
+        fvs[flip] = -fvs[flip]
+        constant = (pick == 3)[:, 0]
+        fvs[constant] = rng.uniform(-2.0, 2.0, (int(constant.sum()), 1))  # resasc and err of 0
+        inject = rng.random((panels, 15)) < 0.03
+        fvs[inject] = rng.choice(specials, int(inject.sum()))
+        hs = rng.uniform(-1.0, 1.0, panels) * 10.0 ** rng.integers(-320, 5, panels)
+        hs[rng.random(panels) < 0.02] = rng.choice(specials, 1)[0]
+        with_nan = 0
+        for fv, h in zip(fvs.tolist(), hs.tolist()):
+            want = _outcome(_gk15_loop, fv, h)
+            assert _outcome(_gk15, fv, h) == want, (fv, h)
+            with_nan += "nan" in want
+        assert 0 < with_nan < panels // 2
+        assert (hs < 0.0).any() and np.isnan(fvs).any() and np.isinf(fvs).any()
+        assert ((fvs != 0.0) & (np.abs(fvs) < 2.2250738585072014e-308)).any()  # subnormals
 
 
 def _inverse_sqrt_kink(t):
@@ -206,6 +274,100 @@ class TestIntegrateMany:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RejectedInputError):
             integrate_many(lambda ts, owners: ts, [(0.0, 1.0, ())], -1.0)
+
+
+class TestOutOfReach:
+    """A job that no bisection can bring to its tolerance, because tol lies
+    below the roundoff floor of its error estimate or below the error of
+    its panels at the depth limit, ends unconverged at once; no job that
+    converges changes."""
+
+    def test_constant_below_floor_returns_unconverged(self):
+        for tol in (5e-17, 1e-15):
+            res = integrate(lambda t: 1.0, 0.0, 0.4, tol)
+            assert not res.converged and res.evaluations <= 300
+            assert res.value == 0.4 and res.error_estimate > tol
+        assert integrate(lambda t: 1.0, 0.0, 0.4, 1e-14).converged
+
+    def test_convolution_below_floor_raises_fast(self):
+        conv = convolve(make("E1"), make("E1"), tol=1e-16)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            conv.value(0.3, 1.0)
+        assert time.perf_counter() - start < 0.05
+
+    def test_error_at_the_depth_limit_above_tol_stops(self):
+        # an inverse-square-root singularity at a cut leaves ~1.5e-6 in its
+        # panels at MAX_DEPTH, and 1/t at 0 is not integrable; both used to
+        # spend the 20,000-panel budget (300,015 evaluations)
+        kink = integrate(Vectorized(lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3))), 1.0, -0.5, 1e-8, (0.3,))
+        pole = integrate(lambda t: 1.0 / t if t > 0 else 0.0, 0.0, 1.0, 1e-10)
+        for res in (kink, pole):
+            assert not res.converged and res.evaluations < 5_000
+
+    E9 = make("E9", r=0.5)
+    E10 = make("E10")
+    CASES = [
+        # (array integrand, a, b, interior singularities, tols at which it
+        # converges, down to about its floor)
+        (np.exp, 0.0, 1.0, (), (1e-13, 3e-14)),
+        (lambda ts: np.cos(40.0 * ts), -1.0, 2.0, (), (1e-12, 3e-14)),
+        (lambda ts: TestOutOfReach.E9.values(ts, 0.7), -1.1, 2.3, (), (1e-12, 1e-13)),
+        (lambda ts: TestOutOfReach.E10.values(ts, 0.4), -0.9, 1.3,
+         (-0.8, -0.4, 0.0, 0.4, 0.8, 1.2), (1e-10,)),
+        (lambda ts: np.log(np.abs(ts)), 0.0, 1.0, (), (1e-12,)),
+        (lambda ts: np.exp(-ts * ts), -3.0, 3.0, (-1.0, 1.0), (1e-13, 3e-14)),
+    ]
+
+    @staticmethod
+    def _without_stop(monkeypatch, fn, a, b, tol, cuts=()):
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_out_of_reach", lambda *state: False)
+            return integrate(Vectorized(fn), a, b, tol, cuts)
+
+    @staticmethod
+    def _same(got, want):
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_converging_jobs_are_unchanged(self, case, monkeypatch):
+        fn, a, b, cuts, tols = self.CASES[case]
+        for tol in tols:
+            want = self._without_stop(monkeypatch, fn, a, b, tol, cuts)
+            assert want.converged, tol
+            self._same(integrate(Vectorized(fn), a, b, tol, cuts), want)
+
+    def test_seeded_tolerances_near_the_floor(self, monkeypatch):
+        # tolerances from 3e-17 to 1e-11 across integrands with and without
+        # endpoint singularities; a small panel budget keeps the runs that
+        # cannot converge short, and the stop rules do not depend on it
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 400)
+        rng = np.random.default_rng(7)
+        integrands = [
+            lambda p: lambda ts: np.exp(p * ts),
+            lambda p: lambda ts: np.cos(20.0 * p * ts),
+            lambda p: lambda ts: np.abs(ts - p / 3.0),
+            lambda p: lambda ts: np.log(np.abs(ts)) * p,
+            lambda p: lambda ts: 1.0 / (1.0 + (10.0 * p * ts) ** 2),
+            lambda p: lambda ts: np.full(ts.shape, p),
+        ]
+        converged = stopped = 0
+        for _ in range(120):
+            fn = integrands[int(rng.integers(len(integrands)))](float(rng.uniform(-2.0, 2.0)))
+            a = 0.0 if rng.random() < 0.3 else float(rng.uniform(-1.0, 1.0))
+            b = float(rng.uniform(-1.0, 2.0))
+            tol = float(10.0 ** rng.uniform(-16.5, -11.0))
+            want = self._without_stop(monkeypatch, fn, a, b, tol)
+            got = integrate(Vectorized(fn), a, b, tol)
+            if want.converged:
+                converged += 1
+                self._same(got, want)
+            else:
+                assert not got.converged and got.evaluations <= want.evaluations
+                stopped += got.evaluations < want.evaluations
+        assert converged > 40 and stopped > 10
 
 
 class TestLimitScaled:
