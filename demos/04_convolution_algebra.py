@@ -16,7 +16,6 @@ from invk import (
     bernoulli_poly,
     check_product_integral,
     convolve,
-    geometric_convolve,
     integrate,
     make,
     zeta_power_kernel,
@@ -53,7 +52,7 @@ print("\nantiderivative construction (stays in the class, d/dx recovers f):")
 F = antiderivative(make("E1"))
 print(f"  antiderivative of 1/y at (1, 2): {F.value(1.0, 2.0):+.10f}   x/y - 1/2 = {1/2 - 1/2:+.10f}")
 
-print("\nconvolving with the exponential entry, in split closed form:")
-g = geometric_convolve(make("E1"), 2.0)
+print("\nconvolving with the exponential entry E5(2) = 2^x/(2^y - 1):")
+g = convolve(make("E5", a=2), make("E1"))
 print(f"  value at (0, 1): {g.value(0.0, 1.0):.10f}   1/log 2 = {1/math.log(2):.10f}")
 print(f"  period integral: {integrate(lambda t: g.value(t, 1.0), 0, 1, tol=1e-9).value:.10f}")

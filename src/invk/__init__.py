@@ -12,7 +12,7 @@ and a verification engine that turns each identity into a seeded,
 tolerance-checked report.
 """
 
-from .algebra import antiderivative, convolve, geometric_convolve
+from .algebra import antiderivative, convolve
 from .catalog import ENTRY_IDS, make, standard_configs
 from .core import (
     EvalPoint,

@@ -17,10 +17,9 @@ every point of one `values` call, share those rounds (`integrate_many`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .catalog import make
 from .core import InvariantFunction
 from .errors import RejectedInputError
 from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
@@ -131,45 +130,5 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
 
 
 def geometric_convolve(g: InvariantFunction, a: float, tol: float = 1e-10) -> InvariantFunction:
-    """Convolution of g with the exponential entry a^x/(a^y - 1), in closed split form:
-
-        f(x,y) = a^x/(a^y-1) * int_0^y a^-t g(t,y) dt + a^x * int_x^y a^-t g(t,y) dt
-
-    Equals convolve(E5(a), g) but spends one fewer adaptive pass on the
-    exponential factor.
-    """
-    if not (a > 0.0) or a == 1.0 or not math.isfinite(a):
-        raise RejectedInputError(f"geometric convolution needs a > 0, a != 1, got a={a}")
-    if tol <= 0.0:
-        raise RejectedInputError("tolerance must be positive")
-    _require_integrable(g, "geometric convolution")
-    L = math.log(a)
-    half = 0.5 * tol
-
-    def value(x, y):
-        # a^x is folded into the integrands: computing a^x * int a^-t g dt
-        # directly pairs a huge factor with a tiny integral (or vice versa)
-        # once |x| grows, and the cancellation defeats absolute tolerances
-        def phi(ts):
-            # math.exp, as in E5, so this equals the scalar form bit for bit
-            grow = np.array([math.exp(v) for v in ((x - ts) * L).tolist()])
-            return grow * g.values(ts, y)
-
-        full = converged_integral(
-            Vectorized(phi), 0.0, y, half, f"geometric_convolve({g.name}) period term",
-            g.singular_points(y, 0.0, y),
-        )
-        lo, hi = min(x, y), max(x, y)
-        partial = converged_integral(
-            Vectorized(phi), x, y, half, f"geometric_convolve({g.name}) running term",
-            g.singular_points(y, lo, hi),
-        )
-        return full / math.expm1(y * L) + partial
-
-    return InvariantFunction(
-        name=f"geomconv({g.name})",
-        value=value,
-        params={"a": a, "g": g.name, "tol": tol},
-        series_tolerance=tol + 3.0 * g.series_tolerance,
-        flags=g.flags,
-    )
+    """Convolution of g with the exponential entry E5(a) = a^x/(a^y - 1)."""
+    return convolve(make("E5", a=a), g, tol)

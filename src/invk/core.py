@@ -14,7 +14,7 @@ evaluation rules are pure, so everything here is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
@@ -183,9 +183,6 @@ class InvariantFunction:
             return self.array_value(xs, ys)
         scales = ys.tolist() if isinstance(ys, np.ndarray) else repeat(ys)
         return np.array([self.value(x, y) for x, y in zip(xs.tolist(), scales)], dtype=float)
-
-    def with_flags(self, *extra: str) -> "InvariantFunction":
-        return replace(self, flags=self.flags | frozenset(extra))
 
 
 def evaluate(f: InvariantFunction, p: EvalPoint) -> float:

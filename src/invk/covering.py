@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import InvariantFunction
 from .errors import CapacityError, ParseError, RejectedInputError
+from .report import VerificationReport, _report, _Worst
 
 LCM_CAP = 10 ** 9
 _CHUNK = 1 << 22
@@ -133,25 +134,28 @@ def is_disjoint_covering(system: CoveringSystem) -> CoveringDecision:
     return CoveringDecision(True, L, density)
 
 
+def require_accepted(system: CoveringSystem) -> None:
+    """RejectedInputError unless the system partitions the integers: a
+    certificate identity on a rejected system is a precondition error."""
+    decision = is_disjoint_covering(system)
+    if not decision.accepted:
+        raise RejectedInputError(
+            f"covering certificate requires an accepted system; witness {decision.witness}"
+        )
+
+
 def covering_identity_check(
     system: CoveringSystem,
     f: InvariantFunction,
     x: float,
     y: float,
     tol: float = 1e-8,
-):
+) -> VerificationReport:
     """Certificate report: sum_s f(x + a_s*y, n_s*y) against f(x, y).
 
-    The system must already be accepted; running the identity on a rejected
-    system is a precondition error.
+    The system must already be accepted (`require_accepted`).
     """
-    from .verify import _report, _Worst  # local import keeps modules acyclic
-
-    decision = is_disjoint_covering(system)
-    if not decision.accepted:
-        raise RejectedInputError(
-            f"covering certificate requires an accepted system; witness {decision.witness}"
-        )
+    require_accepted(system)
     if y <= 0.0:
         raise RejectedInputError("y must be positive")
     lhs = math.fsum(f.value(x + a * y, n * y) for a, n in system.classes)

@@ -18,8 +18,8 @@ functions bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -34,90 +34,50 @@ from .errors import (
 _LD = np.longdouble
 _TWO_PI = 2.0 * math.pi
 
-# Hard cap on the Bernoulli table; the default build covers B_0..B_64.
+# Hard cap on the Bernoulli index; import fills B_0..B_118 for the
+# Euler-Maclaurin coefficients.
 TABLE_LIMIT = 256
 
 
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_n as exact rationals, grown on demand.
-
-    Uses the defining recurrence B_0 = 1, sum_{k<n} C(n,k) B_k = 0 for n >= 2.
-    Growth is guarded by a lock so concurrent first use is safe; once written,
-    entries are never mutated.
-    """
-
-    def __init__(self, n: int = 64):
-        self._values: list[Fraction] = [Fraction(1)]
-        self._lock = threading.Lock()
-        self.extend_to(n)
-
-    def extend_to(self, n: int) -> None:
-        if n > TABLE_LIMIT:
-            raise CapacityError(f"Bernoulli table capped at B_{TABLE_LIMIT}, requested B_{n}")
-        with self._lock:
-            while len(self._values) <= n:
-                m = len(self._values)  # computing B_m from the recurrence with n = m+1
-                if m >= 3 and m % 2:
-                    self._values.append(Fraction(0))  # odd indices past 1 vanish
-                    continue
-                acc = Fraction(0)
-                for k in range(m):
-                    if k < 3 or k % 2 == 0:  # skip the vanishing odd terms
-                        acc += math.comb(m + 1, k) * self._values[k]
-                self._values.append(-acc / (m + 1))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def number(self, n: int) -> Fraction:
-        if n < 0:
-            raise RejectedInputError("Bernoulli index must be nonnegative")
-        if n >= len(self._values):
-            # doubling ahead of demand, but never past the cap
-            self.extend_to(max(n, min(2 * len(self._values), TABLE_LIMIT)))
-        return self._values[n]
-
-
-_TABLE = BernoulliTable(64)
-
-
+@functools.cache
 def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
-    return _TABLE.number(n)
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
+
+    Uses the defining recurrence B_0 = 1, sum_{k<n} C(n,k) B_k = 0 for
+    n >= 2; each B_k it reads is cached.
+    """
+    if n < 0:
+        raise RejectedInputError("Bernoulli index must be nonnegative")
+    if n > TABLE_LIMIT:
+        raise CapacityError(f"Bernoulli table capped at B_{TABLE_LIMIT}, requested B_{n}")
+    if n == 0:
+        return Fraction(1)
+    if n >= 3 and n % 2:
+        return Fraction(0)  # odd indices past 1 vanish
+    acc = Fraction(0)
+    for k in range(n):
+        if k < 3 or k % 2 == 0:  # skip the vanishing odd terms
+            acc += math.comb(n + 1, k) * bernoulli_number(k)
+    return -acc / (n + 1)
 
 
 def _ld(q: Fraction) -> _LD:
     return _LD(q.numerator) / _LD(q.denominator)
 
 
-def _poly_coeffs(m: int) -> tuple[Fraction, ...]:
-    # coefficient of t^j in B_m(t) is C(m, j) * B_{m-j}
-    return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
-
-
-_COEFF_CACHE: dict[int, tuple[Fraction, ...]] = {}
-_COEFF_CACHE_LD: dict[int, np.ndarray] = {}
-_COEFF_LOCK = threading.Lock()
-
-
+@functools.cache
 def bernoulli_poly_coeffs(m: int) -> tuple[Fraction, ...]:
     """Exact coefficients of B_m(t), index j holding the t^j coefficient."""
     if m < 0:
         raise RejectedInputError("polynomial degree must be nonnegative")
-    with _COEFF_LOCK:
-        if m not in _COEFF_CACHE:
-            _COEFF_CACHE[m] = _poly_coeffs(m)
-        return _COEFF_CACHE[m]
+    # coefficient of t^j in B_m(t) is C(m, j) * B_{m-j}
+    return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
 
 
+@functools.cache
 def _poly_coeffs_ld(m: int) -> np.ndarray:
-    with _COEFF_LOCK:
-        arr = _COEFF_CACHE_LD.get(m)
-    if arr is None:
-        cs = bernoulli_poly_coeffs(m)
-        arr = np.array([_ld(c) for c in cs], dtype=_LD)
-        with _COEFF_LOCK:
-            _COEFF_CACHE_LD[m] = arr
+    arr = np.array([_ld(c) for c in bernoulli_poly_coeffs(m)], dtype=_LD)
+    arr.flags.writeable = False  # one cached array serves every caller
     return arr
 
 

@@ -116,17 +116,12 @@ class TestArrayIntegrands:
     def test_antiderivative_and_geometric_convolution(self):
         f = make("E9", r=0.5)
         anti, geo = antiderivative(f), geometric_convolve(f, 2.0)
+        conv = convolve(make("E5", a=2.0), f, 1e-10)
         for x, y in FIXED_POINTS:
             run = integrate(lambda t: f.value(t, y), y, x, 0.5e-10).value
             mean = integrate(lambda t: t * f.value(t, y), 0.0, y, 0.5e-10).value
             assert anti.value(x, y).hex() == (run + mean / y).hex()
-
-            def phi(t):
-                return math.exp((x - t) * math.log(2.0)) * f.value(t, y)
-
-            full = integrate(phi, 0.0, y, 0.5e-10).value
-            partial = integrate(phi, x, y, 0.5e-10).value
-            assert geo.value(x, y).hex() == (full / math.expm1(y * math.log(2.0)) + partial).hex()
+            assert geo.value(x, y).hex() == conv.value(x, y).hex()
 
 
 def _conv_grid_sample(conv):
@@ -240,12 +235,29 @@ class TestGeometricConvolve:
         got = integrate(lambda x: f.value(x, 1.0), 0.0, 1.0, tol=1e-9).value
         assert got == pytest.approx(1.0 / math.log(2.0), abs=1e-7)
 
+    @pytest.mark.parametrize("g", [make("E9", r=0.5), make("E2", m=1)], ids=lambda g: g.name)
+    def test_split_form_oracle(self, g):
+        # the exponential factor integrates in closed split form:
+        # a^x/(a^y-1) int_0^y a^-t g dt + a^x int_x^y a^-t g dt
+        geo = geometric_convolve(g, 2.0)
+        L = math.log(2.0)
+        for x, y in FIXED_POINTS:
+            def phi(t):
+                return math.exp((x - t) * L) * g.value(t, y)
+
+            def term(a, b):
+                cuts = g.singular_points(y, min(a, b), max(a, b))
+                return integrate(phi, a, b, 1e-13, cuts).value
+
+            split = term(0.0, y) / math.expm1(y * L) + term(x, y)
+            assert geo.value(x, y) == pytest.approx(split, abs=1e-12)
+
     def test_rejects_unit_base(self):
         with pytest.raises(RejectedInputError):
             geometric_convolve(make("E1"), 1.0)
 
     def test_invariance_small_grid(self):
-        # modest windows: the split form's exponential factor reaches a^(-8y)
+        # modest windows: the exponential factor reaches a^(-8y)
         # at the widest identity shifts, and values ~1e7 drown an absolute
         # quadrature tolerance in round-off
         from invk.verify import GridSpec

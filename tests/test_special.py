@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from invk.errors import CapacityError, PoleError, RejectedInputError, UnsupportedRegionError
 from invk.special import (
     TABLE_LIMIT,
-    BernoulliTable,
     bernoulli_number,
     bernoulli_poly,
     bernoulli_poly_coeffs,
@@ -42,21 +43,55 @@ class TestBernoulliNumbers:
             assert bernoulli_number(2 * m + 1) == 0
 
     def test_capacity_bound(self):
-        table = BernoulliTable(8)
-        assert len(table) >= 9
         with pytest.raises(CapacityError):
-            table.extend_to(100000)
+            bernoulli_number(TABLE_LIMIT + 1)
         with pytest.raises(RejectedInputError):
             bernoulli_number(-1)
 
-    def test_sequential_growth_stops_at_the_cap(self):
-        # growth doubles ahead of demand; it must not ask past TABLE_LIMIT
-        table = BernoulliTable(8)
-        for n in range(0, TABLE_LIMIT + 1, 2):
-            table.number(n)
-        assert len(table) == TABLE_LIMIT + 1
-        with pytest.raises(CapacityError):
-            table.number(TABLE_LIMIT + 1)
+    def test_matches_akiyama_tanigawa_up_to_the_cap(self):
+        oracle = _akiyama_tanigawa(TABLE_LIMIT)
+        for n in range(TABLE_LIMIT + 1):
+            assert bernoulli_number(n) == oracle[n], n
+
+    def test_concurrent_first_use(self):
+        # every thread races the others through an empty cache
+        oracle = _akiyama_tanigawa(200)
+        coeffs_40 = tuple(math.comb(40, j) * oracle[40 - j] for j in range(41))
+        bernoulli_number.cache_clear()
+        bernoulli_poly_coeffs.cache_clear()
+        start = threading.Barrier(8, timeout=30)
+        results = []
+
+        def work():
+            start.wait()
+            results.append((bernoulli_number(200), bernoulli_poly_coeffs(40)))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [(oracle[200], coeffs_40)] * 8
+
+
+def _akiyama_tanigawa(n_max):
+    """B_0..B_n_max by the Akiyama-Tanigawa transform, an algorithm
+    independent of the defining recurrence; it yields B_1 = +1/2, so the
+    sign is turned to the package's B_1 = -1/2."""
+    row, out = [], []
+    for m in range(n_max + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    out[1] = -out[1]
+    return out
 
 
 class TestBernoulliPolynomials:

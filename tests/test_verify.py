@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from invk import quadrature, verify
+from invk import covering, quadrature, verify
 from invk.catalog import make
 from invk.covering import parse_system
 from invk.errors import ConvergenceError, RejectedInputError
@@ -353,3 +353,22 @@ class TestCoveringCertificates:
     def test_rejected_system_refused(self):
         with pytest.raises(RejectedInputError):
             check_covering_certificates(parse_system("0/2,0/3"), make("E1"), PROBE_GRID)
+
+    def test_decides_once_and_matches_pointwise_certificates(self, monkeypatch):
+        sys_ = parse_system("0/2,1/4,3/4")
+        f = make("E10")
+        decisions = []
+        decide = covering.is_disjoint_covering
+        monkeypatch.setattr(covering, "is_disjoint_covering",
+                            lambda s: decisions.append(s) or decide(s))
+        rep = check_covering_certificates(sys_, f, PROBE_GRID, 1e-8)
+        assert decisions == [sys_]
+        monkeypatch.undo()
+        pointwise = [covering.covering_identity_check(sys_, f, x, y, 1e-8)
+                     for x, y in verify.grid_points(f, PROBE_GRID, lambda x, y: (
+                         [(x, y)] + [(x + a * y, n * y) for a, n in sys_.classes]))]
+        worst = max(pointwise, key=lambda r: r.max_abs_error)
+        assert rep.samples == len(pointwise) == PROBE_GRID.samples
+        assert rep.max_abs_error == worst.max_abs_error
+        assert rep.worst_witness == worst.worst_witness
+        assert rep.tolerance == worst.tolerance
