@@ -44,14 +44,10 @@ import numpy as np
 from .core import (
     InvariantFunction,
     LATTICE_RTOL,
-    floor_ratio,
-    frac_ratio,
-    is_lattice,
+    lattice_parts,
     lattice_points,
     lattice_split,
     per_scale,
-    ratio_nearest,
-    scale_runs,
 )
 from .errors import RejectedInputError
 from .special import (
@@ -131,13 +127,17 @@ def _make_e2(m: int) -> InvariantFunction:
 
 
 def _make_e3a() -> InvariantFunction:
+    def value(x, y):
+        u, k, on = lattice_parts(x, y)
+        return float(k if on else np.floor(u))
+
     def array_value(xs, ys):
         u, k, on = lattice_split(xs, ys)
         return np.where(on, k, np.floor(u)).astype(float)
 
     return InvariantFunction(
         name="E3a",
-        value=lambda x, y: floor_ratio(x, y),
+        value=value,
         singular_points=_lattice_locator(),
         piecewise=True,
         array_value=array_value,
@@ -145,13 +145,17 @@ def _make_e3a() -> InvariantFunction:
 
 
 def _make_e3b() -> InvariantFunction:
+    def value(x, y):
+        u, _, on = lattice_parts(x, y)
+        return (0.0 if on else float(u - np.floor(u))) - 0.5
+
     def array_value(xs, ys):
         u, _, on = lattice_split(xs, ys)
         return np.where(on, 0.0, (u - np.floor(u)).astype(float)) - 0.5
 
     return InvariantFunction(
         name="E3b",
-        value=lambda x, y: frac_ratio(x, y) - 0.5,
+        value=value,
         singular_points=_lattice_locator(),
         piecewise=True,
         array_value=array_value,
@@ -162,7 +166,7 @@ def _make_e4(a: float) -> InvariantFunction:
     a = _float_param("a", a)
 
     def value(x, y):
-        return 1.0 if is_lattice(a - x, y) else 0.0
+        return 1.0 if lattice_parts(a - x, y)[2] else 0.0
 
     def array_value(xs, ys):
         _, _, on = lattice_split(a - xs, ys)
@@ -266,11 +270,11 @@ def _rho_parts(r: float, y) -> tuple[np.longdouble, np.longdouble]:
     """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation; y may
     also be a float ndarray, giving arrays, with one `expm1` per run of
     equal scales."""
+    L = _LD(math.log(r))
     if isinstance(y, np.ndarray):
-        starts, lengths = scale_runs(y)
-        rm1 = np.repeat(np.expm1(_LD(math.log(r)) / y[starts].astype(_LD)), lengths)
+        rm1 = per_scale(lambda t: np.expm1(L / _LD(t)), y)
     else:
-        rm1 = np.expm1(_LD(math.log(r)) / _LD(y))
+        rm1 = np.expm1(L / _LD(y))
     return rm1 + 1.0, rm1
 
 
@@ -413,10 +417,11 @@ def _make_e9(r: float) -> InvariantFunction:
 
 def _make_e10() -> InvariantFunction:
     def value(x, y):
-        if is_lattice(x, y):
+        u, k, on = lattice_parts(x, y)
+        if on:
             return -math.log(y)
-        s1, _ = _trig_parts(x, y)
-        return float(np.log(2.0 * np.abs(s1)))
+        # |sin(pi u)| = |sin(pi (u - k))|: the sign flip of `_trig_parts` is moot
+        return float(np.log(2.0 * np.abs(np.sin(_LD(math.pi) * (u - k)))))
 
     def array_value(xs, ys):
         u, k, on = lattice_split(xs, ys)
@@ -438,11 +443,10 @@ def _make_e10() -> InvariantFunction:
 
 def _make_e11() -> InvariantFunction:
     def value(x, y):
-        if is_lattice(x, y):
+        u, k, on = lattice_parts(x, y)
+        if on:
             return 0.0
-        u = _LD(x) / _LD(y)
-        d = u - np.rint(u)
-        pd = _LD(math.pi) * d
+        pd = _LD(math.pi) * (u - k)
         return float(np.cos(pd) / np.sin(pd) / _LD(y))
 
     def array_value(xs, ys):
@@ -464,9 +468,10 @@ def _make_e11() -> InvariantFunction:
 
 def _make_e12() -> InvariantFunction:
     def value(x, y):
-        k, _ = ratio_nearest(x, y)
-        if k <= 0 and is_lattice(x, y):
+        _, k, on = lattice_parts(x, y)
+        if on and k <= 0:
             # on u in {0, -1, -2, ...}: log(y^u sqrt(2 pi y) / (-u)!)
+            k = int(k)
             return k * math.log(y) + 0.5 * (_LOG_2PI + math.log(y)) - log_gamma_abs(1.0 - k)
         u = x / y
         return u * math.log(y) + log_gamma_abs(u) - 0.5 * (_LOG_2PI + math.log(y))

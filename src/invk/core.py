@@ -36,70 +36,37 @@ ValueRule = Callable[[float, float], float]
 ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 
 
-def ratio_nearest(x: float, y: float) -> tuple[int, float]:
-    """Nearest integer k to x/y and the offset x/y - k.
-
-    The division and subtraction run in extended precision: branch selection
-    and near-lattice evaluation (log-sine, cotangent) need the offset to keep
-    relative accuracy even when it is ~1e-9.
-    """
+def lattice_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble, bool]:
+    """The lattice test at one point: (u, k, on), with u = x/y and its nearest
+    integer k in extended precision, so that branch selection and near-lattice
+    evaluation (log-sine, cotangent) keep the offset u - k to full relative
+    accuracy even at ~1e-9, and `on` the band |u - k| <= LATTICE_RTOL max(1, |u|).
+    The lattice-aware floor of u is k where on, else floor(u)."""
     u = _LD(x) / _LD(y)
     k = np.rint(u)
-    return int(k), float(u - k)
-
-
-def is_lattice(x: float, y: float) -> bool:
-    """True when x/y is an integer under the package's detection rule."""
-    u = _LD(x) / _LD(y)
-    k = np.rint(u)
-    return abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u)))
-
-
-def floor_ratio(x: float, y: float) -> float:
-    """Lattice-aware floor of x/y: near-integer ratios round instead."""
-    u = _LD(x) / _LD(y)
-    k = np.rint(u)
-    if abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u))):
-        return float(k)
-    return float(np.floor(u))
-
-
-def frac_ratio(x: float, y: float) -> float:
-    """Lattice-aware fractional part of x/y, in [0, 1)."""
-    u = _LD(x) / _LD(y)
-    k = np.rint(u)
-    if abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u))):
-        return 0.0
-    return float(u - np.floor(u))
+    return u, k, abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u)))
 
 
 def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice test at each x of a float ndarray, at one scale ys or at
-    an array of scales aligned with xs: (u, k, on), with u = x/y and its
-    nearest integer k in extended precision (as `ratio_nearest` forms them)
-    and `on` the detection rule of `is_lattice`, bit for bit.  `floor_ratio`
-    is where(on, k, floor(u)) and `frac_ratio` where(on, 0, u - floor(u))."""
+    """`lattice_parts` at each x of a float ndarray, at one scale ys or at
+    an array of scales aligned with xs, element for element."""
     u = xs.astype(_LD) / _LD(ys)
     k = np.rint(u)
     on = np.abs((u - k).astype(float)) <= LATTICE_RTOL * np.maximum(1.0, np.abs(u.astype(float)))
     return u, k, on
 
 
-def scale_runs(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start index and the length of each run of equal values in a float
-    ndarray of scales.  The nodes of one panel, of one quadrature job and
-    the points of one check sample share a scale, so a batch holds few runs."""
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))[:ys.size])
-    return starts, np.diff(np.append(starts, ys.size))
-
-
 def per_scale(fn: Callable[[float], float], ys):
     """fn at one scale ys, or at each scale of a float ndarray, called once
     per run of equal scales: a value that must come from a Python float
-    function, such as `math.log` or `**`, which numpy may round differently."""
+    function, such as `math.log` or `math.expm1`, which numpy may round
+    differently.
+    The nodes of one panel, of one quadrature job and the points of one
+    check sample share a scale, so a batch holds few runs."""
     if not isinstance(ys, np.ndarray):
         return fn(ys)
-    starts, lengths = scale_runs(ys)
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))[:ys.size])
+    lengths = np.diff(np.append(starts, ys.size))
     return np.repeat(np.array([fn(y) for y in ys[starts].tolist()]), lengths)
 
 
@@ -312,7 +279,8 @@ def frac_compose(f: InvariantFunction, t: float, sign: str = "plus") -> Invarian
     sgn = 1.0 if sign == "plus" else -1.0
 
     def inner_arg(x, y):
-        return y * frac_ratio(t + sgn * x, y)
+        u, _, on = lattice_parts(t + sgn * x, y)
+        return y * (0.0 if on else float(u - np.floor(u)))
 
     def value(x, y):
         return f.value(inner_arg(x, y), y)

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class CoveringSystem:
 
     def __str__(self) -> str:
         return ",".join(f"{a}/{n}" for a, n in self.classes)
+
+    def sample_points(self, x: float, y: float) -> list[tuple[float, float]]:
+        """The points the certificate identity at (x, y) evaluates: (x, y),
+        then (x + a*y, n*y) for each class a(n)."""
+        return [(x, y)] + [(x + a * y, n * y) for a, n in self.classes]
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,29 @@ def require_accepted(system: CoveringSystem) -> None:
         )
 
 
+def certificate_report(
+    system: CoveringSystem,
+    f: InvariantFunction,
+    pts: Sequence[tuple[float, float]],
+    tol: float,
+) -> VerificationReport:
+    """Certificate identity sum_s f(x + a_s*y, n_s*y) against f(x, y) at each
+    (x, y) of pts, each sample from one `values` call.
+
+    The system must already be accepted (`require_accepted`).
+    """
+    k = len(system.classes)
+    worst = _Worst()
+    for x, y in pts:
+        xs, ys = zip(*system.sample_points(x, y))
+        rhs, *shifted = f.values(np.array(xs), np.array(ys)).tolist()
+        lhs = math.fsum(shifted)
+        worst.add(abs(lhs - rhs), x, y, k, lhs, rhs)
+    eff_tol = tol + (k + 1) * f.series_tolerance
+    params = {**f.params, "system": str(system)}
+    return _report("covering-certificate", f, params, len(pts), worst, eff_tol, f.flags)
+
+
 def covering_identity_check(
     system: CoveringSystem,
     f: InvariantFunction,
@@ -151,17 +179,10 @@ def covering_identity_check(
     y: float,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Certificate report: sum_s f(x + a_s*y, n_s*y) against f(x, y).
-
-    The system must already be accepted (`require_accepted`).
-    """
+    """Certificate report at one point (x, y): the one-sample case of
+    `certificate_report`, after the system is decided.  A rejected system or
+    y <= 0 raises RejectedInputError."""
     require_accepted(system)
     if y <= 0.0:
         raise RejectedInputError("y must be positive")
-    lhs = math.fsum(f.value(x + a * y, n * y) for a, n in system.classes)
-    rhs = f.value(x, y)
-    worst = _Worst()
-    worst.add(abs(lhs - rhs), x, y, len(system.classes), lhs, rhs)
-    eff_tol = tol + (len(system.classes) + 1) * f.series_tolerance
-    params = {"system": str(system), **f.params}
-    return _report("covering-certificate", f, params, 1, worst, eff_tol, f.flags)
+    return certificate_report(system, f, [(x, y)], tol)

@@ -339,7 +339,6 @@ def extrapolate_limit(
     seq: Callable[[float], float],
     tol: float = 1e-8,
     smooth: bool = True,
-    max_steps: int = MAX_LIMIT_STEPS,
 ) -> LimitResult:
     """Limit of seq(a) as a -> 0+ along a_k = 2^-k.
 
@@ -348,12 +347,13 @@ def extrapolate_limit(
     differences fall below `tol`.  Jump-type sequences (floor-like functions)
     bypass Richardson: their bias is O(a) with an oscillating factor that can
     plateau by accident, so differences are only trusted once a itself is
-    below tolerance scale, and the stopping tolerance is doubled.
+    below tolerance scale, and the stopping tolerance is doubled.  The
+    result is unconverged when no stop comes by k = MAX_LIMIT_STEPS.
     """
     rows: list[list[float]] = []
     prev = math.nan
     small_streak = 0
-    for k in range(max_steps + 1):
+    for k in range(MAX_LIMIT_STEPS + 1):
         a = 2.0 ** (-k)
         v = seq(a)
         if not math.isfinite(v):
@@ -380,7 +380,7 @@ def extrapolate_limit(
             elif a <= tol * max(1.0, abs(diag)) and delta < 2.0 * tol:
                 return LimitResult(diag, delta, k + 1, True)
         prev = diag
-    return LimitResult(prev, math.inf, max_steps + 1, False)
+    return LimitResult(prev, math.inf, MAX_LIMIT_STEPS + 1, False)
 
 
 def limit_scaled(f, x: float, tol: float = 1e-8) -> LimitResult:

@@ -23,11 +23,10 @@ from .core import (
     EPS_SING,
     InvariantFunction,
     affine_transform,
-    lattice_points,
-    per_scale,
     step_difference,
+    x_derivative,
 )
-from .covering import CoveringSystem, require_accepted
+from .covering import CoveringSystem, certificate_report, require_accepted
 from .errors import ConvergenceError, RejectedInputError
 from .quadrature import (
     Vectorized,
@@ -37,13 +36,7 @@ from .quadrature import (
     y_partial_fd,
 )
 from .report import VerificationReport, _report, _Worst, report_sort_key
-from .special import (
-    ZETA_NEG_TOLERANCE,
-    bernoulli_poly,
-    hurwitz_zeta,
-    hurwitz_zeta_neg_array,
-    log_gamma_abs,
-)
+from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -52,9 +45,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class GridSpec:
     """Deterministic sampling specification for property checks.
 
-    `x_range` is expressed in multiples of the sampled y; `eps_sing` is the
-    relative margin kept from singular points (in units of the evaluation
-    scale).
+    `x_range` is expressed in multiples of the sampled y.  Every sample
+    keeps `EPS_SING` times the evaluation scale from f's singular points.
     """
 
     seed: int = 42
@@ -62,7 +54,6 @@ class GridSpec:
     y_range: tuple[float, float] = (0.25, 4.0)
     samples: int = 64
     n_max: int = 10
-    eps_sing: float = EPS_SING
 
     def __post_init__(self):
         if self.seed < 0:
@@ -73,8 +64,6 @@ class GridSpec:
             raise RejectedInputError("x_range must be non-degenerate")
         if not (0.0 < self.y_range[0] < self.y_range[1]):
             raise RejectedInputError("y_range must be positive and non-degenerate")
-        if self.eps_sing <= 0.0:
-            raise RejectedInputError("eps_sing must be positive")
 
 
 DEFAULT_GRID = GridSpec()
@@ -103,7 +92,7 @@ def grid_points(
     """Seeded (x, y) samples for which every point a check touches is clear.
 
     `eval_points(x, y)` enumerates the (x', y') pairs the check will evaluate;
-    each must lie in f's domain and at least eps_sing * y' away from f's
+    each must lie in f's domain and at least EPS_SING * y' away from f's
     singular locus at scale y'.
     """
     rng = np.random.default_rng(grid.seed)
@@ -115,7 +104,7 @@ def grid_points(
         y = float(rng.uniform(*grid.y_range))
         x = float(rng.uniform(*grid.x_range)) * y
         needed = eval_points(x, y) if eval_points else ((x, y),)
-        if all(_point_clear(f, xe, ye, grid.eps_sing * ye) for xe, ye in needed):
+        if all(_point_clear(f, xe, ye, EPS_SING * ye) for xe, ye in needed):
             pts.append((x, y))
     if len(pts) < grid.samples:
         raise RejectedInputError(
@@ -265,9 +254,12 @@ def check_y_derivative_identities(
 
     (a) f(x, y) = int_x^{x-y} g(t, y) dt
     (b) df/dx  = g(x - y, y) - g(x, y)
+
+    df/dx is `x_derivative(f)`, whose flags the report carries.
     """
     fd_mode = use_fd or f.dy is None
     probe = replace(f, dy=None) if fd_mode else f
+    dfdx = x_derivative(f)
 
     def g(x, y):
         return y_partial_fd(probe, x, y)
@@ -277,20 +269,14 @@ def check_y_derivative_identities(
 
     pts = grid_points(f, grid, eval_points)
     worst = _Worst()
-    flags = set(f.flags)
+    flags = set(dfdx.flags)
     if fd_mode:
         flags.add("fd-fallback")
     for x, y in pts:
         fxy = f.value(x, y)
         quad = converged_integral(lambda t: g(t, y), x, x - y, 1e-9, f"d/dy {f.name}")
         err_a = abs(fxy - quad)
-        if f.dx is not None:
-            dfdx = f.dx(x, y)
-        else:
-            h = 6e-6 * max(1.0, abs(x))
-            dfdx = (f.value(x + h, y) - f.value(x - h, y)) / (2.0 * h)
-            flags.add("fd-dx")
-        err_b = abs(dfdx - (g(x - y, y) - g(x, y)))
+        err_b = abs(dfdx.value(x, y) - (g(x - y, y) - g(x, y)))
         worst.add(max(err_a, err_b), x, y, 0, fxy, quad)
     params = {**f.params, "mode": "fd" if fd_mode else "analytic"}
     return _report("y-derivative", f, params, len(pts), worst, tol, flags)
@@ -420,34 +406,19 @@ def check_bernoulli_integral_identity(
 
 
 def zeta_power_kernel(alpha: float) -> InvariantFunction:
-    """The fractional-order kernel y^(alpha-1) zeta(1-alpha, x/y) / Gamma(alpha).
+    """The fractional-order kernel y^(alpha-1) zeta(1-alpha, x/y) / Gamma(alpha):
+    the catalog entry E13(s = 1 - alpha) scaled by 1/Gamma(alpha), with the
+    series tolerance of E13(s < 0) itself.
 
     For integer alpha this reduces to the scaled Bernoulli entry of the same
     order; the family is closed under convolution with orders adding.
     """
     if not alpha > 1.0:
         raise RejectedInputError(f"kernel order must exceed 1, got alpha={alpha}")
-    gamma_alpha = math.exp(log_gamma_abs(alpha))
-    s = 1.0 - alpha
-
-    def value(x, y):
-        return y ** (alpha - 1.0) * hurwitz_zeta(s, x / y) / gamma_alpha
-
-    def array_value(xs, ys):
-        # Python's float **, once per run of equal scales: np.power rounds
-        # some powers differently
-        scale = per_scale(lambda y: y ** (alpha - 1.0), ys)
-        return scale * hurwitz_zeta_neg_array(s, xs / ys) / gamma_alpha
-
-    return InvariantFunction(
-        name=f"F({alpha:g})",
-        value=value,
-        array_value=array_value,
-        params={"alpha": alpha},
-        singular_points=lambda y, lo, hi: lattice_points(0.0, y, lo, hi),
-        series_tolerance=ZETA_NEG_TOLERANCE,
-        piecewise=True,
-    )
+    zeta = catalog.make("E13", s=1.0 - alpha)
+    kernel = affine_transform(zeta, a=1.0 / math.exp(log_gamma_abs(alpha)), b=0.0, c=1.0)
+    return replace(kernel, name=f"F({alpha:g})", params={"alpha": alpha},
+                   series_tolerance=ZETA_NEG_TOLERANCE)
 
 
 def check_zeta_convolution(
@@ -550,26 +521,10 @@ def check_covering_certificates(
     grid: GridSpec = DEFAULT_GRID,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Certificate identity sum_s f(x + a_s y, n_s y) against f(x, y) over
-    seeded points, each sample from one `values` call; a rejected system
-    raises RejectedInputError."""
+    """`certificate_report` over seeded points clear of f's singular points;
+    a rejected system raises RejectedInputError."""
     require_accepted(system)
-    k = len(system.classes)
-
-    def eval_points(x, y):
-        return [(x, y)] + [(x + a * y, n * y) for a, n in system.classes]
-
-    pts = grid_points(f, grid, eval_points)
-    worst = _Worst()
-    for x, y in pts:
-        rhs, *shifted = _sample_values(f, eval_points(x, y))
-        lhs = math.fsum(shifted)
-        worst.add(abs(lhs - rhs), x, y, k, lhs, rhs)
-    eff_tol = tol + (k + 1) * f.series_tolerance
-    return _report(
-        "covering-certificate", f, {**f.params, "system": str(system)},
-        len(pts), worst, eff_tol, f.flags,
-    )
+    return certificate_report(system, f, grid_points(f, grid, system.sample_points), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,23 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from invk.verify import GridSpec
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # small deterministic grid for module-level property sweeps
 SMALL_GRID = GridSpec(seed=7, samples=16, n_max=6)
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports invk from ./src,
+    which pytest's `pythonpath` setting gives only to the test process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def scale_sum(f, x, y, n):

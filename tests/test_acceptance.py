@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from invk.verify import (
     grid_points,
 )
 
-from conftest import scale_sum
+from conftest import child_env, scale_sum
 
 PROBE_GRID = replace(DEFAULT_GRID, samples=9)
 
@@ -250,11 +251,17 @@ def test_c12_fractional_kernel_convolution():
     assert ok_integer
 
 
+# sha256 of the report bytes; a change that moves one byte must say why
+VERIFY_ALL_SHA256 = "f11f43c207634e1228a2fab052305819b252f5108e0d9da11b3011540749e657"
+
+
 def test_c13_verify_all_is_byte_deterministic():
     cmd = [sys.executable, "-m", "invk.cli", "verify", "--all", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, timeout=500)
-    second = subprocess.run(cmd, capture_output=True, timeout=500)
+    first = subprocess.run(cmd, capture_output=True, timeout=500, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, timeout=500, env=child_env())
     ok = first.stdout == second.stdout and len(first.stdout) > 0
+    digest = hashlib.sha256(first.stdout).hexdigest()
+    ok = ok and digest == VERIFY_ALL_SHA256
     reports = json.loads(first.stdout)
     ok = ok and first.returncode == second.returncode
     # the standing outcome: every report passes except E14's invariance (odd n only)
@@ -263,7 +270,7 @@ def test_c13_verify_all_is_byte_deterministic():
     ok = ok and failed == [("invariance", "E14")]
     _line(
         "C13", ok,
-        f"{len(reports)} reports, {len(first.stdout)} bytes, exit={first.returncode} twice, "
-        f"failed={failed}",
+        f"{len(reports)} reports, {len(first.stdout)} bytes, sha256={digest[:8]}, "
+        f"exit={first.returncode} twice, failed={failed}",
     )
     assert ok

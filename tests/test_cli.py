@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import sys
 import pytest
 
 from invk.cli import run
+
+from conftest import child_env
 
 
 def run_cli(args, capsys):
@@ -162,6 +165,17 @@ class TestCovering:
         assert rep["certificate"]["pass"] is True
         assert rep["certificate"]["worst_witness"]["lhs"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_certify_bytes_pinned(self, capsys):
+        # sha256 of the report bytes; a change that moves one byte must say why
+        code, out, _ = run_cli(
+            ["covering", "--check", "0/2,1/4,3/4", "--certify", "--fn", "E5",
+             "--params", "a=2"], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "35e2ecd0eafb191e998c604af5256a2a9855e11d64c0f6264f2977183d5b294a"
+        )
+
     def test_malformed_text(self, capsys):
         code, _, err = run_cli(["covering", "--check", "0/2;1/2"], capsys)
         assert code == 2
@@ -201,7 +215,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "invk.cli", "eval", "--fn", "E1", "--x", "1", "--y", "4"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"value": 0.25}
@@ -210,7 +224,7 @@ class TestEntryPoint:
         # `python -m invk` runs the same front end from a checkout
         proc = subprocess.run(
             [sys.executable, "-m", "invk", "verify", "--fn", "E1"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["pass"] is True

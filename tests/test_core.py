@@ -13,7 +13,8 @@ from invk.core import (
     frac_compose,
     from_fourier,
     from_tail_series,
-    is_lattice,
+    lattice_parts,
+    lattice_split,
     linear_combination,
     reflect,
     step_difference,
@@ -50,14 +51,36 @@ class TestEvalPoint:
 
 class TestLatticeDetection:
     def test_binary_exact_ratios(self):
-        assert is_lattice(3.0 * 0.25, 0.25)
-        assert is_lattice(-8.0, 2.0)
-        assert not is_lattice(0.2500001, 0.25)
+        assert lattice_parts(3.0 * 0.25, 0.25)[2]
+        assert lattice_parts(-8.0, 2.0)[2]
+        assert not lattice_parts(0.2500001, 0.25)[2]
 
     def test_relative_rule_at_large_ratio(self):
         y = 1.0
         x = 1e6 * y * (1.0 + 1e-12)  # within 1e-9 relative of the lattice
-        assert is_lattice(x, y)
+        assert lattice_parts(x, y)[2]
+
+    def test_scalar_test_equals_array_test(self):
+        # u, k and on of each point equal those of `lattice_split`, seeded
+        # and exact-lattice points, 1e-10 y (in the band) and 1e-6 y off the
+        # lattice, and relative offsets just inside and outside the band
+        rng = np.random.default_rng(17)
+        for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 12).tolist()]:
+            lattice = np.arange(-50.0, 51.0) * y
+            xs = np.concatenate([
+                rng.uniform(-50.0, 50.0, 64) * y, lattice, [0.0, -0.0],
+                lattice + 1e-10 * y, lattice - 1e-10 * y,
+                lattice + 1e-6 * y, lattice - 1e-6 * y,
+                lattice * (1.0 + 5e-10), lattice * (1.0 - 2e-9),
+            ])
+            u, k, on = lattice_split(xs, y)
+            parts = [lattice_parts(x, y) for x in xs.tolist()]
+            su = np.array([p[0] for p in parts], dtype=np.longdouble)
+            sk = np.array([p[1] for p in parts], dtype=np.longdouble)
+            assert np.array_equal(su, u) and np.array_equal(np.signbit(su), np.signbit(u)), y
+            assert np.array_equal(sk, k) and np.array_equal(np.signbit(sk), np.signbit(k)), y
+            assert [p[2] for p in parts] == on.tolist(), y
+            assert on.any() and not on.all()
 
 
 class TestAffineTransform:

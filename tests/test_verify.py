@@ -11,7 +11,7 @@ from invk.catalog import make
 from invk.covering import parse_system
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import LimitResult, QuadratureResult, integrate
-from invk.special import bernoulli_poly
+from invk.special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
 from invk.verify import (
     DEFAULT_GRID,
     GridSpec,
@@ -46,8 +46,6 @@ class TestGridSpec:
             GridSpec(x_range=(2.0, 2.0))
         with pytest.raises(RejectedInputError):
             GridSpec(y_range=(0.0, 1.0))
-        with pytest.raises(RejectedInputError):
-            GridSpec(eps_sing=0.0)
         with pytest.raises(RejectedInputError):
             GridSpec(seed=-1)
 
@@ -226,6 +224,12 @@ class TestYDerivative:
         rep_fd = check_y_derivative_identities(f, PROBE_GRID, 1e-4, use_fd=True)
         assert rep_fd.passed and "fd-fallback" in rep_fd.flags
 
+    def test_central_difference_dx(self):
+        # with no analytic dx, df/dx is x_derivative's central difference
+        rep = check_y_derivative_identities(replace(make("E5", a=2.0), dx=None))
+        assert rep.passed and "fd-dx" in rep.flags and "fd-fallback" not in rep.flags
+        assert "fd-dx" not in check_y_derivative_identities(make("E5", a=2.0), PROBE_GRID).flags
+
 
 class TestParity:
     def test_even_kernel(self):
@@ -302,6 +306,26 @@ class TestConvolutionChecks:
                     want = mpmath.mpf(y) ** -s * mpmath.zeta(s, u if u > 0 else 1) / gamma
                     assert abs(f.value(x, y) - float(want)) <= f.series_tolerance, (y, k, d)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 4.0])
+    def test_zeta_kernel_is_the_scaled_zeta_entry(self, alpha):
+        # F(alpha) = E13(s = 1 - alpha) / Gamma(alpha), bit for bit, through
+        # value and values, off, on and 1e-6 y beside the lattice
+        f = zeta_power_kernel(alpha)
+        zeta = make("E13", s=1.0 - alpha)
+        scale = 1.0 / math.exp(log_gamma_abs(alpha))
+        rng = np.random.default_rng(19)
+        for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 5).tolist()]:
+            lattice = np.arange(-5.0, 6.0) * y
+            xs = np.concatenate([rng.uniform(-5.0, 5.0, 32) * y, lattice,
+                                 lattice + 1e-6 * y, lattice - 1e-6 * y])
+            want = [scale * zeta.value(x, y) for x in xs.tolist()]
+            assert [f.value(x, y).hex() for x in xs.tolist()] == [w.hex() for w in want], y
+            assert [v.hex() for v in f.values(xs, y).tolist()] == [w.hex() for w in want], y
+            assert f.singular_points(y, -5.5 * y, 5.5 * y) == tuple(lattice.tolist())
+        assert f.name == f"F({alpha:g})" and dict(f.params) == {"alpha": alpha}
+        assert f.piecewise and f.integrable_in_x and f.domain is None
+        assert f.series_tolerance == ZETA_NEG_TOLERANCE == 1e-10
+
     def test_zeta_kernel_rejects_small_order(self):
         with pytest.raises(RejectedInputError):
             zeta_power_kernel(1.0)
@@ -364,11 +388,15 @@ class TestCoveringCertificates:
         rep = check_covering_certificates(sys_, f, PROBE_GRID, 1e-8)
         assert decisions == [sys_]
         monkeypatch.undo()
-        pointwise = [covering.covering_identity_check(sys_, f, x, y, 1e-8)
-                     for x, y in verify.grid_points(f, PROBE_GRID, lambda x, y: (
-                         [(x, y)] + [(x + a * y, n * y) for a, n in sys_.classes]))]
+        pts = verify.grid_points(f, PROBE_GRID, lambda x, y: (
+            [(x, y)] + [(x + a * y, n * y) for a, n in sys_.classes]))
+        pointwise = [covering.covering_identity_check(sys_, f, x, y, 1e-8) for x, y in pts]
         worst = max(pointwise, key=lambda r: r.max_abs_error)
         assert rep.samples == len(pointwise) == PROBE_GRID.samples
         assert rep.max_abs_error == worst.max_abs_error
+        # the scalar rule gives the same errors as the batched `values` calls
+        scalar = [abs(math.fsum(f.value(x + a * y, n * y) for a, n in sys_.classes) - f.value(x, y))
+                  for x, y in pts]
+        assert rep.max_abs_error == max(scalar)
         assert rep.worst_witness == worst.worst_witness
         assert rep.tolerance == worst.tolerance
