@@ -69,10 +69,9 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         scales = np.repeat(ys, 2) if per_point else None  # the scale of each job
 
         def batch(ts, owners):
-            ts = np.array(ts)
             own = np.repeat(owners, 15)  # the job of each node
             at = ys if scales is None else scales[own]
-            return (g.values(ts, at) * h.values(shifts[own] - ts, at)).tolist()
+            return g.values(ts, at) * h.values(shifts[own] - ts, at)
 
         results = integrate_many(batch, jobs, half)
         for k, ((a, b, _), res) in enumerate(zip(jobs, results)):

@@ -284,14 +284,15 @@ def _make_e7(r: float) -> InvariantFunction:
         raise RejectedInputError(f"E7 needs r > 0, r != 1, got r={r}")
     L = math.log(r)
 
-    def denom(x, y):
+    def parts(x, y):
+        """(r^(1/y), sin(pi x/y), sin(2 pi x/y), D) from one lattice split,
+        D = (r^(1/y) - 1)^2 + 4 r^(1/y) sin^2(pi x/y) the argument of the log."""
         rho, rm1 = _rho_parts(r, y)
-        s1, _ = _trig_parts(x, y)
-        return rho, rm1 * rm1 + 4.0 * rho * s1 * s1
+        s1, s2 = _trig_parts(x, y)
+        return rho, s1, s2, rm1 * rm1 + 4.0 * rho * s1 * s1
 
     def value(x, y):
-        _, D = denom(x, y)
-        return float(np.log(D))
+        return float(np.log(parts(x, y)[3]))
 
     def array_value(xs, ys):
         rho, rm1 = _rho_parts(r, ys)
@@ -300,13 +301,11 @@ def _make_e7(r: float) -> InvariantFunction:
         return np.log(rm1 * rm1 + 4.0 * rho * s1 * s1).astype(float)
 
     def dx(x, y):
-        rho, D = denom(x, y)
-        _, s2 = _trig_parts(x, y)
+        rho, _, s2, D = parts(x, y)
         return float(_TWO_PI / _LD(y) * 2.0 * rho * s2 / D)
 
     def dy(x, y):
-        rho, D = denom(x, y)
-        s1, s2 = _trig_parts(x, y)
+        rho, s1, s2, D = parts(x, y)
         c = 1.0 - 2.0 * s1 * s1  # cos(2 pi x / y)
         drho = -rho * _LD(L) / _LD(y) ** 2
         dc = s2 * _LD(_TWO_PI) * _LD(x) / _LD(y) ** 2

@@ -105,7 +105,11 @@ class InvariantFunction:
     with the same signature.  `singular_points(y, lo, hi)` lists the x in
     [lo, hi] where the value at scale y is non-smooth or branch-defined, so
     sample grids keep clear of them and integrators split panels there.
-    `domain`, when set, restricts the valid x-region (e.g. x > 0).
+    Each point's value must not depend on the window: a wider window lists
+    the same floats plus more, as `lattice_points` and every combinator's
+    locator do, so a sample grid asks once per scale over a window that
+    covers all of that scale's points.  `domain`, when set, restricts the
+    valid x-region (e.g. x > 0).
     `series_tolerance` is the truncation budget when the value rule sums a
     series; `piecewise` marks jump-type functions for which smooth limit
     extrapolation is invalid; `integrable_in_x` is False only for entries

@@ -74,12 +74,22 @@ DEFAULT_GRID = GridSpec()
 # ---------------------------------------------------------------------------
 
 
-def _point_clear(f: InvariantFunction, x: float, y: float, margin: float) -> bool:
-    if f.domain is not None and not f.domain(x, y):
-        return False
-    w = 4.0 * margin
-    for s in f.singular_points(y, x - w, x + w):
-        if abs(x - s) < margin:
+def _sample_clear(f: InvariantFunction, needed: Iterable[tuple[float, float]]) -> bool:
+    """True when every (x', y') of `needed` lies in f's domain and at least
+    EPS_SING * y' from f's singular points at scale y'.  Those are asked for
+    once per scale, over a window that covers every x' of that scale; a
+    locator's points do not depend on the window it is given."""
+    domain = f.domain
+    by_scale: dict[float, list[float]] = {}
+    for x, y in needed:
+        if domain is not None and not domain(x, y):
+            return False
+        by_scale.setdefault(y, []).append(x)
+    for y, xs in by_scale.items():
+        margin = EPS_SING * y
+        w = 4.0 * margin
+        near = f.singular_points(y, min(xs) - w, max(xs) + w)
+        if any(abs(x - s) < margin for x in xs for s in near):
             return False
     return True
 
@@ -104,7 +114,7 @@ def grid_points(
         y = float(rng.uniform(*grid.y_range))
         x = float(rng.uniform(*grid.x_range)) * y
         needed = eval_points(x, y) if eval_points else ((x, y),)
-        if all(_point_clear(f, xe, ye, EPS_SING * ye) for xe, ye in needed):
+        if _sample_clear(f, needed):
             pts.append((x, y))
     if len(pts) < grid.samples:
         raise RejectedInputError(

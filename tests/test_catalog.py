@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invk.catalog import ENTRY_IDS, make, standard_configs
+from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, standard_configs
 from invk.core import EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
 from invk.special import bernoulli_poly
@@ -118,6 +118,32 @@ class TestCrossIdentities:
         e7, e8 = make("E7", r=0.5), make("E8", r=0.5)
         for x, y in ((0.2, 1.0), (0.45, 0.7), (-1.1, 2.3)):
             assert e7.dx(x, y) == pytest.approx(4 * math.pi * e8.value(x, y), rel=1e-11)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_log_quotient_partials_equal_the_two_split_formulas(self, r):
+        # dx and dy share one lattice split with D; the formulas that split
+        # the lattice once for D and again for the sines give the same bits
+        e7, L = make("E7", r=r), math.log(r)
+
+        def two_splits(x, y):
+            rho, rm1 = _rho_parts(r, y)
+            s1, _ = _trig_parts(x, y)
+            D = rm1 * rm1 + 4.0 * rho * s1 * s1
+            s1, s2 = _trig_parts(x, y)
+            dx = float(_TWO_PI / np.longdouble(y) * 2.0 * rho * s2 / D)
+            c = 1.0 - 2.0 * s1 * s1
+            drho = -rho * np.longdouble(L) / np.longdouble(y) ** 2
+            dc = s2 * np.longdouble(_TWO_PI) * np.longdouble(x) / np.longdouble(y) ** 2
+            return dx, float((2.0 * drho * (rho - c) - 2.0 * rho * dc) / D)
+
+        rng = np.random.default_rng(7)
+        ys = rng.uniform(0.25, 40.0, 40)
+        points = [(float(u * y), float(y)) for u, y in zip(rng.uniform(-3.0, 3.0, 40), ys)]
+        for k, y in zip(range(-3, 4), ys[:7].tolist()):
+            points += [(k * y, y), (k * y + 1e-6 * y, y), (k * y - 1e-6 * y, y)]
+        for x, y in points:
+            want = two_splits(x, y)
+            assert (e7.dx(x, y).hex(), e7.dy(x, y).hex()) == tuple(v.hex() for v in want), (x, y)
 
     def test_floor_plus_fraction_is_linear(self):
         e3a, e3b, e2 = make("E3a"), make("E3b"), make("E2", m=1)

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from dataclasses import replace
@@ -15,8 +16,10 @@ from invk.quadrature import (
     _EPS,
     _WG,
     _WGK,
+    _XGK,
     Vectorized,
     _gk15,
+    _gk15_columns,
     extrapolate_limit,
     integrate,
     integrate_many,
@@ -132,33 +135,60 @@ def _outcome(fn, fv, h):
         return (type(exc).__name__,)
 
 
+@functools.cache
+def _seeded_panels(panels=100_000):
+    """Node values and half-widths of seeded panels (smooth, wide-ranging,
+    arbitrary-bit and constant rows, with NaN, +-inf, +-0.0, subnormals and
+    h < 0 injected) and the loop oracle's outcome on each."""
+    rng = np.random.default_rng(1983)
+    specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                         2.2250738585072014e-308, 1e-310, -1e-310, 1.7e308, -1.7e308])
+    smooth = rng.uniform(-1.0, 1.0, (panels, 1)) + rng.uniform(-1e-9, 1e-9, (panels, 15))
+    wide = rng.standard_normal((panels, 15)) * 10.0 ** rng.integers(-320, 300, (panels, 15))
+    bits = rng.integers(0, 2 ** 63, (panels, 15), dtype=np.int64).view(float)  # any double
+    pick = rng.integers(0, 4, (panels, 1))
+    fvs = np.where(pick == 0, smooth, np.where(pick == 1, wide, np.where(pick == 2, bits, 0.0)))
+    flip = rng.random((panels, 15)) < 0.5
+    fvs[flip] = -fvs[flip]
+    constant = (pick == 3)[:, 0]
+    fvs[constant] = rng.uniform(-2.0, 2.0, (int(constant.sum()), 1))  # resasc and err of 0
+    inject = rng.random((panels, 15)) < 0.03
+    fvs[inject] = rng.choice(specials, int(inject.sum()))
+    hs = rng.uniform(-1.0, 1.0, panels) * 10.0 ** rng.integers(-320, 5, panels)
+    hs[rng.random(panels) < 0.02] = rng.choice(specials, 1)[0]
+    return fvs, hs, [_outcome(_gk15_loop, fv, h) for fv, h in zip(fvs.tolist(), hs.tolist())]
+
+
 class TestKernel:
     def test_straight_line_kernel_equals_loop_oracle(self):
-        rng = np.random.default_rng(1983)
-        panels = 100_000
-        specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-                             2.2250738585072014e-308, 1e-310, -1e-310, 1.7e308, -1.7e308])
-        smooth = rng.uniform(-1.0, 1.0, (panels, 1)) + rng.uniform(-1e-9, 1e-9, (panels, 15))
-        wide = rng.standard_normal((panels, 15)) * 10.0 ** rng.integers(-320, 300, (panels, 15))
-        bits = rng.integers(0, 2 ** 63, (panels, 15), dtype=np.int64).view(float)  # any double
-        pick = rng.integers(0, 4, (panels, 1))
-        fvs = np.where(pick == 0, smooth, np.where(pick == 1, wide, np.where(pick == 2, bits, 0.0)))
-        flip = rng.random((panels, 15)) < 0.5
-        fvs[flip] = -fvs[flip]
-        constant = (pick == 3)[:, 0]
-        fvs[constant] = rng.uniform(-2.0, 2.0, (int(constant.sum()), 1))  # resasc and err of 0
-        inject = rng.random((panels, 15)) < 0.03
-        fvs[inject] = rng.choice(specials, int(inject.sum()))
-        hs = rng.uniform(-1.0, 1.0, panels) * 10.0 ** rng.integers(-320, 5, panels)
-        hs[rng.random(panels) < 0.02] = rng.choice(specials, 1)[0]
+        fvs, hs, outcomes = _seeded_panels()
         with_nan = 0
-        for fv, h in zip(fvs.tolist(), hs.tolist()):
-            want = _outcome(_gk15_loop, fv, h)
+        for fv, h, want in zip(fvs.tolist(), hs.tolist(), outcomes):
             assert _outcome(_gk15, fv, h) == want, (fv, h)
             with_nan += "nan" in want
-        assert 0 < with_nan < panels // 2
+        assert 0 < with_nan < len(hs) // 2
         assert (hs < 0.0).any() and np.isnan(fvs).any() and np.isinf(fvs).any()
         assert ((fvs != 0.0) & (np.abs(fvs) < 2.2250738585072014e-308)).any()  # subnormals
+
+    def test_column_kernel_equals_loop_oracle(self):
+        # one round of all 10^5 panels; the power never overflows on them,
+        # nor anywhere: resasc bounds |resk - resg| up to the rounding of
+        # the weights, so 200 err / resasc stays far below 1e205
+        fvs, hs, outcomes = _seeded_panels()
+        got = zip(*_gk15_columns(fvs.T, hs))
+        assert [tuple(v.hex() if v == v else "nan" for v in t) for t in got] == outcomes
+
+    def test_column_kernel_keeps_the_python_power_on_smooth_panels(self):
+        # smooth panels scale their error by (200 err / resasc) ** 1.5 < 1;
+        # numpy's power rounds ~5 % of such ratios differently from Python's
+        rng = np.random.default_rng(1501)
+        panels = 20_000
+        xs = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
+        k = rng.uniform(0.0, 8.0, (panels, 1))
+        fvs = np.exp(k * xs) * rng.uniform(-3.0, 3.0, (panels, 1)) + rng.uniform(-1.0, 1.0, (panels, 1))
+        hs = rng.uniform(1e-4, 2.0, panels)
+        want = [_gk15_loop(fv, h) for fv, h in zip(fvs.tolist(), hs.tolist())]
+        assert list(zip(*_gk15_columns(fvs.T, hs))) == want
 
 
 def _inverse_sqrt_kink(t):
@@ -228,36 +258,67 @@ class TestIntegrateMany:
     ]
     TOL = 1e-10
 
-    def test_each_job_equals_a_lone_integral(self):
-        calls, sizes = [], []
+    def _lockstep(self, specs):
+        """integrate_many over the jobs `specs`, each checked against a lone
+        `integrate` bit for bit; returns the results and the job indices and
+        width of each round."""
+        calls, widths = [], []
 
         def batch(ts, owners):
-            ts = np.array(ts)
+            assert isinstance(ts, np.ndarray)
             own = np.repeat(owners, 15)
             out = np.empty(ts.size)
             for j in set(owners):
-                out[own == j] = self.JOBS[j][0](ts[own == j])
+                out[own == j] = specs[j][0](ts[own == j])
             calls.append(sorted(set(owners)))
-            sizes.append(ts.size)
-            return out.tolist()
+            widths.append(len(owners))
+            return out
 
-        jobs = [(a, b, cuts) for _, a, b, cuts in self.JOBS]
+        jobs = [(a, b, cuts) for _, a, b, cuts in specs]
         got = integrate_many(batch, jobs, self.TOL)
         lone_calls = []
-        for (fn, a, b, cuts), res in zip(self.JOBS, got):
+        for (fn, a, b, cuts), res in zip(specs, got):
             n = []
             want = integrate(Vectorized(lambda ts: n.append(0) or fn(ts)), a, b, self.TOL, cuts)
             lone_calls.append(len(n))
             assert res.value.hex() == want.value.hex()
             assert res.error_estimate.hex() == want.error_estimate.hex()
             assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
-        assert [r.converged for r in got] == [True, True, True, True, False, False, True]
-        assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
         assert len(calls) == max(lone_calls)  # one batch per round
-        assert sum(sizes) == sum(r.evaluations for r in got)
+        assert 15 * sum(widths) == sum(r.evaluations for r in got)
         # a job takes part in exactly the rounds of its lone integral
         for j, n in enumerate(lone_calls):
             assert sum(j in c for c in calls) == n
+        return got, widths
+
+    def test_each_job_equals_a_lone_integral(self):
+        got, _ = self._lockstep(self.JOBS)
+        assert [r.converged for r in got] == [True, True, True, True, False, False, True]
+        assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
+
+    def test_wide_rounds_run_as_columns(self, monkeypatch):
+        columns = []
+
+        def counted(fv, h):
+            columns.append(h.size)
+            return _gk15_columns(fv, h)
+
+        monkeypatch.setattr(quadrature, "_gk15_columns", counted)
+        got, widths = self._lockstep(self.JOBS * 6)
+        wide = [w for w in widths if w >= quadrature._COLUMN_MIN]
+        assert len(wide) >= 3 and min(widths) < quadrature._COLUMN_MIN  # both kinds of round
+        assert columns == wide
+        assert [r.converged for r in got] == [True, True, True, True, False, False, True] * 6
+
+    def test_narrow_rounds_never_run_as_columns(self, monkeypatch):
+        def refuse(fv, h):
+            raise AssertionError("a narrow round reached the column kernel")
+
+        monkeypatch.setattr(quadrature, "_gk15_columns", refuse)
+        _, widths = self._lockstep(self.JOBS[:4])
+        assert max(widths) < quadrature._COLUMN_MIN
+        for fn, a, b, cuts in self.JOBS:
+            integrate(Vectorized(fn), a, b, self.TOL, cuts)
 
     def test_integrate_is_the_one_job_case(self):
         seen = []

@@ -8,6 +8,7 @@ import pytest
 
 from invk import covering, quadrature, verify
 from invk.catalog import make
+from invk.core import EPS_SING, affine_transform, frac_compose, linear_combination, reflect
 from invk.covering import parse_system
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import LimitResult, QuadratureResult, integrate
@@ -48,6 +49,51 @@ class TestGridSpec:
             GridSpec(y_range=(0.0, 1.0))
         with pytest.raises(RejectedInputError):
             GridSpec(seed=-1)
+
+
+def _points_clear(f, needed):
+    """The per-point clearance test: each point asks for the singular points
+    in its own window of 4 EPS_SING y' around it."""
+    for x, y in needed:
+        if f.domain is not None and not f.domain(x, y):
+            return False
+        margin = EPS_SING * y
+        if any(abs(x - s) < margin for s in f.singular_points(y, x - 4.0 * margin, x + 4.0 * margin)):
+            return False
+    return True
+
+
+class TestGridPoints:
+    E10 = make("E10")
+    CASES = [
+        make("E3a"), E10, make("E12"), make("E14"), make("E13", s=2.0),
+        affine_transform(E10, 2.0, -0.3, 0.75),
+        reflect(make("E3b")),
+        frac_compose(make("E3a"), 0.3, "minus"),
+        linear_combination([(1.0, make("E3a")), (2.0, affine_transform(E10, 1.0, 0.1, 1.0))]),
+    ]
+
+    @pytest.mark.parametrize("f", CASES, ids=lambda f: f.name)
+    def test_per_scale_clearance_equals_the_per_point_test(self, f):
+        # invariance samples, most with one eval point moved to within
+        # 2 EPS_SING y' of a singular point of its scale, inside or outside
+        # the margin
+        rng = np.random.default_rng(23)
+        points = verify._invariance_eval_points(replace(DEFAULT_GRID, n_max=6))
+        outcomes = set()
+        for _ in range(300):
+            y = float(rng.uniform(0.25, 4.0))
+            needed = points(float(rng.uniform(-3.0, 3.0)) * y, y)
+            i = int(rng.integers(len(needed)))
+            xe, ye = needed[i]
+            near = f.singular_points(ye, xe - ye, xe + ye)
+            if near and rng.random() < 0.7:
+                s = near[int(rng.integers(len(near)))]
+                needed[i] = (s + float(rng.uniform(-2.0, 2.0)) * EPS_SING * ye, ye)
+            want = _points_clear(f, needed)
+            assert verify._sample_clear(f, needed) == want, needed
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestInvariance:
