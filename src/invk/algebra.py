@@ -97,7 +97,7 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
     """F(x, y) = int_y^x f(t,y) dt + (1/y) int_0^y t f(t,y) dt.
 
     F is again invariant and dF/dx = f, so the descriptor's dx is f's value
-    rule.
+    rule, and F has a kink wherever f jumps, so it lists f's singular points.
     """
     if tol <= 0.0:
         raise RejectedInputError("antiderivative tolerance must be positive")
@@ -123,6 +123,7 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
         value=value,
         params={"f": f.name, "tol": tol},
         dx=f.value,
+        singular_points=f.singular_points,
         series_tolerance=tol + 3.0 * f.series_tolerance,
         flags=f.flags,
     )

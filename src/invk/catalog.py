@@ -4,9 +4,10 @@ Each entry is a factory that validates its parameters and returns an
 immutable descriptor.  Analytic partials are attached where a closed form
 exists (E1, E2, E5..E9).  Branch-defined entries (floor, indicator, log-sine,
 cotangent, log-gamma, sign) select their lattice branch with the shared
-detection rule from `core`, and near-lattice trigonometry is computed from
-the distance to the nearest lattice point so it stays accurate where the
-verification grids probe closest.
+exact-remainder split from `core`, and near-lattice trigonometry (E7..E11)
+is computed in float64 from the offset d to the nearest lattice point,
+which carries one rounding, so it stays accurate where the verification
+grids probe closest.  Only E2 and E13 still compute in the x87 long double.
 
 Every entry but E6 also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
@@ -62,7 +63,6 @@ from .special import (
     log_gamma_abs_array,
 )
 
-_LD = np.longdouble
 _TWO_PI = 2.0 * math.pi
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -99,26 +99,28 @@ def _make_e2(m: int) -> InvariantFunction:
     if m < 1:
         raise RejectedInputError(f"E2 needs integer m >= 1, got {m}")
 
+    ld = np.longdouble  # y^(m-1) B_m(u) still needs the x87 extended format
+
     def value(x, y):
-        yd = _LD(y)
-        u = _LD(x) / yd
-        return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(u))))
+        yd = ld(y)
+        u = ld(x) / yd
+        return float(yd ** (m - 1) * ld(bernoulli_poly(m, float(u))))
 
     def array_value(xs, ys):
-        yd = _LD(ys)  # one longdouble, or an array of them
-        u = (xs.astype(_LD) / yd).astype(float)
-        return (yd ** (m - 1) * bernoulli_poly_array(m, u).astype(_LD)).astype(float)
+        yd = ld(ys)  # one longdouble, or an array of them
+        u = (xs.astype(ld) / yd).astype(float)
+        return (yd ** (m - 1) * bernoulli_poly_array(m, u).astype(ld)).astype(float)
 
     def dx(x, y):
         if m == 1:
             return 1.0 / y
-        return float(m * _LD(y) ** (m - 2) * _LD(bernoulli_poly(m - 1, x / y)))
+        return float(m * ld(y) ** (m - 2) * ld(bernoulli_poly(m - 1, x / y)))
 
     def dy(x, y):
-        yd = _LD(y)
+        yd = ld(y)
         u = x / y
-        lead = (m - 1) * yd ** (m - 2) * _LD(bernoulli_poly(m, u)) if m >= 2 else _LD(0.0)
-        chain = m * yd ** (m - 3) * _LD(x) * _LD(bernoulli_poly(m - 1, u))
+        lead = (m - 1) * yd ** (m - 2) * ld(bernoulli_poly(m, u)) if m >= 2 else ld(0.0)
+        chain = m * yd ** (m - 3) * ld(x) * ld(bernoulli_poly(m - 1, u))
         return float(lead - chain)
 
     return InvariantFunction(
@@ -128,12 +130,12 @@ def _make_e2(m: int) -> InvariantFunction:
 
 def _make_e3a() -> InvariantFunction:
     def value(x, y):
-        u, k, on = lattice_parts(x, y)
-        return float(k if on else np.floor(u))
+        k, d, on = lattice_parts(x, y)
+        return k - 1.0 if d < 0.0 and not on else k
 
     def array_value(xs, ys):
-        u, k, on = lattice_split(xs, ys)
-        return np.where(on, k, np.floor(u)).astype(float)
+        k, d, on = lattice_split(xs, ys)
+        return np.where((d < 0.0) & ~on, k - 1.0, k)
 
     return InvariantFunction(
         name="E3a",
@@ -146,12 +148,12 @@ def _make_e3a() -> InvariantFunction:
 
 def _make_e3b() -> InvariantFunction:
     def value(x, y):
-        u, _, on = lattice_parts(x, y)
-        return (0.0 if on else float(u - np.floor(u))) - 0.5
+        _, d, on = lattice_parts(x, y)
+        return (0.0 if on else d if d >= 0.0 else 1.0 + d) - 0.5
 
     def array_value(xs, ys):
-        u, _, on = lattice_split(xs, ys)
-        return np.where(on, 0.0, (u - np.floor(u)).astype(float)) - 0.5
+        _, d, on = lattice_split(xs, ys)
+        return np.where(on, 0.0, np.where(d < 0.0, 1.0 + d, d)) - 0.5
 
     return InvariantFunction(
         name="E3b",
@@ -241,40 +243,36 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
     )
 
 
-def _trig_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble]:
+def _trig_parts(x: float, y: float) -> tuple[float, float]:
     """(sin(pi x/y), sin(2 pi x/y)) from the nearest-lattice offset.
 
     sin(pi u) only flips sign across the lattice; its magnitude equals
     |sin(pi d)| with d the offset, which keeps full relative accuracy when
-    u is large or d is tiny.
+    u is large or d is tiny.  The sines are numpy's, as in
+    `_trig_parts_array`: `math.sin` need not round as numpy's vector loop.
     """
-    u = _LD(x) / _LD(y)
-    k = np.rint(u)
-    d = u - k
-    s1 = np.sin(_LD(math.pi) * d)
-    if int(k) % 2 != 0:
-        s1 = -s1
-    s2 = np.sin(_LD(_TWO_PI) * d)
-    return s1, s2
+    k, d, _ = lattice_parts(x, y)
+    s1, s2 = np.sin(np.array([math.pi * d, _TWO_PI * d])).tolist()
+    return (-s1 if k % 2.0 != 0.0 else s1), s2
 
 
-def _trig_parts_array(u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_trig_parts` from the u and k of `lattice_split`, bit for bit."""
-    d = u - k
-    s1 = np.sin(_LD(math.pi) * d)
+def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
+    """`_trig_parts` at each x of a float ndarray, bit for bit."""
+    k, d, _ = lattice_split(xs, ys)
+    s1 = np.sin(math.pi * d)
     s1 = np.where(np.fmod(k, 2.0) != 0.0, -s1, s1)
-    return s1, np.sin(_LD(_TWO_PI) * d)
+    return s1, np.sin(_TWO_PI * d)
 
 
-def _rho_parts(r: float, y) -> tuple[np.longdouble, np.longdouble]:
+def _rho_parts(r: float, y) -> tuple[float, float]:
     """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation; y may
     also be a float ndarray, giving arrays, with one `expm1` per run of
     equal scales."""
-    L = _LD(math.log(r))
+    L = math.log(r)
     if isinstance(y, np.ndarray):
-        rm1 = per_scale(lambda t: np.expm1(L / _LD(t)), y)
+        rm1 = per_scale(lambda t: math.expm1(L / t), y)
     else:
-        rm1 = np.expm1(L / _LD(y))
+        rm1 = math.expm1(L / y)
     return rm1 + 1.0, rm1
 
 
@@ -292,25 +290,24 @@ def _make_e7(r: float) -> InvariantFunction:
         return rho, s1, s2, rm1 * rm1 + 4.0 * rho * s1 * s1
 
     def value(x, y):
-        return float(np.log(parts(x, y)[3]))
+        return float(np.log(parts(x, y)[3]))  # numpy's log, as the array rule's
 
     def array_value(xs, ys):
         rho, rm1 = _rho_parts(r, ys)
-        u, k, _ = lattice_split(xs, ys)
-        s1, _ = _trig_parts_array(u, k)
-        return np.log(rm1 * rm1 + 4.0 * rho * s1 * s1).astype(float)
+        s1, _ = _trig_parts_array(xs, ys)
+        return np.log(rm1 * rm1 + 4.0 * rho * s1 * s1)
 
     def dx(x, y):
         rho, _, s2, D = parts(x, y)
-        return float(_TWO_PI / _LD(y) * 2.0 * rho * s2 / D)
+        return _TWO_PI / y * 2.0 * rho * s2 / D
 
     def dy(x, y):
         rho, s1, s2, D = parts(x, y)
         c = 1.0 - 2.0 * s1 * s1  # cos(2 pi x / y)
-        drho = -rho * _LD(L) / _LD(y) ** 2
-        dc = s2 * _LD(_TWO_PI) * _LD(x) / _LD(y) ** 2
+        drho = -rho * L / y ** 2
+        dc = s2 * _TWO_PI * x / y ** 2
         dD = 2.0 * drho * (rho - c) - 2.0 * rho * dc
-        return float(dD / D)
+        return dD / D
 
     return InvariantFunction(
         name="E7", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
@@ -321,8 +318,8 @@ def _pole_free_w(r: float, x: float, y: float) -> tuple[complex, complex]:
     """w = r^(1/y) e^(2 pi i x/y) and 1 - w, the latter cancellation-free."""
     rho, rm1 = _rho_parts(r, y)
     s1, s2 = _trig_parts(x, y)
-    w = complex(float(rho * (1.0 - 2.0 * s1 * s1)), float(rho * s2))
-    one_minus = complex(float(-rm1 + 2.0 * rho * s1 * s1), float(-rho * s2))
+    w = complex(rho * (1.0 - 2.0 * s1 * s1), rho * s2)
+    one_minus = complex(-rm1 + 2.0 * rho * s1 * s1, -rho * s2)
     return w, one_minus
 
 
@@ -330,14 +327,8 @@ def _pole_free_w_array(r: float, xs: np.ndarray, ys):
     """`_pole_free_w` at each x of a float ndarray, as the float arrays
     (re w, im w, re (1 - w), im (1 - w)), bit for bit."""
     rho, rm1 = _rho_parts(r, ys)
-    u, k, _ = lattice_split(xs, ys)
-    s1, s2 = _trig_parts_array(u, k)
-    return (
-        (rho * (1.0 - 2.0 * s1 * s1)).astype(float),
-        (rho * s2).astype(float),
-        (-rm1 + 2.0 * rho * s1 * s1).astype(float),
-        (-rho * s2).astype(float),
-    )
+    s1, s2 = _trig_parts_array(xs, ys)
+    return rho * (1.0 - 2.0 * s1 * s1), rho * s2, -rm1 + 2.0 * rho * s1 * s1, -rho * s2
 
 
 def _complex_quotient(ar, ai, br, bi):
@@ -416,17 +407,16 @@ def _make_e9(r: float) -> InvariantFunction:
 
 def _make_e10() -> InvariantFunction:
     def value(x, y):
-        u, k, on = lattice_parts(x, y)
+        _, d, on = lattice_parts(x, y)
         if on:
             return -math.log(y)
-        # |sin(pi u)| = |sin(pi (u - k))|: the sign flip of `_trig_parts` is moot
-        return float(np.log(2.0 * np.abs(np.sin(_LD(math.pi) * (u - k)))))
+        # |sin(pi u)| = |sin(pi d)|: the sign flip of `_trig_parts` is moot
+        return float(np.log(2.0 * abs(np.sin(math.pi * d))))
 
     def array_value(xs, ys):
-        u, k, on = lattice_split(xs, ys)
-        s1, _ = _trig_parts_array(u, k)
+        _, d, on = lattice_split(xs, ys)
         with np.errstate(divide="ignore"):  # log 0 on the exact lattice
-            out = np.log(2.0 * np.abs(s1)).astype(float)
+            out = np.log(2.0 * np.abs(np.sin(math.pi * d)))
         if on.any():
             out = np.where(on, -per_scale(math.log, ys), out)
         return out
@@ -442,17 +432,17 @@ def _make_e10() -> InvariantFunction:
 
 def _make_e11() -> InvariantFunction:
     def value(x, y):
-        u, k, on = lattice_parts(x, y)
+        _, d, on = lattice_parts(x, y)
         if on:
             return 0.0
-        pd = _LD(math.pi) * (u - k)
-        return float(np.cos(pd) / np.sin(pd) / _LD(y))
+        pd = math.pi * d
+        return float(np.cos(pd)) / float(np.sin(pd)) / y
 
     def array_value(xs, ys):
-        u, k, on = lattice_split(xs, ys)
-        pd = _LD(math.pi) * (u - k)
+        _, d, on = lattice_split(xs, ys)
+        pd = math.pi * d
         with np.errstate(divide="ignore"):  # 1/0 on the exact lattice
-            out = (np.cos(pd) / np.sin(pd) / _LD(ys)).astype(float)
+            out = np.cos(pd) / np.sin(pd) / ys
         return np.where(on, 0.0, out)
 
     return InvariantFunction(
@@ -467,17 +457,15 @@ def _make_e11() -> InvariantFunction:
 
 def _make_e12() -> InvariantFunction:
     def value(x, y):
-        _, k, on = lattice_parts(x, y)
-        if on and k <= 0:
+        k, _, on = lattice_parts(x, y)
+        if on and k <= 0.0:
             # on u in {0, -1, -2, ...}: log(y^u sqrt(2 pi y) / (-u)!)
-            k = int(k)
             return k * math.log(y) + 0.5 * (_LOG_2PI + math.log(y)) - log_gamma_abs(1.0 - k)
         u = x / y
         return u * math.log(y) + log_gamma_abs(u) - 0.5 * (_LOG_2PI + math.log(y))
 
     def array_value(xs, ys):
-        _, k, on = lattice_split(xs, ys)
-        k = k.astype(float)
+        k, _, on = lattice_split(xs, ys)
         pole = on & (k <= 0.0)
         logy = np.broadcast_to(per_scale(math.log, ys), xs.shape)
         out = np.empty(xs.shape)
@@ -502,24 +490,25 @@ def _make_e13(s: float) -> InvariantFunction:
     s = _float_param("s", s)
     if 0.0 <= s <= 1.0:
         raise RejectedInputError(f"E13 needs s > 1 or s < 0, got s={s}")
+    ld = np.longdouble  # the zeta sums and y^(-s) still need the x87 extended format
 
     if s > 1.0:
         def value(x, y):
             # u and the zeta sum stay in extended precision: near u = 0 the
             # value grows like u^-s and the scale-sum identity needs the
             # leading terms of both sides to cancel to ~1e-8 absolute
-            u = _LD(x) / _LD(y)
+            u = ld(x) / ld(y)
             if not u > 0.0:
                 raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {float(u)}")
-            return float(_LD(y) ** _LD(-s) * _LD(_hurwitz_sum_branch(s, u)))
+            return float(ld(y) ** ld(-s) * ld(_hurwitz_sum_branch(s, u)))
 
         def array_value(xs, ys):
-            u = xs.astype(_LD) / _LD(ys)
+            u = xs.astype(ld) / ld(ys)
             if not (u > 0.0).all():
                 bad = float(u[~(u > 0.0)][0])
                 raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {bad}")
-            zeta = _hurwitz_sum_array(s, u).astype(_LD)
-            return (_LD(ys) ** _LD(-s) * zeta).astype(float)
+            zeta = _hurwitz_sum_array(s, u).astype(ld)
+            return (ld(ys) ** ld(-s) * zeta).astype(float)
 
         return InvariantFunction(
             name="E13",
@@ -532,11 +521,11 @@ def _make_e13(s: float) -> InvariantFunction:
         )
 
     def value(x, y):
-        return float(_LD(y) ** _LD(-s) * _LD(hurwitz_zeta(s, x / y)))
+        return float(ld(y) ** ld(-s) * ld(hurwitz_zeta(s, x / y)))
 
     def array_value(xs, ys):
-        zeta = hurwitz_zeta_neg_array(s, xs / ys).astype(_LD)
-        return (_LD(ys) ** _LD(-s) * zeta).astype(float)
+        zeta = hurwitz_zeta_neg_array(s, xs / ys).astype(ld)
+        return (ld(ys) ** ld(-s) * zeta).astype(float)
 
     return InvariantFunction(
         name="E13",
@@ -550,21 +539,19 @@ def _make_e13(s: float) -> InvariantFunction:
 
 
 def _make_e14() -> InvariantFunction:
+    # the split at y/2: 2u = k2 + d2, and {u} < 1/2 where floor(2u) is even;
+    # the band is the lattice band of 2u, 2 LATTICE_RTOL max(1, |u|)
     def value(x, y):
-        u = _LD(x) / _LD(y)
-        k2 = np.rint(2.0 * u)
-        if abs(float(2.0 * u - k2)) <= 2.0 * LATTICE_RTOL * max(1.0, abs(float(u))):
-            return 0.0 if int(k2) % 2 != 0 else 1.0
-        return 1.0 if float(u - np.floor(u)) < 0.5 else -1.0
+        k2, d2, _ = lattice_parts(x, 0.5 * y)
+        if abs(d2) <= 2.0 * LATTICE_RTOL * max(1.0, abs(x / y)):
+            return 0.0 if k2 % 2.0 != 0.0 else 1.0
+        return 1.0 if (k2 - (d2 < 0.0)) % 2.0 == 0.0 else -1.0
 
     def array_value(xs, ys):
-        u = xs.astype(_LD) / _LD(ys)
-        k2 = np.rint(2.0 * u)
-        band = np.abs((2.0 * u - k2).astype(float)) <= 2.0 * LATTICE_RTOL * np.maximum(
-            1.0, np.abs(u.astype(float))
-        )
+        k2, d2, _ = lattice_split(xs, 0.5 * ys)
+        band = np.abs(d2) <= 2.0 * LATTICE_RTOL * np.maximum(1.0, np.abs(xs / ys))
         on = np.where(np.fmod(k2, 2.0) != 0.0, 0.0, 1.0)
-        off = np.where((u - np.floor(u)).astype(float) < 0.5, 1.0, -1.0)
+        off = np.where(np.fmod(k2 - (d2 < 0.0), 2.0) == 0.0, 1.0, -1.0)
         return np.where(band, on, off)
 
     return InvariantFunction(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConvergenceError, RejectedInputError
 
-_LD = np.longdouble
 _EPS = 2.220446049250313e-16
+_EXACT_INT = 2.0 ** 52  # every float at least this large is an integer
 _TWO_PI = 2.0 * math.pi
 
 #: relative margin (in units of y) that sample grids keep from singular points
@@ -36,24 +36,48 @@ ValueRule = Callable[[float, float], float]
 ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 
 
-def lattice_parts(x: float, y: float) -> tuple[np.longdouble, np.longdouble, bool]:
-    """The lattice test at one point: (u, k, on), with u = x/y and its nearest
-    integer k in extended precision, so that branch selection and near-lattice
-    evaluation (log-sine, cotangent) keep the offset u - k to full relative
-    accuracy even at ~1e-9, and `on` the band |u - k| <= LATTICE_RTOL max(1, |u|).
-    The lattice-aware floor of u is k where on, else floor(u)."""
-    u = _LD(x) / _LD(y)
-    k = np.rint(u)
-    return u, k, abs(float(u - k)) <= LATTICE_RTOL * max(1.0, abs(float(u)))
+def lattice_parts(x: float, y: float) -> tuple[float, float, bool]:
+    """The lattice test at one point: (k, d, on), with k the integer nearest
+    u = x/y (as a float; a tie goes to even k, as `np.rint` does), d = u - k
+    the offset to it, in [-1/2, 1/2], and `on` the band
+    |d| <= LATTICE_RTOL max(1, |u|).
+    The remainder r = fmod(x, y) is exact in IEEE arithmetic, and folding it
+    into [-y/2, y/2] with one subtraction of y is exact by Sterbenz's lemma,
+    so d = r/y carries one rounding: branch selection and near-lattice
+    evaluation (log-sine, cotangent) keep the offset to full relative
+    accuracy at any |u|.  The lattice-aware floor of u is k on the band,
+    else k - (d < 0)."""
+    r = math.fmod(x, y) + 0.0  # a zero remainder is +0.0, as in `lattice_split`
+    h = 0.5 * y
+    if r > h:
+        r -= y
+    elif r < -h:
+        r += y
+    q = (x - r) / y  # k, up to a rounding or two
+    k = float(round(q)) if abs(q) < _EXACT_INT else q
+    if (r == h or r == -h) and k % 2.0 != 0.0:  # a tie goes to even k
+        k += 1.0 if r > 0.0 else -1.0
+        r = -r
+    d = r / y
+    return k, d, abs(d) <= LATTICE_RTOL * max(1.0, abs(x / y))
 
 
 def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`lattice_parts` at each x of a float ndarray, at one scale ys or at
     an array of scales aligned with xs, element for element."""
-    u = xs.astype(_LD) / _LD(ys)
-    k = np.rint(u)
-    on = np.abs((u - k).astype(float)) <= LATTICE_RTOL * np.maximum(1.0, np.abs(u.astype(float)))
-    return u, k, on
+    r = np.fmod(xs, ys)
+    # rint(r/y) is 1 exactly where r > y/2 and -1 where r < -y/2, since y/2
+    # divides to 1/2 exactly: the fold of `lattice_parts` in one expression
+    r -= np.rint(r / ys) * ys
+    k = np.rint((xs - r) / ys) + 0.0  # +0.0 at x = -0.0, as `round` gives
+    d = r / ys
+    ad = np.abs(d)
+    tie = ad == 0.5
+    if np.count_nonzero(tie):
+        tie &= np.fmod(k, 2.0) != 0.0  # a tie goes to even k
+        k = np.where(tie, k + np.sign(d), k)
+        d = np.where(tie, -d, d)
+    return k, d, ad <= LATTICE_RTOL * np.maximum(1.0, np.abs(xs / ys))
 
 
 def per_scale(fn: Callable[[float], float], ys):
@@ -283,8 +307,8 @@ def frac_compose(f: InvariantFunction, t: float, sign: str = "plus") -> Invarian
     sgn = 1.0 if sign == "plus" else -1.0
 
     def inner_arg(x, y):
-        u, _, on = lattice_parts(t + sgn * x, y)
-        return y * (0.0 if on else float(u - np.floor(u)))
+        _, d, on = lattice_parts(t + sgn * x, y)
+        return y * (0.0 if on else d if d >= 0.0 else 1.0 + d)
 
     def value(x, y):
         return f.value(inner_arg(x, y), y)

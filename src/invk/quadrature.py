@@ -325,10 +325,14 @@ def integrate_many(
 
     Each job (a, b, interior_singularities) is the oriented integral over
     [a, b] of one integrand, with panels split at its interior singular
-    points.  The first round evaluates the initial panels of every job.
-    Each later round lets every unfinished job pop panels as a lone
-    integral does, until it needs a bisection, and then evaluates the
-    halves of all those bisections together.
+    points.  A point no farther from an end than the bisection floor,
+    4 eps max(|a|, |b|, |b - a|), is dropped: a cut there, such as a point
+    that rounding pulled back an ulp inside, would make a panel too narrow
+    to bisect whose nodes all sit on the singularity.  The first round
+    evaluates the initial panels of every job.  Each later round lets every
+    unfinished job pop panels as a lone integral does, until it needs a
+    bisection, and then evaluates the halves of all those bisections
+    together.
 
     `batch(ts, owners)` gets the round's nodes as a float ndarray, 15 per
     panel, and `owners`, the list of the index in `jobs` of each panel's
@@ -354,7 +358,8 @@ def integrate_many(
     for a, b, singular in jobs:
         lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
         if a != b:
-            cuts = sorted({float(p) for p in singular if lo < p < hi})
+            floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
+            cuts = sorted({float(p) for p in singular if p - lo > floor and hi - p > floor})
             edges = [lo, *cuts, hi]
             pending.append((len(states), edges[:-1], edges[1:], 0))
             width += len(cuts) + 1
@@ -413,8 +418,9 @@ def integrate(
     ndarray; a scalar one is called node by node.  Panel choice, error
     control and summation do not depend on which form is given.
 
-    Points in `interior_singularities` that fall strictly inside the range
-    become panel boundaries, so the integrand is never evaluated there.
+    Points in `interior_singularities` that fall strictly inside the range,
+    farther than the bisection floor from its ends, become panel boundaries,
+    so the integrand is never evaluated there.
     Returns converged=False (never raises) when the error estimate cannot be
     pushed below `tol` within the depth and panel budgets, and stops early
     once no bisection can reach `tol` (see `integrate_many`).

@@ -6,14 +6,16 @@ import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
-from invk.core import affine_transform, x_derivative
+from invk.core import EPS_SING, affine_transform, x_derivative
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import Vectorized, integrate
 from invk.special import bernoulli_poly
 from invk.verify import (
     DEFAULT_GRID,
     _PRODUCT_PAIRS,
+    GridSpec,
     _invariance_eval_points,
+    _sample_clear,
     check_invariance,
     grid_points,
 )
@@ -217,6 +219,21 @@ class TestAntiderivative:
     def test_rejects_nonintegrable(self):
         with pytest.raises(RejectedInputError):
             antiderivative(make("E11"))
+
+    def test_carries_the_singular_points(self):
+        # F has a kink wherever f jumps, so sample grids keep clear of them
+        f = make("E3b")
+        F = antiderivative(f)
+        assert F.singular_points(1.0, -2.0, 2.0) == f.singular_points(1.0, -2.0, 2.0)
+        assert F.singular_points(1.0, -2.0, 2.0) == (-2.0, -1.0, 0.0, 1.0, 2.0)
+        assert not _sample_clear(F, [(1.0 + 0.5 * EPS_SING, 1.0)])
+        grid = GridSpec(seed=3, samples=32, n_max=3)
+        pts = grid_points(F, grid, _invariance_eval_points(grid))
+        for x, y in pts:
+            for n in range(1, grid.n_max + 1):
+                for r in range(n):
+                    u = (x + r * y) / (n * y)
+                    assert abs(u - round(u)) * n * y >= EPS_SING * n * y * (1 - 1e-9)
 
 
 class TestGeometricConvolve:

@@ -130,11 +130,11 @@ class TestCrossIdentities:
             s1, _ = _trig_parts(x, y)
             D = rm1 * rm1 + 4.0 * rho * s1 * s1
             s1, s2 = _trig_parts(x, y)
-            dx = float(_TWO_PI / np.longdouble(y) * 2.0 * rho * s2 / D)
+            dx = _TWO_PI / y * 2.0 * rho * s2 / D
             c = 1.0 - 2.0 * s1 * s1
-            drho = -rho * np.longdouble(L) / np.longdouble(y) ** 2
-            dc = s2 * np.longdouble(_TWO_PI) * np.longdouble(x) / np.longdouble(y) ** 2
-            return dx, float((2.0 * drho * (rho - c) - 2.0 * rho * dc) / D)
+            drho = -rho * L / y ** 2
+            dc = s2 * _TWO_PI * x / y ** 2
+            return dx, (2.0 * drho * (rho - c) - 2.0 * rho * dc) / D
 
         rng = np.random.default_rng(7)
         ys = rng.uniform(0.25, 40.0, 40)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,9 +62,10 @@ class TestLatticeDetection:
         assert lattice_parts(x, y)[2]
 
     def test_scalar_test_equals_array_test(self):
-        # u, k and on of each point equal those of `lattice_split`, seeded
-        # and exact-lattice points, 1e-10 y (in the band) and 1e-6 y off the
-        # lattice, and relative offsets just inside and outside the band
+        # k, d and on of each point equal those of `lattice_split`, signs of
+        # zero too, at seeded and exact-lattice points, 1e-10 y (in the band)
+        # and 1e-6 y off the lattice, relative offsets just inside and outside
+        # the band, and half-lattice points
         rng = np.random.default_rng(17)
         for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 12).tolist()]:
             lattice = np.arange(-50.0, 51.0) * y
@@ -72,15 +74,76 @@ class TestLatticeDetection:
                 lattice + 1e-10 * y, lattice - 1e-10 * y,
                 lattice + 1e-6 * y, lattice - 1e-6 * y,
                 lattice * (1.0 + 5e-10), lattice * (1.0 - 2e-9),
+                lattice + 0.5 * y,
             ])
-            u, k, on = lattice_split(xs, y)
+            k, d, on = lattice_split(xs, y)
             parts = [lattice_parts(x, y) for x in xs.tolist()]
-            su = np.array([p[0] for p in parts], dtype=np.longdouble)
-            sk = np.array([p[1] for p in parts], dtype=np.longdouble)
-            assert np.array_equal(su, u) and np.array_equal(np.signbit(su), np.signbit(u)), y
-            assert np.array_equal(sk, k) and np.array_equal(np.signbit(sk), np.signbit(k)), y
+            for got, want in ((k, [p[0] for p in parts]), (d, [p[1] for p in parts])):
+                want = np.array(want)
+                assert np.array_equal(want, got) and np.array_equal(np.signbit(want), np.signbit(got)), y
             assert [p[2] for p in parts] == on.tolist(), y
             assert on.any() and not on.all()
+
+    def test_split_at_an_array_of_scales(self):
+        rng = np.random.default_rng(5)
+        ys = rng.uniform(0.25, 40.0, 200)
+        xs = rng.uniform(-30.0, 30.0, 200) * ys
+        k, d, on = lattice_split(xs, ys)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            assert (k[i], d[i], on[i]) == lattice_parts(x, y)
+
+
+class TestExactSplit:
+    """The split is exact up to one rounding: k is the integer nearest x/y,
+    ties to even, and d the correctly rounded x/y - k, checked against
+    `Fraction` arithmetic."""
+
+    @staticmethod
+    def _points(seed, count):
+        rng = np.random.default_rng(seed)
+        ks = rng.integers(-1000, 1001, count)
+        offsets = np.exp(rng.uniform(math.log(1e-10), math.log(0.3), count))
+        offsets *= rng.choice([-1.0, 1.0], count)
+        ys = rng.uniform(0.25, 40.0, count)
+        return (ks + offsets) * ys, ys
+
+    def test_fraction_oracle(self):
+        xs, ys = self._points(2024, 4000)
+        k, d, _ = lattice_split(xs, ys)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            u = Fraction(x) / Fraction(y)
+            exact_k = round(u)  # half-even, as np.rint
+            assert k[i] == exact_k, (x, y)
+            assert d[i] == float(u - exact_k), (x, y)  # one rounding of the exact offset
+            assert lattice_parts(x, y)[:2] == (k[i], d[i])
+
+    @pytest.mark.parametrize("x, y", [(2.5, 1.0), (-2.5, 1.0), (3.5, 1.0), (-3.5, 1.0),
+                                      (1.25, 0.5), (0.5, 1.0), (-0.5, 1.0), (1.5, 1.0)])
+    def test_ties_go_to_even(self, x, y):
+        k, d, on = lattice_parts(x, y)
+        assert k == np.rint(x / y) and k % 2.0 == 0.0
+        assert d == x / y - k and abs(d) == 0.5 and not on
+        ka, da, _ = lattice_split(np.array([x, x]), y)
+        assert ka.tolist() == [k, k] and da.tolist() == [d, d]
+
+    @pytest.mark.parametrize("y", [0.25, 0.7, 1.0, 3.7, 40.0])
+    def test_branch_entries_on_lattice_and_half_lattice(self, y):
+        e3a, e3b, e14 = make("E3a"), make("E3b"), make("E14")
+        ks = np.arange(-6.0, 7.0)
+        lattice, halves = ks * y, (ks + 0.5) * y
+        for f in (e3a, e3b, e14):
+            for xs in (lattice, halves):
+                assert f.values(xs, y).tolist() == [f.value(x, y) for x in xs.tolist()]
+        assert e3a.values(lattice, y).tolist() == ks.tolist()
+        assert e3a.values(halves, y).tolist() == ks.tolist()
+        assert e3b.values(lattice, y).tolist() == [-0.5] * ks.size
+        assert e3b.values(halves, y) == pytest.approx(0.0, abs=1e-13)
+        assert e14.values(lattice, y).tolist() == [1.0] * ks.size
+        assert e14.values(halves, y).tolist() == [0.0] * ks.size
+        # just off the half-lattice, the sign of 1/2 - {u}
+        assert e14.value(halves[3] - 1e-6 * y, y) == 1.0
+        assert e14.value(halves[3] + 1e-6 * y, y) == -1.0
+        assert e3b.value(lattice[3] - 1e-6 * y, y) == pytest.approx(0.5 - 1e-6, abs=1e-12)
 
 
 class TestAffineTransform:

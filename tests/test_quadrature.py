@@ -90,6 +90,24 @@ class TestIntegrate:
         )
         assert res.value == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("cut, sing", [
+        (math.nextafter(0.02, 1.0), 0.02),   # 1 ulp inside the left end
+        (0.02 + 0.4 - 0.4, 0.02),            # a pulled-back point, 5 ulps inside
+        (math.nextafter(0.5, 0.0), 0.5),     # 1 ulp inside the right end
+    ])
+    def test_cut_within_ulps_of_an_end_is_dropped(self, cut, sing):
+        # a cut there would make a panel too narrow to bisect, its 15 nodes
+        # on the log singularity at the end
+        a, b = 0.02, 0.5
+        assert 0.0 < min(cut - a, b - cut) <= 4.0 * 2.220446049250313e-16 * b  # the floor
+        phi = Vectorized(lambda ts: np.log(np.abs(ts - sing)))
+        cut_res = integrate(phi, a, b, 1e-10, (cut,))
+        plain = integrate(phi, a, b, 1e-10)
+        assert plain.converged
+        assert (cut_res.value.hex(), cut_res.error_estimate.hex(), cut_res.evaluations) == (
+            plain.value.hex(), plain.error_estimate.hex(), plain.evaluations
+        )
+
     def test_converged_respects_tolerance_invariant(self):
         res = integrate(lambda t: math.exp(-t * t), -3.0, 3.0, tol=1e-9)
         assert res.converged and res.error_estimate <= 1e-9
