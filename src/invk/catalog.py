@@ -196,7 +196,7 @@ def _make_e5(a: float) -> InvariantFunction:
     def array_value(xs, ys):
         # math.exp and math.expm1, not np.exp and np.expm1, which may differ
         # in the last bit
-        grow = np.array([math.exp(t) for t in (xs * L).tolist()])
+        grow = np.fromiter(map(math.exp, (xs * L).tolist()), float, xs.size)
         return grow / per_scale(lambda y: math.expm1(y * L), ys)
 
     def dx(x, y):

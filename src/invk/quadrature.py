@@ -18,15 +18,19 @@ panel choice and error control (Piessens et al., 1983), so its result is
 bit for bit that of a lone `integrate`, which is the one-job case.  The
 batch gets the round's nodes as one ndarray and may return an ndarray.  An
 integrand wrapped in `Vectorized` receives that array; a scalar integrand is
-still accepted and is called node by node.  Panel selection, error control
-and the order of every sum are the same either way, so the two forms give
-identical results.
+called node by node, straight from the node list.  Panel selection, error
+control and the order of every sum are the same either way, so the two
+forms give identical results.
 
-A round of at least `_COLUMN_MIN` panels builds its nodes and runs its
-Kronrod sums as ndarray columns, one element per panel (`_gk15_columns`);
-a narrower round builds them in Python and sums panel by panel (`_gk15`).
-Both do the same float operations in the same order, so a panel gets the
-same bits whichever round it falls in.
+A call decides once, from its job count, how it keeps its panels.  A wide
+call, of at least `_TABLE_MIN` jobs, keeps every panel in one
+structure-of-arrays table: each round builds its nodes and runs its Kronrod
+sums as ndarray columns, one element per panel (`_gk15_columns`), and each
+job's pop is a segmented selection over the table.  A narrow call, such as
+a lone `integrate` or a one-point convolution, keeps a heap per job and
+builds and sums its panels one by one in Python (`_gk15`).  Both do the
+same float operations in the same order, so a panel gets the same bits,
+and a job the same result, either way.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,11 +78,12 @@ _WG = (
 MAX_DEPTH = 40
 _MAX_PANELS = 20_000
 
-# A round of at least this many panels builds its nodes and Kronrod sums as
-# ndarray columns.  Measured on a 2-vCPU host (numpy 2.4), a column round
-# costs ~55-95 us plus ~1 us a panel, a Python round ~4-6 us a panel; they
-# break even at 12-16 panels.
-_COLUMN_MIN = 16
+# A call of at least this many jobs keeps its panels in one table and runs
+# every round as ndarray columns.  A table round costs ~0.1-0.3 ms whatever
+# its width, a heap round ~5 us a panel.  Timed on both paths, call by call,
+# over `verify --all` on a 2-vCPU host (numpy 2.4): the table took 1.2-1.3x
+# the heap's time at 22-30 jobs, 0.86x at 60 and 0.52x at 352.
+_TABLE_MIN = 40
 
 # A job whose heap panels all sit at their roundoff floor gives up once its
 # error sum exceeds this multiple of tol.  Bisecting such panels changes
@@ -171,12 +177,11 @@ _WK_COL = np.array((_WGK[7], *_WGK[:7]))[:, None]
 _WG_COL = np.array((_WG[3], *_WG[:3]))[:, None]
 
 
-def _column_nodes(lefts: list[float], rights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _column_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_nodes` as one array expression: the Kronrod nodes of the panels
-    [lefts[p], rights[p]] as a flat ndarray, panel after panel, and their
+    [lo[p], hi[p]] as a flat ndarray, panel after panel, and their
     half-widths h.  c + (-x) h is c - h x exactly, and the centre node is
     c itself, as in `_nodes`."""
-    lo, hi = np.array(lefts), np.array(rights)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     ts = c[:, None] + h[:, None] * _X15
@@ -198,9 +203,9 @@ def _weighted_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(weights * rows)[-1]
 
 
-def _gk15_columns(fv: np.ndarray, h: np.ndarray) -> tuple[list, list, list]:
+def _gk15_columns(fv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_gk15` over the columns of the (15, P) node values `fv` of P panels
-    with half-widths h: the lists of their integrals, error estimates and
+    with half-widths h: the arrays of their integrals, error estimates and
     floors, bit for bit those of `_gk15` panel by panel.
 
     Each step is one ndarray operation with `_gk15`'s order of operations;
@@ -217,12 +222,12 @@ def _gk15_columns(fv: np.ndarray, h: np.ndarray) -> tuple[list, list, list]:
         ah = np.abs(h)
         resasc *= ah
         err = np.abs((resk - resg) * h)
-        scale = np.array([t ** 1.5 for t in (200.0 * err / resasc).tolist()])
+        scale = np.fromiter(map(pow, (200.0 * err / resasc).tolist(), repeat(1.5)), float, n)
         scaled = np.where(scale < 1.0, resasc * scale, resasc)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
         floor = 50.0 * _EPS * resabs * ah
         est = np.where(floor > err, floor, err)
-        return (resk * h).tolist(), est.tolist(), floor.tolist()
+        return resk * h, est, floor
 
 
 def _out_of_reach(heap_err: float, done_err: float, above: int, tol: float) -> bool:
@@ -230,15 +235,15 @@ def _out_of_reach(heap_err: float, done_err: float, above: int, tol: float) -> b
     panels it can no longer split already exceed tol (their error sum only
     grows), or every panel left to split sits at its roundoff floor and the
     sum exceeds `_FLOOR_MARGIN` * tol (QUADPACK reports such a case as
-    roundoff, ier = 2)."""
+    roundoff, ier = 2).  `_table_rounds` tests the same elementwise."""
     return done_err > tol or (not above and heap_err + done_err > _FLOOR_MARGIN * tol)
 
 
 class _Job:
-    """The adaptive state of one integral of `integrate_many`: its heap of
-    panels, the panels it can no longer split, their error sums, the number
-    of heap panels whose error estimate is above its roundoff floor, the
-    next serial number and the evaluation count."""
+    """The adaptive state of one integral of a narrow `integrate_many` call:
+    its heap of panels, the panels it can no longer split, their error sums,
+    the number of heap panels whose error estimate is above its roundoff
+    floor, the next serial number and the evaluation count."""
 
     __slots__ = ("sign", "span", "heap", "done", "heap_err", "done_err", "above", "serial", "evals")
 
@@ -291,24 +296,6 @@ class _Job:
         self.heap_err, self.done_err, self.above = heap_err, done_err, above
         return halves
 
-    def push(self, lefts, rights, triples, depth: int) -> None:
-        """Push the panels [lefts[i], rights[i]] with their (integral, error
-        estimate, floor) taken in turn from the iterator `triples`, as
-        `step` does; a `step` with no panels then pops."""
-        heap = self.heap
-        serial = self.serial
-        above = self.above
-        added = 0.0
-        for left, right, (v, e, floor) in zip(lefts, rights, triples):
-            up = e > floor
-            heapq.heappush(heap, (-e, serial, left, right, v, e, depth, up))
-            serial += 1
-            above += up
-            added += e
-        self.serial, self.above = serial, above
-        self.evals += 15 * len(lefts)
-        self.heap_err += added
-
     def result(self, tol: float) -> QuadratureResult:
         heap, done = self.heap, self.done
         value = math.fsum(p[4] for p in heap) + math.fsum(v for v, _ in done)
@@ -316,8 +303,199 @@ class _Job:
         return QuadratureResult(self.sign * value, err, self.evals, err <= tol)
 
 
+def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) -> list:
+    """The (lo, hi, sign, edges) of each job (a, b, interior_singularities):
+    [lo, hi] is the range in order, sign its orientation and edges the ends
+    of its initial panels, none when a == b.  A singular point no farther
+    from an end than the bisection floor makes no cut."""
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise RejectedInputError("quadrature tolerance must be positive")
+    starts = []
+    for a, b, singular in jobs:
+        lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
+        edges = []
+        if a != b:
+            floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
+            cuts = sorted({float(p) for p in singular if p - lo > floor and hi - p > floor})
+            edges = [lo, *cuts, hi]
+        starts.append((lo, hi, sign, edges))
+    return starts
+
+
+def _heap_rounds(batch: Callable[[list[float], list[int]], Sequence[float]], starts, tol: float):
+    """The rounds of a narrow call: a heap per job, and each round's nodes
+    built and summed panel by panel.  `batch` gets the nodes as a list."""
+    states = [_Job(lo, hi, sign) for lo, hi, sign, _ in starts]
+    pending = [(j, edges[:-1], edges[1:], 0) for j, (*_, edges) in enumerate(starts) if edges]
+    while pending:
+        nodes: list[float] = []
+        owners: list[int] = []
+        for j, lefts, rights, _ in pending:
+            _nodes(lefts, rights, nodes)
+            owners += [j] * len(lefts)
+        fv = batch(nodes, owners)
+        if isinstance(fv, np.ndarray):
+            fv = fv.tolist()
+        split = []
+        pos = 0
+        for j, lefts, rights, depth in pending:
+            halves = states[j].step(lefts, rights, fv, pos, depth, tol)
+            pos += 15 * len(lefts)
+            if halves is not None:
+                split.append((j, *halves))
+        pending = split
+    return [job.result(tol) for job in states]
+
+
+_HEAP, _DONE, _SPLIT = 0, 1, 2  # where a table row's panel is
+
+
+_TABLE_COLUMNS = (float, float, float, float, bool, np.int64, np.int64, np.int64, np.int8)
+
+
+def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
+    """The table's columns (left, right, value, est, up, depth, serial, job
+    and state) with room for `rows` rows, its rows copied over."""
+    grown = [np.empty(rows, dtype=t) for t in _TABLE_COLUMNS]
+    for new, old in zip(grown, table):
+        new[:old.size] = old
+    return grown
+
+
+def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], starts, tol: float):
+    """The rounds of a wide call, with every panel in one table.
+
+    The table has one row per panel, in push order: left, right, value,
+    estimate, above-floor flag, depth, serial, job, and whether the panel
+    is on its job's heap, done, or split.  Each job's running sums and
+    counts are per-job arrays that advance by `_Job.step`'s operations in
+    its order.  A job's pop is its heap row of largest estimate, ties to
+    the smaller serial, as `heapq` orders (-estimate, serial).  The
+    bookkeeping runs with numpy's warnings off, as Python floats run:
+    inf - inf is nan.
+    """
+    n_jobs = len(starts)
+    span = np.array([hi - lo for lo, hi, _, _ in starts], dtype=float)
+    heap_err = np.zeros(n_jobs)
+    done_err = np.zeros(n_jobs)
+    above, serial, size = (np.zeros(n_jobs, dtype=np.int64) for _ in range(3))  # size: heap panels
+    count = np.array([max(len(edges) - 1, 0) for *_, edges in starts], dtype=np.int64)
+    jobs = np.flatnonzero(count)  # the jobs with panels to push, in order
+    count = count[jobs]
+    job = np.repeat(jobs, count)  # the job of each panel to push
+    left = np.array([e for *_, edges in starts for e in edges[:-1]], dtype=float)
+    right = np.array([e for *_, edges in starts for e in edges[1:]], dtype=float)
+    depth = np.zeros(job.size, dtype=np.int64)
+    table = _grow([], 4 * job.size + 64)
+    n = 0  # rows in use
+    picked = np.zeros(n_jobs, dtype=bool)
+    row_of = np.zeros(n_jobs, dtype=np.int64)
+    halves = False  # whether the panels to push are the halves of bisections
+    while jobs.size:
+        ts, h = _column_nodes(left, right)
+        fv = np.asarray(batch(ts, job.tolist()), dtype=float)
+        value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
+        with np.errstate(all="ignore"):
+            # push: a job's new panels take its next serials, and their
+            # estimates add up in order before they join heap_err
+            up = est > floor
+            if halves:
+                added = est[0::2] + est[1::2]
+                ups = up[0::2].astype(np.int64) + up[1::2]
+                rank = np.arange(job.size) & 1
+                count = 2
+            else:
+                first = np.cumsum(count) - count
+                added = np.zeros(jobs.size)
+                for k in range(int(count.max())):
+                    has = count > k
+                    added[has] += est[first[has] + k]
+                ups = np.add.reduceat(up.astype(np.int64), first)
+                rank = np.arange(job.size) - np.repeat(first, count)
+            if n + job.size > table[0].size:
+                table = _grow(table, 2 * (n + job.size))
+            t_left, t_right, t_value, t_est, t_up, t_depth, t_serial, t_job, state = table
+            rows = slice(n, n + job.size)
+            n += job.size
+            t_left[rows], t_right[rows], t_value[rows], t_est[rows] = left, right, value, est
+            t_up[rows], t_depth[rows], t_serial[rows], t_job[rows] = up, depth, serial[job] + rank, job
+            state[rows] = _HEAP
+            heap_err[jobs] += added
+            above[jobs] += ups
+            serial[jobs] += count
+            size[jobs] += count
+            # pop until each job needs a bisection or is finished; an active
+            # job has no nan estimate on its heap, or its heap_err is nan
+            active = jobs
+            split = []  # the rows that each pass bisects
+            while active.size:
+                he, de = heap_err[active], done_err[active]
+                go = (size[active] > 0) & (he + de > tol) & (serial[active] <= _MAX_PANELS)
+                # and not `_out_of_reach`
+                go &= ~((de > tol) | ((above[active] == 0) & (he + de > _FLOOR_MARGIN * tol)))
+                active = active[go]
+                if not active.size:
+                    break
+                picked[:] = False
+                picked[active] = True
+                rows = np.flatnonzero((state[:n] == _HEAP) & picked[t_job[:n]])
+                owner, e = t_job[rows], t_est[rows]
+                best = np.full(n_jobs, -np.inf)
+                np.maximum.at(best, owner, e)
+                hit = e == best[owner]
+                rows, owner = rows[hit], owner[hit]
+                if rows.size > active.size:  # ties: each job's smaller serial
+                    serials = t_serial[rows]
+                    low = np.full(n_jobs, np.iinfo(np.int64).max)
+                    np.minimum.at(low, owner, serials)
+                    won = serials == low[owner]
+                    rows, owner = rows[won], owner[won]
+                row_of[owner] = rows
+                top = row_of[active]
+                e = t_est[top]
+                heap_err[active] -= e
+                above[active] -= t_up[top]
+                size[active] -= 1
+                lo, hi = t_left[top], t_right[top]
+                width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[active])
+                stuck = (t_depth[top] >= MAX_DEPTH) | (hi - lo <= 4.0 * _EPS * width)
+                state[top] = np.where(stuck, _DONE, _SPLIT)
+                done_err[active[stuck]] += e[stuck]
+                split.append(top[~stuck])
+                active = active[stuck]
+            # the halves of every bisection, in job order, which each pass
+            # keeps on its own
+            top = np.concatenate(split) if split else jobs[:0]
+            if len(split) > 1:
+                top = top[np.argsort(t_job[top])]
+            jobs = t_job[top]
+            job = np.repeat(jobs, 2)
+            lo, hi = t_left[top], t_right[top]
+            mid = 0.5 * (lo + hi)
+            left = np.column_stack((lo, mid)).ravel()
+            right = np.column_stack((mid, hi)).ravel()
+            depth = np.repeat(t_depth[top] + 1, 2)
+            halves = True
+    # value and error: fsum over a job's heap panels plus fsum over its done ones
+    _, _, t_value, t_est, _, _, _, t_job, state = table
+    kept = np.flatnonzero(state[:n] != _SPLIT)
+    key = 2 * t_job[kept] + state[kept]  # 2 job + (0 heap, 1 done)
+    order = np.argsort(key)
+    kept = kept[order]
+    values = t_value[kept].tolist()
+    ests = t_est[kept].tolist()
+    bounds = np.searchsorted(key[order], np.arange(2 * n_jobs + 1)).tolist()
+    out = []
+    ends = zip(bounds[0::2], bounds[1::2], bounds[2::2])  # a job's heap rows, then its done rows
+    for (_, _, sign, _), pushed, (a, b, c) in zip(starts, serial.tolist(), ends):
+        value = math.fsum(values[a:b]) + math.fsum(values[b:c])
+        err = math.fsum(ests[a:b]) + math.fsum(ests[b:c])
+        out.append(QuadratureResult(sign * value, err, 15 * pushed, err <= tol))
+    return out
+
+
 def integrate_many(
-    batch: Callable[[list[float], list[int]], Sequence[float]],
+    batch: Callable[[np.ndarray, list[int]], Sequence[float]],
     jobs: Iterable[tuple[float, float, Iterable[float]]],
     tol: float,
 ) -> list[QuadratureResult]:
@@ -336,70 +514,27 @@ def integrate_many(
 
     `batch(ts, owners)` gets the round's nodes as a float ndarray, 15 per
     panel, and `owners`, the list of the index in `jobs` of each panel's
-    job: panel p covers ts[15p:15p + 15].  It returns the integrand values
-    at ts as a float ndarray or a list of floats.  A round of at least
-    `_COLUMN_MIN` panels builds its nodes and Kronrod sums as ndarray
-    columns; a narrower one panel by panel, with the same bits.
+    job, in increasing order: panel p covers ts[15p:15p + 15].  It returns the integrand values
+    at ts as a float ndarray or a list of floats.  A call of at least
+    `_TABLE_MIN` jobs keeps every panel in one table and runs each round's
+    nodes and Kronrod sums as ndarray columns; a narrower call keeps a heap
+    per job and sums panel by panel.  The choice is made once per call, and
+    both give the same bits.
 
-    Every job keeps its own heap, serial numbers, depth and panel budgets,
-    error sums and `fsum` order, so its result is the one a lone `integrate`
-    of its integrand gives, bit for bit.  A job that cannot meet `tol`
-    within the depth and panel budgets returns converged=False and does not
-    raise.  So does a job that no bisection can bring to tol, as soon as
-    that shows (`_out_of_reach`): the error of its panels at the depth or
-    width limit exceeds tol, or tol lies below the roundoff floor of its
-    error estimate.  It stops there instead of spending the panel budget.
+    Every job keeps its own panel order, serial numbers, depth and panel
+    budgets, error sums and `fsum` split between heap and done panels, so
+    its result is the one a lone `integrate` of its integrand gives, bit
+    for bit.  A job that cannot meet `tol` within the depth and panel
+    budgets returns converged=False and does not raise.  So does a job that
+    no bisection can bring to tol, as soon as that shows (`_out_of_reach`):
+    the error of its panels at the depth or width limit exceeds tol, or tol
+    lies below the roundoff floor of its error estimate.  It stops there
+    instead of spending the panel budget.
     """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise RejectedInputError("quadrature tolerance must be positive")
-    states = []
-    pending = []  # (job index, lefts, rights, depth) of the panels to evaluate
-    width = 0  # the number of panels in pending
-    for a, b, singular in jobs:
-        lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
-        if a != b:
-            floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
-            cuts = sorted({float(p) for p in singular if p - lo > floor and hi - p > floor})
-            edges = [lo, *cuts, hi]
-            pending.append((len(states), edges[:-1], edges[1:], 0))
-            width += len(cuts) + 1
-        states.append(_Job(lo, hi, sign))
-    while pending:
-        owners: list[int] = []
-        split = []
-        if width < _COLUMN_MIN:
-            nodes: list[float] = []
-            for j, lefts, rights, _ in pending:
-                _nodes(lefts, rights, nodes)
-                owners += [j] * len(lefts)
-            fv = batch(np.array(nodes), owners)
-            if isinstance(fv, np.ndarray):
-                fv = fv.tolist()
-            pos = 0
-            for j, lefts, rights, depth in pending:
-                halves = states[j].step(lefts, rights, fv, pos, depth, tol)
-                pos += 15 * len(lefts)
-                if halves is not None:
-                    split.append((j, *halves))
-        else:
-            los: list[float] = []
-            his: list[float] = []
-            for j, lefts, rights, _ in pending:
-                los += lefts
-                his += rights
-                owners += [j] * len(lefts)
-            ts, h = _column_nodes(los, his)
-            fv = np.asarray(batch(ts, owners), dtype=float)
-            triples = zip(*_gk15_columns(fv.reshape(width, 15).T, h))
-            for j, lefts, rights, depth in pending:
-                job = states[j]
-                job.push(lefts, rights, triples, depth)
-                halves = job.step((), (), (), 0, depth, tol)
-                if halves is not None:
-                    split.append((j, *halves))
-        pending = split
-        width = 2 * len(split)  # both halves of each bisection
-    return [job.result(tol) for job in states]
+    starts = _starts(jobs, tol)
+    if len(starts) >= _TABLE_MIN:
+        return _table_rounds(batch, starts, tol)
+    return _heap_rounds(lambda nodes, owners: batch(np.array(nodes), owners), starts, tol)
 
 
 def integrate(
@@ -415,8 +550,9 @@ def integrate(
     integrand.  Each refinement step makes one batch of nodes: first the 15
     nodes of every initial panel, then the 30 nodes of the two halves of the
     bisected panel.  A `Vectorized` integrand receives the batch as one
-    ndarray; a scalar one is called node by node.  Panel choice, error
-    control and summation do not depend on which form is given.
+    ndarray; a scalar one is called node by node, straight from the node
+    list.  Panel choice, error control and summation do not depend on which
+    form is given.
 
     Points in `interior_singularities` that fall strictly inside the range,
     farther than the bisection floor from its ends, become panel boundaries,
@@ -425,12 +561,11 @@ def integrate(
     pushed below `tol` within the depth and panel budgets, and stops early
     once no bisection can reach `tol` (see `integrate_many`).
     """
+    starts = _starts(((a, b, interior_singularities),), tol)
     if isinstance(phi, Vectorized):
         fn = phi.fn
-        batch = lambda ts, owners: fn(ts)
-    else:
-        batch = lambda ts, owners: [phi(t) for t in ts.tolist()]
-    return integrate_many(batch, ((a, b, interior_singularities),), tol)[0]
+        return _heap_rounds(lambda nodes, owners: fn(np.array(nodes)), starts, tol)[0]
+    return _heap_rounds(lambda nodes, owners: list(map(phi, nodes)), starts, tol)[0]
 
 
 def stall_error(context: str, a: float, b: float, res: QuadratureResult, tol: float) -> ConvergenceError:

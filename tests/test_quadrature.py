@@ -283,7 +283,7 @@ class TestIntegrateMany:
         calls, widths = [], []
 
         def batch(ts, owners):
-            assert isinstance(ts, np.ndarray)
+            assert isinstance(ts, np.ndarray) and owners == sorted(owners)
             own = np.repeat(owners, 15)
             out = np.empty(ts.size)
             for j in set(owners):
@@ -315,6 +315,8 @@ class TestIntegrateMany:
         assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
 
     def test_wide_rounds_run_as_columns(self, monkeypatch):
+        # a call of at least _TABLE_MIN jobs runs every round as columns,
+        # its late rounds of a few panels too
         columns = []
 
         def counted(fv, h):
@@ -322,21 +324,92 @@ class TestIntegrateMany:
             return _gk15_columns(fv, h)
 
         monkeypatch.setattr(quadrature, "_gk15_columns", counted)
-        got, widths = self._lockstep(self.JOBS * 6)
-        wide = [w for w in widths if w >= quadrature._COLUMN_MIN]
-        assert len(wide) >= 3 and min(widths) < quadrature._COLUMN_MIN  # both kinds of round
-        assert columns == wide
-        assert [r.converged for r in got] == [True, True, True, True, False, False, True] * 6
+        specs = self.JOBS * 8
+        assert len(specs) >= quadrature._TABLE_MIN
+        got, widths = self._lockstep(specs)
+        assert columns == widths
+        assert len(widths) >= 3 and min(widths) <= 16 < max(widths)  # wide and narrow rounds
+        assert [r.converged for r in got] == [True, True, True, True, False, False, True] * 8
 
     def test_narrow_rounds_never_run_as_columns(self, monkeypatch):
+        # a call of fewer than _TABLE_MIN jobs sums panel by panel, its
+        # first round of more than 16 panels too, and so does a lone integral
         def refuse(fv, h):
-            raise AssertionError("a narrow round reached the column kernel")
+            raise AssertionError("a narrow call reached the column kernel")
 
         monkeypatch.setattr(quadrature, "_gk15_columns", refuse)
-        _, widths = self._lockstep(self.JOBS[:4])
-        assert max(widths) < quadrature._COLUMN_MIN
+        specs = (self.JOBS * 8)[:quadrature._TABLE_MIN - 1]
+        _, widths = self._lockstep(specs)
+        assert widths[0] >= 16
         for fn, a, b, cuts in self.JOBS:
             integrate(Vectorized(fn), a, b, self.TOL, cuts)
+
+    def test_table_equals_lone_integrals_on_seeded_jobs(self, monkeypatch):
+        # 380 jobs in one call.  240 mixed ones: equal and reversed ranges,
+        # cuts within the bisection floor of an end, jumps that pop panels
+        # at the depth limit, roundoff floors above tol (constants, and
+        # large smooth integrands whose panels sink to their floors), NaN
+        # and inf values, and a panel budget of 400 that some jobs run out
+        # of.  40 odd integrands
+        # cut at the centre of a symmetric range, whose mirror panels tie
+        # on their estimates.  100 pairs of jumps far from 0, whose
+        # panels reach the width floor with less error than tol, so the job
+        # pops again after it
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 400)
+        rng = np.random.default_rng(2024)
+        kinds = [
+            lambda p: lambda ts: np.exp(p * ts),
+            lambda p: lambda ts: np.cos(40.0 * p * ts),
+            lambda p: lambda ts: np.cos(3000.0 * p * ts),
+            lambda p: lambda ts: np.abs(ts - p / 3.0),
+            lambda p: lambda ts: np.where(ts > p / 3.0, 10.0 ** (4.0 * abs(p)), 0.0),
+            lambda p: lambda ts: np.full(ts.shape, 1e7 * p),
+            lambda p: lambda ts: 1.0 / np.sqrt(np.abs(ts - p / 2.0)),
+            lambda p: lambda ts: np.where(ts > p, np.nan, ts),
+            lambda p: lambda ts: np.where(np.abs(ts - p) < 0.01, np.inf, 1.0),
+            lambda p: lambda ts: np.sin(ts) * (1.0 + 1e6 * (p > 1.5)),
+            lambda p: lambda ts: 1e6 * np.exp(p * ts),
+        ]
+        specs = []
+        for _ in range(240):
+            kind = int(rng.integers(len(kinds)))
+            p = float(rng.uniform(-2.0, 2.0))
+            a, b = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+            if rng.random() < 0.05:
+                b = a
+            cuts = [p / 2.0] if kind == 6 else []
+            if rng.random() < 0.2:
+                cuts += [np.nextafter(a, b), np.nextafter(b, a), 0.5 * (a + b)]  # two sub-floor cuts
+            specs.append((kinds[kind](p), a, b, cuts))
+        for _ in range(40):
+            k, a = (float(v) for v in rng.uniform((2.0, 0.5), (80.0, 2.0)))
+            specs.append((lambda ts, k=k: ts / (1.0 + (k * ts) ** 2), -a, a, [0.0]))
+        for _ in range(100):
+            off = 10.0 ** float(rng.uniform(4.5, 7.0))
+            c1, c2 = (off + float(v) for v in rng.uniform((0.1, 1.1), (0.9, 1.9)))
+            jump = 10.0 ** float(rng.uniform(-1.5, 1.0))
+            specs.append((lambda ts, c1=c1, c2=c2, jump=jump, off=off: np.where(ts > c1, jump, 0.0)
+                          + np.where(ts > c2, jump, 0.0) + np.cos(3.0 * (ts - off)), off, off + 2.0, []))
+
+        def batch(ts, owners):
+            assert owners == sorted(owners)
+            own = np.repeat(owners, 15)
+            out = np.empty(ts.size)
+            for j in set(owners):
+                out[own == j] = specs[j][0](ts[own == j])
+            return out
+
+        tol = 1e-10
+        got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        outcomes = set()
+        for (fn, a, b, cuts), res in zip(specs, got):
+            want = integrate(Vectorized(fn), a, b, tol, cuts)
+            assert res.value.hex() == want.value.hex()
+            assert res.error_estimate.hex() == want.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
+            outcomes.add((res.converged, math.isnan(res.value), res.evaluations >= 15 * 400))
+        assert outcomes >= {(True, False, False), (False, False, False), (False, True, False),
+                            (False, False, True)}
 
     def test_integrate_is_the_one_job_case(self):
         seen = []

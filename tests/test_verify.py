@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from invk import covering, quadrature, verify
-from invk.catalog import make
-from invk.core import EPS_SING, affine_transform, frac_compose, linear_combination, reflect
+from invk.algebra import convolve
+from invk.catalog import make, standard_configs
+from invk.core import (
+    EPS_SING,
+    InvariantFunction,
+    affine_transform,
+    frac_compose,
+    linear_combination,
+    reflect,
+)
 from invk.covering import parse_system
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import LimitResult, QuadratureResult, integrate
@@ -29,6 +37,7 @@ from invk.verify import (
     check_y_derivative_identities,
     check_zeta_convolution,
     golden_integral,
+    grid_points,
     zeta_power_kernel,
 )
 
@@ -96,6 +105,115 @@ class TestGridPoints:
         assert outcomes == {True, False}
 
 
+    @staticmethod
+    def _all_pairs_grid(f, grid, eval_points):
+        """`grid_points` with every attempt's points built and tested by an
+        all-pairs scan: each x' of a scale against each singular point in
+        its window.  Returns the samples and the number of attempts."""
+        rng = np.random.default_rng(grid.seed)
+        pts = []
+        attempts = 0
+        while len(pts) < grid.samples:
+            attempts += 1
+            y = float(rng.uniform(*grid.y_range))
+            x = float(rng.uniform(*grid.x_range)) * y
+            by_scale = {}
+            for xe, ye in eval_points(x, y):
+                if f.domain is not None and not f.domain(xe, ye):
+                    break
+                by_scale.setdefault(ye, []).append(xe)
+            else:
+                for ye, xs in by_scale.items():
+                    margin = EPS_SING * ye
+                    w = 4.0 * margin
+                    near = f.singular_points(ye, min(xs) - w, max(xs) + w)
+                    if any(abs(xe - s) < margin for xe in xs for s in near):
+                        break
+                else:
+                    pts.append((x, y))
+        return pts, attempts
+
+    def test_grid_points_equal_the_all_pairs_test(self):
+        # every attempt gets the same decision, so every grid is the same
+        grids = [(make(eid, **params), DEFAULT_GRID) for eid, params in standard_configs()]
+        grids += [(convolve(make(g, **gp), make(h, **hp), 1e-9), replace(DEFAULT_GRID, n_max=6))
+                  for (g, gp), (h, hp) in verify._PRODUCT_PAIRS]
+        grids.append((replace(make("E5", a=2.0), domain=lambda x, y: x > 0.0), DEFAULT_GRID))
+        rejecting = 0
+        for f, grid in grids:
+            eval_points = verify._invariance_eval_points(grid)
+            want, attempts = self._all_pairs_grid(f, grid, eval_points)
+            assert grid_points(f, grid, eval_points) == want, f.name
+            rejecting += attempts > grid.samples
+        assert rejecting >= 3  # E13(s > 0) and the E5 above, whose domain is x > 0
+
+
+def _report_bytes(rep) -> str:
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+
+class TestBatchedSamples:
+    """Consecutive samples of a check share one `values` call; every report
+    is the one that a call per sample gives, byte for byte."""
+
+    CONV_GRID = replace(SMALL_GRID, n_max=6)
+
+    @staticmethod
+    def _checks(f, grid):
+        return [check_invariance(f, grid, 1e-7), check_exchange(f, 2, 3, grid, 1e-8)]
+
+    def _compare(self, monkeypatch, f, grid):
+        calls = []
+        values = InvariantFunction.values
+
+        def counted(self, xs, ys):
+            if self is f:
+                calls.append(xs.size)
+            return values(self, xs, ys)
+
+        monkeypatch.setattr(InvariantFunction, "values", counted)
+        batched = [_report_bytes(r) for r in self._checks(f, grid)]
+        assert max(calls) <= verify._MAX_POINTS and len(calls) < 2 * grid.samples
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_MAX_POINTS", 1)  # one sample a call
+            calls.clear()
+            single = [_report_bytes(r) for r in self._checks(f, grid)]
+        assert len(calls) == 2 * grid.samples
+        assert batched == single
+
+    @pytest.mark.parametrize("config", standard_configs(), ids=lambda c: f"{c[0]}{c[1]}")
+    def test_standard_configs(self, config, monkeypatch):
+        eid, params = config
+        self._compare(monkeypatch, make(eid, **params), DEFAULT_GRID)
+
+    @pytest.mark.parametrize("pair", verify._PRODUCT_PAIRS, ids=lambda p: f"{p[0][0]}*{p[1][0]}")
+    def test_convolution_pairs(self, pair, monkeypatch):
+        (g, gp), (h, hp) = pair
+        self._compare(monkeypatch, convolve(make(g, **gp), make(h, **hp), 1e-9), self.CONV_GRID)
+
+    def test_stalled_term_raises_the_same_error(self, monkeypatch):
+        # g is nan at scales from a threshold that the first three samples
+        # stay below, so a later sample, inside the first call, stalls first
+        e5 = make("E5", a=2.0)
+        grid = self.CONV_GRID
+        e9 = make("E9", r=0.5)
+        pts = grid_points(convolve(e5, e9, 1e-9), grid, verify._invariance_eval_points(grid))
+        bound = max(grid.n_max * y for _, y in pts[:3])
+        assert any(grid.n_max * y > bound for _, y in pts[3:8])
+
+        def nan_above(xs, ys):
+            return np.where(np.asarray(ys) > bound, np.nan, e5.array_value(xs, ys))
+
+        conv = convolve(replace(e5, array_value=nan_above), e9, 1e-9)
+        with pytest.raises(ConvergenceError) as batched:
+            check_invariance(conv, grid, 1e-7)
+        monkeypatch.setattr(verify, "_MAX_POINTS", 1)
+        with pytest.raises(ConvergenceError) as single:
+            check_invariance(conv, grid, 1e-7)
+        assert "stalled" in str(batched.value)
+        assert str(batched.value) == str(single.value)
+
+
 class TestInvariance:
     def test_floor_single_probe_by_hand(self):
         f = make("E3a")
@@ -159,14 +277,19 @@ class TestInvariance:
             calls.append(xs.size)
             return e9.array_value(xs, ys)
 
+        # a sample's points are never split between calls, and consecutive
+        # samples fill a call up to _MAX_POINTS points
         f = replace(e9, array_value=counted)
         rep = check_invariance(f, SMALL_GRID, 1e-8)
         points = 1 + SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
-        assert calls == [points] * SMALL_GRID.samples
+        per_call = verify._MAX_POINTS // points
+        assert per_call > 1
+        full, rest = divmod(SMALL_GRID.samples, per_call)
+        assert calls == [per_call * points] * full + [rest * points] * (rest > 0)
         assert rep.to_json_dict() == check_invariance(e9, SMALL_GRID, 1e-8).to_json_dict()
         calls.clear()
         rep = check_exchange(f, 2, 3, SMALL_GRID, 1e-8)
-        assert calls == [2 + 3] * SMALL_GRID.samples
+        assert calls == [(2 + 3) * SMALL_GRID.samples]
         assert rep.to_json_dict() == check_exchange(e9, 2, 3, SMALL_GRID, 1e-8).to_json_dict()
 
     def test_deterministic_bytes(self):
