@@ -27,7 +27,7 @@ grid = GridSpec(seed=3, samples=24, n_max=6)
 constructions = [
     ("affine: 2 f(0.5 + 3x, 3y) of E5(2)", affine_transform(make("E5", a=2.0), 2.0, 0.5, 3.0)),
     ("reflect: f(y - x, y) of log-sine", reflect(make("E10"))),
-    ("frac wrap of quadratic Bernoulli", frac_compose(make("E2", m=2), 0.3, "plus")),
+    ("frac wrap of quadratic Bernoulli", frac_compose(make("E2", m=2), 0.3)),
     ("x-derivative of the log quotient E7", x_derivative(make("E7", r=0.5))),
     ("linear combination E1 - 2 E2(1)", linear_combination([(1.0, make("E1")), (-2.0, make("E2", m=1))])),
     ("cosine series with geometric weights", from_fourier(lambda t: 0.5 ** t, "cos", 1e-9)),
@@ -42,7 +42,7 @@ for label, f in constructions:
     print(f"  {label:<44} max err {rep.max_abs_error:.2e}  pass={rep.passed}")
 
 print("\nsmall identities worth seeing once:")
-f = frac_compose(make("E2", m=1), 0.0, "plus")
+f = frac_compose(make("E2", m=1), 0.0)
 print(f"  wrapped linear at x=1.7:   {{1.7}} - 1/2 = {f.value(1.7, 1.0):+.4f}")
 
 d = step_difference(make("E3a"))

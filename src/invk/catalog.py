@@ -9,6 +9,12 @@ is computed in float64 from the offset d to the nearest lattice point,
 which carries one rounding, so it stays accurate where the verification
 grids probe closest.  Only E2 and E13 still compute in the x87 long double.
 
+E7, E8 and E9 are three views of one real quantity, D = |1 - rho e^(2 pi i u)|^2
+= (rho - 1)^2 + 4 rho sin^2(pi u) with rho = r^(1/y): E7 = log D,
+E8 = rho sin(2 pi u)/(y D) and E9 = -(rho - 1)(1 + rho)/(y D).  Their values
+and partials read D and its parts from one helper, `_quotient_parts`, in
+real arithmetic; only E6 computes with complex numbers.
+
 Every entry but E6 also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
 for bit; E6 keeps its `cmath` rule, which `values` maps point by point.
@@ -36,7 +42,7 @@ Entry summary (x, y real, y > 0, u = x/y):
 
 from __future__ import annotations
 
-import cmath
+import cmath  # for E6 alone, the catalog's one complex entry
 import math
 from typing import Callable
 
@@ -212,10 +218,8 @@ def _make_e5(a: float) -> InvariantFunction:
 
 
 def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
-    r = _float_param("r", r)
+    r = _radius("E6", r)
     theta = _float_param("theta", theta)
-    if r <= 0.0 or r == 1.0:
-        raise RejectedInputError(f"E6 needs r > 0, r != 1, got r={r}")
     if part not in ("cos", "sin"):
         raise RejectedInputError(f"E6 part must be 'cos' or 'sin', got {part!r}")
     L = complex(math.log(r), theta)
@@ -276,33 +280,48 @@ def _rho_parts(r: float, y) -> tuple[float, float]:
     return rm1 + 1.0, rm1
 
 
+def _quotient_parts(r: float, x, y):
+    """(rho, rho - 1, sin(pi u), sin(2 pi u), D) at u = x/y, the parts of E7,
+    E8 and E9 (see the module docstring); D is a sum of nonnegative terms, so
+    it keeps full relative accuracy near the lattice.  x may also be a float
+    ndarray, y one scale or scales aligned with it: the same expression runs
+    for scalars and arrays, bit for bit."""
+    rho, rm1 = _rho_parts(r, y)
+    s1, s2 = _trig_parts_array(x, y) if isinstance(x, np.ndarray) else _trig_parts(x, y)
+    return rho, rm1, s1, s2, rm1 * rm1 + 4.0 * rho * s1 * s1
+
+
+def _quotient_partials(r: float, x: float, y: float) -> tuple[float, float, float, float]:
+    """(y E8, y E9, re, im) with re + i im = w/(1 - w)^2, w = rho e^(2 pi i u).
+
+    y E8 = Im q and y E9 = 1 + 2 Re q with q = w/(1 - w), whose partials are
+    q_x = (2 pi i/y) w/(1 - w)^2 and q_y = -((log r + 2 pi i x)/y^2) w/(1 - w)^2.
+    In real form w (1 - conj w)^2 = rho ((rho - 1)^2 - 2 (1 + rho^2) sin^2(pi u))
+    + i rho (1 - rho^2) sin(2 pi u), over D^2, with 1 - rho^2 = -(rho - 1)(1 + rho)
+    free of cancellation."""
+    rho, rm1, s1, s2, D = _quotient_parts(r, x, y)
+    one_minus_sq = -rm1 * (1.0 + rho)
+    D2 = D * D
+    re = rho * (rm1 * rm1 - 2.0 * (1.0 + rho * rho) * s1 * s1) / D2
+    return rho * s2 / D, one_minus_sq / D, re, rho * one_minus_sq * s2 / D2
+
+
 def _make_e7(r: float) -> InvariantFunction:
-    r = _float_param("r", r)
-    if r <= 0.0 or r == 1.0:
-        raise RejectedInputError(f"E7 needs r > 0, r != 1, got r={r}")
+    r = _radius("E7", r)
     L = math.log(r)
 
-    def parts(x, y):
-        """(r^(1/y), sin(pi x/y), sin(2 pi x/y), D) from one lattice split,
-        D = (r^(1/y) - 1)^2 + 4 r^(1/y) sin^2(pi x/y) the argument of the log."""
-        rho, rm1 = _rho_parts(r, y)
-        s1, s2 = _trig_parts(x, y)
-        return rho, s1, s2, rm1 * rm1 + 4.0 * rho * s1 * s1
-
     def value(x, y):
-        return float(np.log(parts(x, y)[3]))  # numpy's log, as the array rule's
+        return float(np.log(_quotient_parts(r, x, y)[4]))  # numpy's log, as the array rule's
 
     def array_value(xs, ys):
-        rho, rm1 = _rho_parts(r, ys)
-        s1, _ = _trig_parts_array(xs, ys)
-        return np.log(rm1 * rm1 + 4.0 * rho * s1 * s1)
+        return np.log(_quotient_parts(r, xs, ys)[4])
 
     def dx(x, y):
-        rho, _, s2, D = parts(x, y)
+        rho, _, _, s2, D = _quotient_parts(r, x, y)
         return _TWO_PI / y * 2.0 * rho * s2 / D
 
     def dy(x, y):
-        rho, s1, s2, D = parts(x, y)
+        rho, _, s1, s2, D = _quotient_parts(r, x, y)
         c = 1.0 - 2.0 * s1 * s1  # cos(2 pi x / y)
         drho = -rho * L / y ** 2
         dc = s2 * _TWO_PI * x / y ** 2
@@ -314,63 +333,23 @@ def _make_e7(r: float) -> InvariantFunction:
     )
 
 
-def _pole_free_w(r: float, x: float, y: float) -> tuple[complex, complex]:
-    """w = r^(1/y) e^(2 pi i x/y) and 1 - w, the latter cancellation-free."""
-    rho, rm1 = _rho_parts(r, y)
-    s1, s2 = _trig_parts(x, y)
-    w = complex(rho * (1.0 - 2.0 * s1 * s1), rho * s2)
-    one_minus = complex(-rm1 + 2.0 * rho * s1 * s1, -rho * s2)
-    return w, one_minus
-
-
-def _pole_free_w_array(r: float, xs: np.ndarray, ys):
-    """`_pole_free_w` at each x of a float ndarray, as the float arrays
-    (re w, im w, re (1 - w), im (1 - w)), bit for bit."""
-    rho, rm1 = _rho_parts(r, ys)
-    s1, s2 = _trig_parts_array(xs, ys)
-    return rho * (1.0 - 2.0 * s1 * s1), rho * s2, -rm1 + 2.0 * rho * s1 * s1, -rho * s2
-
-
-def _complex_quotient(ar, ai, br, bi):
-    """Real and imaginary parts of CPython's complex division
-    (ar + i ai) / (br + i bi), elementwise: it divides through by the
-    larger-magnitude part of the divisor (Smith's method), so the roles of
-    the parts are swapped where |bi| > |br|."""
-    by_real = np.abs(br) >= np.abs(bi)
-    a1, a2 = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
-    b1, b2 = np.where(by_real, br, bi), np.where(by_real, bi, br)
-    ratio = b2 / b1
-    denom = b1 + b2 * ratio
-    imag = np.where(by_real, a2 - a1 * ratio, a1 * ratio - a2)
-    return (a1 + a2 * ratio) / denom, imag / denom
-
-
 def _make_e8(r: float) -> InvariantFunction:
-    r = _float_param("r", r)
-    if r <= 0.0 or r == 1.0:
-        raise RejectedInputError(f"E8 needs r > 0, r != 1, got r={r}")
+    r = _radius("E8", r)
     L = math.log(r)
 
     def value(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        return (w / omw).imag / y
-
-    def array_value(xs, ys):
-        wr, wi, br, bi = _pole_free_w_array(r, xs, ys)
-        return _complex_quotient(wr, wi, br, bi)[1] / ys
+        rho, _, _, s2, D = _quotient_parts(r, x, y)
+        return rho * s2 / (y * D)
 
     def dx(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        return (2.0j * math.pi * w / (omw * omw)).imag / (y * y)
+        return _TWO_PI * _quotient_partials(r, x, y)[2] / (y * y)
 
     def dy(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        term1 = -w / omw / (y * y)
-        term2 = -w * complex(L, _TWO_PI * x) / (omw * omw) / y ** 3
-        return (term1 + term2).imag
+        q, _, re, im = _quotient_partials(r, x, y)
+        return -(q + (L * im + _TWO_PI * x * re) / y) / (y * y)
 
     return InvariantFunction(
-        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value
     )
 
 
@@ -381,27 +360,18 @@ def _make_e9(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        return ((1.0 + w) / omw).real / y
-
-    def array_value(xs, ys):
-        # (1 + w) / (1 - w); the imaginary part of 1 + w is that of w, up
-        # to the sign of a zero, which does not reach the real quotient
-        wr, wi, br, bi = _pole_free_w_array(r, xs, ys)
-        return _complex_quotient(1.0 + wr, wi, br, bi)[0] / ys
+        rho, rm1, _, _, D = _quotient_parts(r, x, y)
+        return -rm1 * (1.0 + rho) / (y * D)
 
     def dx(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        return (4.0j * math.pi * w / (omw * omw)).real / (y * y)
+        return -2.0 * _TWO_PI * _quotient_partials(r, x, y)[3] / (y * y)
 
     def dy(x, y):
-        w, omw = _pole_free_w(r, x, y)
-        term1 = -(1.0 + w) / omw / (y * y)
-        term2 = -2.0 * w * complex(L, _TWO_PI * x) / (omw * omw) / y ** 3
-        return (term1 + term2).real
+        _, q, re, im = _quotient_partials(r, x, y)
+        return -(q + 2.0 * (L * re - _TWO_PI * x * im) / y) / (y * y)
 
     return InvariantFunction(
-        name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+        name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value
     )
 
 
@@ -573,6 +543,14 @@ def _int_param(name: str, v) -> int:
     except (TypeError, ValueError):
         raise RejectedInputError(f"parameter {name} must be an integer, got {v!r}") from None
     return iv
+
+
+def _radius(name: str, r) -> float:
+    """The r of E6, E7 and E8: a finite number, r > 0 and r != 1."""
+    r = _float_param("r", r)
+    if r <= 0.0 or r == 1.0:
+        raise RejectedInputError(f"{name} needs r > 0, r != 1, got r={r}")
+    return r
 
 
 def _float_param(name: str, v) -> float:

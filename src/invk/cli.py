@@ -23,6 +23,7 @@ from .errors import ConvergenceError, InvkError, RejectedInputError
 from .verify import (
     DEFAULT_GRID,
     check_invariance,
+    default_tolerance,
     golden_integral,
     standard_suite,
 )
@@ -165,13 +166,18 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _grid_from(args)
     if args.all:
+        given = [flag for flag in ("fn", "params", "tol") if getattr(args, flag) is not None]
+        if given:
+            raise RejectedInputError(
+                f"verify --all runs the pinned suite and takes no --{', --'.join(given)}"
+            )
         reports = standard_suite(grid)
         _emit(args, _dump_json([r.to_json_dict() for r in reports]))
         return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
     if not args.fn:
         raise RejectedInputError("verify needs --fn or --all")
     f = catalog.make(args.fn, **_parse_params(args.params))
-    tol = args.tol if args.tol is not None else (1e-6 if f.series_tolerance > 0 else 1e-8)
+    tol = args.tol if args.tol is not None else default_tolerance(f)
     report = check_invariance(f, grid, tol)
     _emit(args, _dump_json(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_FAILED

@@ -292,40 +292,34 @@ def reflect(f: InvariantFunction) -> InvariantFunction:
     )
 
 
-def frac_compose(f: InvariantFunction, t: float, sign: str = "plus") -> InvariantFunction:
-    """Compose f with the y-scaled fractional part of (t +/- x)/y.
+def frac_compose(f: InvariantFunction, t: float) -> InvariantFunction:
+    """F(x, y) = f(y * {(t + x)/y}, y), f composed with the y-scaled
+    fractional part of (t + x)/y; f(y * {(t - x)/y}, y) is its `reflect`.
 
-    plus:  F(x, y) = f(y * {(t + x)/y}, y)
-    minus: F(x, y) = f(y * {(t - x)/y}, y)
-
-    The minus variant equals reflect(plus variant).  The wrapped argument
-    lives in [0, y), so the result is periodic in x with period y and is
-    marked piecewise (the wrap introduces jump points).
+    The wrapped argument lives in [0, y), so the result is periodic in x with
+    period y and is marked piecewise (the wrap introduces jump points).
     """
-    if sign not in ("plus", "minus"):
-        raise RejectedInputError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    sgn = 1.0 if sign == "plus" else -1.0
 
     def inner_arg(x, y):
-        _, d, on = lattice_parts(t + sgn * x, y)
+        _, d, on = lattice_parts(t + x, y)
         return y * (0.0 if on else d if d >= 0.0 else 1.0 + d)
 
     def value(x, y):
         return f.value(inner_arg(x, y), y)
 
-    dx = (lambda x, y: sgn * f.dx(inner_arg(x, y), y)) if f.dx else None
+    dx = (lambda x, y: f.dx(inner_arg(x, y), y)) if f.dx else None
 
     def points(y, lo, hi):
-        pts = set(lattice_points(sgn * -t, y, lo, hi) if sign == "minus" else lattice_points(-t, y, lo, hi))
-        # wrap points where (t +/- x)/y is an integer: x = sgn*(k*y - t)
+        pts = set(lattice_points(-t, y, lo, hi))
+        # wrap points where (t + x)/y is an integer: x = k*y - t
         for s in f.singular_points(y, 0.0, y):
-            pts.update(lattice_points(sgn * (s - t), y, lo, hi))
+            pts.update(lattice_points(s - t, y, lo, hi))
         return tuple(sorted(pts))
 
     return InvariantFunction(
-        name=f"frac_{sign}({f.name})",
+        name=f"frac({f.name})",
         value=value,
-        params={"t": t, "sign": sign, "inner": f.name},
+        params={"t": t, "inner": f.name},
         dx=dx,
         singular_points=points,
         series_tolerance=f.series_tolerance,

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import lattice_split
 from .errors import (
     CapacityError,
     PoleError,
@@ -200,17 +201,6 @@ def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
     return acc.astype(float)
 
 
-def _sin_cos_pi(t):
-    """sin(pi t) and cos(pi t) from t = n + f, n the nearest integer, as
-    (-1)^n sin(pi f) and (-1)^n cos(pi f): the sine is exactly 0 at integer t,
-    so the trivial zeros zeta(-2m, 1) = zeta(-2m, 1/2) = 0 stay exact instead
-    of the huge prefactor times rounding."""
-    n = np.rint(t)
-    sign = 1.0 - 2.0 * np.fmod(np.abs(n), 2.0)
-    f = math.pi * (t - n)
-    return sign * np.sin(f), sign * np.cos(f)
-
-
 def _hurwitz_fourier_sum(s: float, u: float) -> float:
     """zeta(s, u) for s < -4, u in (0, 1], by Hurwitz's trigonometric series
 
@@ -224,14 +214,19 @@ def _hurwitz_fourier_sum(s: float, u: float) -> float:
     except OverflowError:
         raise UnsupportedRegionError(f"zeta(s, x) overflows double precision at s={s}") from None
     k = np.arange(1.0, _FOURIER_TERMS + 1.0)
-    sin_k, cos_k = _sin_cos_pi(2.0 * k * u)
-    sin_s, cos_s = _sin_cos_pi(0.5 * s)
+    # sin(pi t) and cos(pi t) at t = 2 k u and t = s/2 as (-1)^n times those
+    # of pi d, t = n + d split exactly: the sine is exactly 0 at integer t,
+    # so the trivial zeros zeta(-2m, 1) = zeta(-2m, 1/2) = 0 stay exact
+    # instead of the huge prefactor times rounding
+    n, d, _ = lattice_split(np.append(2.0 * k * u, 0.5 * s), 1.0)
+    sign = 1.0 - 2.0 * np.fmod(np.abs(n), 2.0)
+    sines, cosines = sign * np.sin(math.pi * d), sign * np.cos(math.pi * d)
     weight = k ** (s - 1.0)
     # elementwise sums, not a dot product, so no BLAS threads start
-    cos_sum = float(np.sum(weight * cos_k))
-    sin_sum = float(np.sum(weight * sin_k))
+    cos_sum = float(np.sum(weight * cosines[:-1]))
+    sin_sum = float(np.sum(weight * sines[:-1]))
     # + 0.0 turns a signed zero into 0.0 and leaves every other value as is
-    return pref * (float(sin_s) * cos_sum + float(cos_s) * sin_sum) + 0.0
+    return pref * (float(sines[-1]) * cos_sum + float(cosines[-1]) * sin_sum) + 0.0
 
 
 def hurwitz_zeta(s: float, x: float) -> float:

@@ -605,14 +605,19 @@ _CERT_FUNCTIONS = (
 )
 
 
+def default_tolerance(f: InvariantFunction) -> float:
+    """The invariance tolerance for f when none is given: 1e-6 for an entry
+    whose value is a truncated series, 1e-8 otherwise."""
+    return 1e-6 if f.series_tolerance > 0.0 else 1e-8
+
+
 def standard_suite(grid: GridSpec = DEFAULT_GRID) -> list[VerificationReport]:
     """Every check the package ships, with pinned tolerances, in canonical order."""
     reports: list[VerificationReport] = []
 
     for eid, params in catalog.standard_configs():
         f = catalog.make(eid, **params)
-        tol = 1e-6 if f.series_tolerance > 0.0 else 1e-8
-        reports.append(check_invariance(f, grid, tol))
+        reports.append(check_invariance(f, grid, default_tolerance(f)))
 
     for eid, params in (("E2", {"m": 2}), ("E3a", {}), ("E5", {"a": 2.0}), ("E9", {"r": 0.5})):
         f = catalog.make(eid, **params)

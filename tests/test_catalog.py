@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, stan
 from invk.core import EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
 from invk.special import bernoulli_poly
-from invk.verify import check_invariance, zeta_power_kernel
+from invk.verify import check_invariance, default_tolerance, zeta_power_kernel
 
 from conftest import SMALL_GRID, scale_sum
 
@@ -164,6 +165,55 @@ class TestCrossIdentities:
             assert f.value(y - x, y) == pytest.approx(f.value(x, y), rel=1e-12)
 
 
+def _quotient_oracle(eid, r, x, y):
+    """E7, E8 or E9 at the exact float point (x, y) from w = r^(1/y)
+    e^(2 pi i x/y) in 40-digit complex arithmetic, with its x- and
+    y-partials by mpmath's numerical differentiation."""
+    r = mpmath.mpf(r)
+
+    def f(x, y):
+        w = mpmath.power(r, 1 / y) * mpmath.expjpi(2 * x / y)
+        if eid == "E7":
+            return mpmath.log(abs(1 - w) ** 2)
+        if eid == "E8":
+            return mpmath.im(w / (1 - w)) / y
+        return mpmath.re((1 + w) / (1 - w)) / y
+
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        return tuple(float(v) for v in (
+            f(x, y), mpmath.diff(lambda t: f(t, y), x), mpmath.diff(lambda t: f(x, t), y)))
+
+
+class TestQuotientEntriesAgainstMpmath:
+    """E7, E8 and E9 read one real D = |1 - r^(1/y) e^(2 pi i u)|^2; their
+    values and partials against a 40-digit oracle, on seeded points and
+    1e-6 y off the lattice."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(31)
+        ys = rng.uniform(0.25, 40.0, 40)
+        points = [(float(u * y), float(y)) for u, y in zip(rng.uniform(-3.0, 3.0, 40), ys)]
+        for k, y in zip(range(-3, 4), ys[:7].tolist()):
+            points += [(k * y + 1e-6 * y, y), (k * y - 1e-6 * y, y)]
+        return points
+
+    @pytest.mark.parametrize("eid,r", [("E7", 0.5), ("E7", 2.0), ("E8", 0.5), ("E8", 2.0), ("E9", 0.5), ("E9", 0.9)])
+    def test_values_and_partials(self, eid, r):
+        # a partial is held to 1e-13 of the larger of itself and the scale
+        # |f| 2 pi/y (dx) or |f| (1 + 2 pi |x|/y)/y (dy): E8 vanishes on the
+        # lattice where its partials do not, so |f| alone is no scale there
+        f = make(eid, r=r)
+        for x, y in self._points():
+            value, dx, dy = _quotient_oracle(eid, r, x, y)
+            assert abs(f.value(x, y) - value) <= 1e-13 * abs(value), (x, y)
+            dx_scale = max(abs(value) * _TWO_PI / y, abs(dx))
+            assert abs(f.dx(x, y) - dx) <= 1e-13 * dx_scale, (x, y)
+            dy_scale = max(abs(value) * (1.0 + _TWO_PI * abs(x) / y) / y, abs(dy))
+            assert abs(f.dy(x, y) - dy) <= 1e-13 * dy_scale, (x, y)
+
+
 class TestLatticeBranchInvariance:
     """Binary-exact on-lattice probes: x = k*y with y a power of two."""
 
@@ -203,8 +253,7 @@ class TestCatalogInvariance:
     )
     def test_small_grid(self, eid, params):
         f = make(eid, **params)
-        tol = 1e-6 if f.series_tolerance > 0 else 1e-8
-        rep = check_invariance(f, SMALL_GRID, tol)
+        rep = check_invariance(f, SMALL_GRID, default_tolerance(f))
         assert rep.passed, (eid, params, rep.max_abs_error, rep.worst_witness)
 
     def test_partials_available_where_promised(self):

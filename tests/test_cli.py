@@ -96,6 +96,17 @@ class TestVerify:
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "1e-3"], ["--fn", "E5"], ["--params", "a=2"],
+        ["--fn", "E9", "--params", "r=0.5", "--tol", "1e-3"],
+    ])
+    def test_all_rejects_the_single_entry_flags(self, flags, capsys):
+        # the suite pins its own entries and tolerances; these flags would
+        # be silently ignored, so they are a usage error
+        code, out, err = run_cli(["verify", "--all", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invk: verify --all") and flags[0] in err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--all", "--seed", "-1"],
         ["verify", "--fn", "E9", "--params", "r=0.5", "--seed", "-1"],

@@ -223,23 +223,13 @@ class TestReflect:
 
 class TestFracCompose:
     def test_wraps_linear_entry(self):
-        F = frac_compose(make("E2", m=1), 0.0, "plus")
+        F = frac_compose(make("E2", m=1), 0.0)
         assert F.value(1.7, 1.0) == pytest.approx(0.2, abs=1e-14)
 
     def test_x_free_entry_unchanged(self):
-        F = frac_compose(make("E1"), 0.37, "plus")
+        F = frac_compose(make("E1"), 0.37)
         assert F.value(5.3, 2.0) == pytest.approx(0.5, abs=0)
 
-    def test_minus_is_reflected_plus(self):
-        f = make("E2", m=1)
-        minus = frac_compose(f, 0.37, "minus")
-        plus_reflected = reflect(frac_compose(f, 0.37, "plus"))
-        for x, y in ((0.4, 1.3), (-0.9, 0.8)):
-            assert minus.value(x, y) == pytest.approx(plus_reflected.value(x, y), abs=1e-12)
-
-    def test_rejects_unknown_sign(self):
-        with pytest.raises(RejectedInputError):
-            frac_compose(make("E1"), 0.0, "both")
 
 
 class TestLinearCombination:
@@ -254,7 +244,7 @@ class TestLinearCombination:
 
     def test_floor_plus_wrapped_fraction_is_linear(self):
         parts = linear_combination(
-            [(1.0, make("E3a")), (1.0, frac_compose(make("E2", m=1), 0.0, "plus"))]
+            [(1.0, make("E3a")), (1.0, frac_compose(make("E2", m=1), 0.0))]
         )
         whole = make("E2", m=1)
         for x, y in ((1.7, 1.0), (-0.4, 0.9), (3.3, 2.2)):
@@ -355,8 +345,8 @@ class TestCombinatorsStayInvariant:
         [
             lambda: affine_transform(make("E5", a=2.0), 1.5, 0.25, 2.0),
             lambda: reflect(make("E10")),
-            lambda: frac_compose(make("E2", m=2), 0.3, "plus"),
-            lambda: frac_compose(make("E2", m=2), 0.3, "minus"),
+            lambda: frac_compose(make("E2", m=2), 0.3),
+            lambda: reflect(frac_compose(make("E2", m=2), 0.3)),
             lambda: linear_combination([(0.5, make("E1")), (2.0, make("E2", m=1))]),
             lambda: x_derivative(make("E7", r=2.0)),
             lambda: from_fourier(lambda t: 0.5 ** t, "cos", 1e-9),

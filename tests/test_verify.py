@@ -78,7 +78,7 @@ class TestGridPoints:
         make("E3a"), E10, make("E12"), make("E14"), make("E13", s=2.0),
         affine_transform(E10, 2.0, -0.3, 0.75),
         reflect(make("E3b")),
-        frac_compose(make("E3a"), 0.3, "minus"),
+        reflect(frac_compose(make("E3a"), 0.3)),
         linear_combination([(1.0, make("E3a")), (2.0, affine_transform(E10, 1.0, 0.1, 1.0))]),
     ]
 
