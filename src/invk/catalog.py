@@ -321,11 +321,11 @@ def _make_e7(r: float) -> InvariantFunction:
         return _TWO_PI / y * 2.0 * rho * s2 / D
 
     def dy(x, y):
-        rho, _, s1, s2, D = _quotient_parts(r, x, y)
-        c = 1.0 - 2.0 * s1 * s1  # cos(2 pi x / y)
+        rho, rm1, s1, s2, D = _quotient_parts(r, x, y)
         drho = -rho * L / y ** 2
-        dc = s2 * _TWO_PI * x / y ** 2
-        dD = 2.0 * drho * (rho - c) - 2.0 * rho * dc
+        dc = s2 * _TWO_PI * x / y ** 2  # d/dy cos(2 pi x / y)
+        # rho - cos(2 pi u) = (rho - 1) + 2 sin^2(pi u), free of cancellation
+        dD = 2.0 * drho * (rm1 + 2.0 * s1 * s1) - 2.0 * rho * dc
         return dD / D
 
     return InvariantFunction(

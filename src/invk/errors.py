@@ -30,4 +30,10 @@ class ParseError(RejectedInputError):
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # rebuild from the bare message; the inherited reduce would pass the
+        # formatted one back to __init__ and format it a second time
+        return type(self), (self.message, self.position), self.__dict__

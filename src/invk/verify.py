@@ -12,9 +12,15 @@ serialize to a fixed JSON schema.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -149,14 +155,12 @@ def _invariance_eval_points(grid: GridSpec):
 _MAX_POINTS = 176
 
 
-def _sample_values(
-    f: InvariantFunction,
+def _sample_groups(
     pts: Sequence[tuple[float, float]],
     eval_points: Callable[[float, float], Sequence[tuple[float, float]]],
-) -> Iterator[tuple[float, float, list[float]]]:
-    """(x, y, f at every point of eval_points(x, y)) for each sample (x, y)
-    of `pts`, in order.  Consecutive samples share one `f.values` call of at
-    most `_MAX_POINTS` points, and a call has at least one sample."""
+) -> Iterator[tuple[Sequence[tuple[float, float]], list]]:
+    """Consecutive runs of the samples `pts`, each with the eval_points lists
+    of its samples: at most `_MAX_POINTS` points a run, at least one sample."""
     needed = [eval_points(x, y) for x, y in pts]
     start = 0
     while start < len(pts):
@@ -164,13 +168,25 @@ def _sample_values(
         while stop < len(pts) and width + len(needed[stop]) <= _MAX_POINTS:
             width += len(needed[stop])
             stop += 1
-        xs, ys = zip(*chain.from_iterable(needed[start:stop]))
+        yield pts[start:stop], needed[start:stop]
+        start = stop
+
+
+def _sample_values(
+    f: InvariantFunction,
+    pts: Sequence[tuple[float, float]],
+    eval_points: Callable[[float, float], Sequence[tuple[float, float]]],
+) -> Iterator[tuple[float, float, list[float]]]:
+    """(x, y, f at every point of eval_points(x, y)) for each sample (x, y)
+    of `pts`, in order.  The samples of one `_sample_groups` run share one
+    `f.values` call."""
+    for group, needed in _sample_groups(pts, eval_points):
+        xs, ys = zip(*chain.from_iterable(needed))
         vals = f.values(np.array(xs), np.array(ys)).tolist()
         k = 0
-        for (x, y), points in zip(pts[start:stop], needed[start:stop]):
+        for (x, y), points in zip(group, needed):
             yield x, y, vals[k:k + len(points)]
             k += len(points)
-        start = stop
 
 
 def _period_integral(f: InvariantFunction, y: float, lo: float, hi: float, tol: float) -> float:
@@ -194,20 +210,30 @@ def check_invariance(
     Each sample touches 1 + n_max (n_max + 1) / 2 points, and the points of
     consecutive samples go to `f.values` in one call (`_sample_values`).
     """
-    eval_points = _invariance_eval_points(grid)
-    pts = grid_points(f, grid, eval_points)
+    pts = grid_points(f, grid, _invariance_eval_points(grid))
+    return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid, pts))
+
+
+def _invariance_worst(
+    f: InvariantFunction, grid: GridSpec, pts: Sequence[tuple[float, float]]
+) -> _Worst:
+    """The worst invariance error over the samples `pts`."""
     worst = _Worst()
-    for x, y, (rhs, *shifted) in _sample_values(f, pts, eval_points):
+    for x, y, (rhs, *shifted) in _sample_values(f, pts, _invariance_eval_points(grid)):
         k = 0
         for n in range(1, grid.n_max + 1):
             lhs = math.fsum(shifted[k:k + n])
             k += n
             worst.add(abs(lhs - rhs), x, y, n, lhs, rhs)
+    return worst
+
+
+def _invariance_report(f, grid, tol, samples, worst) -> VerificationReport:
     eff_tol = tol + grid.n_max * f.series_tolerance
     flags = set(f.flags)
     if grid.n_max * f.series_tolerance > tol:
         flags.add("truncation-dominated")
-    return _report("invariance", f, f.params, len(pts), worst, eff_tol, flags)
+    return _report("invariance", f, f.params, samples, worst, eff_tol, flags)
 
 
 def check_exchange(
@@ -389,11 +415,34 @@ def check_convolution_invariance(
     tol: float = 1e-7,
 ) -> VerificationReport:
     """The convolution product re-enters the defining-identity suite."""
+    parts, report = _convolution_invariance_parts(g, h, grid, tol)
+    return report([part() for part in parts])
+
+
+def _convolution_invariance_parts(g, h, grid, tol):
+    """`check_convolution_invariance` cut into independent parts: (the
+    thunks that give each `_sample_groups` run's worst error, the function
+    that makes the report from their results in order).  The report equals
+    the uncut check's bit for bit: each run makes the same `values` call, and
+    `_Worst.add` over the runs' worsts in sample order keeps the first
+    strictly largest error, as it does over the samples."""
     conv = convolve(g, h, tol=1e-9)
-    rep = check_invariance(conv, grid, tol)
-    rep.property = "convolution-invariance"
-    rep.params = {"g": g.name, "g_params": dict(g.params), "h": h.name, "h_params": dict(h.params)}
-    return rep
+    eval_points = _invariance_eval_points(grid)
+    pts = grid_points(conv, grid, eval_points)
+    parts = [partial(_invariance_worst, conv, grid, group)
+             for group, _ in _sample_groups(pts, eval_points)]
+
+    def report(worsts: Sequence[_Worst]) -> VerificationReport:
+        worst = _Worst()
+        for part in worsts:
+            worst.add(part.err, *part.sample)
+        rep = _invariance_report(conv, grid, tol, len(pts), worst)
+        rep.property = "convolution-invariance"
+        rep.params = {"g": g.name, "g_params": dict(g.params),
+                      "h": h.name, "h_params": dict(h.params)}
+        return rep
+
+    return parts, report
 
 
 def _scaled_bernoulli_entry(m: int) -> InvariantFunction:
@@ -611,56 +660,153 @@ def default_tolerance(f: InvariantFunction) -> float:
     return 1e-6 if f.series_tolerance > 0.0 else 1e-8
 
 
-def standard_suite(grid: GridSpec = DEFAULT_GRID) -> list[VerificationReport]:
-    """Every check the package ships, with pinned tolerances, in canonical order."""
-    reports: list[VerificationReport] = []
+def _suite_plan(grid: GridSpec) -> list[tuple[list[Callable[[], object]], Callable]]:
+    """The standard suite in canonical order, one (parts, report) entry per
+    report: `report` makes the report from the results of `parts`, in order.
+    A convolution-invariance check is cut into its sample runs; every other
+    check is one part."""
+    plan: list[tuple[list[Callable[[], object]], Callable]] = []
+
+    def add(check, *args, **kwargs):
+        plan.append(([partial(check, *args, **kwargs)], itemgetter(0)))
 
     for eid, params in catalog.standard_configs():
         f = catalog.make(eid, **params)
-        reports.append(check_invariance(f, grid, default_tolerance(f)))
+        add(check_invariance, f, grid, default_tolerance(f))
 
     for eid, params in (("E2", {"m": 2}), ("E3a", {}), ("E5", {"a": 2.0}), ("E9", {"r": 0.5})):
         f = catalog.make(eid, **params)
         for m, n in ((1, 2), (2, 3), (3, 4), (4, 5), (2, 5)):
-            reports.append(check_exchange(f, m, n, grid, 1e-8))
+            add(check_exchange, f, m, n, grid, 1e-8)
 
     probe_grid = replace(grid, samples=9)
     for eid, params in _SMOOTH_LIMIT_SET:
         f = catalog.make(eid, **params)
-        reports.append(check_integral_limit(f, probe_grid, 1e-6))
-        reports.append(check_step_limit(f, probe_grid, 1e-6))
+        add(check_integral_limit, f, probe_grid, 1e-6)
+        add(check_step_limit, f, probe_grid, 1e-6)
 
     for eid, params in _Y_DERIVATIVE_SET:
         f = catalog.make(eid, **params)
-        reports.append(check_y_derivative_identities(f, probe_grid, 1e-6))
-        reports.append(check_y_derivative_identities(f, probe_grid, 1e-4, use_fd=True))
+        add(check_y_derivative_identities, f, probe_grid, 1e-6)
+        add(check_y_derivative_identities, f, probe_grid, 1e-4, use_fd=True)
 
-    reports.append(check_parity(catalog.make("E9", r=0.5), "even", probe_grid, 1e-7))
-    reports.append(check_parity(catalog.make("E2", m=1), "odd", probe_grid, 1e-7))
-    reports.append(check_parity(catalog.make("E8", r=0.5), "odd", probe_grid, 1e-7))
+    add(check_parity, catalog.make("E9", r=0.5), "even", probe_grid, 1e-7)
+    add(check_parity, catalog.make("E2", m=1), "odd", probe_grid, 1e-7)
+    add(check_parity, catalog.make("E8", r=0.5), "odd", probe_grid, 1e-7)
 
     conv_grid = replace(grid, n_max=6)
     for (gid, gp), (hid, hp) in _PRODUCT_PAIRS:
         g = catalog.make(gid, **gp)
         h = catalog.make(hid, **hp)
-        reports.append(check_product_integral(g, h, (1.0, 0.7), 1e-7))
-        reports.append(check_convolution_invariance(g, h, conv_grid, 1e-7))
+        add(check_product_integral, g, h, (1.0, 0.7), 1e-7)
+        plan.append(_convolution_invariance_parts(g, h, conv_grid, 1e-7))
 
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            reports.append(check_bernoulli_convolution(m, n, (1.0, 0.7), 11, 1e-8))
-            reports.append(check_bernoulli_integral_identity(m, n, 11, 1e-8))
+            add(check_bernoulli_convolution, m, n, (1.0, 0.7), 11, 1e-8)
+            add(check_bernoulli_integral_identity, m, n, 11, 1e-8)
 
-    reports.append(check_zeta_convolution(2.0, 2.0, 1.0, tol=1e-8))
-    reports.append(check_zeta_convolution(1.5, 2.5, 1.0, tol=1e-5))
+    add(check_zeta_convolution, 2.0, 2.0, 1.0, tol=1e-8)
+    add(check_zeta_convolution, 1.5, 2.5, 1.0, tol=1e-5)
 
-    reports.append(check_known_integrals(1e-7))
+    add(check_known_integrals, 1e-7)
 
     system = CoveringSystem(_CERT_SYSTEM)
     cert_grid = replace(grid, samples=9)
     for eid, params in _CERT_FUNCTIONS:
         f = catalog.make(eid, **params)
-        reports.append(check_covering_certificates(system, f, cert_grid, 1e-8))
+        add(check_covering_certificates, system, f, cert_grid, 1e-8)
+    return plan
 
+
+def standard_suite(grid: GridSpec = DEFAULT_GRID) -> list[VerificationReport]:
+    """Every check the package ships, with pinned tolerances, in canonical order.
+
+    The parts of the checks run in `_run_tasks`, spread over the CPUs this
+    process may use; the reports are the same bytes on any number of them.
+    """
+    plan = _suite_plan(grid)
+    results = iter(_run_tasks([part for parts, _ in plan for part in parts]))
+    reports = [report([next(results) for _ in parts]) for parts, report in plan]
     reports.sort(key=report_sort_key)
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the suite runner
+# ---------------------------------------------------------------------------
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot say (there is no `os.sched_getaffinity` on macOS or Windows)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity is not None else 1
+
+
+def _run_share(tasks: Sequence[Callable[[], object]], first: int, step: int):
+    """(results, None) of tasks first, first + step, ... run in order, or
+    (the results before it, (index, exception)) at the first that raises."""
+    results = []
+    for i in range(first, len(tasks), step):
+        try:
+            results.append(tasks[i]())
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
+    """The result of every task, in task order, computed in k shares, one per
+    CPU of `_cpus()`: this process runs tasks 0, k, 2k, ... and a forked child
+    j runs tasks j, j + k, ..., then pickles its results, or the exception it
+    stopped at, to a pipe and leaves with `os._exit`.  Every child is reaped
+    before this returns or raises; when this process stops before it has
+    read them all, they are killed first.  When tasks raised, the exception
+    of the earliest is raised, as a serial run would raise it.
+    """
+    shares = max(1, min(_cpus(), len(tasks)))
+    children = []  # (pid, read end of its pipe)
+    read = False
+    try:
+        for j in range(1, shares):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: run share j, send the outcome, leave at once
+                try:
+                    os.close(r)
+                    done, failure = _run_share(tasks, j, shares)
+                    if failure is not None:  # a traceback does not pickle: send its text
+                        exc = failure[1]
+                        exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                         "".join(traceback.format_exception(exc))]
+                    data = pickle.dumps((done, failure), pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as out:
+                        out.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outcomes = [_run_share(tasks, 0, shares)]
+        for j, (pid, pipe) in enumerate(children, start=1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"suite share {j} of {shares} (pid {pid}) sent no result")
+            outcomes.append(pickle.loads(data))
+        read = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not read:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results: list = [None] * len(tasks)
+    failures = []
+    for j, (done, failure) in enumerate(outcomes):
+        if failure is None:
+            results[j::shares] = done
+        else:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    return results

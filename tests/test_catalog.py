@@ -132,10 +132,9 @@ class TestCrossIdentities:
             D = rm1 * rm1 + 4.0 * rho * s1 * s1
             s1, s2 = _trig_parts(x, y)
             dx = _TWO_PI / y * 2.0 * rho * s2 / D
-            c = 1.0 - 2.0 * s1 * s1
             drho = -rho * L / y ** 2
             dc = s2 * _TWO_PI * x / y ** 2
-            return dx, (2.0 * drho * (rho - c) - 2.0 * rho * dc) / D
+            return dx, (2.0 * drho * (rm1 + 2.0 * s1 * s1) - 2.0 * rho * dc) / D
 
         rng = np.random.default_rng(7)
         ys = rng.uniform(0.25, 40.0, 40)
@@ -212,6 +211,16 @@ class TestQuotientEntriesAgainstMpmath:
             assert abs(f.dx(x, y) - dx) <= 1e-13 * dx_scale, (x, y)
             dy_scale = max(abs(value) * (1.0 + _TWO_PI * abs(x) / y) / y, abs(dy))
             assert abs(f.dy(x, y) - dy) <= 1e-13 * dy_scale, (x, y)
+
+    @pytest.mark.parametrize("r", [0.9, 0.99, 1.1])
+    def test_log_quotient_dy_near_unit_radius(self, r):
+        # rho - cos(2 pi u) cancels where both are near 1 (r near 1, large y,
+        # near the lattice); E7's dy reads it as (rho - 1) + 2 sin^2(pi u)
+        f = make("E7", r=r)
+        for x, y in self._points():
+            value, _, dy = _quotient_oracle("E7", r, x, y)
+            dy_scale = max(abs(value) * (1.0 + _TWO_PI * abs(x) / y) / y, abs(dy))
+            assert abs(f.dy(x, y) - dy) <= 2e-15 * dy_scale, (x, y)
 
 
 class TestLatticeBranchInvariance:
