@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InvariantFunction
+from .core import EvalPoint, InvariantFunction
 from .errors import CapacityError, ParseError, RejectedInputError
 from .report import VerificationReport, _report, _Worst
 
@@ -180,9 +180,8 @@ def covering_identity_check(
     tol: float = 1e-8,
 ) -> VerificationReport:
     """Certificate report at one point (x, y): the one-sample case of
-    `certificate_report`, after the system is decided.  A rejected system or
-    y <= 0 raises RejectedInputError."""
+    `certificate_report`, after the system is decided.  A rejected system, a
+    non-finite point or y <= 0 raises RejectedInputError."""
     require_accepted(system)
-    if y <= 0.0:
-        raise RejectedInputError("y must be positive")
+    EvalPoint(x, y)
     return certificate_report(system, f, [(x, y)], tol)

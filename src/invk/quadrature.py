@@ -297,9 +297,9 @@ class _Job:
         return halves
 
     def result(self, tol: float) -> QuadratureResult:
-        heap, done = self.heap, self.done
-        value = math.fsum(p[4] for p in heap) + math.fsum(v for v, _ in done)
-        err = math.fsum(p[5] for p in heap) + math.fsum(e for _, e in done)
+        kept = [p[4:6] for p in self.heap] + self.done
+        value = math.fsum(v for v, _ in kept)
+        err = math.fsum(e for _, e in kept)
         return QuadratureResult(self.sign * value, err, self.evals, err <= tol)
 
 
@@ -476,20 +476,19 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
             right = np.column_stack((mid, hi)).ravel()
             depth = np.repeat(t_depth[top] + 1, 2)
             halves = True
-    # value and error: fsum over a job's heap panels plus fsum over its done ones
+    # value and error: one fsum over the panels a job kept, heap and done
     _, _, t_value, t_est, _, _, _, t_job, state = table
     kept = np.flatnonzero(state[:n] != _SPLIT)
-    key = 2 * t_job[kept] + state[kept]  # 2 job + (0 heap, 1 done)
-    order = np.argsort(key)
+    owner = t_job[kept]
+    order = np.argsort(owner)
     kept = kept[order]
     values = t_value[kept].tolist()
     ests = t_est[kept].tolist()
-    bounds = np.searchsorted(key[order], np.arange(2 * n_jobs + 1)).tolist()
+    bounds = np.searchsorted(owner[order], np.arange(n_jobs + 1)).tolist()
     out = []
-    ends = zip(bounds[0::2], bounds[1::2], bounds[2::2])  # a job's heap rows, then its done rows
-    for (_, _, sign, _), pushed, (a, b, c) in zip(starts, serial.tolist(), ends):
-        value = math.fsum(values[a:b]) + math.fsum(values[b:c])
-        err = math.fsum(ests[a:b]) + math.fsum(ests[b:c])
+    for (_, _, sign, _), pushed, a, b in zip(starts, serial.tolist(), bounds, bounds[1:]):
+        value = math.fsum(values[a:b])
+        err = math.fsum(ests[a:b])
         out.append(QuadratureResult(sign * value, err, 15 * pushed, err <= tol))
     return out
 
@@ -522,8 +521,8 @@ def integrate_many(
     both give the same bits.
 
     Every job keeps its own panel order, serial numbers, depth and panel
-    budgets, error sums and `fsum` split between heap and done panels, so
-    its result is the one a lone `integrate` of its integrand gives, bit
+    budgets and error sums, and its result is one `fsum` over the panels it
+    kept, so it is the one a lone `integrate` of its integrand gives, bit
     for bit.  A job that cannot meet `tol` within the depth and panel
     budgets returns converged=False and does not raise.  So does a job that
     no bisection can bring to tol, as soon as that shows (`_out_of_reach`):

@@ -65,6 +65,12 @@ class GridSpec:
     n_max: int = 10
 
     def __post_init__(self):
+        for name in ("seed", "samples", "n_max"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise RejectedInputError(f"{name} must be an integer, got {v!r}")
+        if not all(map(math.isfinite, (*self.x_range, *self.y_range))):
+            raise RejectedInputError("x_range and y_range must be finite")
         if self.seed < 0:
             raise RejectedInputError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.samples < 1 or self.n_max < 1:

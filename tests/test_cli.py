@@ -47,6 +47,8 @@ class TestEval:
         ["eval", "--fn", "E5", "--params", "a=2", "--x", "2000", "--y", "1"],
         ["eval", "--fn", "E5", "--params", "a=2", "--x", "0.3", "--y", "2000"],
         ["eval", "--fn", "E6", "--params", "r=2,theta=0.5,part=cos", "--x", "2000", "--y", "1"],
+        # log |Gamma(1e306)| overflows a double
+        ["eval", "--fn", "E12", "--x", "1e306", "--y", "1"],
     ])
     def test_float_overflow_is_a_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -190,6 +192,18 @@ class TestCovering:
     def test_malformed_text(self, capsys):
         code, _, err = run_cli(["covering", "--check", "0/2;1/2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["covering", "--check", "0/2,1/2", "--certify", "--fn", "E1", "--params", "",
+         "--y", "inf"],
+        ["covering", "--check", "0/2,1/4,3/4", "--certify", "--fn", "E5", "--params", "a=2",
+         "--x", "nan"],
+    ])
+    def test_non_finite_certificate_point_is_a_usage_error(self, argv, capsys):
+        # a non-finite point has no certificate, and its witness is no JSON
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("invk:")
 
 
 class TestTable:

@@ -18,6 +18,7 @@ from invk.special import (
     bernoulli_poly_exact,
     hurwitz_zeta,
     log_gamma_abs,
+    log_gamma_abs_array,
 )
 
 
@@ -223,6 +224,11 @@ class TestHurwitzZetaLowerBranch:
         assert hurwitz_zeta(-1.0, 3.0) == pytest.approx(-1 / 12, abs=1e-14)
 
 
+def _log_gamma_ref(t):
+    with mpmath.workdps(40):
+        return float(mpmath.log(abs(mpmath.gamma(mpmath.mpf(t)))))
+
+
 class TestLogGammaAbs:
     def test_anchor_values(self):
         assert log_gamma_abs(1.0) == pytest.approx(0.0, abs=1e-15)
@@ -236,7 +242,9 @@ class TestLogGammaAbs:
          -0.5, -2.5, -7.3, -19.99, -123.4],
     )
     def test_against_libm(self, t):
-        want = math.lgamma(t)
+        # the reference is mpmath at 40 digits: math.lgamma is what
+        # log_gamma_abs returns, so it cannot serve as its own oracle
+        want = _log_gamma_ref(t)
         got = log_gamma_abs(t)
         if abs(want) <= 1e3:
             assert got == pytest.approx(want, abs=1e-12)
@@ -245,7 +253,23 @@ class TestLogGammaAbs:
 
     def test_near_pole_reflection_accuracy(self):
         t = -3.0 + 1e-7
-        assert log_gamma_abs(t) == pytest.approx(math.lgamma(t), rel=1e-11)
+        assert log_gamma_abs(t) == pytest.approx(_log_gamma_ref(t), rel=1e-11)
+
+    def test_seeded_and_near_pole_accuracy(self):
+        # within 1e-14 * max(1, |ref|) of 40 digits on both half-lines and at
+        # 1e-12 .. 1e-3 on either side of the poles 0, -1, ..., -24; the
+        # array form is the scalar one, bit for bit
+        rng = np.random.default_rng(20261018)
+        near = [-k + side * 10.0 ** -e for k in range(25) for e in range(3, 13) for side in (-1.0, 1.0)]
+        ts = np.concatenate((rng.uniform(0.001, 50.0, 400), rng.uniform(-30.0, 0.0, 400), near))
+        got = [log_gamma_abs(t) for t in ts.tolist()]
+        for t, g in zip(ts.tolist(), got):
+            want = _log_gamma_ref(t)
+            assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), t
+        assert log_gamma_abs_array(ts).tolist() == got
+
+    def test_unit_arguments_are_exact(self):
+        assert log_gamma_abs(1.0) == log_gamma_abs(2.0) == 0.0
 
     def test_poles_raise(self):
         for t in (0.0, -1.0, -6.0):

@@ -58,6 +58,20 @@ class TestGridSpec:
             GridSpec(y_range=(0.0, 1.0))
         with pytest.raises(RejectedInputError):
             GridSpec(seed=-1)
+        # what the sampler cannot draw from: an infinite range end, or a
+        # count or seed that is not an integer
+        for bad in (
+            {"y_range": (0.25, math.inf)},
+            {"x_range": (-math.inf, 3.0)},
+            {"x_range": (0.0, math.nan)},
+            {"samples": 2.5},
+            {"n_max": 2.5},
+            {"seed": 1.0},
+            {"samples": True},
+            {"n_max": "3"},
+        ):
+            with pytest.raises(RejectedInputError):
+                GridSpec(**bad)
 
 
 def _points_clear(f, needed):
