@@ -50,7 +50,6 @@ import numpy as np
 
 from .core import (
     InvariantFunction,
-    LATTICE_RTOL,
     lattice_parts,
     lattice_points,
     lattice_split,
@@ -71,6 +70,7 @@ from .special import (
 
 _TWO_PI = 2.0 * math.pi
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
 def _lattice_locator(offset: float = 0.0, halves: bool = False, nonpositive: bool = False):
@@ -426,22 +426,37 @@ def _make_e11() -> InvariantFunction:
 
 
 def _make_e12() -> InvariantFunction:
+    # Near a pole, at k <= 0, x/y has lost the offset d to rounding, so
+    # log|Gamma(u)| comes from the split's d by reflection:
+    # log pi - log|sin(pi d)| - log Gamma(1 - k - d)
     def value(x, y):
-        k, _, on = lattice_parts(x, y)
+        k, d, on = lattice_parts(x, y)
+        logy = math.log(y)
         if on and k <= 0.0:
             # on u in {0, -1, -2, ...}: log(y^u sqrt(2 pi y) / (-u)!)
-            return k * math.log(y) + 0.5 * (_LOG_2PI + math.log(y)) - log_gamma_abs(1.0 - k)
+            return k * logy + 0.5 * (_LOG_2PI + logy) - log_gamma_abs(1.0 - k)
         u = x / y
-        return u * math.log(y) + log_gamma_abs(u) - 0.5 * (_LOG_2PI + math.log(y))
+        if k <= 0.0:
+            log_sin = float(np.log(abs(np.sin(math.pi * d))))
+            log_gamma = _LOG_PI - log_sin - log_gamma_abs(1.0 - k - d)
+        else:
+            log_gamma = log_gamma_abs(u)
+        return u * logy + log_gamma - 0.5 * (_LOG_2PI + logy)
 
     def array_value(xs, ys):
-        k, _, on = lattice_split(xs, ys)
-        pole = on & (k <= 0.0)
+        k, d, on = lattice_split(xs, ys)
         logy = np.broadcast_to(per_scale(math.log, ys), xs.shape)
-        out = np.empty(xs.shape)
-        off = ~pole
-        u, ly = (xs / ys)[off], logy[off]
-        out[off] = u * ly + log_gamma_abs_array(u) - 0.5 * (_LOG_2PI + ly)
+        left = k <= 0.0
+        log_gamma = np.zeros(xs.shape)  # stays 0 at the poles, set below
+        u = xs / ys
+        log_gamma[~left] = log_gamma_abs_array(u[~left])
+        near = left & ~on
+        if near.any():
+            dn = d[near]
+            log_sin = np.log(np.abs(np.sin(math.pi * dn)))
+            log_gamma[near] = _LOG_PI - log_sin - log_gamma_abs_array(1.0 - k[near] - dn)
+        out = u * logy + log_gamma - 0.5 * (_LOG_2PI + logy)
+        pole = on & left
         if pole.any():
             k, ly = k[pole], logy[pole]
             out[pole] = k * ly + 0.5 * (_LOG_2PI + ly) - log_gamma_abs_array(1.0 - k)
@@ -510,19 +525,18 @@ def _make_e13(s: float) -> InvariantFunction:
 
 def _make_e14() -> InvariantFunction:
     # the split at y/2: 2u = k2 + d2, and {u} < 1/2 where floor(2u) is even;
-    # the band is the lattice band of 2u, 2 LATTICE_RTOL max(1, |u|)
+    # on that split's lattice the sign is 1 at u integer, 0 at u half-integer
     def value(x, y):
-        k2, d2, _ = lattice_parts(x, 0.5 * y)
-        if abs(d2) <= 2.0 * LATTICE_RTOL * max(1.0, abs(x / y)):
+        k2, d2, on = lattice_parts(x, 0.5 * y)
+        if on:
             return 0.0 if k2 % 2.0 != 0.0 else 1.0
         return 1.0 if (k2 - (d2 < 0.0)) % 2.0 == 0.0 else -1.0
 
     def array_value(xs, ys):
-        k2, d2, _ = lattice_split(xs, 0.5 * ys)
-        band = np.abs(d2) <= 2.0 * LATTICE_RTOL * np.maximum(1.0, np.abs(xs / ys))
-        on = np.where(np.fmod(k2, 2.0) != 0.0, 0.0, 1.0)
+        k2, d2, on = lattice_split(xs, 0.5 * ys)
+        half = np.where(np.fmod(k2, 2.0) != 0.0, 0.0, 1.0)
         off = np.where(np.fmod(k2 - (d2 < 0.0), 2.0) == 0.0, 1.0, -1.0)
-        return np.where(band, on, off)
+        return np.where(on, half, off)
 
     return InvariantFunction(
         name="E14",

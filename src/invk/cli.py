@@ -253,9 +253,6 @@ def run(argv) -> int:
     except ConvergenceError as exc:
         print(f"invk: numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except RejectedInputError as exc:
-        print(f"invk: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvkError as exc:
         print(f"invk: {exc}", file=sys.stderr)
         return EXIT_USAGE

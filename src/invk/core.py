@@ -29,8 +29,9 @@ _TWO_PI = 2.0 * math.pi
 
 #: relative margin (in units of y) that sample grids keep from singular points
 EPS_SING = 1e-6
-#: |x/y - round(x/y)| <= LATTICE_RTOL * max(1, |x/y|) counts as on-lattice
-LATTICE_RTOL = 1e-9
+#: |x/y - round(x/y)| <= LATTICE_BAND counts as on-lattice: a few ulps, as a
+#: float lattice point k*y lies within |k| eps/2 of k (on for |k| <= 128)
+LATTICE_BAND = 64.0 * _EPS
 
 ValueRule = Callable[[float, float], float]
 ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
@@ -39,8 +40,9 @@ ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
 def lattice_parts(x: float, y: float) -> tuple[float, float, bool]:
     """The lattice test at one point: (k, d, on), with k the integer nearest
     u = x/y (as a float; a tie goes to even k, as `np.rint` does), d = u - k
-    the offset to it, in [-1/2, 1/2], and `on` the band
-    |d| <= LATTICE_RTOL max(1, |u|).
+    the offset to it, in [-1/2, 1/2], and `on` the absolute band
+    |d| <= LATTICE_BAND.  This is the one place that decides "on the
+    lattice"; the entries read `on` and never widen it.
     The remainder r = fmod(x, y) is exact in IEEE arithmetic, and folding it
     into [-y/2, y/2] with one subtraction of y is exact by Sterbenz's lemma,
     so d = r/y carries one rounding: branch selection and near-lattice
@@ -59,7 +61,7 @@ def lattice_parts(x: float, y: float) -> tuple[float, float, bool]:
         k += 1.0 if r > 0.0 else -1.0
         r = -r
     d = r / y
-    return k, d, abs(d) <= LATTICE_RTOL * max(1.0, abs(x / y))
+    return k, d, abs(d) <= LATTICE_BAND
 
 
 def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +79,7 @@ def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarra
         tie &= np.fmod(k, 2.0) != 0.0  # a tie goes to even k
         k = np.where(tie, k + np.sign(d), k)
         d = np.where(tie, -d, d)
-    return k, d, ad <= LATTICE_RTOL * np.maximum(1.0, np.abs(xs / ys))
+    return k, d, ad <= LATTICE_BAND
 
 
 def per_scale(fn: Callable[[float], float], ys):
@@ -141,15 +143,16 @@ class InvariantFunction:
 
     `array_value(xs, ys)`, when set, is the value rule over a float ndarray
     of x, with ys one scale or a float ndarray aligned with xs, equal to
-    `value` at each point bit for bit, inside the lattice-detection band
-    too.  `values(xs, ys)` calls it, or maps the scalar `value` when it is
-    absent, so an integrand can evaluate all the nodes of a quadrature
-    round, and a check all the points of a sample, in one call.  Every
-    catalog entry but E6 has one, as do the zeta kernels F(alpha), affine
-    transforms of entries that have one, and every convolution product; the
-    other combinators map `value`.  The two rules must agree: a descriptor
-    made with `dataclasses.replace(f, value=...)` has to replace or clear
-    `array_value` too, or `values` keeps evaluating the old rule.
+    `value` at each point bit for bit, on the lattice (inside
+    `LATTICE_BAND`) too.  `values(xs, ys)` calls it, or maps the scalar
+    `value` when it is absent, so an integrand can evaluate all the nodes
+    of a quadrature round, and a check all the points of a sample, in one
+    call.  Every catalog entry but E6 has one, as do the zeta kernels
+    F(alpha), affine transforms of entries that have one, and every
+    convolution product; the other combinators map `value`.  The two rules
+    must agree: a descriptor made with `dataclasses.replace(f, value=...)`
+    has to replace or clear `array_value` too, or `values` keeps evaluating
+    the old rule.
     """
 
     name: str

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def _sample_clear(f: InvariantFunction, needed: Iterable[tuple[float, float]]) -
 def grid_points(
     f: InvariantFunction,
     grid: GridSpec,
-    eval_points: Optional[Callable[[float, float], Iterable[tuple[float, float]]]] = None,
+    eval_points: Callable[[float, float], Iterable[tuple[float, float]]],
 ) -> list[tuple[float, float]]:
     """Seeded (x, y) samples for which every point a check touches is clear.
 
@@ -134,7 +134,7 @@ def grid_points(
         attempts += 1
         y = float(rng.uniform(*grid.y_range))
         x = float(rng.uniform(*grid.x_range)) * y
-        if free or _sample_clear(f, eval_points(x, y) if eval_points else ((x, y),)):
+        if free or _sample_clear(f, eval_points(x, y)):
             pts.append((x, y))
     if len(pts) < grid.samples:
         raise RejectedInputError(

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,23 @@ class TestConvolve:
         c = convolve(make("E3a"), make("E1"), 1e-10)
         for x in (0.5, 2.5, -1.3):
             assert c.value(x, 1.0) == pytest.approx(0.0, abs=1e-9), x
+
+    def test_log_sine_operand_against_mpmath(self):
+        # the E10 operand is log|2 sin(pi (x - t)/y)| up to a log singularity
+        # at t = x, so mpmath integrates one period split there
+        x, y = 1.7, 2.5
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda t: mpmath.power(2, t) / (mpmath.power(2, y) - 1)
+                * mpmath.log(abs(2 * mpmath.sinpi((x - t) / y))), [0, x, y]))
+        assert convolve(make("E5", a=2.0), make("E10")).value(x, y) == pytest.approx(want, abs=1e-10)
+
+    def test_log_sine_square_near_the_lattice(self):
+        # E10 * E10 = (pi^2 / 2) E2(m=2) on 0 <= x < y, from the Fourier
+        # coefficients c_k(g * h) = y c_k(g) c_k(h)
+        c = convolve(make("E10"), make("E10"))
+        want = 0.5 * math.pi ** 2 * make("E2", m=2).value(0.001, 1.0)
+        assert c.value(0.001, 1.0) == pytest.approx(want, abs=1e-11)
 
     def test_invariance_small_grid(self):
         c = convolve(make("E2", m=1), make("E9", r=0.5), 1e-9)

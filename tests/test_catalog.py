@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, standard_configs
-from invk.core import EvalPoint, affine_transform, evaluate
+from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
+from invk.quadrature import integrate
 from invk.special import bernoulli_poly
 from invk.verify import check_invariance, default_tolerance, zeta_power_kernel
 
@@ -223,6 +225,59 @@ class TestQuotientEntriesAgainstMpmath:
             assert abs(f.dy(x, y) - dy) <= 2e-15 * dy_scale, (x, y)
 
 
+def _near_lattice_points(seed, count, k_max):
+    """Seeded (x, y) with x/y within 1e-12 to 1e-4 of an integer k, |k| up to
+    k_max (log-uniform), y in [0.25, 40]; float x rounds the offset, so an
+    oracle reads the float's exact value."""
+    rng = np.random.default_rng(seed)
+    ks = np.rint(np.exp(rng.uniform(0.0, math.log(k_max), count))) * rng.choice([-1.0, 1.0], count)
+    offsets = np.exp(rng.uniform(math.log(1e-12), math.log(1e-4), count)) * rng.choice([-1.0, 1.0], count)
+    ys = rng.uniform(0.25, 40.0, count)
+    return (ks + offsets) * ys, ys
+
+
+class TestNearLatticeValues:
+    """Off the absolute lattice band, branch entries read the split's exact
+    offset, at any |x/y|: against mpmath at the float's exact ratio."""
+
+    def test_log_sine_against_mpmath(self):
+        f = make("E10")
+        xs, ys = _near_lattice_points(61, 600, 1e6)
+        points = list(zip(xs.tolist(), ys.tolist()))
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits([f.value(x, y) for x, y in points]))
+        with mpmath.workdps(50):
+            for x, y in points:
+                u = Fraction(x) / Fraction(y)
+                if abs(float(u - round(u))) <= LATTICE_BAND:  # x rounded onto the lattice
+                    want = -math.log(y)
+                else:
+                    want = float(mpmath.log(abs(2 * mpmath.sinpi(mpmath.mpf(x) / mpmath.mpf(y)))))
+                assert abs(f.value(x, y) - want) <= 1e-15 * abs(want), (x, y)
+
+    def test_log_gamma_near_its_poles_against_mpmath(self):
+        # k <= 0: log|Gamma| comes from the offset by reflection, so x/y's
+        # rounding does not swamp the offset
+        f = make("E12")
+        xs, ys = _near_lattice_points(67, 760, 40.0)
+        xs = -np.abs(xs)  # k <= -1, and k = 0 below: |x/y| < 1/2
+        xs = np.append(xs, np.linspace(-0.45, 0.45, 40) ** 3 * ys[:40])
+        ys = np.append(ys, ys[:40])
+        points = list(zip(xs.tolist(), ys.tolist()))
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits([f.value(x, y) for x, y in points]))
+        with mpmath.workdps(40):
+            for x, y in points:
+                u, yy = mpmath.mpf(x) / mpmath.mpf(y), mpmath.mpf(y)
+                want = float(u * mpmath.log(yy) + mpmath.log(abs(mpmath.gamma(u)))
+                             - (mpmath.log(2 * mpmath.pi) + mpmath.log(yy)) / 2)
+                assert abs(f.value(x, y) - want) <= 2e-14 * max(1.0, abs(want)), (x, y)
+
+    @pytest.mark.parametrize("y", [0.3, 1.0, 7.0])
+    def test_log_sine_period_integral_vanishes(self, y):
+        f = make("E10")
+        res = integrate(lambda t: f.value(t, y), 0.0, y, tol=1e-10)
+        assert res.converged and abs(res.value) <= 1e-12, (res.value, res.converged)
+
+
 class TestLatticeBranchInvariance:
     """Binary-exact on-lattice probes: x = k*y with y a power of two."""
 
@@ -294,15 +349,17 @@ def _bits(values) -> np.ndarray:
 
 def _probe_points(f, rng, y, n_random):
     """Seeded points at scale y, with the lattice points of f, the points
-    1e-6 y off them (the grids' singular margin), and the points 1e-10 y off
-    them (inside the 1e-9 detection band); half-lattice points too, which
-    are E14's.  Only points inside the domain the scalar rule accepts."""
+    1e-6 y off them (the grids' singular margin), 1e-10 y off them (off the
+    lattice, where only the exact offset keeps the value) and half the band
+    off them (on the lattice); half-lattice points too, which are E14's.
+    Only points inside the domain the scalar rule accepts."""
     offset = f.params["a"] if f.name == "E4" else 0.0
     lattice = offset + np.arange(-50.0, 51.0) * (0.5 * y)
     xs = np.concatenate([
         rng.uniform(-25.0, 25.0, n_random) * y,
         lattice, lattice + 1e-6 * y, lattice - 1e-6 * y,
-        lattice + 1e-10 * y, lattice - 1e-10 * y, [0.0, -0.0],
+        lattice + 1e-10 * y, lattice - 1e-10 * y,
+        lattice + 0.5 * LATTICE_BAND * y, lattice - 0.5 * LATTICE_BAND * y, [0.0, -0.0],
     ])
     if f.name == "E5":  # keep a^x finite, as the scalar rule needs
         xs = xs[np.abs(xs * math.log(f.params["a"])) < 700.0]
@@ -329,7 +386,7 @@ _ARRAY_CONFIGS = [
 
 class TestArrayRules:
     """Each `array_value` equals the scalar `value` bit for bit, on, near and
-    off the lattice, inside the detection band too, at the scales that the
+    off the lattice, inside the lattice band too, at the scales that the
     invariance and exchange checks reach."""
 
     @pytest.mark.parametrize("eid,params", _ARRAY_CONFIGS)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from invk.catalog import make
 from invk.core import (
+    LATTICE_BAND,
     EvalPoint,
     _call_vectorized,
     affine_transform,
@@ -50,21 +52,76 @@ class TestEvalPoint:
             f.params["a"] = 3.0
 
 
+def _exact_offset(x, y):
+    """|d| for the float inputs: the exact x/y less its nearest integer,
+    rounded once."""
+    u = Fraction(x) / Fraction(y)
+    return abs(float(u - round(u)))
+
+
 class TestLatticeDetection:
     def test_binary_exact_ratios(self):
         assert lattice_parts(3.0 * 0.25, 0.25)[2]
         assert lattice_parts(-8.0, 2.0)[2]
         assert not lattice_parts(0.2500001, 0.25)[2]
 
-    def test_relative_rule_at_large_ratio(self):
+    def test_large_ratio_point_is_off_the_lattice(self):
+        # within 1e-12 relative of the lattice, but d ~ 1e-6 off it: the band
+        # is absolute, so the point is off and E10 is log|2 sin(pi d)|
         y = 1.0
-        x = 1e6 * y * (1.0 + 1e-12)  # within 1e-9 relative of the lattice
-        assert lattice_parts(x, y)[2]
+        x = 1e6 * y * (1.0 + 1e-12)
+        k, d, on = lattice_parts(x, y)
+        assert not on and k == 1e6
+        assert d == float(Fraction(x) - 1_000_000) and 9e-7 < d < 1.1e-6
+        want = math.log(2.0 * math.sin(math.pi * d))
+        assert make("E10").value(x, y) == pytest.approx(want, rel=1e-15)
+
+    def test_band_edges_against_fraction_oracle(self):
+        eps = sys.float_info.epsilon
+        assert LATTICE_BAND == 64.0 * eps
+        # an exact offset of 64 eps is on, the next float out is off, on
+        # either side of k
+        for k in (0.0, 1.0, -1.0, 3.0):
+            for sign in (1.0, -1.0):
+                edge = k + sign * 64.0 * eps
+                out = math.nextafter(edge, sign * math.inf)
+                assert Fraction(edge) - Fraction(k) == sign * Fraction(64.0 * eps)
+                assert lattice_parts(edge, 1.0)[2], (k, sign)
+                assert not lattice_parts(out, 1.0)[2], (k, sign)
+        # a few ulps either side of (k +- 64 eps) y: on exactly when the
+        # rounded exact offset of x/y is within the band, scalar and array
+        rng = np.random.default_rng(29)
+        for y in rng.uniform(0.25, 40.0, 24).tolist():
+            for k in rng.integers(-64, 65, 4).tolist():
+                for sign in (1.0, -1.0):
+                    x0 = (k + sign * LATTICE_BAND) * y
+                    xs = x0 + np.arange(-6, 7) * math.ulp(x0)
+                    on = lattice_split(xs, y)[2]
+                    want = [_exact_offset(x, y) <= LATTICE_BAND for x in xs.tolist()]
+                    assert on.tolist() == want and any(want) and not all(want), (x0, y)
+                    assert [lattice_parts(x, y)[2] for x in xs.tolist()] == want
+
+    def test_lattice_products_are_on(self):
+        # fl(k y) is within |k| eps / 2 of k y in units of y, so every product
+        # is on for |k| <= 128; beyond that it is on exactly when the Fraction
+        # oracle says so, and always when the product is exact
+        rng = np.random.default_rng(31)
+        ys = rng.uniform(0.25, 40.0, 400)
+        for kmax in (128, 10 ** 6):
+            xs = rng.integers(-kmax, kmax + 1, ys.size) * ys
+            on = lattice_split(xs, ys)[2]
+            want = [_exact_offset(x, y) <= LATTICE_BAND for x, y in zip(xs.tolist(), ys.tolist())]
+            assert on.tolist() == want
+            assert all(want) == (kmax == 128)
+        ks = np.arange(-10 ** 6, 10 ** 6 + 1, 997.0)
+        for y in (0.25, 0.75, 1.0, 40.0):  # short mantissas: k y is exact
+            assert lattice_split(ks * y, y)[2].all(), y
+            assert all(lattice_parts(k * y, y)[2] for k in ks[::50].tolist()), y
 
     def test_scalar_test_equals_array_test(self):
         # k, d and on of each point equal those of `lattice_split`, signs of
-        # zero too, at seeded and exact-lattice points, 1e-10 y (in the band)
-        # and 1e-6 y off the lattice, relative offsets just inside and outside
+        # zero too, at seeded and exact-lattice points, 1e-10 y and 1e-6 y off
+        # the lattice, small relative offsets, offsets just inside and outside
         # the band, and half-lattice points
         rng = np.random.default_rng(17)
         for y in [0.25, 1.0, 40.0, *rng.uniform(0.25, 40.0, 12).tolist()]:
@@ -74,6 +131,7 @@ class TestLatticeDetection:
                 lattice + 1e-10 * y, lattice - 1e-10 * y,
                 lattice + 1e-6 * y, lattice - 1e-6 * y,
                 lattice * (1.0 + 5e-10), lattice * (1.0 - 2e-9),
+                lattice + LATTICE_BAND * y, lattice - 2.0 * LATTICE_BAND * y,
                 lattice + 0.5 * y,
             ])
             k, d, on = lattice_split(xs, y)
