@@ -7,7 +7,9 @@ cotangent, log-gamma, sign) select their lattice branch with the shared
 exact-remainder split from `core`, and near-lattice trigonometry (E7..E11)
 is computed in float64 from the offset d to the nearest lattice point,
 which carries one rounding, so it stays accurate where the verification
-grids probe closest.  Only E2 and E13 still compute in the x87 long double.
+grids probe closest.  E2 and E13 are `special`'s scaled Bernoulli and Hurwitz
+values.  E5 and E6 with a growing base divide a^(x-y) by 1 - a^(-y), so they
+overflow only where the value does.
 
 E7, E8 and E9 are three views of one real quantity, D = |1 - rho e^(2 pi i u)|^2
 = (rho - 1)^2 + 4 rho sin^2(pi u) with rho = r^(1/y): E7 = log D,
@@ -58,12 +60,10 @@ from .core import (
 from .errors import RejectedInputError
 from .special import (
     ZETA_NEG_TOLERANCE,
-    _hurwitz_sum_array,
-    _hurwitz_sum_branch,
-    bernoulli_poly,
-    bernoulli_poly_array,
-    hurwitz_zeta,
-    hurwitz_zeta_neg_array,
+    bernoulli_scaled,
+    bernoulli_scaled_array,
+    hurwitz_zeta_scaled,
+    hurwitz_zeta_scaled_array,
     log_gamma_abs,
     log_gamma_abs_array,
 )
@@ -105,32 +105,18 @@ def _make_e2(m: int) -> InvariantFunction:
     if m < 1:
         raise RejectedInputError(f"E2 needs integer m >= 1, got {m}")
 
-    ld = np.longdouble  # y^(m-1) B_m(u) still needs the x87 extended format
-
-    def value(x, y):
-        yd = ld(y)
-        u = ld(x) / yd
-        return float(yd ** (m - 1) * ld(bernoulli_poly(m, float(u))))
-
-    def array_value(xs, ys):
-        yd = ld(ys)  # one longdouble, or an array of them
-        u = (xs.astype(ld) / yd).astype(float)
-        return (yd ** (m - 1) * bernoulli_poly_array(m, u).astype(ld)).astype(float)
-
-    def dx(x, y):
-        if m == 1:
-            return 1.0 / y
-        return float(m * ld(y) ** (m - 2) * ld(bernoulli_poly(m - 1, x / y)))
-
+    # with E2_k = y^(k-1) B_k(x/y) and B_m' = m B_(m-1): dx E2_m = m E2_(m-1)
+    # and dy E2_m = ((m-1) E2_m - m x E2_(m-1)) / y
     def dy(x, y):
-        yd = ld(y)
-        u = x / y
-        lead = (m - 1) * yd ** (m - 2) * ld(bernoulli_poly(m, u)) if m >= 2 else ld(0.0)
-        chain = m * yd ** (m - 3) * ld(x) * ld(bernoulli_poly(m - 1, u))
-        return float(lead - chain)
+        return ((m - 1) * bernoulli_scaled(m, x, y) - m * x * bernoulli_scaled(m - 1, x, y)) / y
 
     return InvariantFunction(
-        name="E2", value=value, params={"m": m}, dx=dx, dy=dy, array_value=array_value
+        name="E2",
+        value=lambda x, y: bernoulli_scaled(m, x, y),
+        params={"m": m},
+        dx=lambda x, y: m * bernoulli_scaled(m - 1, x, y),
+        dy=dy,
+        array_value=lambda xs, ys: bernoulli_scaled_array(m, xs, ys),
     )
 
 
@@ -195,22 +181,27 @@ def _make_e5(a: float) -> InvariantFunction:
     if a <= 0.0 or a == 1.0:
         raise RejectedInputError(f"E5 needs a > 0, a != 1, got a={a}")
     L = math.log(a)
+    # a > 1: a^x / (a^y - 1) = a^(x-y) / (1 - a^(-y)), so exp overflows only where the value does
+    shift, sign = (1.0, -1.0) if L > 0.0 else (0.0, 1.0)
+
+    def denom(y):
+        return sign * math.expm1(sign * y * L)
 
     def value(x, y):
-        return math.exp(x * L) / math.expm1(y * L)
+        return math.exp((x - shift * y) * L) / (sign * math.expm1(sign * y * L))
 
     def array_value(xs, ys):
         # math.exp and math.expm1, not np.exp and np.expm1, which may differ
         # in the last bit
-        grow = np.fromiter(map(math.exp, (xs * L).tolist()), float, xs.size)
-        return grow / per_scale(lambda y: math.expm1(y * L), ys)
+        grow = np.fromiter(map(math.exp, ((xs - shift * ys) * L).tolist()), float, xs.size)
+        return grow / per_scale(denom, ys)
 
     def dx(x, y):
-        return L * math.exp(x * L) / math.expm1(y * L)
+        return L * math.exp((x - shift * y) * L) / denom(y)
 
     def dy(x, y):
-        d = math.expm1(y * L)
-        return -L * math.exp((x + y) * L) / (d * d)
+        d = denom(y)
+        return -L * math.exp((x + sign * y) * L) / (d * d)
 
     return InvariantFunction(
         name="E5", value=value, params={"a": a}, dx=dx, dy=dy, array_value=array_value
@@ -226,6 +217,9 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
     pick = (lambda z: z.real) if part == "cos" else (lambda z: z.imag)
 
     def f_complex(x, y):
+        if r > 1.0:
+            # z^x / (z^y - 1) = z^(x-y) / (1 - z^(-y)): exp overflows only where the value does
+            return cmath.exp((x - y) * L) / (1.0 - cmath.exp(-y * L))
         return cmath.exp(x * L) / (cmath.exp(y * L) - 1.0)
 
     def value(x, y):
@@ -235,6 +229,8 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
         return pick(L * f_complex(x, y))
 
     def dy(x, y):
+        if r > 1.0:
+            return pick(-L * f_complex(x, y) / (1.0 - cmath.exp(-y * L)))
         g = cmath.exp(y * L)
         return pick(-L * g * cmath.exp(x * L) / (g - 1.0) ** 2)
 
@@ -475,51 +471,19 @@ def _make_e13(s: float) -> InvariantFunction:
     s = _float_param("s", s)
     if 0.0 <= s <= 1.0:
         raise RejectedInputError(f"E13 needs s > 1 or s < 0, got s={s}")
-    ld = np.longdouble  # the zeta sums and y^(-s) still need the x87 extended format
-
-    if s > 1.0:
-        def value(x, y):
-            # u and the zeta sum stay in extended precision: near u = 0 the
-            # value grows like u^-s and the scale-sum identity needs the
-            # leading terms of both sides to cancel to ~1e-8 absolute
-            u = ld(x) / ld(y)
-            if not u > 0.0:
-                raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {float(u)}")
-            return float(ld(y) ** ld(-s) * ld(_hurwitz_sum_branch(s, u)))
-
-        def array_value(xs, ys):
-            u = xs.astype(ld) / ld(ys)
-            if not (u > 0.0).all():
-                bad = float(u[~(u > 0.0)][0])
-                raise RejectedInputError(f"E13 with s > 1 needs x/y > 0, got {bad}")
-            zeta = _hurwitz_sum_array(s, u).astype(ld)
-            return (ld(ys) ** ld(-s) * zeta).astype(float)
-
-        return InvariantFunction(
-            name="E13",
-            value=value,
-            params={"s": s},
-            domain=lambda x, y: x > 0.0,
-            singular_points=_lattice_locator(nonpositive=True),
-            integrable_in_x=False,  # u^-s blows up non-integrably at u = 0
-            array_value=array_value,
-        )
-
-    def value(x, y):
-        return float(ld(y) ** ld(-s) * ld(hurwitz_zeta(s, x / y)))
-
-    def array_value(xs, ys):
-        zeta = hurwitz_zeta_neg_array(s, xs / ys).astype(ld)
-        return (ld(ys) ** ld(-s) * zeta).astype(float)
-
+    pos = s > 1.0
     return InvariantFunction(
         name="E13",
-        value=value,
+        value=lambda x, y: hurwitz_zeta_scaled(s, x, y),
         params={"s": s},
-        singular_points=_lattice_locator(),
-        series_tolerance=ZETA_NEG_TOLERANCE,
-        piecewise=True,  # periodized branch has lattice kinks
-        array_value=array_value,
+        # s > 1: x/y > 0, and u^-s blows up non-integrably at u = 0;
+        # s < 0: the periodized value has kinks on the lattice
+        domain=(lambda x, y: x > 0.0) if pos else None,
+        singular_points=_lattice_locator(nonpositive=pos),
+        series_tolerance=0.0 if pos else ZETA_NEG_TOLERANCE,
+        piecewise=not pos,
+        integrable_in_x=not pos,
+        array_value=lambda xs, ys: hurwitz_zeta_scaled_array(s, xs, ys),
     )
 
 

@@ -1,4 +1,5 @@
-"""Scalar special functions: exact Bernoulli data, Hurwitz zeta, log-gamma.
+"""Special functions: exact Bernoulli data, Hurwitz zeta, log-gamma, and the
+scaled values of the Bernoulli and Hurwitz entries E2 and E13.
 
 Bernoulli numbers are kept as exact rationals (``fractions.Fraction``) and only
 converted to floating point at the evaluation boundary, so multiplication and
@@ -10,9 +11,11 @@ continuation is used instead.  For ``s < 0`` the second argument is reduced
 into ``(0, 1]``, so the result is 1-periodic in it.  The strip ``0 <= s <= 1``
 is not supported.  ``log |Gamma|`` is Python's ``math.lgamma``.
 
-The Euler-Maclaurin sum and zeta for ``s < 0`` also have array forms that
-run the scalar sums over an ndarray in the same order, masked so that each
-element stops at its own term, and equal the scalar functions bit for bit.
+It is the one module that computes in the x87 long double: the Bernoulli
+Horner loop, the Euler-Maclaurin sums, and y^(m-1) B_m(x/y) and y^(-s)
+zeta(s, x/y), each rounded once.  Both have array forms that run the scalar
+sums over an ndarray in the same order, masked so that each element stops
+at its own term, and equal the scalar functions bit for bit.
 """
 
 from __future__ import annotations
@@ -81,6 +84,15 @@ def _poly_coeffs_ld(m: int) -> np.ndarray:
     return arr
 
 
+def _horner(cs, t):
+    """sum_j cs[j] t^j by Horner's rule, in the arithmetic of cs and t:
+    exact Fractions, or longdoubles with t one or an ndarray of them."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
 def bernoulli_poly(m: int, t: float) -> float:
     """B_m(t) by Horner evaluation of the exact coefficient list.
 
@@ -88,32 +100,29 @@ def bernoulli_poly(m: int, t: float) -> float:
     scaled values up to ~1e8 in magnitude and need absolute errors well under
     1e-8 after cancellation.
     """
-    cs = _poly_coeffs_ld(m)
-    td = _LD(t)
-    acc = _LD(0.0)
-    for j in range(m, -1, -1):
-        acc = acc * td + cs[j]
-    return float(acc)
+    return float(_horner(_poly_coeffs_ld(m), _LD(t)))
 
 
-def bernoulli_poly_array(m: int, ts: np.ndarray) -> np.ndarray:
-    """B_m(t) at each t of a float ndarray: the Horner loop of `bernoulli_poly`
-    run over the whole array, equal to it bit for bit."""
-    cs = _poly_coeffs_ld(m)
-    td = ts.astype(_LD)
-    acc = np.zeros_like(td)
-    for j in range(m, -1, -1):
-        acc = acc * td + cs[j]
-    return acc.astype(float)
+def bernoulli_scaled(m: int, x: float, y: float) -> float:
+    """y^(m-1) B_m(x/y), the Bernoulli entry E2 (and, at m - 1, its partials):
+    x/y and B_m(x/y) rounded to doubles, times y^(m-1) in extended precision,
+    rounded once."""
+    yd = _LD(y)
+    return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(_LD(x) / yd))))
+
+
+def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
+    """`bernoulli_scaled` at each x of a float ndarray, with ys one scale or
+    a float ndarray aligned with xs: the same Horner loop run over the whole
+    array, equal to the scalar function bit for bit."""
+    yd = _LD(ys)  # one longdouble, or an array of them
+    ts = (xs.astype(_LD) / yd).astype(float).astype(_LD)
+    return (yd ** (m - 1) * _horner(_poly_coeffs_ld(m), ts).astype(float).astype(_LD)).astype(float)
 
 
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:
     """B_m(t) for rational t, computed exactly."""
-    cs = bernoulli_poly_coeffs(m)
-    acc = Fraction(0)
-    for j in range(m, -1, -1):
-        acc = acc * t + cs[j]
-    return acc
+    return _horner(bernoulli_poly_coeffs(m), t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +237,15 @@ def _hurwitz_fourier_sum(s: float, u: float) -> float:
     return pref * (float(sines[-1]) * cos_sum + float(cosines[-1]) * sin_sum) + 0.0
 
 
+def _check_zeta(s: float, finite_x: bool, least_x: float) -> None:
+    if not math.isfinite(s) or not finite_x:
+        raise RejectedInputError("zeta arguments must be finite")
+    if 0.0 <= s <= 1.0:
+        raise UnsupportedRegionError(f"zeta(s, x) unsupported for s in [0, 1], got s={s}")
+    if s > 1.0 and not least_x > 0.0:
+        raise RejectedInputError(f"zeta(s, x) with s > 1 needs x > 0, got x={least_x}")
+
+
 def hurwitz_zeta(s: float, x: float) -> float:
     """Hurwitz zeta zeta(s, x) on the branches s > 1 and s < 0.
 
@@ -240,13 +258,8 @@ def hurwitz_zeta(s: float, x: float) -> float:
     returns the trivial zeros zeta(-2m, 1) = 0 exactly, and raises
     UnsupportedRegionError below s ~ -170, where zeta overflows a double.
     """
-    if not math.isfinite(s) or not math.isfinite(x):
-        raise RejectedInputError("zeta arguments must be finite")
-    if 0.0 <= s <= 1.0:
-        raise UnsupportedRegionError(f"zeta(s, x) unsupported for s in [0, 1], got s={s}")
+    _check_zeta(s, math.isfinite(x), x)
     if s > 1.0:
-        if x <= 0.0:
-            raise RejectedInputError(f"zeta(s, x) with s > 1 needs x > 0, got x={x}")
         return _hurwitz_sum_branch(s, x)
     u = x - math.floor(x)
     if u == 0.0:
@@ -256,17 +269,31 @@ def hurwitz_zeta(s: float, x: float) -> float:
     return _hurwitz_fourier_sum(s, u)
 
 
-def hurwitz_zeta_neg_array(s: float, xs: np.ndarray) -> np.ndarray:
-    """`hurwitz_zeta(s, x)` for s < 0 at each x of a float ndarray, bit for
-    bit: the masked Euler-Maclaurin sum on -4 <= s < 0, the scalar
-    trigonometric series per point below."""
-    if not (s < 0.0 and math.isfinite(s)) or not np.isfinite(xs).all():
-        raise RejectedInputError("zeta arguments must be finite, with s < 0")
-    u = xs - np.floor(xs)
-    u[u == 0.0] = 1.0
+def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
+    """y^(-s) zeta(s, x/y), the Hurwitz entry E13: `hurwitz_zeta` at x/y, which
+    for s > 1 stays extended (near x/y = 0 the value grows like (x/y)^-s, and
+    the scale-sum identity needs both sides' leading terms to cancel to ~1e-8
+    absolute), times y^(-s) in extended precision, rounded once."""
+    yd = _LD(y)
+    u = _LD(x) / yd if s > 1.0 else x / y
+    return float(yd ** _LD(-s) * _LD(hurwitz_zeta(s, u)))
+
+
+def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
+    """`hurwitz_zeta_scaled` at each x of a float ndarray, with ys one scale
+    or a float ndarray aligned with xs, bit for bit: the masked
+    Euler-Maclaurin sum, or below s = -4 the trigonometric series per point."""
+    yd = _LD(ys)
+    u = xs.astype(_LD) / yd if s > 1.0 else xs / ys
+    _check_zeta(s, np.isfinite(u).all(), float(np.min(u, initial=np.inf)))
+    if s < 0.0:
+        u -= np.floor(u)
+        u[u == 0.0] = 1.0
     if s >= _FOURIER_BELOW:
-        return _hurwitz_sum_array(s, u)
-    return np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()])
+        zeta = _hurwitz_sum_array(s, u)
+    else:
+        zeta = np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()])
+    return (yd ** _LD(-s) * zeta.astype(_LD)).astype(float)
 
 
 # ---------------------------------------------------------------------------

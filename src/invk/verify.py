@@ -50,6 +50,13 @@ from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _check_args(ints: Sequence = (), scales: Sequence = ()) -> None:
+    """Raise unless each of `ints` is an int >= 1, not a bool, and each scale is finite, > 0."""
+    if not (all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                for n in ints) and all(math.isfinite(y) and y > 0.0 for y in scales)):
+        raise RejectedInputError(f"need integers >= 1 and finite scales > 0, got {ints}, {scales}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Deterministic sampling specification for property checks.
@@ -65,20 +72,13 @@ class GridSpec:
     n_max: int = 10
 
     def __post_init__(self):
-        for name in ("seed", "samples", "n_max"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise RejectedInputError(f"{name} must be an integer, got {v!r}")
-        if not all(map(math.isfinite, (*self.x_range, *self.y_range))):
-            raise RejectedInputError("x_range and y_range must be finite")
-        if self.seed < 0:
-            raise RejectedInputError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.samples < 1 or self.n_max < 1:
-            raise RejectedInputError("samples and n_max must be >= 1")
-        if not (self.x_range[0] < self.x_range[1]):
-            raise RejectedInputError("x_range must be non-degenerate")
-        if not (0.0 < self.y_range[0] < self.y_range[1]):
-            raise RejectedInputError("y_range must be positive and non-degenerate")
+        _check_args((self.samples, self.n_max), self.y_range)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise RejectedInputError(f"seed must be a nonnegative integer, got {seed!r}")
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1 and y0 < y1):
+            raise RejectedInputError("x_range and y_range must be finite and increasing")
 
 
 DEFAULT_GRID = GridSpec()
@@ -255,8 +255,7 @@ def check_exchange(
     ~1e17 and a fixed absolute tolerance would only measure float rounding,
     so the recorded error is normalized by 1 + |lhs| + |rhs|.
     """
-    if m < 1 or n < 1:
-        raise RejectedInputError("m and n must be positive integers")
+    _check_args((m, n))
 
     def eval_points(x, y):
         out = [(x + r * m * y, n * y) for r in range(n)]
@@ -404,6 +403,7 @@ def check_product_integral(
     tol: float = 1e-7,
 ) -> VerificationReport:
     """Period integral of g * h against the product of period integrals."""
+    _check_args(scales=y_list)
     conv = convolve(g, h, tol=1e-9)
     worst = _Worst()
     for y in y_list:
@@ -467,6 +467,7 @@ def check_bernoulli_convolution(
     (-y^(m-1) B_m(x/y)/m!) * (-y^(n-1) B_n(x/y)/n!) should equal
     -y^(m+n-1) B_{m+n}(x/y)/(m+n)! on 0 <= x <= y.
     """
+    _check_args((m, n), y_list)
     conv = convolve(_scaled_bernoulli_entry(m), _scaled_bernoulli_entry(n), tol=1e-10)
     fac = math.factorial(m + n)
     worst = _Worst()
@@ -487,6 +488,7 @@ def check_bernoulli_integral_identity(
         B_{m+n}(x) = -C(m+n, m) ( int_0^1 B_m(x-t) B_n(t) dt
                                   + m int_x^1 (x-t)^(m-1) B_n(t) dt )
     """
+    _check_args((m, n))
     cmn = math.comb(m + n, m)
     ctx = f"bernoulli-identity m={m} n={n}"
     worst = _Worst()
@@ -528,8 +530,7 @@ def check_zeta_convolution(
     Stated without proof for non-integer orders, so this is a numerical
     check; for integer orders it must reproduce the Bernoulli closed form.
     """
-    if not (alpha > 1.0 and beta > 1.0):
-        raise RejectedInputError("kernel orders must exceed 1")
+    _check_args(scales=(y,))
     fa = zeta_power_kernel(alpha)
     fb = zeta_power_kernel(beta)
     fab = zeta_power_kernel(alpha + beta)
@@ -560,12 +561,21 @@ def golden_integral(name: str, **params) -> tuple[float, float]:
     euler:          int_0^{pi/2} log sin t dt          = -(pi/2) log 2
     poisson (r):    int_0^pi log(1 - 2 r cos t + r^2) dt = 2 pi log r (r>1), 0 (0<r<1)
     raabe (a):      int_a^{a+1} log Gamma(t) dt        = a (log a - 1) + log sqrt(2 pi)
+
+    Each takes only its own parameter, a finite number (by default r = 2, a = 1).
     """
+    defaults = {"euler": {}, "poisson": {"r": 2.0}, "raabe": {"a": 1.0}}.get(name)
+    if defaults is None or not set(params) <= set(defaults):
+        raise RejectedInputError(
+            f"no integral {name!r} with parameters {sorted(params)}; "
+            "options: euler, poisson (r), raabe (a)"
+        )
+    args = {k: catalog._float_param(k, params.get(k, v)) for k, v in defaults.items()}
     if name == "euler":
         got = converged_integral(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11, name)
         return got, -0.5 * math.pi * math.log(2.0)
     if name == "poisson":
-        r = float(params.get("r", 2.0))
+        r = args["r"]
         if r <= 0.0 or r == 1.0:
             raise RejectedInputError(f"poisson integral needs r > 0, r != 1, got r={r}")
         got = converged_integral(
@@ -573,13 +583,11 @@ def golden_integral(name: str, **params) -> tuple[float, float]:
         )
         expected = 2.0 * math.pi * math.log(r) if r > 1.0 else 0.0
         return got, expected
-    if name == "raabe":
-        a = float(params.get("a", 1.0))
-        if a <= 0.0:
-            raise RejectedInputError(f"raabe integral needs a > 0, got a={a}")
-        got = converged_integral(lambda t: log_gamma_abs(t), a, a + 1.0, 1e-11, name)
-        return got, a * (math.log(a) - 1.0) + _LOG_SQRT_2PI
-    raise RejectedInputError(f"unknown integral {name!r}; options: euler, poisson, raabe")
+    a = args["a"]
+    if a <= 0.0:
+        raise RejectedInputError(f"raabe integral needs a > 0, got a={a}")
+    got = converged_integral(lambda t: log_gamma_abs(t), a, a + 1.0, 1e-11, name)
+    return got, a * (math.log(a) - 1.0) + _LOG_SQRT_2PI
 
 
 def check_known_integrals(tol: float = 1e-7) -> VerificationReport:

@@ -9,7 +9,7 @@ from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, stan
 from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate
 from invk.errors import RejectedInputError
 from invk.quadrature import integrate
-from invk.special import bernoulli_poly
+from invk.special import bernoulli_poly, bernoulli_poly_coeffs, bernoulli_poly_exact
 from invk.verify import check_invariance, default_tolerance, zeta_power_kernel
 
 from conftest import SMALL_GRID, scale_sum
@@ -223,6 +223,95 @@ class TestQuotientEntriesAgainstMpmath:
             value, _, dy = _quotient_oracle("E7", r, x, y)
             dy_scale = max(abs(value) * (1.0 + _TWO_PI * abs(x) / y) / y, abs(dy))
             assert abs(f.dy(x, y) - dy) <= 2e-15 * dy_scale, (x, y)
+
+
+_EPS = 2.0 ** -52
+
+
+def _bernoulli_oracle(m, x, y):
+    """(E2_m, dx, dy) at the exact float point (x, y) in rationals, with
+    E2_k = y^(k-1) B_k(x/y), dx = m E2_(m-1), dy = ((m-1) E2_m - m x E2_(m-1))/y,
+    and the scale of each: the same sums over |coefficient| |x/y|^j."""
+    X, Y = Fraction(x), Fraction(y)
+    u = X / Y
+    value = Y ** (m - 1) * bernoulli_poly_exact(m, u)
+    lower = Y ** (m - 2) * bernoulli_poly_exact(m - 1, u)
+
+    def size(k):
+        return Y ** (k - 1) * sum(abs(c) * abs(u) ** j for j, c in enumerate(bernoulli_poly_coeffs(k)))
+
+    dy_scale = ((m - 1) * size(m) + m * abs(X) * size(m - 1)) / Y
+    return ((value, size(m)), (m * lower, m * size(m - 1)),
+            (((m - 1) * value - m * X * lower) / Y, dy_scale))
+
+
+class TestBernoulliAndHurwitzEntries:
+    """E2 and E13 are `special`'s scaled values: against exact and
+    high-precision oracles at the floats' exact values, scalar and array."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_bernoulli_value_and_partials_against_fractions(self, m):
+        # rounding x/y moves B_m by up to m/2 eps of its scale; each result is
+        # held to (m + 2) eps of its scale
+        f = make("E2", m=m)
+        rng = np.random.default_rng(71)
+        ys = rng.uniform(0.25, 40.0, 150)
+        xs = rng.uniform(-25.0, 25.0, 150) * ys
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits([f.value(x, y) for x, y in zip(xs, ys)]))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            for rule, (want, scale) in zip((f.value, f.dx, f.dy), _bernoulli_oracle(m, x, y)):
+                assert abs(Fraction(rule(x, y)) - want) <= (m + 2) * _EPS * scale, (rule, x, y)
+
+    @pytest.mark.parametrize("s", [2.0, 3.0, -1.0, -2.0, -0.5, -3.7])
+    def test_hurwitz_values_against_mpmath(self, s):
+        # s > 1: within 4 eps; s < 0: within the sum's 4e-14 max(1, |zeta|),
+        # times y^(-s), at the periodized exact ratio
+        f = make("E13", s=s)
+        rng = np.random.default_rng(73)
+        ys = rng.uniform(0.25, 40.0, 120)
+        us = rng.uniform(0.0 if s > 1.0 else -3.0, 3.0, 120)
+        xs = us * ys
+        got = f.values(xs, ys)
+        assert np.array_equal(_bits(got), _bits([f.value(x, y) for x, y in zip(xs, ys)]))
+        with mpmath.workdps(50):
+            for x, y, value in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                u = Fraction(x) / Fraction(y)
+                if s < 0.0:
+                    u = u - math.floor(u) or Fraction(1)
+                zeta = mpmath.zeta(s, mpmath.mpf(u.numerator) / u.denominator)
+                power = mpmath.power(mpmath.mpf(y), -s)
+                bound = 4 * _EPS * abs(power * zeta) if s > 1.0 else 4e-14 * power * max(1, abs(zeta))
+                assert abs(value - power * zeta) <= bound, (x, y)
+
+
+class TestGrowingBaseQuotients:
+    """E5 and E6 with a > 1 (r > 1) evaluate a^(x-y) / (1 - a^(-y)): where
+    a^x and a^y overflow a double but the value does not, the value and
+    both partials match mpmath within 4 eps (1 + |(x - y) L|) of |f|."""
+
+    @pytest.mark.parametrize("eid,params", [
+        ("E5", {"a": 2.0}), ("E5", {"a": math.e}),
+        ("E6", {"r": 2.0, "theta": 0.0, "part": "cos"}),
+        ("E6", {"r": 2.0, "theta": 1.0, "part": "cos"}),
+        ("E6", {"r": 2.0, "theta": 1.0, "part": "sin"}),
+    ])
+    def test_value_and_partials_past_the_powers(self, eid, params):
+        f = make(eid, **params)
+        base = params.get("a", params.get("r"))
+        rng = np.random.default_rng(79)
+        ys = rng.uniform(700.0, 3000.0, 40)
+        xs = ys + rng.uniform(-600.0, 600.0, 40) / math.log(base)
+        if f.array_value is not None:
+            assert np.array_equal(_bits(f.values(xs, ys)), _bits([f.value(x, y) for x, y in zip(xs, ys)]))
+        pick = mpmath.re if params.get("part", "cos") == "cos" else mpmath.im
+        with mpmath.workdps(60):
+            L = mpmath.log(base) + 1j * params.get("theta", 0.0)
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                g = mpmath.exp(y * L)
+                value = mpmath.exp(x * L) / (g - 1)
+                tol = 4 * _EPS * (1 + abs((x - y) * L)) * abs(value)
+                for rule, want in zip((f.value, f.dx, f.dy), (value, L * value, -L * g * value / (g - 1))):
+                    assert abs(rule(x, y) - pick(want)) <= tol * abs(want / value), (rule, x, y)
 
 
 def _near_lattice_points(seed, count, k_max):

@@ -45,7 +45,7 @@ class TestEval:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--fn", "E5", "--params", "a=2", "--x", "2000", "--y", "1"],
-        ["eval", "--fn", "E5", "--params", "a=2", "--x", "0.3", "--y", "2000"],
+        ["eval", "--fn", "E5", "--params", "a=0.5", "--x", "-2000", "--y", "1"],
         ["eval", "--fn", "E6", "--params", "r=2,theta=0.5,part=cos", "--x", "2000", "--y", "1"],
         # log |Gamma(1e306)| overflows a double
         ["eval", "--fn", "E12", "--x", "1e306", "--y", "1"],
@@ -54,6 +54,20 @@ class TestEval:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("invk:") and "overflow" in err
+
+    @pytest.mark.parametrize("fn, params, x, y, want", [
+        # a^x / (a^y - 1) where a^x or a^y overflows a double but the value does not
+        ("E5", "a=2", "1100", "1000", 2.0 ** 100),
+        ("E5", "a=2", "0.3", "2000", 0.0),
+        ("E6", "r=2,theta=0,part=cos", "1100", "1000", 2.0 ** 100),
+        ("E6", "r=2,theta=0.5,part=sin", "0.3", "2000", 0.0),
+    ])
+    def test_representable_value_past_the_powers(self, fn, params, x, y, want, capsys):
+        code, out, err = run_cli(
+            ["eval", "--fn", fn, "--params", params, "--x", x, "--y", y], capsys
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-14)
 
     def test_zeta_overflow_is_a_usage_error(self, capsys):
         # below s ~ -170 zeta(s, u) overflows a double: unsupported region, exit 2
@@ -158,6 +172,15 @@ class TestIntegral:
     def test_bad_name(self, capsys):
         code, _, _ = run_cli(["integral", "--name", "gauss"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("name,params", [
+        ("poisson", "r=abc"), ("poisson", "r=nan"), ("raabe", "a=inf"),
+        ("raabe", "a=1,b=2"), ("euler", "r=2"),
+    ])
+    def test_bad_parameters_are_usage_errors(self, name, params, capsys):
+        # a value that is no finite number, or a key the integral does not take
+        code, out, err = run_cli(["integral", "--name", name, "--params", params], capsys)
+        assert code == 2 and out == "" and err.startswith("invk:")
 
 
 class TestCovering:

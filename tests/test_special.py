@@ -17,6 +17,8 @@ from invk.special import (
     bernoulli_poly_coeffs,
     bernoulli_poly_exact,
     hurwitz_zeta,
+    hurwitz_zeta_scaled,
+    hurwitz_zeta_scaled_array,
     log_gamma_abs,
     log_gamma_abs_array,
 )
@@ -161,14 +163,19 @@ class TestHurwitzZetaUpperBranch:
         )
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(UnsupportedRegionError):
-            hurwitz_zeta(0.5, 1.0)
-        with pytest.raises(UnsupportedRegionError):
-            hurwitz_zeta(1.0, 1.0)
-        with pytest.raises(RejectedInputError):
-            hurwitz_zeta(2.0, 0.0)
-        with pytest.raises(RejectedInputError):
-            hurwitz_zeta(2.0, -1.0)
+        # the scaled value and its array twin reject what zeta(s, x/y) does
+        scaled = (
+            lambda s, x: hurwitz_zeta_scaled(s, 0.5 * x, 0.5),
+            lambda s, x: hurwitz_zeta_scaled_array(s, np.array([0.5, 0.5 * x]), 0.5),
+        )
+        for zeta in (hurwitz_zeta, *scaled):
+            with pytest.raises(UnsupportedRegionError):
+                zeta(0.5, 1.0)
+            with pytest.raises(UnsupportedRegionError):
+                zeta(1.0, 1.0)
+            for s, x in ((2.0, 0.0), (2.0, -1.0), (2.0, math.nan), (-1.0, math.inf), (math.nan, 1.0)):
+                with pytest.raises(RejectedInputError):
+                    zeta(s, x)
 
 
 _UNIT_INTERVAL_X = (1e-7, 0.3, 0.85, 1.0 - 1e-12, 1.0)

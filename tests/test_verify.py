@@ -514,6 +514,33 @@ class TestConvolutionChecks:
             zeta_power_kernel(1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check_bernoulli_convolution(1, 1, (0.0,)),
+    lambda: check_bernoulli_convolution(1, 1, (1.0, math.inf)),
+    lambda: check_bernoulli_convolution(0, 1),
+    lambda: check_product_integral(make("E1"), make("E1"), (-1.0,)),
+    lambda: check_product_integral(make("E1"), make("E1"), (math.nan,)),
+    lambda: check_zeta_convolution(2.0, 2.0, y=-1.0),
+    lambda: check_zeta_convolution(2.0, 2.0, y=0.0),
+    lambda: check_bernoulli_integral_identity(1.5, 2),
+    lambda: check_bernoulli_integral_identity(0, 2),
+    lambda: check_bernoulli_integral_identity(2, True),
+    lambda: check_exchange(make("E1"), 1.5, 2),
+    lambda: check_exchange(make("E1"), True, 2),
+    lambda: check_exchange(make("E1"), 2, 0),
+], ids=[
+    "bernoulli-conv-zero-scale", "bernoulli-conv-infinite-scale", "bernoulli-conv-order-0",
+    "product-negative-scale", "product-nan-scale", "zeta-conv-negative-scale",
+    "zeta-conv-zero-scale", "bernoulli-identity-fractional-order", "bernoulli-identity-order-0",
+    "bernoulli-identity-bool-order", "exchange-fractional-order", "exchange-bool-order",
+    "exchange-order-0",
+])
+def test_checks_reject_arguments_outside_the_definition(call):
+    # orders are integers >= 1 and scales finite and > 0; a bool is no order
+    with pytest.raises(RejectedInputError):
+        call()
+
+
 class TestGoldenIntegrals:
     def test_euler(self):
         value, expected = golden_integral("euler")
@@ -540,10 +567,14 @@ class TestGoldenIntegrals:
         assert golden_integral("raabe", a=2.0)[1] == pytest.approx(0.3052329, abs=5e-8)
 
     def test_rejects_unknown(self):
-        with pytest.raises(RejectedInputError):
-            golden_integral("gauss")
-        with pytest.raises(RejectedInputError):
-            golden_integral("poisson", r=1.0)
+        for name, params in (
+            ("gauss", {}), ("poisson", {"r": 1.0}),
+            # a parameter the integral does not take, or one that is not a finite number
+            ("raabe", {"a": 1.0, "b": 2.0}), ("euler", {"r": 2.0}), ("poisson", {"a": 2.0}),
+            ("poisson", {"r": "abc"}), ("poisson", {"r": math.nan}), ("raabe", {"a": math.inf}),
+        ):
+            with pytest.raises(RejectedInputError):
+                golden_integral(name, **params)
 
     def test_aggregate_report(self):
         rep = check_known_integrals(1e-7)
