@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import make
 from .core import InvariantFunction
-from .errors import RejectedInputError
+from .errors import RejectedInputError, positive
 from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
 
 
@@ -44,8 +44,7 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     term misses its tolerance, ConvergenceError names the first such term,
     in point order, and its range.
     """
-    if tol <= 0.0:
-        raise RejectedInputError("convolution tolerance must be positive")
+    tol = positive("convolution tolerance", tol)
     _require_integrable(g, "convolution")
     _require_integrable(h, "convolution")
     half = 0.5 * tol
@@ -99,8 +98,7 @@ def antiderivative(f: InvariantFunction, tol: float = 1e-10) -> InvariantFunctio
     F is again invariant and dF/dx = f, so the descriptor's dx is f's value
     rule, and F has a kink wherever f jumps, so it lists f's singular points.
     """
-    if tol <= 0.0:
-        raise RejectedInputError("antiderivative tolerance must be positive")
+    tol = positive("antiderivative tolerance", tol)
     _require_integrable(f, "antiderivative")
     half = 0.5 * tol
 

@@ -57,7 +57,7 @@ from .core import (
     lattice_split,
     per_scale,
 )
-from .errors import RejectedInputError
+from .errors import RejectedInputError, finite, integer, positive
 from .special import (
     ZETA_NEG_TOLERANCE,
     bernoulli_scaled,
@@ -101,9 +101,7 @@ def _e1_values(xs, ys):
 
 
 def _make_e2(m: int) -> InvariantFunction:
-    m = _int_param("m", m)
-    if m < 1:
-        raise RejectedInputError(f"E2 needs integer m >= 1, got {m}")
+    m = integer("m", m, 1)
 
     # with E2_k = y^(k-1) B_k(x/y) and B_m' = m B_(m-1): dx E2_m = m E2_(m-1)
     # and dy E2_m = ((m-1) E2_m - m x E2_(m-1)) / y
@@ -157,7 +155,7 @@ def _make_e3b() -> InvariantFunction:
 
 
 def _make_e4(a: float) -> InvariantFunction:
-    a = _float_param("a", a)
+    a = finite("a", a)
 
     def value(x, y):
         return 1.0 if lattice_parts(a - x, y)[2] else 0.0
@@ -177,9 +175,9 @@ def _make_e4(a: float) -> InvariantFunction:
 
 
 def _make_e5(a: float) -> InvariantFunction:
-    a = _float_param("a", a)
-    if a <= 0.0 or a == 1.0:
-        raise RejectedInputError(f"E5 needs a > 0, a != 1, got a={a}")
+    a = positive("a", a)
+    if a == 1.0:
+        raise RejectedInputError("E5 needs a != 1")
     L = math.log(a)
     # a > 1: a^x / (a^y - 1) = a^(x-y) / (1 - a^(-y)), so exp overflows only where the value does
     shift, sign = (1.0, -1.0) if L > 0.0 else (0.0, 1.0)
@@ -210,7 +208,7 @@ def _make_e5(a: float) -> InvariantFunction:
 
 def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
     r = _radius("E6", r)
-    theta = _float_param("theta", theta)
+    theta = finite("theta", theta)
     if part not in ("cos", "sin"):
         raise RejectedInputError(f"E6 part must be 'cos' or 'sin', got {part!r}")
     L = complex(math.log(r), theta)
@@ -350,9 +348,9 @@ def _make_e8(r: float) -> InvariantFunction:
 
 
 def _make_e9(r: float) -> InvariantFunction:
-    r = _float_param("r", r)
-    if not 0.0 < r < 1.0:
-        raise RejectedInputError(f"E9 needs 0 < r < 1, got r={r}")
+    r = positive("r", r)
+    if r >= 1.0:
+        raise RejectedInputError(f"E9 needs r < 1, got r={r}")
     L = math.log(r)
 
     def value(x, y):
@@ -468,7 +466,7 @@ def _make_e12() -> InvariantFunction:
 
 
 def _make_e13(s: float) -> InvariantFunction:
-    s = _float_param("s", s)
+    s = finite("s", s)
     if 0.0 <= s <= 1.0:
         raise RejectedInputError(f"E13 needs s > 1 or s < 0, got s={s}")
     pos = s > 1.0
@@ -511,34 +509,12 @@ def _make_e14() -> InvariantFunction:
     )
 
 
-def _int_param(name: str, v) -> int:
-    try:
-        if isinstance(v, bool):
-            raise TypeError
-        iv = int(v)
-        if iv != v:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise RejectedInputError(f"parameter {name} must be an integer, got {v!r}") from None
-    return iv
-
-
 def _radius(name: str, r) -> float:
-    """The r of E6, E7 and E8: a finite number, r > 0 and r != 1."""
-    r = _float_param("r", r)
-    if r <= 0.0 or r == 1.0:
-        raise RejectedInputError(f"{name} needs r > 0, r != 1, got r={r}")
+    """The r of E6, E7 and E8: r > 0 and r != 1."""
+    r = positive("r", r)
+    if r == 1.0:
+        raise RejectedInputError(f"{name} needs r != 1")
     return r
-
-
-def _float_param(name: str, v) -> float:
-    try:
-        fv = float(v)
-    except (TypeError, ValueError):
-        raise RejectedInputError(f"parameter {name} must be a number, got {v!r}") from None
-    if not math.isfinite(fv):
-        raise RejectedInputError(f"parameter {name} must be finite, got {v!r}")
-    return fv
 
 
 _BUILDERS: dict[str, tuple[Callable[..., InvariantFunction], tuple[str, ...]]] = {

@@ -19,7 +19,7 @@ from . import catalog
 from .algebra import convolve
 from .core import EvalPoint, evaluate
 from .covering import covering_identity_check, is_disjoint_covering, parse_system
-from .errors import ConvergenceError, InvkError, RejectedInputError
+from .errors import ConvergenceError, InvkError, RejectedInputError, positive
 from .verify import (
     DEFAULT_GRID,
     check_invariance,
@@ -53,6 +53,11 @@ def _parse_params(text: str | None) -> dict:
             except ValueError:
                 out[key] = raw
     return out
+
+
+def tolerance(text: str) -> float:
+    """The argparse type of every --tol: a finite number > 0, else a usage error."""
+    return positive("--tol", float(text))
 
 
 def _parse_fn_spec(text: str):
@@ -115,20 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None, help="invariance tolerance")
+    p_verify.add_argument("--tol", type=tolerance, default=None, help="invariance tolerance")
     _add_output_flags(p_verify)
 
     p_conv = sub.add_parser("convolve", help="evaluate a convolution product at a point")
     p_conv.add_argument("--g", required=True, help="left operand, e.g. E2:m=1")
     p_conv.add_argument("--h", required=True, help="right operand")
-    p_conv.add_argument("--tol", type=float, default=1e-10)
+    p_conv.add_argument("--tol", type=tolerance, default=1e-10)
     _add_point_flags(p_conv)
     _add_output_flags(p_conv)
 
     p_int = sub.add_parser("integral", help="reproduce a golden integral")
     p_int.add_argument("--name", required=True, choices=("euler", "poisson", "raabe"))
     p_int.add_argument("--params", default=None, help="r=... for poisson, a=... for raabe")
-    p_int.add_argument("--tol", type=float, default=1e-7)
+    p_int.add_argument("--tol", type=tolerance, default=1e-7)
     _add_output_flags(p_int)
 
     p_cov = sub.add_parser("covering", help="decide a covering system, optionally certify")
@@ -140,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--params", default="a=2")
     p_cov.add_argument("--x", type=float, default=0.0)
     p_cov.add_argument("--y", type=float, default=1.0)
-    p_cov.add_argument("--tol", type=float, default=1e-8)
+    p_cov.add_argument("--tol", type=tolerance, default=1e-8)
     _add_output_flags(p_cov)
 
     p_tab = sub.add_parser("table", help="tabulate an entry over an x range (CSV)")

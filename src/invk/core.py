@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, RejectedInputError
+from .errors import ConvergenceError, RejectedInputError, finite, positive
 
 _EPS = 2.220446049250313e-16
 _EXACT_INT = 2.0 ** 52  # every float at least this large is an integer
@@ -117,10 +117,8 @@ class EvalPoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise RejectedInputError("evaluation point must be finite")
-        if self.y <= 0.0:
-            raise RejectedInputError(f"y must be positive, got {self.y}")
+        finite("x", self.x)
+        positive("y", self.y)
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,8 @@ class InvariantFunction:
     array_value: Optional[ArrayRule] = None
 
     def __post_init__(self):
-        if self.series_tolerance < 0.0:
-            raise RejectedInputError("series_tolerance must be nonnegative")
+        object.__setattr__(self, "series_tolerance",
+                           positive("series_tolerance", self.series_tolerance, zero=True))
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def values(self, xs: np.ndarray, ys: "float | np.ndarray") -> np.ndarray:
@@ -184,14 +182,18 @@ class InvariantFunction:
 
 
 def evaluate(f: InvariantFunction, p: EvalPoint) -> float:
-    """Value of f at p, after domain validation."""
+    """Value of f at p, after domain validation; OverflowError when it is not
+    a finite double."""
     if not isinstance(p, EvalPoint):
         p = EvalPoint(*p)
     if f.domain is not None and not f.domain(p.x, p.y):
         raise RejectedInputError(
             f"({p.x}, {p.y}) outside the domain of {f.name}"
         )
-    return float(f.value(p.x, p.y))
+    v = float(f.value(p.x, p.y))
+    if not math.isfinite(v):
+        raise OverflowError(f"{f.name} at ({p.x}, {p.y}) is {v}, not a finite double")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +203,7 @@ def evaluate(f: InvariantFunction, p: EvalPoint) -> float:
 
 def affine_transform(f: InvariantFunction, a: float, b: float, c: float) -> InvariantFunction:
     """F(x, y) = a * f(b + c*x, c*y); invariance is preserved for c > 0."""
-    if not (c > 0.0) or not all(map(math.isfinite, (a, b, c))):
-        raise RejectedInputError(f"affine transform needs finite a, b and c > 0, got c={c}")
+    a, b, c = finite("a", a), finite("b", b), positive("c", c)
 
     def value(x, y):
         return a * f.value(b + c * x, c * y)
@@ -302,6 +303,7 @@ def frac_compose(f: InvariantFunction, t: float) -> InvariantFunction:
     The wrapped argument lives in [0, y), so the result is periodic in x with
     period y and is marked piecewise (the wrap introduces jump points).
     """
+    t = finite("t", t)
 
     def inner_arg(x, y):
         _, d, on = lattice_parts(t + x, y)
@@ -336,7 +338,7 @@ def linear_combination(
     terms: Sequence[tuple[float, InvariantFunction]]
 ) -> InvariantFunction:
     """Pointwise sum of coefficient * function over a non-empty term list."""
-    terms = [(float(c), f) for c, f in terms]
+    terms = [(finite("coefficient", c), f) for c, f in terms]
     if not terms:
         raise RejectedInputError("linear combination needs at least one term")
 
@@ -462,8 +464,7 @@ def from_fourier(h, mode: str = "cos", tol: float = 1e-10) -> InvariantFunction:
     """
     if mode not in ("cos", "sin"):
         raise RejectedInputError(f"mode must be 'cos' or 'sin', got {mode!r}")
-    if tol <= 0.0:
-        raise RejectedInputError("tolerance must be positive")
+    tol = positive("tolerance", tol)
     trig = np.cos if mode == "cos" else np.sin
 
     def value(x, y):
@@ -489,8 +490,7 @@ def from_tail_series(h, tol: float = 1e-10) -> InvariantFunction:
     Same convergence contract as `from_fourier`: |h| must eventually decrease
     monotonically with a computable geometric or power-law tail bound.
     """
-    if tol <= 0.0:
-        raise RejectedInputError("tolerance must be positive")
+    tol = positive("tolerance", tol)
 
     def value(x, y):
         kmax = _series_cutoff(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import EvalPoint, InvariantFunction
-from .errors import CapacityError, ParseError, RejectedInputError
+from .errors import CapacityError, ParseError, RejectedInputError, integer
 from .report import VerificationReport, _report, _Worst
 
 LCM_CAP = 10 ** 9
@@ -38,9 +38,8 @@ class CoveringSystem:
             raise RejectedInputError("covering system needs at least one class")
         reduced = []
         for a, n in self.classes:
-            if n < 1:
-                raise RejectedInputError(f"modulus must be positive, got {n}")
-            reduced.append((int(a) % int(n), int(n)))
+            n = integer("modulus", n, 1)
+            reduced.append((integer("residue", a) % n, n))
         object.__setattr__(self, "classes", tuple(reduced))
 
     @property

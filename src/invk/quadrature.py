@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, RejectedInputError
+from .errors import ConvergenceError, positive
 
 _EPS = 2.220446049250313e-16
 
@@ -308,8 +308,7 @@ def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) ->
     [lo, hi] is the range in order, sign its orientation and edges the ends
     of its initial panels, none when a == b.  A singular point no farther
     from an end than the bisection floor makes no cut."""
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise RejectedInputError("quadrature tolerance must be positive")
+    positive("quadrature tolerance", tol)
     starts = []
     for a, b, singular in jobs:
         lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
@@ -647,8 +646,7 @@ def limit_scaled(f, x: float, tol: float = 1e-8) -> LimitResult:
 
 def y_partial_fd(f, x: float, y: float) -> float:
     """d f / d y at (x, y); analytic rule when present, else central difference."""
-    if y <= 0.0:
-        raise RejectedInputError("y must be positive")
+    y = positive("y", y)
     if f.dy is not None:
         return f.dy(x, y)
     h = _EPS ** (1.0 / 3.0) * max(1.0, abs(y))

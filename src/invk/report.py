@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import positive
+
 
 @dataclass
 class VerificationReport:
@@ -76,13 +78,14 @@ class _Worst:
 
 def _report(prop, f_or_name, params, samples, worst: _Worst, tol, flags=()):
     name = f_or_name if isinstance(f_or_name, str) else f_or_name.name
+    tol = positive("tolerance", tol)
     return VerificationReport(
         property=prop,
         function=name,
         params=dict(params),
         samples=samples,
         max_abs_error=float(worst.err),
-        tolerance=float(tol),
+        tolerance=tol,
         passed=bool(0.0 <= worst.err <= tol),  # a report that compared nothing fails
         worst_witness=worst.witness(),
         flags=sorted(flags),

@@ -26,12 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import lattice_split
+from .core import lattice_parts, lattice_split
 from .errors import (
     CapacityError,
+    ConvergenceError,
     PoleError,
     RejectedInputError,
     UnsupportedRegionError,
+    integer,
 )
 
 _LD = np.longdouble
@@ -49,8 +51,7 @@ def bernoulli_number(n: int) -> Fraction:
     Uses the defining recurrence B_0 = 1, sum_{k<n} C(n,k) B_k = 0 for
     n >= 2; each B_k it reads is cached.
     """
-    if n < 0:
-        raise RejectedInputError("Bernoulli index must be nonnegative")
+    n = integer("Bernoulli index", n, 0)
     if n > TABLE_LIMIT:
         raise CapacityError(f"Bernoulli table capped at B_{TABLE_LIMIT}, requested B_{n}")
     if n == 0:
@@ -71,8 +72,7 @@ def _ld(q: Fraction) -> _LD:
 @functools.cache
 def bernoulli_poly_coeffs(m: int) -> tuple[Fraction, ...]:
     """Exact coefficients of B_m(t), index j holding the t^j coefficient."""
-    if m < 0:
-        raise RejectedInputError("polynomial degree must be nonnegative")
+    m = integer("polynomial degree", m, 0)
     # coefficient of t^j in B_m(t) is C(m, j) * B_{m-j}
     return tuple(math.comb(m, j) * bernoulli_number(m - j) for j in range(m + 1))
 
@@ -151,10 +151,15 @@ _EM_COEFFS = tuple(_ld(bernoulli_number(2 * j)) / _LD(math.factorial(2 * j)) for
 def _hurwitz_sum_branch(s: float, x: float) -> float:
     """zeta(s, x) for x > 0 and s > 1, or x in (0, 1] and -4 <= s < 0.
 
-    Sums (n + x)^-s until the base exceeds a fixed anchor, then corrects the
-    tail with the standard midpoint and even-derivative terms built from the
-    Bernoulli numbers (Euler-Maclaurin), stopping when the next term is below
-    2e-17 relative.  For negative integer s the correction terminates exactly.
+    Sums (n + x)^-s until the base a = x + n reaches max(_EM_BASE, s), then
+    corrects the tail with the standard midpoint and even-derivative terms
+    built from the Bernoulli numbers (Euler-Maclaurin), stopping when the
+    next term is below 2e-17 relative.  That tail is asymptotic, with term
+    ratio ~ (s + 2j)^2 / (2 pi a)^2, so for a large s the direct sum runs on
+    to a >= s; it stops early at a direct term below 1e-17 relative, past
+    which the rest, under a^(1-s)/(s-1) < 1.07 times that term, is
+    negligible.  For negative integer s the correction terminates exactly.
+    Raises ConvergenceError when the coefficients run out first.
     """
     sd = _LD(s)
     xd = _LD(x)
@@ -163,6 +168,12 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     while float(xd) + n < _EM_BASE:
         acc += (xd + n) ** (-sd)
         n += 1
+    while float(xd) + n < s:
+        term = (xd + n) ** (-sd)
+        acc += term
+        n += 1
+        if term <= 1e-17 * acc:
+            return float(acc)
     a = xd + n
     acc += a ** (1.0 - sd) / (sd - 1.0) + 0.5 * a ** (-sd)
     rising = sd                       # s (s+1) ... (s+2j-2)
@@ -172,11 +183,11 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
         acc += term
         # the contract needs the first omitted term below 1e-12 relative;
         # extended precision lets us run it to ~1e-17 for free
-        if abs(float(term)) < 2e-17 * abs(float(acc)):
-            break
+        if abs(float(term)) <= 2e-17 * abs(float(acc)):
+            return float(acc)
         rising *= (sd + (2 * j - 1)) * (sd + 2 * j)
         apow /= a * a
-    return float(acc)
+    raise ConvergenceError(f"zeta({s}, {x}): Euler-Maclaurin tail not below 2e-17 relative")
 
 
 def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
@@ -193,20 +204,29 @@ def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
         acc = np.where(live, acc + (xd + n) ** (-sd), acc)
         n += live
         live = xf + n < _EM_BASE
+    live = xf + n < s
+    done = np.zeros(xd.shape, dtype=bool)  # stopped in the direct sum
+    while live.any():
+        term = (xd + n) ** (-sd)
+        acc = np.where(live, acc + term, acc)
+        n += live
+        done |= live & (term <= 1e-17 * acc)
+        live &= ~done & (xf + n < s)
     a = xd + n
-    acc += a ** (1.0 - sd) / (sd - 1.0) + 0.5 * a ** (-sd)
+    acc = np.where(done, acc, acc + (a ** (1.0 - sd) / (sd - 1.0) + 0.5 * a ** (-sd)))
     rising = sd
     apow = a ** (-sd - 1.0)
-    live = np.ones(xd.shape, dtype=bool)
+    live = ~done
     for j, coeff in enumerate(_EM_COEFFS, start=1):
         term = coeff * rising * apow
         acc = np.where(live, acc + term, acc)
-        live &= ~(np.abs(term.astype(float)) < 2e-17 * np.abs(acc.astype(float)))
+        live &= ~(np.abs(term.astype(float)) <= 2e-17 * np.abs(acc.astype(float)))
         if not live.any():
-            break
+            return acc.astype(float)
         rising *= (sd + (2 * j - 1)) * (sd + 2 * j)
         apow /= a * a
-    return acc.astype(float)
+    raise ConvergenceError(
+        f"zeta({s}, {xs[live][0]}): Euler-Maclaurin tail not below 2e-17 relative")
 
 
 def _hurwitz_fourier_sum(s: float, u: float) -> float:
@@ -273,9 +293,16 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
     """y^(-s) zeta(s, x/y), the Hurwitz entry E13: `hurwitz_zeta` at x/y, which
     for s > 1 stays extended (near x/y = 0 the value grows like (x/y)^-s, and
     the scale-sum identity needs both sides' leading terms to cancel to ~1e-8
-    absolute), times y^(-s) in extended precision, rounded once."""
+    absolute), times y^(-s) in extended precision, rounded once.  For s < 0
+    the periodized argument {x/y} comes from `core`'s exact split x/y = k + d:
+    it is d, or 1 + d for d <= 0, accurate at any |x/y|."""
     yd = _LD(y)
-    u = _LD(x) / yd if s > 1.0 else x / y
+    if s > 1.0:
+        u = _LD(x) / yd
+    else:
+        _check_zeta(s, math.isfinite(x), 1.0)  # before the split: fmod(inf, y) raises
+        d = lattice_parts(x, y)[1]
+        u = d if d > 0.0 else 1.0 + d
     return float(yd ** _LD(-s) * _LD(hurwitz_zeta(s, u)))
 
 
@@ -284,11 +311,13 @@ def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
     or a float ndarray aligned with xs, bit for bit: the masked
     Euler-Maclaurin sum, or below s = -4 the trigonometric series per point."""
     yd = _LD(ys)
-    u = xs.astype(_LD) / yd if s > 1.0 else xs / ys
-    _check_zeta(s, np.isfinite(u).all(), float(np.min(u, initial=np.inf)))
-    if s < 0.0:
-        u -= np.floor(u)
-        u[u == 0.0] = 1.0
+    if s > 1.0:
+        u = xs.astype(_LD) / yd
+        _check_zeta(s, np.isfinite(u).all(), float(np.min(u, initial=np.inf)))
+    else:
+        _check_zeta(s, np.isfinite(xs).all(), 1.0)
+        d = lattice_split(xs, ys)[1]
+        u = np.where(d > 0.0, d, 1.0 + d)
     if s >= _FOURIER_BELOW:
         zeta = _hurwitz_sum_array(s, u)
     else:

@@ -36,7 +36,7 @@ from .core import (
     x_derivative,
 )
 from .covering import CoveringSystem, certificate_report, require_accepted
-from .errors import ConvergenceError, RejectedInputError
+from .errors import ConvergenceError, RejectedInputError, finite, integer, positive
 from .quadrature import (
     Vectorized,
     converged_integral,
@@ -48,13 +48,6 @@ from .report import VerificationReport, _report, _Worst, report_sort_key
 from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _check_args(ints: Sequence = (), scales: Sequence = ()) -> None:
-    """Raise unless each of `ints` is an int >= 1, not a bool, and each scale is finite, > 0."""
-    if not (all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                for n in ints) and all(math.isfinite(y) and y > 0.0 for y in scales)):
-        raise RejectedInputError(f"need integers >= 1 and finite scales > 0, got {ints}, {scales}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +65,13 @@ class GridSpec:
     n_max: int = 10
 
     def __post_init__(self):
-        _check_args((self.samples, self.n_max), self.y_range)
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise RejectedInputError(f"seed must be a nonnegative integer, got {seed!r}")
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
-        if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1 and y0 < y1):
-            raise RejectedInputError("x_range and y_range must be finite and increasing")
+        integer("seed", self.seed, 0)
+        integer("samples", self.samples, 1)
+        integer("n_max", self.n_max, 1)
+        x0, x1 = (finite("x_range", x) for x in self.x_range)
+        y0, y1 = (positive("y_range", y) for y in self.y_range)
+        if not (x0 < x1 and y0 < y1):
+            raise RejectedInputError("x_range and y_range must be increasing")
 
 
 DEFAULT_GRID = GridSpec()
@@ -255,7 +248,7 @@ def check_exchange(
     ~1e17 and a fixed absolute tolerance would only measure float rounding,
     so the recorded error is normalized by 1 + |lhs| + |rhs|.
     """
-    _check_args((m, n))
+    m, n = integer("m", m, 1), integer("n", n, 1)
 
     def eval_points(x, y):
         out = [(x + r * m * y, n * y) for r in range(n)]
@@ -403,7 +396,7 @@ def check_product_integral(
     tol: float = 1e-7,
 ) -> VerificationReport:
     """Period integral of g * h against the product of period integrals."""
-    _check_args(scales=y_list)
+    y_list = [positive("y", y) for y in y_list]
     conv = convolve(g, h, tol=1e-9)
     worst = _Worst()
     for y in y_list:
@@ -467,7 +460,8 @@ def check_bernoulli_convolution(
     (-y^(m-1) B_m(x/y)/m!) * (-y^(n-1) B_n(x/y)/n!) should equal
     -y^(m+n-1) B_{m+n}(x/y)/(m+n)! on 0 <= x <= y.
     """
-    _check_args((m, n), y_list)
+    m, n = integer("m", m, 1), integer("n", n, 1)
+    y_list = [positive("y", y) for y in y_list]
     conv = convolve(_scaled_bernoulli_entry(m), _scaled_bernoulli_entry(n), tol=1e-10)
     fac = math.factorial(m + n)
     worst = _Worst()
@@ -488,7 +482,7 @@ def check_bernoulli_integral_identity(
         B_{m+n}(x) = -C(m+n, m) ( int_0^1 B_m(x-t) B_n(t) dt
                                   + m int_x^1 (x-t)^(m-1) B_n(t) dt )
     """
-    _check_args((m, n))
+    m, n = integer("m", m, 1), integer("n", n, 1)
     cmn = math.comb(m + n, m)
     ctx = f"bernoulli-identity m={m} n={n}"
     worst = _Worst()
@@ -530,7 +524,7 @@ def check_zeta_convolution(
     Stated without proof for non-integer orders, so this is a numerical
     check; for integer orders it must reproduce the Bernoulli closed form.
     """
-    _check_args(scales=(y,))
+    positive("y", y)
     fa = zeta_power_kernel(alpha)
     fb = zeta_power_kernel(beta)
     fab = zeta_power_kernel(alpha + beta)
@@ -562,7 +556,7 @@ def golden_integral(name: str, **params) -> tuple[float, float]:
     poisson (r):    int_0^pi log(1 - 2 r cos t + r^2) dt = 2 pi log r (r>1), 0 (0<r<1)
     raabe (a):      int_a^{a+1} log Gamma(t) dt        = a (log a - 1) + log sqrt(2 pi)
 
-    Each takes only its own parameter, a finite number (by default r = 2, a = 1).
+    Each takes only its own parameter, a finite number > 0 (by default r = 2, a = 1).
     """
     defaults = {"euler": {}, "poisson": {"r": 2.0}, "raabe": {"a": 1.0}}.get(name)
     if defaults is None or not set(params) <= set(defaults):
@@ -570,22 +564,20 @@ def golden_integral(name: str, **params) -> tuple[float, float]:
             f"no integral {name!r} with parameters {sorted(params)}; "
             "options: euler, poisson (r), raabe (a)"
         )
-    args = {k: catalog._float_param(k, params.get(k, v)) for k, v in defaults.items()}
+    args = {k: positive(k, params.get(k, v)) for k, v in defaults.items()}
     if name == "euler":
         got = converged_integral(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11, name)
         return got, -0.5 * math.pi * math.log(2.0)
     if name == "poisson":
         r = args["r"]
-        if r <= 0.0 or r == 1.0:
-            raise RejectedInputError(f"poisson integral needs r > 0, r != 1, got r={r}")
+        if r == 1.0:
+            raise RejectedInputError("poisson integral needs r != 1")
         got = converged_integral(
             lambda t: math.log(1.0 - 2.0 * r * math.cos(t) + r * r), 0.0, math.pi, 1e-11, name
         )
         expected = 2.0 * math.pi * math.log(r) if r > 1.0 else 0.0
         return got, expected
     a = args["a"]
-    if a <= 0.0:
-        raise RejectedInputError(f"raabe integral needs a > 0, got a={a}")
     got = converged_integral(lambda t: log_gamma_abs(t), a, a + 1.0, 1e-11, name)
     return got, a * (math.log(a) - 1.0) + _LOG_SQRT_2PI
 

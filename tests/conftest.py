@@ -14,9 +14,11 @@ SMALL_GRID = GridSpec(seed=7, samples=16, n_max=6)
 
 def child_env() -> dict:
     """The environment for a child interpreter that imports invk from ./src,
-    which pytest's `pythonpath` setting gives only to the test process."""
+    which pytest's `pythonpath` setting gives only to the test process, and
+    runs under its warning policy: a RuntimeWarning is an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = ",".join(filter(None, [env.get("PYTHONWARNINGS"), "error::RuntimeWarning"]))
     return env
 
 

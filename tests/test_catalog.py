@@ -30,6 +30,13 @@ class TestParameterValidation:
             ("E9", {"r": 1.0}),
             ("E13", {"s": 1.0}),
             ("E13", {"s": 0.5}),
+            # a number is a finite real but no bool, and an order is an int
+            ("E2", {"m": 2.0}),
+            ("E2", {"m": True}),
+            ("E4", {"a": True}),
+            ("E4", {"a": "2"}),
+            ("E5", {"a": math.inf}),
+            ("E13", {"s": math.nan}),
         ],
     )
     def test_rejected(self, eid, params):
@@ -282,6 +289,25 @@ class TestBernoulliAndHurwitzEntries:
                 power = mpmath.power(mpmath.mpf(y), -s)
                 bound = 4 * _EPS * abs(power * zeta) if s > 1.0 else 4e-14 * power * max(1, abs(zeta))
                 assert abs(value - power * zeta) <= bound, (x, y)
+
+    @pytest.mark.parametrize("s", [-1.0, -2.0])
+    def test_periodized_hurwitz_at_large_ratios(self, s):
+        # {x/y} comes from the exact split, so it carries d's one rounding at
+        # any |x/y|; x/y - floor(x/y) carried |x/y| eps, 7e-8 at |x/y| ~ 1e9
+        f = make("E13", s=s)
+        rng = np.random.default_rng(79)
+        ys = rng.uniform(0.25, 40.0, 120)
+        us = rng.choice([-1.0, 1.0], 120) * 10.0 ** rng.uniform(4.0, 9.0, 120)
+        xs = us * ys
+        got = f.values(xs, ys)
+        assert np.array_equal(_bits(got), _bits([f.value(x, y) for x, y in zip(xs, ys)]))
+        with mpmath.workdps(50):
+            for x, y, value in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                u = Fraction(x) / Fraction(y)
+                u = u - math.floor(u) or Fraction(1)
+                zeta = mpmath.zeta(s, mpmath.mpf(u.numerator) / u.denominator)
+                power = mpmath.power(mpmath.mpf(y), -s)
+                assert abs(value - power * zeta) <= 4e-14 * power * max(1, abs(zeta)), (x, y)
 
 
 class TestGrowingBaseQuotients:

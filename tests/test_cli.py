@@ -49,6 +49,9 @@ class TestEval:
         ["eval", "--fn", "E6", "--params", "r=2,theta=0.5,part=cos", "--x", "2000", "--y", "1"],
         # log |Gamma(1e306)| overflows a double
         ["eval", "--fn", "E12", "--x", "1e306", "--y", "1"],
+        # the long-double values of E13 and E2 round to inf
+        ["eval", "--fn", "E13", "--params", "s=170", "--x", "0.01", "--y", "1"],
+        ["eval", "--fn", "E2", "--params", "m=200", "--x", "1000", "--y", "1"],
     ])
     def test_float_overflow_is_a_usage_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -131,6 +134,21 @@ class TestVerify:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("invk:") and "seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fn", "E5", "--params", "a=2", "--tol", "inf"],
+    ["verify", "--fn", "E5", "--params", "a=2", "--tol", "nan"],
+    ["verify", "--fn", "E5", "--params", "a=2", "--tol", "-1"],
+    ["integral", "--name", "euler", "--tol", "nan"],
+    ["covering", "--check", "0/1", "--certify", "--tol", "nan"],
+    ["convolve", "--g", "E1", "--h", "E1", "--x", "0.4", "--y", "1", "--tol", "0"],
+])
+def test_bad_tolerance_is_a_usage_error(argv, capsys):
+    # every --tol is a finite number > 0, checked before any work starts
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "--tol" in err
 
 
 class TestConvolve:

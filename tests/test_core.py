@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invk.catalog import make
+from invk.algebra import antiderivative, convolve
 from invk.core import (
     LATTICE_BAND,
     EvalPoint,
+    InvariantFunction,
     _call_vectorized,
     affine_transform,
     evaluate,
@@ -37,6 +39,15 @@ class TestEvalPoint:
             EvalPoint(1.0, -2.0)
         with pytest.raises(RejectedInputError):
             EvalPoint(math.nan, 1.0)
+
+    @pytest.mark.parametrize("fn, params, x, y", [
+        # the long-double values of E13 and E2 round to inf without raising
+        ("E13", {"s": 170.0}, 0.01, 1.0),
+        ("E2", {"m": 200}, 1000.0, 1.0),
+    ])
+    def test_evaluate_refuses_a_value_past_the_doubles(self, fn, params, x, y):
+        with pytest.raises(OverflowError, match=fn):
+            evaluate(make(fn, **params), EvalPoint(x, y))
 
     def test_evaluate_enforces_domain(self):
         f = make("E13", s=2.0)
@@ -393,6 +404,37 @@ class TestTailSeriesConstructor:
     def test_zero_function(self):
         f = from_tail_series(lambda t: 0.0, 1e-10)
         assert f.value(0.3, 0.7) == 0.0
+
+
+def _h(t):
+    return 1.0 / (1.0 + t * t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InvariantFunction("f", lambda x, y: 0.0, series_tolerance=math.inf),
+    lambda: InvariantFunction("f", lambda x, y: 0.0, series_tolerance=math.nan),
+    lambda: InvariantFunction("f", lambda x, y: 0.0, series_tolerance=-1e-9),
+    lambda: frac_compose(make("E1"), math.nan),
+    lambda: frac_compose(make("E1"), math.inf),
+    lambda: linear_combination([(math.inf, make("E1"))]),
+    lambda: linear_combination([(True, make("E1"))]),
+    lambda: affine_transform(make("E1"), math.nan, 0.0, 1.0),
+    lambda: from_fourier(_h, tol=math.inf),
+    lambda: from_fourier(_h, tol=math.nan),
+    lambda: from_tail_series(_h, tol=math.nan),
+    lambda: convolve(make("E1"), make("E1"), tol=math.nan),
+    lambda: antiderivative(make("E1"), tol=math.inf),
+    lambda: EvalPoint(True, 1.0),
+], ids=[
+    "series-tolerance-inf", "series-tolerance-nan", "series-tolerance-negative",
+    "frac-nan", "frac-inf", "lincomb-inf", "lincomb-bool", "affine-nan",
+    "fourier-tol-inf", "fourier-tol-nan", "tail-tol-nan", "convolve-tol-nan",
+    "antiderivative-tol-inf", "point-bool",
+])
+def test_constructors_reject_numbers_outside_the_definition(build):
+    # numbers are finite reals but no bools; tolerances are finite and > 0
+    with pytest.raises(RejectedInputError):
+        build()
 
 
 class TestCombinatorsStayInvariant:

@@ -36,6 +36,17 @@ class TestParsing:
         assert hasattr(err.value, "position")
 
 
+@pytest.mark.parametrize("classes", [
+    ((0, 2.5), (1, 2)),  # once truncated to 0/2, 1/2 and accepted
+    ((0.5, 2), (1, 2)),
+    ((True, 2), (0, 2)),
+    ((0, 0), (0, 1)),
+])
+def test_classes_are_integers(classes):
+    with pytest.raises(RejectedInputError):
+        CoveringSystem(classes)
+
+
 class TestDecision:
     def test_accepts_partition(self):
         d = is_disjoint_covering(parse_system("0/2,1/4,3/4"))

@@ -572,5 +572,6 @@ class TestYPartialFd:
         assert y_partial_fd(make("E3a"), 0.3, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonpositive_y(self):
-        with pytest.raises(RejectedInputError):
-            y_partial_fd(make("E1"), 0.0, 0.0)
+        for y in (0.0, math.inf, math.nan):  # a scale is finite and > 0
+            with pytest.raises(RejectedInputError):
+                y_partial_fd(make("E1"), 0.0, y)

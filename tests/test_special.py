@@ -9,7 +9,14 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from invk.errors import CapacityError, PoleError, RejectedInputError, UnsupportedRegionError
+from invk import special
+from invk.errors import (
+    CapacityError,
+    ConvergenceError,
+    PoleError,
+    RejectedInputError,
+    UnsupportedRegionError,
+)
 from invk.special import (
     TABLE_LIMIT,
     bernoulli_number,
@@ -48,8 +55,11 @@ class TestBernoulliNumbers:
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):
             bernoulli_number(TABLE_LIMIT + 1)
+        for bad in (-1, 4.0, 2.5):  # an index is an int >= 0
+            with pytest.raises(RejectedInputError):
+                bernoulli_number(bad)
         with pytest.raises(RejectedInputError):
-            bernoulli_number(-1)
+            bernoulli_poly_coeffs(2.0)
 
     def test_matches_akiyama_tanigawa_up_to_the_cap(self):
         oracle = _akiyama_tanigawa(TABLE_LIMIT)
@@ -177,7 +187,59 @@ class TestHurwitzZetaUpperBranch:
                 with pytest.raises(RejectedInputError):
                     zeta(s, x)
 
+    @pytest.mark.parametrize("s", [30.0, 40.0, 50.0, 80.0, 160.0])
+    def test_large_order_against_high_precision(self, s):
+        # the Euler-Maclaurin tail is asymptotic, with term ratio
+        # ~ (s + 2j)^2 / (2 pi a)^2, so it starts at a >= s; a 16 start left
+        # 5.6e-10 at s = 40, x = 15.9 and 7.32e-88 for 7.79e-97 at s = 80
+        rng = np.random.default_rng(int(s))
+        lo = max(0.01, 10.0 ** (-300.0 / s))  # keep x^-s inside the doubles
+        xs = np.concatenate([np.exp(rng.uniform(math.log(lo), math.log(100.0), 12)),
+                             [15.9, 16.0, s - 0.5, s, 1000.0]])
+        got = [hurwitz_zeta(s, x) for x in xs.tolist()]
+        assert special._hurwitz_sum_array(s, xs).tolist() == got
+        for x, value in zip(xs.tolist(), got):
+            want = _zeta_oracle(s, x, 2.0 * s)
+            assert abs(_zeta_oracle(s, x, 3.0 * s) - want) <= 1e-30 * want
+            if want > 1e-290:  # past that the double is subnormal or 0
+                assert abs(value - want) <= 4 * _EPS * want, (s, x)
 
+    def test_tail_out_of_coefficients_raises(self, monkeypatch):
+        # the tail does not reach its stop within the coefficients: an error,
+        # not the partial sum
+        monkeypatch.setattr(special, "_EM_COEFFS", special._EM_COEFFS[:1])
+        with pytest.raises(ConvergenceError):
+            hurwitz_zeta(2.0, 0.5)
+        with pytest.raises(ConvergenceError):
+            special._hurwitz_sum_array(2.0, np.array([0.5, 3.0]))
+
+    def test_huge_order_stops_in_the_direct_sum(self):
+        # past the anchor a direct term below 1e-17 of the sum ends it
+        for x, want in ((1.0, 1.0), (20.0, 0.0), (1e301, 0.0)):
+            assert hurwitz_zeta(1e300, x) == want
+            assert special._hurwitz_sum_array(1e300, np.array([x])).tolist() == [want]
+
+
+def _zeta_oracle(s, x, start):
+    """zeta(s, x) in 40 digits, for s > 1: the direct sum until x + n >= start,
+    then the Euler-Maclaurin tail, whose terms fall like (s + 2j)^2 / (2 pi
+    start)^2.  mpmath.zeta is no oracle at a large s: at (40, 1000) it is off
+    by 3e-10 relative at 120 digits, and at (80, 1000) by 3e-15 at 200."""
+    with mpmath.workdps(40):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        n = max(0, math.ceil(start - x))
+        acc = mpmath.fsum((x + k) ** -s for k in range(n))
+        a = x + n
+        acc += a ** (1 - s) / (s - 1) + a ** -s / 2
+        rising, apow = s, a ** (-s - 1)
+        for j in range(1, 40):
+            acc += mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * apow
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            apow /= a * a
+        return acc
+
+
+_EPS = 2.0 ** -52
 _UNIT_INTERVAL_X = (1e-7, 0.3, 0.85, 1.0 - 1e-12, 1.0)
 
 

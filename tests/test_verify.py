@@ -528,15 +528,18 @@ class TestConvolutionChecks:
     lambda: check_exchange(make("E1"), 1.5, 2),
     lambda: check_exchange(make("E1"), True, 2),
     lambda: check_exchange(make("E1"), 2, 0),
+    # the tolerance every report turns into its verdict
+    lambda: check_invariance(make("E1"), SMALL_GRID, math.inf),
+    lambda: check_invariance(make("E1"), SMALL_GRID, math.nan),
 ], ids=[
     "bernoulli-conv-zero-scale", "bernoulli-conv-infinite-scale", "bernoulli-conv-order-0",
     "product-negative-scale", "product-nan-scale", "zeta-conv-negative-scale",
     "zeta-conv-zero-scale", "bernoulli-identity-fractional-order", "bernoulli-identity-order-0",
     "bernoulli-identity-bool-order", "exchange-fractional-order", "exchange-bool-order",
-    "exchange-order-0",
+    "exchange-order-0", "invariance-infinite-tolerance", "invariance-nan-tolerance",
 ])
 def test_checks_reject_arguments_outside_the_definition(call):
-    # orders are integers >= 1 and scales finite and > 0; a bool is no order
+    # orders are integers >= 1, scales and tolerances finite and > 0; a bool is no order
     with pytest.raises(RejectedInputError):
         call()
 
@@ -572,6 +575,7 @@ class TestGoldenIntegrals:
             # a parameter the integral does not take, or one that is not a finite number
             ("raabe", {"a": 1.0, "b": 2.0}), ("euler", {"r": 2.0}), ("poisson", {"a": 2.0}),
             ("poisson", {"r": "abc"}), ("poisson", {"r": math.nan}), ("raabe", {"a": math.inf}),
+            ("raabe", {"a": True}), ("poisson", {"r": "2"}),
         ):
             with pytest.raises(RejectedInputError):
                 golden_integral(name, **params)
