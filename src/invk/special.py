@@ -86,9 +86,11 @@ def _poly_coeffs_ld(m: int) -> np.ndarray:
 
 def _horner(cs, t):
     """sum_j cs[j] t^j by Horner's rule, in the arithmetic of cs and t:
-    exact Fractions, or longdoubles with t one or an ndarray of them."""
-    acc = 0
-    for c in reversed(cs):
+    exact Fractions, or longdoubles with t one or an ndarray of them.  It
+    starts at cs[-1], not at 0 t + cs[-1], which is the same for every
+    finite t and costs an ndarray product and sum."""
+    acc = cs[-1] + 0 * t if len(cs) == 1 else cs[-1]
+    for c in cs[-2::-1]:
         acc = acc * t + c
     return acc
 
@@ -111,10 +113,13 @@ def bernoulli_scaled(m: int, x: float, y: float) -> float:
     return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(_LD(x) / yd))))
 
 
+@np.errstate(over="ignore")
 def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
     """`bernoulli_scaled` at each x of a float ndarray, with ys one scale or
     a float ndarray aligned with xs: the same Horner loop run over the whole
-    array, equal to the scalar function bit for bit."""
+    array, equal to the scalar function bit for bit.  A value past the
+    largest double is inf, as `float` rounds a longdouble, without numpy's
+    overflow warning."""
     yd = _LD(ys)  # one longdouble, or an array of them
     ts = (xs.astype(_LD) / yd).astype(float).astype(_LD)
     return (yd ** (m - 1) * _horner(_poly_coeffs_ld(m), ts).astype(float).astype(_LD)).astype(float)
@@ -306,10 +311,13 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
     return float(yd ** _LD(-s) * _LD(hurwitz_zeta(s, u)))
 
 
+@np.errstate(over="ignore")
 def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
     """`hurwitz_zeta_scaled` at each x of a float ndarray, with ys one scale
     or a float ndarray aligned with xs, bit for bit: the masked
-    Euler-Maclaurin sum, or below s = -4 the trigonometric series per point."""
+    Euler-Maclaurin sum, or below s = -4 the trigonometric series per point.
+    A value past the largest double is inf, as `float` rounds a longdouble,
+    without numpy's overflow warning."""
     yd = _LD(ys)
     if s > 1.0:
         u = xs.astype(_LD) / yd

@@ -4,6 +4,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from invk.quadrature import (
     limit_scaled,
     y_partial_fd,
 )
+from invk.verify import golden_integral
 
 
 class TestIntegrate:
@@ -269,7 +271,7 @@ class TestIntegrateMany:
         (lambda ts: TestIntegrateMany.E9.values(ts, 0.7), 2.3, -1.1, ()),   # reversed
         (lambda ts: np.exp(-ts * ts), -3.0, 3.0, (-1.0, 1.0)),              # shallow, cut
         (lambda ts: ts * ts, 0.5, 0.5, ()),                                 # a == b
-        (lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)),    # reversed, cut
+        (lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)),    # reversed, cut, extrapolated
         (lambda ts: np.where(ts > 0, 1.0 / ts, 0.0), 0.0, 1.0, ()),         # unconverged
         (lambda ts: TestIntegrateMany.E10.values(ts, 0.4), -0.9, 1.3,
          (-0.8, -0.4, 0.0, 0.4, 0.8, 1.2)),                                 # many cuts
@@ -311,7 +313,7 @@ class TestIntegrateMany:
 
     def test_each_job_equals_a_lone_integral(self):
         got, _ = self._lockstep(self.JOBS)
-        assert [r.converged for r in got] == [True, True, True, True, False, False, True]
+        assert [r.converged for r in got] == [True, True, True, True, True, False, True]
         assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
 
     def test_wide_rounds_run_as_columns(self, monkeypatch):
@@ -329,7 +331,7 @@ class TestIntegrateMany:
         got, widths = self._lockstep(specs)
         assert columns == widths
         assert len(widths) >= 3 and min(widths) <= 16 < max(widths)  # wide and narrow rounds
-        assert [r.converged for r in got] == [True, True, True, True, False, False, True] * 8
+        assert [r.converged for r in got] == [True, True, True, True, True, False, True] * 8
 
     def test_narrow_rounds_never_run_as_columns(self, monkeypatch):
         # a call of fewer than _TABLE_MIN jobs sums panel by panel, its
@@ -449,13 +451,17 @@ class TestOutOfReach:
         assert time.perf_counter() - start < 0.05
 
     def test_error_at_the_depth_limit_above_tol_stops(self):
-        # an inverse-square-root singularity at a cut leaves ~1.5e-6 in its
-        # panels at MAX_DEPTH, and 1/t at 0 is not integrable; both used to
-        # spend the 20,000-panel budget (300,015 evaluations)
-        kink = integrate(Vectorized(lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3))), 1.0, -0.5, 1e-8, (0.3,))
+        # 1/t at 0 is not integrable: its panel at the singularity keeps its
+        # error at every depth, and the job stops once that panel reaches
+        # MAX_DEPTH instead of spending the 20,000-panel budget (300,015
+        # evaluations).  An inverse-square-root singularity at a cut leaves
+        # ~1.5e-6 in its panels at MAX_DEPTH under bisection alone, but its
+        # extrapolated levels meet tol
         pole = integrate(lambda t: 1.0 / t if t > 0 else 0.0, 0.0, 1.0, 1e-10)
-        for res in (kink, pole):
-            assert not res.converged and res.evaluations < 5_000
+        assert not pole.converged and pole.evaluations < 5_000
+        kink = integrate(Vectorized(lambda ts: 1.0 / np.sqrt(np.abs(ts - 0.3))), 1.0, -0.5, 1e-8, (0.3,))
+        assert kink.converged and kink.evaluations < 5_000
+        assert abs(kink.value + 2.0 * (math.sqrt(0.8) + math.sqrt(0.7))) <= 1e-8
 
     E9 = make("E9", r=0.5)
     E10 = make("E10")
@@ -520,6 +526,244 @@ class TestOutOfReach:
                 assert not got.converged and got.evaluations <= want.evaluations
                 stopped += got.evaluations < want.evaluations
         assert converged > 40 and stopped > 10
+
+
+def _offset_reference(g, a, b, c):
+    """The oriented integral over [a, b] of g(t - c), with g singular at 0,
+    by mpmath at 30 digits.  Each side of c is integrated in s, with
+    t - c = +-s^4, so the integrand is smooth there and the offsets of
+    mpmath's nodes from c keep their 30 digits however close they come."""
+    lo, hi = min(a, b), max(a, b)
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        if lo < c:
+            total += mpmath.quad(lambda s: 4 * s ** 3 * g(-s ** 4), [0, mpmath.root(c - mpmath.mpf(lo), 4)])
+        if c < hi:
+            total += mpmath.quad(lambda s: 4 * s ** 3 * g(s ** 4), [0, mpmath.root(mpmath.mpf(hi) - c, 4)])
+        return float(total if a <= b else -total)
+
+
+class _CountedWynn(quadrature._Wynn):
+    """The epsilon table, counting the jobs that start one."""
+
+    started = 0
+
+    def __init__(self):
+        type(self).started += 1
+        super().__init__()
+
+
+def _e10_conv_reference(x):
+    """(E10 * E10)(x, 1) for 0 < x < 1 by mpmath at 30 digits."""
+    def f(t):
+        return mpmath.log(abs(2 * mpmath.sin(mpmath.pi * t)))
+
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda t: f(t) * f(x - t), [0, x])
+                     + mpmath.quad(lambda t: f(t) * f(1 + x - t), [x, 1]))
+
+
+class TestExtrapolation:
+    """A job that a bisection takes to depth `_ENGAGE` extrapolates its
+    level areas with Wynn's epsilon algorithm (QUADPACK's QAGP)."""
+
+    def _cases(self):
+        """Seeded integrands singular at an end or at a cut c: (name, phi,
+        the integrand as a function of t - c in mpmath, a, b, c)."""
+        rng = np.random.default_rng(1956)
+        cases = []
+
+        def span(c):
+            lo, hi = (c, c + float(rng.uniform(0.1, 2.0))) if rng.random() < 0.5 else (
+                c - float(rng.uniform(0.1, 1.0)), c + float(rng.uniform(0.1, 1.0)))
+            return (hi, lo) if rng.random() < 0.3 else (lo, hi)
+
+        for _ in range(6):
+            c = float(rng.uniform(-1.0, 1.0))
+            cases.append(("log|t - c|", Vectorized(lambda ts, c=c: np.log(np.abs(ts - c))),
+                          lambda d: mpmath.log(abs(d)), *span(c), c))
+        for _ in range(6):
+            k = float(rng.integers(0, 2))
+            a, b = k - float(rng.uniform(0.0, 0.9)), k + float(rng.uniform(0.05, 0.9))
+            cases.append(("log|2 sin pi t|", Vectorized(lambda ts: np.log(np.abs(2.0 * np.sin(np.pi * ts)))),
+                          lambda d: mpmath.log(abs(2 * mpmath.sin(mpmath.pi * d))),
+                          k if rng.random() < 0.3 else a, b, k))
+        for _ in range(6):
+            a = 0.0 if rng.random() < 0.5 else float(rng.uniform(-0.9, -0.1))
+            cases.append(("lgamma", math.lgamma, lambda d: mpmath.log(abs(mpmath.gamma(d))),
+                          a, float(rng.uniform(0.1, 3.0)), 0.0))
+        for p in (0.25, 0.5, 0.75):
+            for _ in range(6):
+                c = float(rng.uniform(-1.0, 1.0))
+                cases.append((f"|t - c|^-{p}", Vectorized(lambda ts, c=c, p=p: np.abs(ts - c) ** -p),
+                              lambda d, p=p: abs(d) ** -p, *span(c), c))
+        return cases
+
+    def test_converged_results_are_within_tol_of_mpmath(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_Wynn", _CountedWynn)
+        _CountedWynn.started = 0
+        runs = converged = 0
+        for name, phi, g, a, b, c in self._cases():
+            want = _offset_reference(g, a, b, c)
+            for tol in (1e-8, 1e-10, 1e-12):
+                res = integrate(phi, a, b, tol, (c,))
+                runs += 1
+                if res.converged:
+                    converged += 1
+                    assert abs(res.value - want) <= tol, (name, a, b, c, tol, res)
+        assert _CountedWynn.started == runs  # every run extrapolated
+        assert converged >= 0.7 * runs
+
+    def test_log_kernel_counts(self):
+        e10 = make("E10")
+        x, y = 0.123, 1.0
+        period = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
+        assert period.converged and period.evaluations <= 1_000  # 2,010 by bisection alone
+        assert abs(period.value) <= 1e-10  # E10 has period integral 0
+        rounds = []
+        heap_rounds = quadrature._heap_rounds
+
+        def counted(batch, starts, tol):
+            def counting(nodes, owners):
+                rounds.append(len(owners))
+                return batch(nodes, owners)
+            return heap_rounds(counting, starts, tol)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quadrature, "_heap_rounds", counted)
+            value = convolve(e10, e10).value(0.35, 1.0)
+        assert len(rounds) <= 40  # 67 by bisection alone
+        assert abs(value - _e10_conv_reference(0.35)) <= 1e-10
+        euler = integrate(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11)
+        assert euler.converged and euler.evaluations <= 600  # 1,125 by bisection alone
+        assert golden_integral("euler") == (euler.value, -0.5 * math.pi * math.log(2.0))
+        assert abs(euler.value + 0.5 * math.pi * math.log(2.0)) <= 1e-11
+
+    def test_shallow_jobs_never_start_a_table(self, monkeypatch):
+        # the integrals of verify --all stop by depth 9; a job that never
+        # bisects to depth _ENGAGE keeps the bits of plain bisection
+        monkeypatch.setattr(quadrature, "_Wynn", _CountedWynn)
+        _CountedWynn.started = 0
+        e9, e2 = make("E9", r=0.5), make("E2", m=1)
+        integrate(Vectorized(lambda ts: e9.values(ts, 0.7)), -1.1, 2.3, 1e-12)
+        convolve(e2, e9).values(np.linspace(0.05, 0.95, 30), 1.0)
+        assert _CountedWynn.started == 0
+
+    @pytest.mark.parametrize("phi, cuts", [
+        (lambda ts: 1.0 / ts, ()),
+        (lambda ts: 1.0 / np.abs(ts - 0.3), (0.3,)),
+        (lambda ts: ts ** -1.5, ()),
+        (lambda ts: np.abs(ts - 0.3) ** -2.0, (0.3,)),
+    ])
+    def test_non_integrable_stays_unconverged(self, phi, cuts):
+        for tol in (1e-6, 1e-10):
+            res = integrate(Vectorized(phi), 0.0, 1.0, tol, cuts)
+            assert not res.converged and res.evaluations < 5_000
+
+    def test_divergence_test_rejects_an_antilimit(self, monkeypatch):
+        # the areas of t^-1.2 grow geometrically, and the epsilon algorithm
+        # takes them to their antilimit -5, of the other sign
+        phi = Vectorized(lambda ts: ts ** -1.2)
+        res = integrate(phi, 0.0, 1.0, 1e-10)
+        assert not res.converged and res.value > 100.0
+        monkeypatch.setattr(quadrature, "_diverges", lambda *args: False)
+        fooled = integrate(phi, 0.0, 1.0, 1e-10)
+        assert fooled.converged and abs(fooled.value + 5.0) < 1e-10
+
+    def test_a_level_that_bisects_nothing_takes_no_area(self):
+        # an engaged job whose one panel left sits at its floor, while done
+        # panels hold more error: its level loop can bisect nothing, and the
+        # same area taken again would let the table converge on it, with an
+        # error that leaves out the done panels.  It bisects plainly instead
+        tol = 1e-10
+        job = quadrature._Job(-1.0, 1.0, 1.0)
+        job.heap = [(-0.6 * tol, 0, -1.0, 0.9, 0.3, 0.6 * tol, 9, 0.6 * tol)]
+        job.done = [(-0.5 * tol, 1, 0.9, 1.0, 0.1, 0.5 * tol, quadrature.MAX_DEPTH, 0.0)]
+        job.heap_err, job.done_err, job.serial = 0.6 * tol, 0.5 * tol, 2
+        job._engage(10, job.heap_err, 0.0)
+        halves = job._level_step(0.0, 10, tol)
+        mid = 0.5 * (-1.0 + 0.9)
+        assert halves == ([-1.0, mid], [mid, 0.9], 10)
+        assert job.best is None and job.levmax == 0
+
+    def test_rounding_noise_bounds_the_table(self):
+        # nodes near c = 0.6203... round by up to 5.5e-17, which moves
+        # |t - c|^-3/4 by ~1e-10 relative on the panels the levels add;
+        # the epsilon table fed those areas settles 2.6e-10 from the
+        # integral with an error of its own of 9e-12, so only its noise
+        # term keeps the result from a false convergence
+        c = 0.6203785659431267
+        a, b = 0.978097476344518, -0.26632330094654133
+        want = _offset_reference(lambda d: abs(d) ** -0.75, a, b, c)
+        res = integrate(Vectorized(lambda ts: np.abs(ts - c) ** -0.75), a, b, 1e-10, (c,))
+        assert not res.converged and abs(res.value - want) > 1e-10
+        at_zero = integrate(Vectorized(lambda ts: np.abs(ts) ** -0.75), a - c, b - c, 1e-10, (0.0,))
+        assert at_zero.converged and abs(at_zero.value - want) <= 1e-10
+
+
+class TestWideEngagedJobs:
+    """A job of a wide call that reaches `_ENGAGE` leaves the table for a
+    `_Job` and still equals a lone `integrate` bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
+
+    def test_mixed_singular_and_smooth_jobs(self, monkeypatch):
+        handed = []
+        handover = quadrature._handover
+
+        def counted(table, n, j, start, sums):
+            handed.append(j)
+            return handover(table, n, j, start, sums)
+
+        monkeypatch.setattr(quadrature, "_handover", counted)
+        rng = np.random.default_rng(83)
+        kinds = [
+            lambda c: (lambda ts: np.log(np.abs(ts - c)), (c,)),
+            lambda c: (lambda ts: np.log(np.abs(ts - c)) * np.cos(ts), ()),
+            lambda c: (lambda ts: np.abs(ts - c) ** -0.5, (c,)),
+            lambda c: (lambda ts: np.abs(ts - c) ** -0.25 + ts, (c,)),
+            lambda c: (lambda ts: np.exp(c * ts), ()),
+            lambda c: (lambda ts: np.cos(20.0 * c * ts), ()),
+        ]
+        specs = []
+        for _ in range(2 * quadrature._TABLE_MIN):
+            kind = int(rng.integers(len(kinds)))
+            c = float(rng.uniform(-1.0, 1.0))
+            fn, cuts = kinds[kind](c)
+            a, b = (c, c + float(rng.uniform(0.2, 2.0))) if kind == 1 else (
+                float(rng.uniform(-2.0, -1.0)), float(rng.uniform(1.0, 2.0)))
+            if rng.random() < 0.3:
+                a, b = b, a
+            specs.append((fn, a, b, cuts))
+
+        def batch(ts, owners):
+            assert owners == sorted(owners)
+            own = np.repeat(owners, 15)
+            out = np.empty(ts.size)
+            for j in set(owners):
+                out[own == j] = specs[j][0](ts[own == j])
+            return out
+
+        tol = 1e-10
+        got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        for (fn, a, b, cuts), res in zip(specs, got):
+            self._same(res, integrate(Vectorized(fn), a, b, tol, cuts))
+        assert len(handed) >= 20 and len(set(handed)) == len(handed)
+        assert sum(r.converged for r in got) >= len(got) - 5
+
+    def test_log_sine_convolution_values(self):
+        e10 = make("E10")
+        conv = convolve(e10, e10)
+        xs = np.linspace(0.04, 0.96, 24)  # 48 term integrals, a wide call
+        got = conv.values(xs, 1.0)
+        assert 2 * xs.size >= quadrature._TABLE_MIN
+        for x, value in zip(xs.tolist(), got.tolist()):
+            assert value.hex() == conv.value(x, 1.0).hex()
+        assert abs(got[7] - _e10_conv_reference(xs[7])) <= 1e-10
 
 
 class TestLimitScaled:

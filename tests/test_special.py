@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from invk import special
+from invk.catalog import make
 from invk.errors import (
     CapacityError,
     ConvergenceError,
@@ -23,6 +25,8 @@ from invk.special import (
     bernoulli_poly,
     bernoulli_poly_coeffs,
     bernoulli_poly_exact,
+    bernoulli_scaled,
+    bernoulli_scaled_array,
     hurwitz_zeta,
     hurwitz_zeta_scaled,
     hurwitz_zeta_scaled_array,
@@ -291,6 +295,47 @@ class TestHurwitzZetaLowerBranch:
         # continuity at integers: value equals zeta(s)
         assert hurwitz_zeta(-1.0, 1.0) == pytest.approx(-1 / 12, abs=1e-14)
         assert hurwitz_zeta(-1.0, 3.0) == pytest.approx(-1 / 12, abs=1e-14)
+
+
+class TestArrayTwinsPastTheDoubles:
+    """E2's and E13's array rules round a value past the largest double to
+    inf, as their scalar rules do, and raise no overflow warning on the way
+    (tier-1 turns one into an error)."""
+
+    @pytest.mark.parametrize("eid, params, x", [("E13", {"s": 160.0}, 0.01), ("E2", {"m": 200}, 1000.0)])
+    def test_descriptor_values_equal_value(self, eid, params, x):
+        f = make(eid, **params)
+        assert f.value(x, 1.0) == math.inf
+        assert f.values(np.array([x, 0.5]), 1.0).tolist() == [math.inf, f.value(0.5, 1.0)]
+
+    def test_seeded_orders_and_scales(self):
+        # overflow in the quotient x/y, in the polynomial or the sum, and in
+        # the scale power y^(m-1) or y^-s.  Past the long double too (y^-s
+        # at y = 1e-200), where the scalar rule itself warns of overflow on
+        # its way to inf; and where y^(m-1) underflows to 0 and B_m(x/y)
+        # overflows, both rules warn of 0 * inf alike
+        rng = np.random.default_rng(160)
+        outcomes = []
+        for y in (1.0, 0.25, 7.0, 1e-3, 1e-200):
+            xs = (10.0 ** rng.uniform(-3.0, 5.0, 12) * y).tolist()
+            rules = [(partial(bernoulli_scaled, m), partial(bernoulli_scaled_array, m), x)
+                     for m in (2, 120, 200, 256) for x in xs + [-x for x in xs]]
+            rules += [(partial(hurwitz_zeta_scaled, s), partial(hurwitz_zeta_scaled_array, s), x)
+                      for s in (20.0, 160.0, 1000.0) for x in xs]
+            for scalar, array, x in rules:
+                with np.errstate(over="ignore"):
+                    want = _outcome(lambda: scalar(x, y))
+                assert _outcome(lambda: array(np.array([x]), y)[0]) == want, (scalar, x, y)
+                outcomes.append(want)
+        assert outcomes.count(math.inf) + outcomes.count(-math.inf) > 100
+        assert 0 < outcomes.count("RuntimeWarning") < len(outcomes) // 4
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RuntimeWarning:
+        return "RuntimeWarning"
 
 
 def _log_gamma_ref(t):
