@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import make
-from .core import InvariantFunction
+from .core import InvariantFunction, _no_points
 from .errors import RejectedInputError, positive
 from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
 
@@ -49,6 +49,7 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     _require_integrable(h, "convolution")
     half = 0.5 * tol
     label = f"convolve({g.name},{h.name})"
+    g_points, h_points = (f.singular_points is not _no_points for f in (g, h))
 
     def products(xs: list[float], ys: list[float] | float) -> list[float]:
         """(g * h)(xs[i], y_i), with y_i = ys[i], or ys itself when it is one scale."""
@@ -56,12 +57,15 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         jobs, shifts = [], []
         for i, x in enumerate(xs):
             y = ys[i] if per_point else ys
+            pts1, pts2 = [], []  # an operand without singular points adds none
             lo1, hi1 = min(0.0, x), max(0.0, x)
-            pts1 = list(g.singular_points(y, lo1, hi1))
-            pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
             lo2, hi2 = min(x, y), max(x, y)
-            pts2 = list(g.singular_points(y, lo2, hi2))
-            pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
+            if g_points:
+                pts1 += g.singular_points(y, lo1, hi1)
+                pts2 += g.singular_points(y, lo2, hi2)
+            if h_points:
+                pts1 += [x - s for s in h.singular_points(y, x - hi1, x - lo1)]
+                pts2 += [x + y - s for s in h.singular_points(y, x + y - hi2, x + y - lo2)]
             jobs += ((0.0, x, pts1), (x, y, pts2))
             shifts += (x, x + y)  # h's argument is shift - t in each term
         shifts = np.array(shifts)

@@ -274,15 +274,35 @@ def _rho_parts(r: float, y) -> tuple[float, float]:
     return rm1 + 1.0, rm1
 
 
+def _denominator(rho, rm1, s):
+    """D = (rho - 1)^2 + 4 rho sin^2(pi u) from rho, rho - 1 and s = +-sin(pi u),
+    the one expression of D for scalars and arrays.  D is a sum of
+    nonnegative terms, so it keeps full relative accuracy near the lattice,
+    and (-s)(-s) = s s exactly, so the sign of s does not change its bits."""
+    return rm1 * rm1 + 4.0 * rho * s * s
+
+
 def _quotient_parts(r: float, x, y):
     """(rho, rho - 1, sin(pi u), sin(2 pi u), D) at u = x/y, the parts of E7,
-    E8 and E9 (see the module docstring); D is a sum of nonnegative terms, so
-    it keeps full relative accuracy near the lattice.  x may also be a float
-    ndarray, y one scale or scales aligned with it: the same expression runs
-    for scalars and arrays, bit for bit."""
+    E8 and E9 (see the module docstring).  x may also be a float ndarray, y
+    one scale or scales aligned with it: the same expression runs for
+    scalars and arrays, bit for bit."""
     rho, rm1 = _rho_parts(r, y)
     s1, s2 = _trig_parts_array(x, y) if isinstance(x, np.ndarray) else _trig_parts(x, y)
-    return rho, rm1, s1, s2, rm1 * rm1 + 4.0 * rho * s1 * s1
+    return rho, rm1, s1, s2, _denominator(rho, rm1, s1)
+
+
+def _quotient_D(r: float, x, y):
+    """(rho, rho - 1, D): `_quotient_parts` without the sines that E7's and
+    E9's values never read.  D takes sin(pi u) squared, so it needs neither
+    sin(2 pi u) nor the parity sign of sin(pi u), only sin(pi d): the same
+    D, bit for bit."""
+    rho, rm1 = _rho_parts(r, y)
+    if isinstance(x, np.ndarray):
+        s = np.sin(math.pi * lattice_split(x, y)[1])
+    else:  # numpy's sine, as `_trig_parts` takes it
+        s = np.sin(np.array([math.pi * lattice_parts(x, y)[1]])).item()
+    return rho, rm1, _denominator(rho, rm1, s)
 
 
 def _quotient_partials(r: float, x: float, y: float) -> tuple[float, float, float, float]:
@@ -305,10 +325,13 @@ def _make_e7(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        return float(np.log(_quotient_parts(r, x, y)[4]))  # numpy's log, as the array rule's
+        return float(np.log(_quotient_D(r, x, y)[2]))  # numpy's log, as the array rule's
 
+    # D past the doubles is inf, or nan where 4 rho is inf and x is on the
+    # lattice, as in the scalar rule's floats
+    @np.errstate(over="ignore", invalid="ignore")
     def array_value(xs, ys):
-        return np.log(_quotient_parts(r, xs, ys)[4])
+        return np.log(_quotient_D(r, xs, ys)[2])
 
     def dx(x, y):
         rho, _, _, s2, D = _quotient_parts(r, x, y)
@@ -354,7 +377,7 @@ def _make_e9(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        rho, rm1, _, _, D = _quotient_parts(r, x, y)
+        rho, rm1, D = _quotient_D(r, x, y)
         return -rm1 * (1.0 + rho) / (y * D)
 
     def dx(x, y):

@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -596,16 +596,20 @@ def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) ->
     """The (lo, hi, sign, edges) of each job (a, b, interior_singularities):
     [lo, hi] is the range in order, sign its orientation and edges the ends
     of its initial panels, none when a == b.  A singular point no farther
-    from an end than the bisection floor makes no cut."""
+    from an end than the bisection floor makes no cut; a job without
+    singular points takes [lo, hi] without a scan."""
     positive("quadrature tolerance", tol)
     starts = []
     for a, b, singular in jobs:
         lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
-        edges = []
-        if a != b:
+        if a == b:
+            edges = []
+        elif singular := list(singular):
             floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
             cuts = sorted({float(p) for p in singular if p - lo > floor and hi - p > floor})
             edges = [lo, *cuts, hi]
+        else:
+            edges = [lo, hi]
         starts.append((lo, hi, sign, edges))
     return starts
 
@@ -691,17 +695,23 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     Kronrod columns, in job order, and the `_Job` steps on their sums.
     """
     n_jobs = len(starts)
-    span = np.array([hi - lo for lo, hi, _, _ in starts], dtype=float)
+    # the initial panels, straight from the flat list of every job's edges
+    edge_lists = [edges for *_, edges in starts]
+    lens = np.fromiter(map(len, edge_lists), np.int64, n_jobs)
+    flat = np.fromiter(chain.from_iterable(edge_lists), float, int(lens.sum()))
+    jobs = np.flatnonzero(lens)  # the jobs with panels to push, in order
+    ends = np.cumsum(lens)[jobs]  # one past each job's last edge
+    firsts = ends - lens[jobs]
+    span = np.zeros(n_jobs)
+    span[jobs] = flat[ends - 1] - flat[firsts]  # hi - lo
+    left = np.delete(flat, ends - 1)  # every edge but a job's last
+    right = np.delete(flat, firsts)  # every edge but a job's first
+    count = lens[jobs] - 1
+    job = np.repeat(jobs, count)  # the job of each panel to push
+    depth = np.zeros(job.size, dtype=np.int64)
     heap_err = np.zeros(n_jobs)
     done_err = np.zeros(n_jobs)
     above, serial, size = (np.zeros(n_jobs, dtype=np.int64) for _ in range(3))  # size: heap panels
-    count = np.array([max(len(edges) - 1, 0) for *_, edges in starts], dtype=np.int64)
-    jobs = np.flatnonzero(count)  # the jobs with panels to push, in order
-    count = count[jobs]
-    job = np.repeat(jobs, count)  # the job of each panel to push
-    left = np.array([e for *_, edges in starts for e in edges[:-1]], dtype=float)
-    right = np.array([e for *_, edges in starts for e in edges[1:]], dtype=float)
-    depth = np.zeros(job.size, dtype=np.int64)
     table = _grow([], 4 * job.size + 64)
     n = 0  # rows in use
     picked = np.zeros(n_jobs, dtype=bool)
@@ -824,23 +834,31 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
             right = np.column_stack((mid, hi)).ravel()
             depth = np.repeat(depth, 2)
             halves = True
-    # value and error: one fsum over the panels a job kept, heap and done
+    # value and error: one fsum over the panels a job kept, heap and done,
+    # or, for a job that kept one panel, its value and estimate plus 0.0,
+    # which is that fsum
     _, _, t_value, t_est, _, _, _, t_job, state = table
     kept = np.flatnonzero(state[:n] != _SPLIT)
     owner = t_job[kept]
-    order = np.argsort(owner)
+    order = np.argsort(owner, kind="stable")
     kept = kept[order]
-    values = t_value[kept].tolist()
-    ests = t_est[kept].tolist()
-    bounds = np.searchsorted(owner[order], np.arange(n_jobs + 1)).tolist()
-    out = []
-    for j, ((_, _, sign, _), pushed, a, b) in enumerate(zip(starts, serial.tolist(), bounds, bounds[1:])):
-        if j in lone:
-            out.append(lone[j].result(tol))
-            continue
-        value = math.fsum(values[a:b])
-        err = math.fsum(ests[a:b])
-        out.append(QuadratureResult(sign * value, err, 15 * pushed, err <= tol))
+    bounds = np.searchsorted(owner[order], np.arange(n_jobs + 1))
+    sizes = np.diff(bounds)
+    value, err = np.zeros(n_jobs), np.zeros(n_jobs)
+    one = kept[bounds[:-1][sizes == 1]]
+    value[sizes == 1] = t_value[one] + 0.0
+    err[sizes == 1] = t_est[one] + 0.0
+    many = np.flatnonzero(sizes > 1)
+    values, ests = t_value[kept].tolist(), t_est[kept].tolist()
+    for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
+        if j not in lone:
+            value[j] = math.fsum(values[a:b])
+            err[j] = math.fsum(ests[a:b])
+    value *= [sign for _, _, sign, _ in starts]
+    out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
+                   (err <= tol).tolist()))
+    for j, moved in lone.items():
+        out[j] = moved.result(tol)
     return out
 
 

@@ -105,12 +105,20 @@ def bernoulli_poly(m: int, t: float) -> float:
     return float(_horner(_poly_coeffs_ld(m), _LD(t)))
 
 
+def _power_times(yd, m: int, b):
+    """y^(m-1) b in extended precision, yd and b longdoubles or arrays of
+    them.  y^1 = y exactly, so m = 2 takes no power; the callers skip
+    m = 1, where y^0 b = b is the double B_m itself."""
+    return yd * b if m == 2 else yd ** (m - 1) * b
+
+
 def bernoulli_scaled(m: int, x: float, y: float) -> float:
     """y^(m-1) B_m(x/y), the Bernoulli entry E2 (and, at m - 1, its partials):
     x/y and B_m(x/y) rounded to doubles, times y^(m-1) in extended precision,
     rounded once."""
     yd = _LD(y)
-    return float(yd ** (m - 1) * _LD(bernoulli_poly(m, float(_LD(x) / yd))))
+    b = bernoulli_poly(m, float(_LD(x) / yd))
+    return b if m == 1 else float(_power_times(yd, m, _LD(b)))
 
 
 @np.errstate(over="ignore")
@@ -122,7 +130,8 @@ def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
     overflow warning."""
     yd = _LD(ys)  # one longdouble, or an array of them
     ts = (xs.astype(_LD) / yd).astype(float).astype(_LD)
-    return (yd ** (m - 1) * _horner(_poly_coeffs_ld(m), ts).astype(float).astype(_LD)).astype(float)
+    b = _horner(_poly_coeffs_ld(m), ts).astype(float)
+    return b if m == 1 else _power_times(yd, m, b.astype(_LD)).astype(float)
 
 
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:

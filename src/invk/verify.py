@@ -137,7 +137,10 @@ def grid_points(
 
 
 def _invariance_eval_points(grid: GridSpec):
-    shifts = [(r, n) for n in range(1, grid.n_max + 1) for r in range(n)]
+    """The points of an invariance sample: (x, y) itself, then the shifts
+    (x + r y, n y) for n = 2, ..., n_max.  The n = 1 shift is (x, y), so
+    the first value serves both sides of that term."""
+    shifts = [(r, n) for n in range(2, grid.n_max + 1) for r in range(n)]
 
     def points(x, y):
         return [(x, y)] + [(x + r * y, n * y) for r, n in shifts]
@@ -146,11 +149,12 @@ def _invariance_eval_points(grid: GridSpec):
 
 
 # Consecutive samples of a check share one `values` call of at most this
-# many points: eight samples of a convolution product at n_max = 6, whose 352
-# term integrals run in one `integrate_many` that holds all their panels at
-# once.  In-process `verify --all` runs on a 2-vCPU host, CPU time and peak
-# RSS: one sample a call 2.6 s, 37.9 MB; 88 points 2.0 s, 39.8 MB; 176 points
-# 1.75 s, 40.7 MB; 352 points 1.6 s, 43.6 MB; 704 points 1.4 s, 48.1 MB.
+# many points: eight samples of a convolution product at n_max = 6, 168
+# points whose 336 term integrals run in one `integrate_many` that holds all
+# their panels at once.  In-process `verify --all` runs on a 2-vCPU host, CPU
+# time and peak RSS, measured when a sample had 22 points: one sample a call
+# 2.6 s, 37.9 MB; 88 points 2.0 s, 39.8 MB; 176 points 1.75 s, 40.7 MB; 352
+# points 1.6 s, 43.6 MB; 704 points 1.4 s, 48.1 MB.
 _MAX_POINTS = 176
 
 
@@ -206,8 +210,9 @@ def check_invariance(
 ) -> VerificationReport:
     """sum_{r<n} f(x + r y, n y) against f(x, y) over the seeded grid.
 
-    Each sample touches 1 + n_max (n_max + 1) / 2 points, and the points of
-    consecutive samples go to `f.values` in one call (`_sample_values`).
+    Each sample touches n_max (n_max + 1) / 2 points, (x, y) serving as the
+    n = 1 term too, and the points of consecutive samples go to `f.values`
+    in one call (`_sample_values`).
     """
     pts = grid_points(f, grid, _invariance_eval_points(grid))
     return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid, pts))
@@ -218,10 +223,11 @@ def _invariance_worst(
 ) -> _Worst:
     """The worst invariance error over the samples `pts`."""
     worst = _Worst()
-    for x, y, (rhs, *shifted) in _sample_values(f, pts, _invariance_eval_points(grid)):
-        k = 0
+    for x, y, vals in _sample_values(f, pts, _invariance_eval_points(grid)):
+        rhs = vals[0]
+        k = 0  # the n = 1 term is vals[0:1], rhs itself
         for n in range(1, grid.n_max + 1):
-            lhs = math.fsum(shifted[k:k + n])
+            lhs = math.fsum(vals[k:k + n])
             k += n
             worst.add(abs(lhs - rhs), x, y, n, lhs, rhs)
     return worst

@@ -145,7 +145,7 @@ class TestArrayIntegrands:
 
 
 def _conv_grid_sample(conv):
-    """The 22 points of the first sample of the suite's convolution grid."""
+    """The 21 points of the first sample of the suite's convolution grid."""
     grid = replace(DEFAULT_GRID, n_max=6)
     eval_points = _invariance_eval_points(grid)
     x, y = grid_points(conv, grid, eval_points)[0]
@@ -161,7 +161,7 @@ class TestLockstepConvolution:
         g, h = make(gid, **gp), make(hid, **hp)
         conv = convolve(g, h, tol=1e-9)
         points = _conv_grid_sample(conv)
-        assert len(points) == 22
+        assert len(points) == 21
         xs, ys = (np.array(c) for c in zip(*points))
         got = conv.values(xs, ys).tolist()
         want = [_scalar_convolution(g, h, x, y, 1e-9) for x, y in points]

@@ -544,6 +544,40 @@ class TestArrayRules:
         assert got.shape == xs.shape
         assert np.array_equal(_bits(got), _bits(scalar))
 
+    @pytest.mark.parametrize("eid,params", [
+        ("E2", {"m": 1}), ("E2", {"m": 2}), ("E7", {"r": 0.5}), ("E7", {"r": 2.0}), ("E9", {"r": 0.5}),
+    ])
+    def test_rules_without_unread_work(self, eid, params):
+        # E2 takes no power y^(m-1) at m <= 2, and E7 and E9 take neither
+        # sin(2 pi u) nor the parity sign of sin(pi u): each scalar rule
+        # still equals its array rule, at one scale and at mixed ones, on
+        # seeded points inside the lattice band and off it, at scales from
+        # 1e-3 to 1e3, and where E7's D overflows.  E2 also equals the old
+        # power form, up to overflow
+        f = make(eid, **params)
+        rng = np.random.default_rng(2020)
+        ys = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+        ks = rng.integers(-60, 61, 300).astype(float)
+        offsets = np.concatenate([rng.uniform(-1.0, 1.0, 200) * LATTICE_BAND,
+                                  rng.uniform(-0.5, 0.5, 60), np.zeros(20), np.full(20, 0.5)])
+        xs = (ks + offsets) * ys
+        if eid == "E2":  # the quotient, the polynomial or the scale product past the doubles
+            xs = np.concatenate([xs, [1e306, -1e306, 1e200, -3e180]])
+            ys = np.concatenate([ys, [1e-3, 1e-3, 1.0, 1e3]])
+        else:  # log(r)/y where 4 rho overflows but rho - 1 does not, on the lattice and off it
+            xs = np.concatenate([xs, [0.0, -2.0 * 9.77e-4, 0.3 * 9.77e-4]])
+            ys = np.concatenate([ys, [9.77e-4, 9.77e-4, 9.77e-4]])
+        scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits(scalar))
+        for y in (1e-3, 0.7, 1e3):
+            assert np.array_equal(_bits(f.values(xs, y)), _bits([f.value(x, y) for x in xs.tolist()]))
+        if eid == "E2":
+            m = params["m"]
+            old = [float(np.longdouble(y) ** (m - 1) * np.longdouble(bernoulli_poly(m, float(
+                np.longdouble(x) / np.longdouble(y))))) for x, y in zip(xs.tolist(), ys.tolist())]
+            assert np.array_equal(_bits(scalar), _bits(old))
+            assert math.isinf(scalar[-4]) and math.isinf(scalar[-3])  # x/y past the doubles
+
     def test_zeta_entry_below_minus_four_maps_its_series(self):
         # below s = -4 the array rule runs the scalar trigonometric series
         # point by point; a few points suffice, each costs ~0.2 ms

@@ -316,6 +316,33 @@ class TestIntegrateMany:
         assert [r.converged for r in got] == [True, True, True, True, True, False, True]
         assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
 
+    @staticmethod
+    def _kernel_rounds(monkeypatch, specs, tol, rounds):
+        """integrate_many over `specs` with both Kronrod kernels counted:
+        appends to `rounds`, per round, [its jobs, its panels, the panels
+        `_gk15_columns` summed, the panels `_gk15` summed]."""
+
+        def columns(fv, h):
+            rounds[-1][2] += h.size
+            return _gk15_columns(fv, h)
+
+        def panel(fv, h):
+            rounds[-1][3] += 1
+            return _gk15(fv, h)
+
+        def batch(ts, owners):
+            rounds.append([len(set(owners)), len(owners), 0, 0])
+            own = np.repeat(owners, 15)
+            out = np.empty(ts.size)
+            for j in set(owners):
+                out[own == j] = specs[j][0](ts[own == j])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_gk15_columns", columns)
+            m.setattr(quadrature, "_gk15", panel)
+            integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
+
     def test_wide_rounds_run_as_columns(self, monkeypatch):
         # a call of at least _TABLE_MIN jobs runs every round as columns,
         # its late rounds of a few panels too
@@ -412,6 +439,85 @@ class TestIntegrateMany:
             outcomes.add((res.converged, math.isnan(res.value), res.evaluations >= 15 * 400))
         assert outcomes >= {(True, False, False), (False, False, False), (False, True, False),
                             (False, False, True)}
+
+    def test_wide_call_that_narrows(self, monkeypatch):
+        # 64 jobs: 56 finish in round 1, so the table runs its later rounds
+        # for fewer than _TABLE_MIN jobs, still as columns.  A few take 20
+        # or more rounds, and the kinked and singular ones engage their
+        # epsilon tables only then, each leaving the table in the round it
+        # engages.  A zero integrand of -0.0 returns +0.0, as fsum does
+        rng = np.random.default_rng(20)
+        specs = []
+        for _ in range(55):
+            p, a = (float(v) for v in rng.uniform((-1.0, -1.0), (1.0, 1.0)))
+            specs.append((lambda ts, p=p: np.exp(p * ts), a, a + 0.25, ()))
+        specs.append((lambda ts: np.full(ts.shape, -0.0), 0.2, 1.7, ()))
+        for c in (-0.31, 0.17, 0.42):
+            specs.append((lambda ts, c=c: np.abs(ts - c) * np.cos(ts), -1.0, 1.0, ()))
+        for k in (30.0, 45.0):
+            specs.append((lambda ts, k=k: np.cos(k * ts) * np.exp(ts), -2.0, 2.0, ()))
+        specs.append((lambda ts: np.log(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)))
+        specs.append((lambda ts: np.abs(ts - 0.7) ** -0.5, 0.0, 1.0, (0.7,)))
+        specs.append((lambda ts: ts * ts, 0.5, 0.5, ()))
+        handed, engaged, rounds = [], [], []
+        handover, engage = quadrature._handover, quadrature._Job._engage
+
+        def counted_handover(table, n, j, start, sums):
+            handed.append((j, len(rounds)))
+            return handover(table, n, j, start, sums)
+
+        def counted_engage(job, *args):
+            engaged.append((job, len(rounds)))
+            return engage(job, *args)
+
+        monkeypatch.setattr(quadrature, "_handover", counted_handover)
+        monkeypatch.setattr(quadrature._Job, "_engage", counted_engage)
+        monkeypatch.setattr(quadrature, "_Wynn", _CountedWynn)
+        _CountedWynn.started = 0
+        self._kernel_rounds(monkeypatch, specs, self.TOL, rounds)
+        assert len(rounds) >= 20 and rounds[0][0] == len(specs) - 1 >= quadrature._TABLE_MIN
+        assert rounds[1][0] < quadrature._TABLE_MIN
+        assert all(summed == panels and not heap for _, panels, summed, heap in rounds)
+        assert sorted(j for j, _ in handed) == [56, 57, 58, 61, 62]
+        assert sorted(when for _, when in handed) == sorted(when for _, when in engaged)
+        assert min(when for _, when in handed) > 1 and _CountedWynn.started == len(engaged)
+        got = integrate_many(lambda ts, owners: np.concatenate(
+            [specs[j][0](ts[15 * k:15 * k + 15]) for k, j in enumerate(owners)]),
+            [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
+        long = 0
+        for (fn, a, b, cuts), res in zip(specs, got):
+            want = integrate(Vectorized(fn), a, b, self.TOL, cuts)
+            assert res.value.hex() == want.value.hex()
+            assert res.error_estimate.hex() == want.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
+            long += res.evaluations >= 15 + 30 * 19
+        assert long >= 3
+        assert all(r.evaluations == 15 for r in got[:56])
+        assert got[55].value.hex() == "0x0.0p+0"
+
+    def test_done_panels_move_with_their_jobs(self, monkeypatch):
+        # pairs of jumps far from 0, whose panels reach the width floor and
+        # go to done with less error than tol while their jobs go on: the
+        # jobs that engage their epsilon tables take those panels to their
+        # heaps' done lists, and each ends as a lone integral does
+        rng = np.random.default_rng(31)
+        specs = []
+        for _ in range(60):
+            off = 10.0 ** float(rng.uniform(4.5, 7.0))
+            c1, c2 = (off + float(v) for v in rng.uniform((0.1, 1.1), (0.9, 1.9)))
+            jump = 10.0 ** float(rng.uniform(-1.5, 1.0))
+            specs.append((lambda ts, c1=c1, c2=c2, jump=jump: np.where(ts > c1, jump, 0.0)
+                          + np.where(ts > c2, jump, 0.0), off, off + 2.0, []))
+        handed = []
+        handover = quadrature._handover
+
+        def counted(*args):
+            handed.append(handover(*args))
+            return handed[-1]
+
+        monkeypatch.setattr(quadrature, "_handover", counted)
+        got, _ = self._lockstep(specs)
+        assert any(job.done for job in handed) and len(handed) < len(specs)
 
     def test_integrate_is_the_one_job_case(self):
         seen = []

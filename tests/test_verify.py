@@ -295,7 +295,7 @@ class TestInvariance:
         # samples fill a call up to _MAX_POINTS points
         f = replace(e9, array_value=counted)
         rep = check_invariance(f, SMALL_GRID, 1e-8)
-        points = 1 + SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
+        points = SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
         per_call = verify._MAX_POINTS // points
         assert per_call > 1
         full, rest = divmod(SMALL_GRID.samples, per_call)
@@ -305,6 +305,27 @@ class TestInvariance:
         rep = check_exchange(f, 2, 3, SMALL_GRID, 1e-8)
         assert calls == [(2 + 3) * SMALL_GRID.samples]
         assert rep.to_json_dict() == check_exchange(e9, 2, 3, SMALL_GRID, 1e-8).to_json_dict()
+
+    def test_each_point_is_evaluated_once(self):
+        # (x, y) is the n = 1 term as well as the rhs, so `values` never
+        # gets it twice, and that term's error is fsum([rhs]) - rhs = 0
+        e9 = make("E9", r=0.5)
+        seen = []
+
+        def recorded(xs, ys):
+            seen.extend(zip(xs.tolist(), np.broadcast_to(ys, xs.shape).tolist()))
+            return e9.array_value(xs, ys)
+
+        f = replace(e9, array_value=recorded)
+        rep = check_invariance(f, SMALL_GRID, 1e-8)
+        points = SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
+        assert len(seen) == len(set(seen)) == SMALL_GRID.samples * points
+        assert set(grid_points(e9, SMALL_GRID, verify._invariance_eval_points(SMALL_GRID))) <= set(seen)
+        assert rep.to_json_dict() == check_invariance(e9, SMALL_GRID, 1e-8).to_json_dict()
+        only_n1 = check_invariance(f, replace(SMALL_GRID, n_max=1), 1e-8)
+        assert only_n1.passed and only_n1.max_abs_error == 0.0
+        witness = only_n1.worst_witness
+        assert witness["n"] == 1 and witness["lhs"] == witness["rhs"]
 
     def test_deterministic_bytes(self):
         a = check_invariance(make("E10"), SMALL_GRID, 1e-8).to_json_dict()
