@@ -358,6 +358,12 @@ def _make_e8(r: float) -> InvariantFunction:
         rho, _, _, s2, D = _quotient_parts(r, x, y)
         return rho * s2 / (y * D)
 
+    # D past the doubles is inf, or nan where 4 rho is inf and x is on the
+    # lattice, as in the scalar rule's floats
+    @np.errstate(over="ignore", invalid="ignore")
+    def array_value(xs, ys):
+        return value(xs, ys)
+
     def dx(x, y):
         return _TWO_PI * _quotient_partials(r, x, y)[2] / (y * y)
 
@@ -366,7 +372,7 @@ def _make_e8(r: float) -> InvariantFunction:
         return -(q + (L * im + _TWO_PI * x * re) / y) / (y * y)
 
     return InvariantFunction(
-        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value
+        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
     )
 
 

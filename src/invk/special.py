@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,19 @@ from .errors import (
 
 _LD = np.longdouble
 _TWO_PI = 2.0 * math.pi
+
+# E2's and E13's scalar rules hand a point whose long-double work may pass
+# the long double to their array twins, which ignore overflow: the value is
+# the twin's, inf, without numpy's warning.  The test for such a point is a
+# float comparison or two, where an errstate on every call costs ~1.2 µs.
+# y^p times a double stays inside the long double while p log y <=
+# _POWER_REACH.
+_LD_LOG_MAX = float(np.log(np.finfo(_LD).max))
+_POWER_REACH = _LD_LOG_MAX - math.log(sys.float_info.max) - 1.0
+# y^(m-1) B_m(x/y) stays inside the long double for every m <= TABLE_LIMIT
+# where |x/y| and y are at most this: B_m's Horner sums are at most
+# sum_j |c_j| max(1, |x/y|)^m (tests/test_special.py checks both bounds)
+_BERNOULLI_REACH = 1e18
 
 # Hard cap on the Bernoulli index; import fills B_0..B_118 for the
 # Euler-Maclaurin coefficients.
@@ -115,9 +129,13 @@ def _power_times(yd, m: int, b):
 def bernoulli_scaled(m: int, x: float, y: float) -> float:
     """y^(m-1) B_m(x/y), the Bernoulli entry E2 (and, at m - 1, its partials):
     x/y and B_m(x/y) rounded to doubles, times y^(m-1) in extended precision,
-    rounded once."""
+    rounded once.  A value past the long double is inf, as in the array
+    twin, without numpy's overflow warning."""
     yd = _LD(y)
-    b = bernoulli_poly(m, float(_LD(x) / yd))
+    t = float(_LD(x) / yd)
+    if not (-_BERNOULLI_REACH <= t <= _BERNOULLI_REACH and y <= _BERNOULLI_REACH):
+        return float(bernoulli_scaled_array(m, np.array([x]), y)[0])
+    b = bernoulli_poly(m, t)
     return b if m == 1 else float(_power_times(yd, m, _LD(b)))
 
 
@@ -309,7 +327,18 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
     the scale-sum identity needs both sides' leading terms to cancel to ~1e-8
     absolute), times y^(-s) in extended precision, rounded once.  For s < 0
     the periodized argument {x/y} comes from `core`'s exact split x/y = k + d:
-    it is d, or 1 + d for d <= 0, accurate at any |x/y|."""
+    it is d, or 1 + d for d <= 0, accurate at any |x/y|.  A value past the
+    long double is inf, as in the array twin, without numpy's overflow
+    warning: y^-s passes it only where -s log y > _POWER_REACH, and for
+    s > 1 the sum only where its first term (x/y)^-s does; for s < 0 the
+    periodized zeta stays small."""
+    if s > 1.0:
+        reach = math.exp(-_POWER_REACH / s)  # y and x/y above it keep both inside
+        past = y < reach or 0.0 < x < reach * y
+    else:
+        past = y > 1.0 and -s * math.log(y) > _POWER_REACH
+    if past:
+        return float(hurwitz_zeta_scaled_array(s, np.array([x]), y)[0])
     yd = _LD(y)
     if s > 1.0:
         u = _LD(x) / yd

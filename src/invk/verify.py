@@ -18,10 +18,9 @@ import signal
 import traceback
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import chain
+from functools import cache, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,53 +81,114 @@ DEFAULT_GRID = GridSpec()
 # ---------------------------------------------------------------------------
 
 
-def _sample_clear(f: InvariantFunction, needed: Iterable[tuple[float, float]]) -> bool:
-    """True when every (x', y') of `needed` lies in f's domain and at least
-    EPS_SING * y' from f's singular points at scale y'.  Those are asked for
-    once per scale, over a window that covers every x' of that scale; a
-    locator's points do not depend on the window it is given.  Each x' is
-    tested against its neighbours among the sorted points, the nearest
-    below and above it: x' - s falls as s grows, so they are the closest."""
+class ShiftTable:
+    """The points a check evaluates at a sample (x, y), as rows (c, a, b) of
+    integers: row (c, a, b) is the point (c x + a y, b y), with c = 1
+    but for parity's reflection (y - x, y), row (-1, 1, 1).  As c = +-1 and
+    a and b are exact doubles, each coordinate is the written shift's float
+    operations, x + a y, y - x or b y, to the bit; (x, y) itself comes out
+    as x + 0.0, which is x for every draw (no draw is -0.0)."""
+
+    def __init__(self, rows: Iterable[tuple[int, int, int]]):
+        self.rows = tuple(rows)
+        self._c, self._a, self._b = np.array(self.rows, dtype=float).T
+        # (i, j): rows i to j - 1 share one b, and so one scale b y
+        edges = [i for i in range(1, len(self.rows)) if self.rows[i][2] != self.rows[i - 1][2]]
+        self.spans = list(zip([0, *edges], [*edges, len(self.rows)]))
+
+    def arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(px, py): point j of the sample (xs[i], ys[i]) is (px[i, j], py[i, j])."""
+        x, y = xs[:, None], ys[:, None]
+        return self._c * x + self._a * y, self._b * y
+
+
+@cache
+def _invariance_table(n_max: int) -> ShiftTable:
+    """The points of an invariance sample: (x, y) itself, then the shifts
+    (x + r y, n y) for n = 2, ..., n_max.  The n = 1 shift is (x, y), so
+    the first value serves both sides of that term."""
+    return ShiftTable([(1, 0, 1)] + [(1, r, n) for n in range(2, n_max + 1) for r in range(n)])
+
+
+def _exchange_table(m: int, n: int) -> ShiftTable:
+    """(x + r m y, n y) for r < n, then (x + r n y, m y) for r < m."""
+    return ShiftTable([(1, r * m, n) for r in range(n)] + [(1, r * n, m) for r in range(m)])
+
+
+def _covering_table(system: CoveringSystem) -> ShiftTable:
+    """The points of `system.sample_points`: (x, y), then (x + a y, n y)
+    for each class a(n)."""
+    return ShiftTable([(1, 0, 1)] + [(1, a, n) for a, n in system.classes])
+
+
+# (x, y) and (x + y, y); with (x - y, y) too; (x, y) and (y - x, y)
+_LIMIT_TABLE = ShiftTable([(1, 0, 1), (1, 1, 1)])
+_Y_DERIVATIVE_TABLE = ShiftTable([(1, 0, 1), (1, -1, 1), (1, 1, 1)])
+_PARITY_TABLE = ShiftTable([(1, 0, 1), (-1, 1, 1)])
+
+
+def _sample_clear(f: InvariantFunction, scales: Iterable[tuple[float, list[float]]]) -> bool:
+    """True when each point (x', y'), for each (y', xs) of `scales` and x' of
+    xs, lies in f's domain and at least EPS_SING * y' from f's singular
+    points at scale y'.  Those are asked for once per (y', xs), over a
+    window that covers xs; a locator's points do not depend on the window
+    it is given, so a scale may come in more than one piece.  Each point s
+    is tested against its neighbours among the sorted x', the nearest below
+    and above it: s - x' falls as x' grows, so they are the closest."""
     domain = f.domain
-    if domain is not None and not all(domain(x, y) for x, y in needed):
+    if domain is not None and not all(domain(x, y) for y, xs in scales for x in xs):
         return False
-    by_scale: dict[float, list[float]] = {}
-    for x, y in needed:
-        by_scale.setdefault(y, []).append(x)
-    for y, xs in by_scale.items():
+    for y, xs in scales:
         margin = EPS_SING * y
         w = 4.0 * margin
-        near = sorted(f.singular_points(y, min(xs) - w, max(xs) + w))
-        for x in xs if near else ():
-            i = bisect_left(near, x)
-            if (i and x - near[i - 1] < margin) or (i < len(near) and near[i] - x < margin):
+        xs = sorted(xs)
+        for s in f.singular_points(y, xs[0] - w, xs[-1] + w):
+            i = bisect_left(xs, s)
+            if (i and s - xs[i - 1] < margin) or (i < len(xs) and xs[i] - s < margin):
                 return False
     return True
 
 
+# Consecutive samples of a check share one `values` call of at most this
+# many points: eight samples of a convolution product at n_max = 6, 168
+# points whose 336 term integrals run in one `integrate_many`.
+_MAX_POINTS = 176
+
+
 def grid_points(
-    f: InvariantFunction,
-    grid: GridSpec,
-    eval_points: Callable[[float, float], Iterable[tuple[float, float]]],
+    f: InvariantFunction, grid: GridSpec, table: ShiftTable
 ) -> list[tuple[float, float]]:
     """Seeded (x, y) samples for which every point a check touches is clear.
 
-    `eval_points(x, y)` enumerates the (x', y') pairs the check will evaluate;
-    each must lie in f's domain and at least EPS_SING * y' away from f's
-    singular locus at scale y'.  Without a domain and singular points every
-    attempt is clear, and its points are not built.
+    `table` gives the points (x', y') the check evaluates at a sample; each
+    must lie in f's domain and at least EPS_SING * y' away from f's singular
+    locus at scale y'.  Candidates are drawn in blocks of `grid.samples`,
+    one `uniform` call over (y, x / y) pairs that gives the doubles of
+    alternating scalar draws.  Without a domain and singular points every
+    candidate is clear, and the first block is the samples; otherwise a
+    block's points come from one array expression, and `_sample_clear`
+    tests the candidates in draw order, at most `grid.samples * 500` of them.
     """
     rng = np.random.default_rng(grid.seed)
-    pts: list[tuple[float, float]] = []
-    attempts = 0
-    cap = grid.samples * 500
+    low, high = (grid.y_range[0], grid.x_range[0]), (grid.y_range[1], grid.x_range[1])
     free = f.domain is None and f.singular_points is _no_points
-    while len(pts) < grid.samples and attempts < cap:
-        attempts += 1
-        y = float(rng.uniform(*grid.y_range))
-        x = float(rng.uniform(*grid.x_range)) * y
-        if free or _sample_clear(f, eval_points(x, y)):
-            pts.append((x, y))
+    pts: list[tuple[float, float]] = []
+    left = grid.samples * 500
+    while len(pts) < grid.samples and left:
+        draws = rng.uniform(low, high, size=(min(grid.samples, left), 2))
+        left -= len(draws)
+        ys = draws[:, 0]
+        xs = draws[:, 1] * ys
+        drawn = zip(xs.tolist(), ys.tolist())
+        if free:
+            pts += drawn
+            continue
+        px, py = table.arrays(xs, ys)
+        for sample, row_x, row_y in zip(drawn, px.tolist(), py.tolist()):
+            if _sample_clear(f, [(row_y[i], row_x[i:j]) for i, j in table.spans]):
+                pts.append(sample)
+                if len(pts) == grid.samples:
+                    break
     if len(pts) < grid.samples:
         raise RejectedInputError(
             f"could not place {grid.samples} clear samples for {f.name}"
@@ -136,60 +196,31 @@ def grid_points(
     return pts
 
 
-def _invariance_eval_points(grid: GridSpec):
-    """The points of an invariance sample: (x, y) itself, then the shifts
-    (x + r y, n y) for n = 2, ..., n_max.  The n = 1 shift is (x, y), so
-    the first value serves both sides of that term."""
-    shifts = [(r, n) for n in range(2, grid.n_max + 1) for r in range(n)]
-
-    def points(x, y):
-        return [(x, y)] + [(x + r * y, n * y) for r, n in shifts]
-
-    return points
-
-
-# Consecutive samples of a check share one `values` call of at most this
-# many points: eight samples of a convolution product at n_max = 6, 168
-# points whose 336 term integrals run in one `integrate_many` that holds all
-# their panels at once.  In-process `verify --all` runs on a 2-vCPU host, CPU
-# time and peak RSS, measured when a sample had 22 points: one sample a call
-# 2.6 s, 37.9 MB; 88 points 2.0 s, 39.8 MB; 176 points 1.75 s, 40.7 MB; 352
-# points 1.6 s, 43.6 MB; 704 points 1.4 s, 48.1 MB.
-_MAX_POINTS = 176
-
-
-def _sample_groups(
-    pts: Sequence[tuple[float, float]],
-    eval_points: Callable[[float, float], Sequence[tuple[float, float]]],
-) -> Iterator[tuple[Sequence[tuple[float, float]], list]]:
-    """Consecutive runs of the samples `pts`, each with the eval_points lists
-    of its samples: at most `_MAX_POINTS` points a run, at least one sample."""
-    needed = [eval_points(x, y) for x, y in pts]
-    start = 0
-    while start < len(pts):
-        stop, width = start + 1, len(needed[start])
-        while stop < len(pts) and width + len(needed[stop]) <= _MAX_POINTS:
-            width += len(needed[stop])
-            stop += 1
-        yield pts[start:stop], needed[start:stop]
-        start = stop
+def _runs(pts: list[tuple[float, float]], table: ShiftTable) -> list[list[tuple[float, float]]]:
+    """The samples `pts` in consecutive runs of at most `_MAX_POINTS` points
+    of `table`, at least one sample a run."""
+    k = max(1, _MAX_POINTS // len(table.rows))
+    return [pts[i:i + k] for i in range(0, len(pts), k)]
 
 
 def _sample_values(
-    f: InvariantFunction,
-    pts: Sequence[tuple[float, float]],
-    eval_points: Callable[[float, float], Sequence[tuple[float, float]]],
-) -> Iterator[tuple[float, float, list[float]]]:
-    """(x, y, f at every point of eval_points(x, y)) for each sample (x, y)
-    of `pts`, in order.  The samples of one `_sample_groups` run share one
-    `f.values` call."""
-    for group, needed in _sample_groups(pts, eval_points):
-        xs, ys = zip(*chain.from_iterable(needed))
-        vals = f.values(np.array(xs), np.array(ys)).tolist()
-        k = 0
-        for (x, y), points in zip(group, needed):
-            yield x, y, vals[k:k + len(points)]
-            k += len(points)
+    f: InvariantFunction, run: Sequence[tuple[float, float]], table: ShiftTable
+) -> list[list[float]]:
+    """f at the points of `table` of each sample of `run`: the points from
+    one array expression, their values from one `f.values` call.  Row i
+    holds sample i's values, in the table's order."""
+    xs, ys = np.array(run).T
+    px, py = table.arrays(xs, ys)
+    return f.values(px.ravel(), py.ravel()).reshape(px.shape).tolist()
+
+
+def _worst_index(errs: list[float]) -> int:
+    """Where `_Worst.add` over errs in order settles: the first NaN, else
+    the first maximum.  A check reduces each run's errors with it and then
+    adds that run's worst once."""
+    if math.isnan(sum(errs)):
+        return next(i for i, e in enumerate(errs) if math.isnan(e))
+    return errs.index(max(errs))
 
 
 def _period_integral(f: InvariantFunction, y: float, lo: float, hi: float, tol: float) -> float:
@@ -211,25 +242,29 @@ def check_invariance(
     """sum_{r<n} f(x + r y, n y) against f(x, y) over the seeded grid.
 
     Each sample touches n_max (n_max + 1) / 2 points, (x, y) serving as the
-    n = 1 term too, and the points of consecutive samples go to `f.values`
-    in one call (`_sample_values`).
+    n = 1 term too, and the points of a run of samples go to `f.values` in
+    one call (`_sample_values`).
     """
-    pts = grid_points(f, grid, _invariance_eval_points(grid))
-    return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid, pts))
+    pts = grid_points(f, grid, _invariance_table(grid.n_max))
+    return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid.n_max, pts))
 
 
 def _invariance_worst(
-    f: InvariantFunction, grid: GridSpec, pts: Sequence[tuple[float, float]]
+    f: InvariantFunction, n_max: int, pts: list[tuple[float, float]]
 ) -> _Worst:
-    """The worst invariance error over the samples `pts`."""
+    """The worst invariance error over the samples `pts`, one `_Worst.add`
+    a run."""
+    table = _invariance_table(n_max)
     worst = _Worst()
-    for x, y, vals in _sample_values(f, pts, _invariance_eval_points(grid)):
-        rhs = vals[0]
-        k = 0  # the n = 1 term is vals[0:1], rhs itself
-        for n in range(1, grid.n_max + 1):
-            lhs = math.fsum(vals[k:k + n])
-            k += n
-            worst.add(abs(lhs - rhs), x, y, n, lhs, rhs)
+    # term n sums the n values from n (n - 1) / 2 on; term 1 is row[0:1], the rhs
+    terms = [(n * (n - 1) // 2, n) for n in range(1, n_max + 1)]
+    for run in _runs(pts, table):
+        vals = _sample_values(f, run, table)
+        lhs = [math.fsum(row[k:k + n]) for row in vals for k, n in terms]
+        rhs = [row[0] for row in vals for _ in terms]
+        errs = [abs(a - b) for a, b in zip(lhs, rhs)]
+        i = _worst_index(errs)
+        worst.add(errs[i], *run[i // n_max], i % n_max + 1, lhs[i], rhs[i])
     return worst
 
 
@@ -255,17 +290,16 @@ def check_exchange(
     so the recorded error is normalized by 1 + |lhs| + |rhs|.
     """
     m, n = integer("m", m, 1), integer("n", n, 1)
-
-    def eval_points(x, y):
-        out = [(x + r * m * y, n * y) for r in range(n)]
-        out += [(x + r * n * y, m * y) for r in range(m)]
-        return out
-
-    pts = grid_points(f, grid, eval_points)
+    table = _exchange_table(m, n)
+    pts = grid_points(f, grid, table)
     worst = _Worst()
-    for x, y, vals in _sample_values(f, pts, eval_points):
-        lhs, rhs = math.fsum(vals[:n]), math.fsum(vals[n:])
-        worst.add(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)), x, y, n, lhs, rhs)
+    for run in _runs(pts, table):
+        vals = _sample_values(f, run, table)
+        lhs = [math.fsum(row[:n]) for row in vals]
+        rhs = [math.fsum(row[n:]) for row in vals]
+        errs = [abs(a - b) / (1.0 + abs(a) + abs(b)) for a, b in zip(lhs, rhs)]
+        i = _worst_index(errs)
+        worst.add(errs[i], *run[i], n, lhs[i], rhs[i])
     eff_tol = tol + (m + n) * f.series_tolerance
     return _report(
         "exchange", f, {**f.params, "m": m, "n": n}, len(pts), worst, eff_tol, f.flags
@@ -275,7 +309,7 @@ def check_exchange(
 def _limit_report(prop, f, grid, tol, side, limit) -> VerificationReport:
     """side(x, y) against limit(x) over the seeded grid; samples
     whose limit does not converge are skipped and flagged."""
-    pts = grid_points(f, grid, lambda x, y: ((x, y), (x + y, y)))
+    pts = grid_points(f, grid, _LIMIT_TABLE)
     worst = _Worst()
     flags = set(f.flags)
     used = 0
@@ -334,10 +368,7 @@ def check_y_derivative_identities(
     def g(x, y):
         return y_partial_fd(probe, x, y)
 
-    def eval_points(x, y):
-        return ((x, y), (x - y, y), (x + y, y))
-
-    pts = grid_points(f, grid, eval_points)
+    pts = grid_points(f, grid, _Y_DERIVATIVE_TABLE)
     worst = _Worst()
     flags = set(dfdx.flags)
     if fd_mode:
@@ -365,10 +396,7 @@ def check_parity(
     even = parity == "even"
     sign = 1.0 if even else -1.0
 
-    def eval_points(x, y):
-        return ((x, y), (y - x, y))
-
-    pts = grid_points(f, grid, eval_points)
+    pts = grid_points(f, grid, _PARITY_TABLE)
     worst = _Worst()
     for x, y in pts:
         lhs = f.value(y - x, y)
@@ -426,16 +454,15 @@ def check_convolution_invariance(
 
 def _convolution_invariance_parts(g, h, grid, tol):
     """`check_convolution_invariance` cut into independent parts: (the
-    thunks that give each `_sample_groups` run's worst error, the function
+    thunks that give each `_runs` run's worst error, the function
     that makes the report from their results in order).  The report equals
     the uncut check's bit for bit: each run makes the same `values` call, and
     `_Worst.add` over the runs' worsts in sample order keeps the first
-    strictly largest error, as it does over the samples."""
+    strictly largest error, as the uncut check does."""
     conv = convolve(g, h, tol=1e-9)
-    eval_points = _invariance_eval_points(grid)
-    pts = grid_points(conv, grid, eval_points)
-    parts = [partial(_invariance_worst, conv, grid, group)
-             for group, _ in _sample_groups(pts, eval_points)]
+    table = _invariance_table(grid.n_max)
+    pts = grid_points(conv, grid, table)
+    parts = [partial(_invariance_worst, conv, grid.n_max, run) for run in _runs(pts, table)]
 
     def report(worsts: Sequence[_Worst]) -> VerificationReport:
         worst = _Worst()
@@ -625,12 +652,15 @@ def check_covering_certificates(
     """`certificate_report` over seeded points clear of f's singular points;
     a rejected system raises RejectedInputError."""
     require_accepted(system)
-    return certificate_report(system, f, grid_points(f, grid, system.sample_points), tol)
+    return certificate_report(system, f, grid_points(f, grid, _covering_table(system)), tol)
 
 
 # ---------------------------------------------------------------------------
 # the standard suite
 # ---------------------------------------------------------------------------
+
+_EXCHANGE_SET = (("E2", {"m": 2}), ("E3a", {}), ("E5", {"a": 2.0}), ("E9", {"r": 0.5}))
+_EXCHANGE_PAIRS = ((1, 2), (2, 3), (3, 4), (4, 5), (2, 5))
 
 _SMOOTH_LIMIT_SET = (
     ("E1", {}),
@@ -686,9 +716,9 @@ def _suite_plan(grid: GridSpec) -> list[tuple[list[Callable[[], object]], Callab
         f = catalog.make(eid, **params)
         add(check_invariance, f, grid, default_tolerance(f))
 
-    for eid, params in (("E2", {"m": 2}), ("E3a", {}), ("E5", {"a": 2.0}), ("E9", {"r": 0.5})):
+    for eid, params in _EXCHANGE_SET:
         f = catalog.make(eid, **params)
-        for m, n in ((1, 2), (2, 3), (3, 4), (4, 5), (2, 5)):
+        for m, n in _EXCHANGE_PAIRS:
             add(check_exchange, f, m, n, grid, 1e-8)
 
     probe_grid = replace(grid, samples=9)

@@ -2,6 +2,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from invk.verify import GridSpec
@@ -20,6 +21,12 @@ def child_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = ",".join(filter(None, [env.get("PYTHONWARNINGS"), "error::RuntimeWarning"]))
     return env
+
+
+def table_points(table, x, y):
+    """The points (x', y') of one sample (x, y) of a shift table, as a list."""
+    px, py = table.arrays(np.array([x]), np.array([y]))
+    return list(zip(px[0].tolist(), py[0].tolist()))
 
 
 def scale_sum(f, x, y, n):

@@ -18,7 +18,7 @@ from invk.covering import covering_identity_check, is_disjoint_covering, parse_s
 from invk.special import bernoulli_poly, hurwitz_zeta
 from invk.verify import (
     DEFAULT_GRID,
-    _invariance_eval_points,
+    _invariance_table,
     check_bernoulli_convolution,
     check_bernoulli_integral_identity,
     check_covering_certificates,
@@ -55,7 +55,7 @@ ODD_N_ONLY = {
 def _odd_n_residual(f, grid):
     """Largest scale-sum residual over odd n <= grid.n_max, on the same seeded
     points that check_invariance draws."""
-    pts = grid_points(f, grid, _invariance_eval_points(grid))
+    pts = grid_points(f, grid, _invariance_table(grid.n_max))
     return max(
         abs(scale_sum(f, x, y, n) - f.value(x, y))
         for x, y in pts

@@ -15,13 +15,13 @@ from invk.verify import (
     DEFAULT_GRID,
     _PRODUCT_PAIRS,
     GridSpec,
-    _invariance_eval_points,
+    _invariance_table,
     _sample_clear,
     check_invariance,
     grid_points,
 )
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, table_points
 
 
 def _scaled_bernoulli(m):
@@ -147,9 +147,8 @@ class TestArrayIntegrands:
 def _conv_grid_sample(conv):
     """The 21 points of the first sample of the suite's convolution grid."""
     grid = replace(DEFAULT_GRID, n_max=6)
-    eval_points = _invariance_eval_points(grid)
-    x, y = grid_points(conv, grid, eval_points)[0]
-    return eval_points(x, y)
+    table = _invariance_table(grid.n_max)
+    return table_points(table, *grid_points(conv, grid, table)[0])
 
 
 class TestLockstepConvolution:
@@ -244,9 +243,9 @@ class TestAntiderivative:
         F = antiderivative(f)
         assert F.singular_points(1.0, -2.0, 2.0) == f.singular_points(1.0, -2.0, 2.0)
         assert F.singular_points(1.0, -2.0, 2.0) == (-2.0, -1.0, 0.0, 1.0, 2.0)
-        assert not _sample_clear(F, [(1.0 + 0.5 * EPS_SING, 1.0)])
+        assert not _sample_clear(F, [(1.0, [1.0 + 0.5 * EPS_SING])])
         grid = GridSpec(seed=3, samples=32, n_max=3)
-        pts = grid_points(F, grid, _invariance_eval_points(grid))
+        pts = grid_points(F, grid, _invariance_table(grid.n_max))
         for x, y in pts:
             for n in range(1, grid.n_max + 1):
                 for r in range(n):

@@ -578,6 +578,25 @@ class TestArrayRules:
             assert np.array_equal(_bits(scalar), _bits(old))
             assert math.isinf(scalar[-4]) and math.isinf(scalar[-3])  # x/y past the doubles
 
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_e8_array_rule_overflows_as_its_scalar_rule(self, r):
+        # where (rho - 1)^2 or 4 rho passes the doubles (r > 1 at y ~ 1e-3),
+        # the scalar rule's floats give 0.0, or nan on the lattice, without
+        # a warning, and the array rule gives the same bits without one, at
+        # scales aligned with xs and at one scale
+        f = make("E8", r=r)
+        rng = np.random.default_rng(2021)
+        ys = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+        xs = (rng.integers(-60, 61, 300) + rng.uniform(-0.5, 0.5, 300)) * ys
+        xs = np.concatenate([xs, [3e-4, 0.1, 0.0, -2.0 * 9.77e-4, 0.3 * 9.77e-4]])
+        ys = np.concatenate([ys, [1e-3, 1e-3, 9.77e-4, 9.77e-4, 9.77e-4]])
+        scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert np.array_equal(_bits(f.values(xs, ys)), _bits(scalar))
+        for y in (1e-3, 0.7, 1e3):
+            assert np.array_equal(_bits(f.values(xs, y)), _bits([f.value(x, y) for x in xs.tolist()]))
+        if r > 1.0:
+            assert scalar[-5:-3] == [0.0, 0.0] and math.isnan(scalar[-3])
+
     def test_zeta_entry_below_minus_four_maps_its_series(self):
         # below s = -4 the array rule runs the scalar trigonometric series
         # point by point; a few points suffice, each costs ~0.2 ms

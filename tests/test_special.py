@@ -311,24 +311,69 @@ class TestArrayTwinsPastTheDoubles:
     def test_seeded_orders_and_scales(self):
         # overflow in the quotient x/y, in the polynomial or the sum, and in
         # the scale power y^(m-1) or y^-s.  Past the long double too (y^-s
-        # at y = 1e-200), where the scalar rule itself warns of overflow on
-        # its way to inf; and where y^(m-1) underflows to 0 and B_m(x/y)
-        # overflows, both rules warn of 0 * inf alike
+        # at y = 1e-200 and 1e200, (x/y)^-s near x/y = 1e-3 at s = 1000),
+        # where both rules give inf without a warning; and where y^(m-1)
+        # underflows to 0 and B_m(x/y) overflows, both rules warn of 0 * inf
+        # alike
         rng = np.random.default_rng(160)
         outcomes = []
-        for y in (1.0, 0.25, 7.0, 1e-3, 1e-200):
+        for y in (1.0, 0.25, 7.0, 1e-3, 1e-200, 1e200):
             xs = (10.0 ** rng.uniform(-3.0, 5.0, 12) * y).tolist()
             rules = [(partial(bernoulli_scaled, m), partial(bernoulli_scaled_array, m), x)
-                     for m in (2, 120, 200, 256) for x in xs + [-x for x in xs]]
+                     for m in (2, 3, 120, 200, 256) for x in xs + [-x for x in xs]]
             rules += [(partial(hurwitz_zeta_scaled, s), partial(hurwitz_zeta_scaled_array, s), x)
-                      for s in (20.0, 160.0, 1000.0) for x in xs]
+                      for s in (20.0, 160.0, 1000.0, -3.5, -40.0) for x in xs]
             for scalar, array, x in rules:
-                with np.errstate(over="ignore"):
-                    want = _outcome(lambda: scalar(x, y))
+                want = _outcome(lambda: scalar(x, y))
                 assert _outcome(lambda: array(np.array([x]), y)[0]) == want, (scalar, x, y)
                 outcomes.append(want)
         assert outcomes.count(math.inf) + outcomes.count(-math.inf) > 100
         assert 0 < outcomes.count("RuntimeWarning") < len(outcomes) // 4
+
+    @pytest.mark.parametrize("rule, twin, args", [
+        (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 2e-201, 1e-200)),  # y^-s
+        (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 1e-70, 1.0)),  # (x/y)^-s
+        (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (-40.0, 0.3, 1e300)),  # y^-s, s < 0
+        (bernoulli_scaled, bernoulli_scaled_array, (200, 1e30, 1.0)),  # Horner's loop
+        (bernoulli_scaled, bernoulli_scaled_array, (256, 1e20, 1e20)),  # y^(m-1)
+    ])
+    def test_scalar_rule_past_the_long_double_is_infinite(self, rule, twin, args):
+        # as its twin gives it, and without the overflow warning that
+        # tier-1's warning policy turns into an error
+        order, x, y = args
+        got = rule(order, x, y)
+        assert math.isinf(got) and got == twin(order, np.array([x]), y)[0]
+
+    def test_scalar_rules_hand_only_rare_points_to_their_twins(self, monkeypatch):
+        # on E2's and E13's suite scales every scalar call stays scalar; the
+        # points past the long double above go to the array twins
+        calls = []
+        for name in ("bernoulli_scaled_array", "hurwitz_zeta_scaled_array"):
+            twin = getattr(special, name)
+            monkeypatch.setattr(special, name, lambda *a, twin=twin: calls.append(a) or twin(*a))
+        rng = np.random.default_rng(4)
+        for y in rng.uniform(0.25, 40.0, 20).tolist():
+            for x in (rng.uniform(-3.0, 3.0, 5) * y).tolist():
+                for m in (1, 2, 3, 6):
+                    bernoulli_scaled(m, x, y)
+                for s in (-1.0, -2.0, -3.7):
+                    hurwitz_zeta_scaled(s, x, y)
+                for s in (2.0, 3.0):
+                    hurwitz_zeta_scaled(s, abs(x) + 1e-3, y)
+        assert calls == []
+        assert bernoulli_scaled(200, 1e30, 1.0) == math.inf and len(calls) == 1
+        assert hurwitz_zeta_scaled(80.0, 2e-201, 1e-200) == math.inf and len(calls) == 2
+
+    def test_bernoulli_reach_keeps_every_order_inside_the_long_double(self):
+        # below the reach in |x/y| and y, B_m's Horner sums (at most
+        # sum_j |c_j| max(1, |t|)^m) and y^(m-1) times a double stay inside
+        # the long double, for every order the table serves
+        reach = special._BERNOULLI_REACH
+        for m in range(TABLE_LIMIT + 1):
+            total = sum(abs(c) for c in bernoulli_poly_coeffs(m))  # past the doubles at m ~ 250
+            log_sum = math.log(total.numerator) - math.log(total.denominator)
+            assert log_sum + m * math.log(reach) < special._LD_LOG_MAX - 1.0, m
+            assert (m - 1) * math.log(reach) < special._POWER_REACH, m
 
 
 def _outcome(call):

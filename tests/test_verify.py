@@ -41,7 +41,7 @@ from invk.verify import (
     zeta_power_kernel,
 )
 
-from conftest import SMALL_GRID, scale_sum
+from conftest import SMALL_GRID, scale_sum, table_points
 
 PROBE_GRID = replace(SMALL_GRID, samples=9)
 
@@ -86,6 +86,52 @@ def _points_clear(f, needed):
     return True
 
 
+def _hex_points(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+# The points of each kind of check as the checks listed them before they
+# became shift tables, and the suite's descriptors for each kind, plus some
+# with singular points, so that their grids reject candidates.
+_CERT = covering.CoveringSystem(verify._CERT_SYSTEM)
+_WIDE_COVER = covering.CoveringSystem(((-1, 3), (7, 1000003), (0, 1)))
+
+
+def _point_kind(kind, grid):
+    """(shift table, the point list it stands for) of a kind of points."""
+    if kind == "invariance":
+        n_max = grid.n_max
+        return verify._invariance_table(n_max), lambda x, y: (
+            [(x, y)] + [(x + r * y, n * y) for n in range(2, n_max + 1) for r in range(n)])
+    if kind.startswith("exchange"):
+        m, n = (int(k) for k in kind.split("-")[1:])
+        return verify._exchange_table(m, n), lambda x, y: (
+            [(x + r * m * y, n * y) for r in range(n)] + [(x + r * n * y, m * y) for r in range(m)])
+    return {
+        "limit": (verify._LIMIT_TABLE, lambda x, y: ((x, y), (x + y, y))),
+        "y-derivative": (verify._Y_DERIVATIVE_TABLE, lambda x, y: ((x, y), (x - y, y), (x + y, y))),
+        "parity": (verify._PARITY_TABLE, lambda x, y: ((x, y), (y - x, y))),
+        "covering": (verify._covering_table(_CERT), _CERT.sample_points),
+        "covering-wide": (verify._covering_table(_WIDE_COVER), _WIDE_COVER.sample_points),
+    }[kind]
+
+
+def _made(configs):
+    return [make(eid, **params) for eid, params in configs]
+
+
+POINT_KINDS = {
+    "invariance": _made(standard_configs()),
+    **{f"exchange-{m}-{n}": _made(verify._EXCHANGE_SET) for m, n in verify._EXCHANGE_PAIRS},
+    "limit": _made(verify._SMOOTH_LIMIT_SET),
+    "y-derivative": _made(verify._Y_DERIVATIVE_SET + (("E3a", {}),)),
+    "parity": _made((("E9", {"r": 0.5}), ("E2", {"m": 1}), ("E8", {"r": 0.5}), ("E10", {}))),
+    "covering": _made(verify._CERT_FUNCTIONS),
+    "covering-wide": _made((("E5", {"a": 2.0}), ("E12", {}), ("E13", {"s": 2.0}))),
+}
+POINT_KINDS["limit"].append(replace(make("E5", a=2.0), domain=lambda x, y: x > 0.0))
+
+
 class TestGridPoints:
     E10 = make("E10")
     CASES = [
@@ -102,11 +148,11 @@ class TestGridPoints:
         # 2 EPS_SING y' of a singular point of its scale, inside or outside
         # the margin
         rng = np.random.default_rng(23)
-        points = verify._invariance_eval_points(replace(DEFAULT_GRID, n_max=6))
+        table = verify._invariance_table(6)
         outcomes = set()
         for _ in range(300):
             y = float(rng.uniform(0.25, 4.0))
-            needed = points(float(rng.uniform(-3.0, 3.0)) * y, y)
+            needed = table_points(table, float(rng.uniform(-3.0, 3.0)) * y, y)
             i = int(rng.integers(len(needed)))
             xe, ye = needed[i]
             near = f.singular_points(ye, xe - ye, xe + ye)
@@ -114,7 +160,12 @@ class TestGridPoints:
                 s = near[int(rng.integers(len(near)))]
                 needed[i] = (s + float(rng.uniform(-2.0, 2.0)) * EPS_SING * ye, ye)
             want = _points_clear(f, needed)
-            assert verify._sample_clear(f, needed) == want, needed
+            by_scale = {}
+            for xe, ye in needed:
+                by_scale.setdefault(ye, []).append(xe)
+            # each scale in one piece, or each point a piece of its own
+            assert verify._sample_clear(f, list(by_scale.items())) == want, needed
+            assert verify._sample_clear(f, [(ye, [xe]) for xe, ye in needed]) == want, needed
             outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -148,18 +199,69 @@ class TestGridPoints:
         return pts, attempts
 
     def test_grid_points_equal_the_all_pairs_test(self):
-        # every attempt gets the same decision, so every grid is the same
-        grids = [(make(eid, **params), DEFAULT_GRID) for eid, params in standard_configs()]
-        grids += [(convolve(make(g, **gp), make(h, **hp), 1e-9), replace(DEFAULT_GRID, n_max=6))
-                  for (g, gp), (h, hp) in verify._PRODUCT_PAIRS]
-        grids.append((replace(make("E5", a=2.0), domain=lambda x, y: x > 0.0), DEFAULT_GRID))
-        rejecting = 0
-        for f, grid in grids:
-            eval_points = verify._invariance_eval_points(grid)
-            want, attempts = self._all_pairs_grid(f, grid, eval_points)
-            assert grid_points(f, grid, eval_points) == want, f.name
-            rejecting += attempts > grid.samples
-        assert rejecting >= 3  # E13(s > 0) and the E5 above, whose domain is x > 0
+        # every attempt gets the same decision, so every grid is the same,
+        # and every sample's point arrays are its point list, bit for bit
+        other_grids = (replace(DEFAULT_GRID, samples=9),
+                       GridSpec(seed=11, x_range=(-0.5, 6.0), y_range=(0.05, 1.5),
+                                samples=24, n_max=5))
+        grids = [(kind, f, grid) for kind, fs in POINT_KINDS.items() for f in fs
+                 for grid in (DEFAULT_GRID, *other_grids)]
+        grids += [("invariance", convolve(make(g, **gp), make(h, **hp), 1e-9),
+                   replace(DEFAULT_GRID, n_max=6)) for (g, gp), (h, hp) in verify._PRODUCT_PAIRS]
+        grids.append(("invariance", replace(make("E5", a=2.0), domain=lambda x, y: x > 0.0),
+                      DEFAULT_GRID))
+        second_block = set()
+        for kind, f, grid in grids:
+            table, points = _point_kind(kind, grid)
+            want, attempts = self._all_pairs_grid(f, grid, points)
+            got = grid_points(f, grid, table)
+            assert got == want, (kind, f.name, grid)
+            for run in verify._runs(got, table):  # the points that the checks evaluate
+                xs, ys = np.array(run).T
+                px, py = table.arrays(xs, ys)
+                assert [_hex_points(zip(*row)) for row in zip(px.tolist(), py.tolist())] \
+                    == [_hex_points(points(x, y)) for x, y in run], (kind, f.name, grid)
+            if attempts > grid.samples:  # the grid took a second block of draws
+                second_block.add((kind, f.name))
+        # E13(s > 0) and the E5s whose domain is x > 0
+        assert {("invariance", "E13"), ("invariance", "E5"), ("limit", "E5"),
+                ("covering-wide", "E13")} <= second_block
+
+    @pytest.mark.parametrize("kind", sorted(POINT_KINDS))
+    def test_tables_equal_the_point_lists(self, kind):
+        # seeded samples over wide ranges, and x = 0.0 at each scale
+        rng = np.random.default_rng(31)
+        ys = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200))
+        xs = rng.uniform(-50.0, 50.0, 200) * ys
+        xs[::10] = 0.0
+        for grid in (DEFAULT_GRID, replace(DEFAULT_GRID, n_max=6)):
+            table, points = _point_kind(kind, grid)
+            px, py = table.arrays(xs, ys)
+            assert px.shape == py.shape == (200, len(points(1.0, 1.0)))
+            for x, y, row_x, row_y in zip(xs.tolist(), ys.tolist(), px.tolist(), py.tolist()):
+                assert _hex_points(zip(row_x, row_y)) == _hex_points(points(x, y)), (kind, x, y)
+
+    def test_runs_hold_at_most_max_points(self):
+        e9 = make("E9", r=0.5)
+        for n_max, want in ((10, 3), (6, 8), (20, 1)):  # 55, 21 and 210 points a sample
+            table = verify._invariance_table(n_max)
+            pts = grid_points(e9, replace(SMALL_GRID, n_max=n_max), table)
+            runs = verify._runs(pts, table)
+            assert [len(r) for r in runs[:-1]] == [want] * (len(runs) - 1)
+            assert 0 < len(runs[-1]) <= want
+            assert [p for r in runs for p in r] == pts
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_worst_index_is_where_the_worst_settles(self, seed):
+        # ties, NaNs and infinities: one reduction picks the sample that
+        # `_Worst.add` over the errors in order keeps
+        rng = np.random.default_rng(seed)
+        errs = rng.choice([0.0, 1e-9, 2e-9, 3.0, math.inf, math.nan], size=int(rng.integers(1, 30)),
+                          p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05]).tolist()
+        worst = verify._Worst()
+        for i, e in enumerate(errs):
+            worst.add(e, float(i))
+        assert verify._worst_index(errs) == worst.sample[0]
 
 
 def _report_bytes(rep) -> str:
@@ -211,7 +313,7 @@ class TestBatchedSamples:
         e5 = make("E5", a=2.0)
         grid = self.CONV_GRID
         e9 = make("E9", r=0.5)
-        pts = grid_points(convolve(e5, e9, 1e-9), grid, verify._invariance_eval_points(grid))
+        pts = grid_points(convolve(e5, e9, 1e-9), grid, verify._invariance_table(grid.n_max))
         bound = max(grid.n_max * y for _, y in pts[:3])
         assert any(grid.n_max * y > bound for _, y in pts[3:8])
 
@@ -255,7 +357,7 @@ class TestInvariance:
     def test_nan_sample_fails_the_report(self):
         # one NaN among good samples is the worst error, not a skipped one
         e1 = make("E1")
-        x0, y0 = verify.grid_points(e1, SMALL_GRID, verify._invariance_eval_points(SMALL_GRID))[3]
+        x0, y0 = verify.grid_points(e1, SMALL_GRID, verify._invariance_table(SMALL_GRID.n_max))[3]
         # a consistent descriptor: the replaced value rule has no array rule
         nan_at_one_point = replace(
             e1, value=lambda x, y: math.nan if (x, y) == (x0, y0) else 1.0 / y,
@@ -271,9 +373,9 @@ class TestInvariance:
         # the batched path: the array rule returns NaN at one shifted point
         # of one sample, and that sample becomes the witness
         e1 = make("E1")
-        eval_points = verify._invariance_eval_points(SMALL_GRID)
-        x0, y0 = verify.grid_points(e1, SMALL_GRID, eval_points)[5]
-        xb, yb = eval_points(x0, y0)[4]
+        table = verify._invariance_table(SMALL_GRID.n_max)
+        x0, y0 = verify.grid_points(e1, SMALL_GRID, table)[5]
+        xb, yb = table_points(table, x0, y0)[4]
 
         def array_value(xs, ys):
             return np.where((xs == xb) & (ys == yb), math.nan, e1.array_value(xs, ys))
@@ -320,7 +422,7 @@ class TestInvariance:
         rep = check_invariance(f, SMALL_GRID, 1e-8)
         points = SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
         assert len(seen) == len(set(seen)) == SMALL_GRID.samples * points
-        assert set(grid_points(e9, SMALL_GRID, verify._invariance_eval_points(SMALL_GRID))) <= set(seen)
+        assert set(grid_points(e9, SMALL_GRID, verify._invariance_table(SMALL_GRID.n_max))) <= set(seen)
         assert rep.to_json_dict() == check_invariance(e9, SMALL_GRID, 1e-8).to_json_dict()
         only_n1 = check_invariance(f, replace(SMALL_GRID, n_max=1), 1e-8)
         assert only_n1.passed and only_n1.max_abs_error == 0.0
@@ -627,8 +729,7 @@ class TestCoveringCertificates:
         rep = check_covering_certificates(sys_, f, PROBE_GRID, 1e-8)
         assert decisions == [sys_]
         monkeypatch.undo()
-        pts = verify.grid_points(f, PROBE_GRID, lambda x, y: (
-            [(x, y)] + [(x + a * y, n * y) for a, n in sys_.classes]))
+        pts = verify.grid_points(f, PROBE_GRID, verify._covering_table(sys_))
         pointwise = [covering.covering_identity_check(sys_, f, x, y, 1e-8) for x, y in pts]
         worst = max(pointwise, key=lambda r: r.max_abs_error)
         assert rep.samples == len(pointwise) == PROBE_GRID.samples
