@@ -40,9 +40,11 @@ depth `_ENGAGE` (10) extrapolates, as QUADPACK's QAGS and QAGP do
 then feeds the sum of all its panels, one area per level, to Wynn's epsilon
 algorithm (Wynn 1956; `_Wynn` is dqelg), and stops once the table's error,
 with the rounding noise of its areas (`_node_noise`), is within tol.  A
-job that never gets that deep keeps the bits of plain bisection, and a
-wide call hands an engaged job to the heap code (`_handover`), so lone and
-lockstep results stay equal.  An extrapolation that fails QUADPACK's
+job that never gets that deep keeps the bits of plain bisection.  A wide
+call keeps one batch per round for its table; a job of it that would
+engage leaves the table and, once the table is done, restarts alone on
+the heap code, so lone and lockstep results stay equal at the cost of
+its table rounds.  An extrapolation that fails QUADPACK's
 divergence test (`_diverges`) is dropped for the panel sum, and one that
 cannot meet tol hands the job back to plain bisection.
 """
@@ -657,26 +659,6 @@ def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
     return grown
 
 
-def _handover(table: list[np.ndarray], n: int, j: int, start, sums) -> _Job:
-    """Table job j as a `_Job` with the same panels, error sums and counts
-    (`sums`: heap_err, done_err, above, serial), so it goes on as a lone
-    integral does: `heapq` pops the rebuilt heap in the same (-estimate,
-    serial) order, and its fsums do not depend on the order of panels."""
-    lo, hi, sign, _ = start
-    job = _Job(lo, hi, sign)
-    t_left, t_right, t_value, t_est, t_floor, t_depth, t_serial, t_job, state = table
-    rows = np.flatnonzero(t_job[:n] == j)
-    on_heap = rows[state[rows] == _HEAP]
-    done = rows[state[rows] == _DONE]
-    job.heap, job.done = (list(zip((-t_est[r]).tolist(), t_serial[r].tolist(), t_left[r].tolist(),
-                                   t_right[r].tolist(), t_value[r].tolist(), t_est[r].tolist(),
-                                   t_depth[r].tolist(), t_floor[r].tolist())) for r in (on_heap, done))
-    heapq.heapify(job.heap)
-    job.heap_err, job.done_err, job.above, job.serial = (x.item() for x in sums)
-    job.evals = 15 * job.serial
-    return job
-
-
 def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], starts, tol: float):
     """The rounds of a wide call, with every panel in one table.
 
@@ -689,10 +671,13 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     bookkeeping runs with numpy's warnings off, as Python floats run:
     inf - inf is nan.
 
-    A job that a bisection takes to depth `_ENGAGE` leaves the table for a
-    `_Job` (`_handover`) and goes on there, so that it extrapolates as a
-    lone integral does.  Its panels still join each round's batch and
-    Kronrod columns, in job order, and the `_Job` steps on their sums.
+    Every round is one batch of table panels.  A job whose next bisection
+    would reach depth `_ENGAGE` leaves the table instead.  Once the table
+    is empty, the jobs that left restart from their initial panels in
+    `_heap_rounds`, in a lockstep of their own whose batch gets their
+    indices in `starts`, and their results replace the table's: a restart
+    is a lone integral, so it extrapolates as one does.  The table rounds
+    such a job took are spent.
     """
     n_jobs = len(starts)
     # the initial panels, straight from the flat list of every job's edges
@@ -717,30 +702,11 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     picked = np.zeros(n_jobs, dtype=bool)
     row_of = np.zeros(n_jobs, dtype=np.int64)
     halves = False  # whether the panels to push are the halves of bisections
-    lone: dict[int, _Job] = {}  # the jobs that left the table
-    pending: list = []  # their (job, lefts, rights, depth) to evaluate next
-    while jobs.size or pending:
-        if not pending:
-            ts, h = _column_nodes(left, right)
-            fv = np.asarray(batch(ts, job.tolist()), dtype=float)
-            value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
-        else:  # the table's panels first, then the lone jobs', all in job order for the batch
-            m = job.size
-            ts, h = _column_nodes(np.concatenate((left, [x for _, ls, _, _ in pending for x in ls])),
-                                  np.concatenate((right, [x for _, _, rs, _ in pending for x in rs])))
-            owner = np.concatenate((job, np.repeat([j for j, *_ in pending], 2)))
-            order = np.argsort(owner, kind="stable")
-            fv = np.asarray(batch(ts.reshape(-1, 15)[order].ravel(), owner[order].tolist()), dtype=float)
-            value, est, floor = _gk15_columns(fv.reshape(-1, 15)[np.argsort(order)].T, h)
-            sums = zip(value[m:].tolist(), est[m:].tolist(), floor[m:].tolist())
-            stepped, pending = pending, []
-            for j, lefts, rights, d in stepped:
-                nxt = lone[j].step(lefts, rights, [next(sums), next(sums)], d, tol)
-                if nxt is not None:
-                    pending.append((j, *nxt))
-            if not m:
-                continue
-            value, est, floor = value[:m], est[:m], floor[:m]
+    restart: list[int] = []  # the jobs that left the table to extrapolate
+    while jobs.size:
+        ts, h = _column_nodes(left, right)
+        fv = np.asarray(batch(ts, job.tolist()), dtype=float)
+        value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
         with np.errstate(all="ignore"):
             # push: a job's new panels take its next serials, and their
             # estimates add up in order before they join heap_err
@@ -817,14 +783,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
             depth = t_depth[top] + 1
             deep = depth >= _ENGAGE
             if deep.any():  # these jobs leave the table
-                for r, d in zip(top[deep].tolist(), depth[deep].tolist()):
-                    j = t_job[r].item()
-                    sums = heap_err[j], done_err[j], above[j], serial[j]
-                    lone[j] = moved = _handover(table, n, j, starts[j], sums)
-                    moved._engage(d, moved.heap_err, t_value[r].item())
-                    lo, hi = t_left[r].item(), t_right[r].item()
-                    mid = 0.5 * (lo + hi)
-                    pending.append((j, [lo, mid], [mid, hi], d))
+                restart += t_job[top[deep]].tolist()
                 top, depth = top[~deep], depth[~deep]
             jobs = t_job[top]
             job = np.repeat(jobs, 2)
@@ -851,14 +810,17 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     many = np.flatnonzero(sizes > 1)
     values, ests = t_value[kept].tolist(), t_est[kept].tolist()
     for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
-        if j not in lone:
-            value[j] = math.fsum(values[a:b])
-            err[j] = math.fsum(ests[a:b])
+        value[j] = math.fsum(values[a:b])
+        err[j] = math.fsum(ests[a:b])
     value *= [sign for _, _, sign, _ in starts]
     out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
                    (err <= tol).tolist()))
-    for j, moved in lone.items():
-        out[j] = moved.result(tol)
+    if restart:
+        restart.sort()
+        restarted = _heap_rounds(lambda nodes, owners: batch(np.array(nodes), [restart[k] for k in owners]),
+                                 [starts[j] for j in restart], tol)
+        for j, res in zip(restart, restarted):
+            out[j] = res
     return out
 
 
@@ -887,7 +849,10 @@ def integrate_many(
     `_TABLE_MIN` jobs keeps every panel in one table and runs each round's
     nodes and Kronrod sums as ndarray columns; a narrower call keeps a heap
     per job and sums panel by panel.  The choice is made once per call, and
-    both give the same bits.
+    both give the same bits.  A job of a wide call whose bisection would
+    reach depth `_ENGAGE` leaves the table and, after the table's last
+    round, restarts as a lone integral, in more rounds of one batch each
+    for all such jobs; its evaluations are those of the restart.
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it

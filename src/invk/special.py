@@ -128,28 +128,38 @@ def _power_times(yd, m: int, b):
 
 def bernoulli_scaled(m: int, x: float, y: float) -> float:
     """y^(m-1) B_m(x/y), the Bernoulli entry E2 (and, at m - 1, its partials):
-    x/y and B_m(x/y) rounded to doubles, times y^(m-1) in extended precision,
-    rounded once.  A value past the long double is inf, as in the array
-    twin, without numpy's overflow warning."""
+    x/y rounded to a double, B_m(x/y) rounded to one where that gives a
+    finite double and kept in the long double where it gives inf, times
+    y^(m-1) in extended precision, rounded once.  So (m, x, y) =
+    (100, 1e3, 1e-5) gives 9.999995e304, not inf, and (120, 1e-195, 1e-200)
+    gives 0.0, not nan.  A value past the long double is inf, as in the
+    array twin, without numpy's overflow warning."""
     yd = _LD(y)
     t = float(_LD(x) / yd)
     if not (-_BERNOULLI_REACH <= t <= _BERNOULLI_REACH and y <= _BERNOULLI_REACH):
         return float(bernoulli_scaled_array(m, np.array([x]), y)[0])
     b = bernoulli_poly(m, t)
-    return b if m == 1 else float(_power_times(yd, m, _LD(b)))
+    if m == 1:
+        return b
+    if math.isinf(b):  # past the doubles: B_m(x/y) again, as a long double
+        return float(_power_times(yd, m, _horner(_poly_coeffs_ld(m), _LD(t))))
+    return float(_power_times(yd, m, _LD(b)))
 
 
 @np.errstate(over="ignore")
 def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
     """`bernoulli_scaled` at each x of a float ndarray, with ys one scale or
     a float ndarray aligned with xs: the same Horner loop run over the whole
-    array, equal to the scalar function bit for bit.  A value past the
-    largest double is inf, as `float` rounds a longdouble, without numpy's
-    overflow warning."""
+    array, equal to the scalar function bit for bit: B_m(x/y) stays a
+    longdouble where its double is inf.  A value past the largest double is
+    inf, as `float` rounds a longdouble, without numpy's overflow warning."""
     yd = _LD(ys)  # one longdouble, or an array of them
     ts = (xs.astype(_LD) / yd).astype(float).astype(_LD)
-    b = _horner(_poly_coeffs_ld(m), ts).astype(float)
-    return b if m == 1 else _power_times(yd, m, b.astype(_LD)).astype(float)
+    b = _horner(_poly_coeffs_ld(m), ts)
+    d = b.astype(float)
+    if m == 1:
+        return d
+    return _power_times(yd, m, np.where(np.isinf(d), b, d)).astype(float)
 
 
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:

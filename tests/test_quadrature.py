@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invk import quadrature
+from invk import quadrature, verify
 from invk.algebra import convolve
 from invk.catalog import make
 from invk.errors import ConvergenceError, RejectedInputError
@@ -258,9 +258,38 @@ class TestVectorized:
         assert sum(sizes) == res.evaluations
 
 
+def _watch_restarts(m):
+    """Wrap `_heap_rounds` while `_table_rounds` runs, with the monkeypatch
+    context m.  Returns two lists: one that gets an entry per table call,
+    and one that gets, per table call that restarts jobs, their indices in
+    its call, when the restart begins."""
+    tables, restarts = [], []
+    table_rounds, heap_rounds = quadrature._table_rounds, quadrature._heap_rounds
+
+    def table(batch, starts, tol):
+        tables.append(starts)
+        try:
+            return table_rounds(batch, starts, tol)
+        finally:
+            tables[-1] = None
+
+    def heap(batch, starts, tol):
+        if tables and tables[-1] is not None:
+            index = {id(start): j for j, start in enumerate(tables[-1])}
+            restarts.append([index[id(start)] for start in starts])
+        return heap_rounds(batch, starts, tol)
+
+    m.setattr(quadrature, "_table_rounds", table)
+    m.setattr(quadrature, "_heap_rounds", heap)
+    return tables, restarts
+
+
 class TestIntegrateMany:
     """Lockstep integrals: each job's result is a lone `integrate` of its
-    integrand, bit for bit, and every round makes one batch call."""
+    integrand, bit for bit.  Every table round is one batch call; a job of
+    a wide call that would engage its epsilon table leaves the table and
+    restarts alone once the table is done, in rounds of one batch call for
+    all such jobs, on the heap path."""
 
     E9 = make("E9", r=0.5)
     E10 = make("E10")
@@ -280,9 +309,16 @@ class TestIntegrateMany:
 
     def _lockstep(self, specs):
         """integrate_many over the jobs `specs`, each checked against a lone
-        `integrate` bit for bit; returns the results and the job indices and
-        width of each round."""
-        calls, widths = [], []
+        `integrate` bit for bit, and the rounds against the lone rounds.
+        Returns the results, the widths of the table rounds (of every round
+        in a narrow call), the widths of the restart rounds and the jobs
+        that restarted.
+
+        A job that does not restart takes part in exactly its lone rounds.
+        A restarted job takes part in its lone rounds up to the one in
+        which it engages, in the table, and then in all of them alone."""
+        rounds = []  # per round: its owners, panels summed as columns, one by one, and restarts begun
+        kernels = quadrature._gk15_columns, quadrature._gk15
 
         def batch(ts, owners):
             assert isinstance(ts, np.ndarray) and owners == sorted(owners)
@@ -290,48 +326,80 @@ class TestIntegrateMany:
             out = np.empty(ts.size)
             for j in set(owners):
                 out[own == j] = specs[j][0](ts[own == j])
-            calls.append(sorted(set(owners)))
-            widths.append(len(owners))
+            rounds.append([owners, 0, 0, len(restarts)])
             return out
 
-        jobs = [(a, b, cuts) for _, a, b, cuts in specs]
-        got = integrate_many(batch, jobs, self.TOL)
-        lone_calls = []
+        def columns(fv, h):
+            rounds[-1][1] += h.size
+            return kernels[0](fv, h)
+
+        def panel(fv, h):
+            rounds[-1][2] += 1
+            return kernels[1](fv, h)
+
+        with pytest.MonkeyPatch.context() as m:
+            _, restarts = _watch_restarts(m)
+            m.setattr(quadrature, "_gk15_columns", columns)
+            m.setattr(quadrature, "_gk15", panel)
+            got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
+        lone = []  # per job: its rounds, and its rounds and evaluations before it engages
+        engage = quadrature._Job._engage
         for (fn, a, b, cuts), res in zip(specs, got):
-            n = []
-            want = integrate(Vectorized(lambda ts: n.append(0) or fn(ts)), a, b, self.TOL, cuts)
-            lone_calls.append(len(n))
+            n, engaged = [], []
+
+            def counted(job, *args, n=n, engaged=engaged):
+                engaged.append((len(n), job.evals))
+                return engage(job, *args)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(quadrature._Job, "_engage", counted)
+                want = integrate(Vectorized(lambda ts: n.append(0) or fn(ts)), a, b, self.TOL, cuts)
+            lone.append((len(n), *(engaged[0] if engaged else (None, 0))))
             assert res.value.hex() == want.value.hex()
             assert res.error_estimate.hex() == want.error_estimate.hex()
             assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
-        assert len(calls) == max(lone_calls)  # one batch per round
-        assert 15 * sum(widths) == sum(r.evaluations for r in got)
-        # a job takes part in exactly the rounds of its lone integral
-        for j, n in enumerate(lone_calls):
-            assert sum(j in c for c in calls) == n
-        return got, widths
+        wide = len(specs) >= quadrature._TABLE_MIN
+        restarted = [j for j, (_, k, _) in enumerate(lone) if wide and k is not None]
+        assert restarts == ([restarted] if restarted else [])
+        first = sum(not begun for *_, begun in rounds)  # the table's rounds, or a narrow call's
+        for j, (n, k, _) in enumerate(lone):
+            took = [sum(j in owners for owners, *_ in part) for part in (rounds[:first], rounds[first:])]
+            assert took == ([k, n] if j in restarted else [n, 0])
+        # batch calls = table rounds + restart rounds
+        assert first == max(k if j in restarted else n for j, (n, k, _) in enumerate(lone))
+        assert len(rounds) - first == max((lone[j][0] for j in restarted), default=0)
+        widths = [len(owners) for owners, *_ in rounds]
+        wasted = sum(lone[j][2] for j in restarted)  # 15 x the restarted jobs' table panels
+        assert 15 * sum(widths) == sum(r.evaluations for r in got) + wasted
+        # a wide call's table rounds run as columns, its restart rounds and
+        # every round of a narrow call on the heap path
+        for owners, summed, one_by_one, begun in rounds:
+            assert (summed, one_by_one) == ((len(owners), 0) if wide and not begun else (0, len(owners)))
+        return got, widths[:first], widths[first:], restarted
 
     def test_each_job_equals_a_lone_integral(self):
-        got, _ = self._lockstep(self.JOBS)
+        got, _, restart, _ = self._lockstep(self.JOBS)
+        assert not restart  # a narrow call has no table to leave
         assert [r.converged for r in got] == [True, True, True, True, True, False, True]
         assert len({r.evaluations for r in got}) >= 5  # the jobs stop at different rounds
 
     @staticmethod
     def _kernel_rounds(monkeypatch, specs, tol, rounds):
         """integrate_many over `specs` with both Kronrod kernels counted:
-        appends to `rounds`, per round, [its jobs, its panels, the panels
-        `_gk15_columns` summed, the panels `_gk15` summed]."""
+        appends to `rounds`, per round, [its owners, the panels
+        `_gk15_columns` summed, the panels `_gk15` summed, the restarts
+        begun].  Returns the restarts (`_watch_restarts`)."""
 
         def columns(fv, h):
-            rounds[-1][2] += h.size
+            rounds[-1][1] += h.size
             return _gk15_columns(fv, h)
 
         def panel(fv, h):
-            rounds[-1][3] += 1
+            rounds[-1][2] += 1
             return _gk15(fv, h)
 
         def batch(ts, owners):
-            rounds.append([len(set(owners)), len(owners), 0, 0])
+            rounds.append([owners, 0, 0, len(restarts)])
             own = np.repeat(owners, 15)
             out = np.empty(ts.size)
             for j in set(owners):
@@ -339,25 +407,21 @@ class TestIntegrateMany:
             return out
 
         with monkeypatch.context() as m:
+            _, restarts = _watch_restarts(m)
             m.setattr(quadrature, "_gk15_columns", columns)
             m.setattr(quadrature, "_gk15", panel)
             integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        return restarts
 
-    def test_wide_rounds_run_as_columns(self, monkeypatch):
-        # a call of at least _TABLE_MIN jobs runs every round as columns,
-        # its late rounds of a few panels too
-        columns = []
-
-        def counted(fv, h):
-            columns.append(h.size)
-            return _gk15_columns(fv, h)
-
-        monkeypatch.setattr(quadrature, "_gk15_columns", counted)
+    def test_wide_rounds_run_as_columns(self):
+        # a call of at least _TABLE_MIN jobs runs every table round as
+        # columns, its late rounds of a few panels too; the three singular
+        # jobs of each copy of JOBS engage and restart on the heap path
         specs = self.JOBS * 8
         assert len(specs) >= quadrature._TABLE_MIN
-        got, widths = self._lockstep(specs)
-        assert columns == widths
+        got, widths, restart, restarted = self._lockstep(specs)
         assert len(widths) >= 3 and min(widths) <= 16 < max(widths)  # wide and narrow rounds
+        assert restart and restarted == [j for j in range(len(specs)) if j % 7 in (4, 5, 6)]
         assert [r.converged for r in got] == [True, True, True, True, True, False, True] * 8
 
     def test_narrow_rounds_never_run_as_columns(self, monkeypatch):
@@ -368,8 +432,8 @@ class TestIntegrateMany:
 
         monkeypatch.setattr(quadrature, "_gk15_columns", refuse)
         specs = (self.JOBS * 8)[:quadrature._TABLE_MIN - 1]
-        _, widths = self._lockstep(specs)
-        assert widths[0] >= 16
+        _, widths, restart, _ = self._lockstep(specs)
+        assert widths[0] >= 16 and not restart
         for fn, a, b, cuts in self.JOBS:
             integrate(Vectorized(fn), a, b, self.TOL, cuts)
 
@@ -443,9 +507,11 @@ class TestIntegrateMany:
     def test_wide_call_that_narrows(self, monkeypatch):
         # 64 jobs: 56 finish in round 1, so the table runs its later rounds
         # for fewer than _TABLE_MIN jobs, still as columns.  A few take 20
-        # or more rounds, and the kinked and singular ones engage their
-        # epsilon tables only then, each leaving the table in the round it
-        # engages.  A zero integrand of -0.0 returns +0.0, as fsum does
+        # or more rounds, and the kinked and singular ones would engage
+        # their epsilon tables only then: each leaves the table in the round
+        # before, and restarts, after the table's last round, on the heap
+        # path, where it engages in the same round of its own.  A zero
+        # integrand of -0.0 returns +0.0, as fsum does
         rng = np.random.default_rng(20)
         specs = []
         for _ in range(55):
@@ -459,34 +525,36 @@ class TestIntegrateMany:
         specs.append((lambda ts: np.log(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)))
         specs.append((lambda ts: np.abs(ts - 0.7) ** -0.5, 0.0, 1.0, (0.7,)))
         specs.append((lambda ts: ts * ts, 0.5, 0.5, ()))
-        handed, engaged, rounds = [], [], []
-        handover, engage = quadrature._handover, quadrature._Job._engage
-
-        def counted_handover(table, n, j, start, sums):
-            handed.append((j, len(rounds)))
-            return handover(table, n, j, start, sums)
+        engaged, rounds = [], []
+        engage = quadrature._Job._engage
 
         def counted_engage(job, *args):
-            engaged.append((job, len(rounds)))
+            engaged.append(len(rounds))
             return engage(job, *args)
 
-        monkeypatch.setattr(quadrature, "_handover", counted_handover)
         monkeypatch.setattr(quadrature._Job, "_engage", counted_engage)
         monkeypatch.setattr(quadrature, "_Wynn", _CountedWynn)
         _CountedWynn.started = 0
-        self._kernel_rounds(monkeypatch, specs, self.TOL, rounds)
-        assert len(rounds) >= 20 and rounds[0][0] == len(specs) - 1 >= quadrature._TABLE_MIN
-        assert rounds[1][0] < quadrature._TABLE_MIN
-        assert all(summed == panels and not heap for _, panels, summed, heap in rounds)
-        assert sorted(j for j, _ in handed) == [56, 57, 58, 61, 62]
-        assert sorted(when for _, when in handed) == sorted(when for _, when in engaged)
-        assert min(when for _, when in handed) > 1 and _CountedWynn.started == len(engaged)
+        (restarted,) = self._kernel_rounds(monkeypatch, specs, self.TOL, rounds)
+        first = sum(not begun for *_, begun in rounds)  # the table's rounds
+        jobs = [set(owners) for owners, *_ in rounds]
+        assert len(rounds) >= 20 and len(jobs[0]) == len(specs) - 1 >= quadrature._TABLE_MIN
+        assert len(jobs[1]) < quadrature._TABLE_MIN
+        # table rounds run as columns, restart rounds on the heap path
+        assert all(summed == len(owners) and not heap for owners, summed, heap, _ in rounds[:first])
+        assert all(heap == len(owners) and not summed for owners, summed, heap, _ in rounds[first:])
+        assert restarted == [56, 57, 58, 61, 62] == sorted(set().union(*jobs[first:]))
+        table_rounds = [sum(j in js for js in jobs[:first]) for j in restarted]
+        assert sorted(first + k for k in table_rounds) == sorted(engaged)
+        assert min(table_rounds) > 1 and _CountedWynn.started == len(engaged)
         got = integrate_many(lambda ts, owners: np.concatenate(
             [specs[j][0](ts[15 * k:15 * k + 15]) for k, j in enumerate(owners)]),
             [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
-        long = 0
+        long, lone_rounds = 0, []
         for (fn, a, b, cuts), res in zip(specs, got):
-            want = integrate(Vectorized(fn), a, b, self.TOL, cuts)
+            n = []
+            want = integrate(Vectorized(lambda ts: n.append(0) or fn(ts)), a, b, self.TOL, cuts)
+            lone_rounds.append(len(n))
             assert res.value.hex() == want.value.hex()
             assert res.error_estimate.hex() == want.error_estimate.hex()
             assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
@@ -494,12 +562,20 @@ class TestIntegrateMany:
         assert long >= 3
         assert all(r.evaluations == 15 for r in got[:56])
         assert got[55].value.hex() == "0x0.0p+0"
+        # batch calls = table rounds + restart rounds, and the panels of
+        # every round are the evaluations reported plus the restarted jobs'
+        # table panels
+        assert first == max([n for j, n in enumerate(lone_rounds) if j not in restarted] + table_rounds)
+        assert len(rounds) - first == max(lone_rounds[j] for j in restarted)
+        panels = sum(len(owners) for owners, *_ in rounds)
+        wasted = sum(owners.count(j) for owners, *_ in rounds[:first] for j in restarted)
+        assert 15 * panels == sum(r.evaluations for r in got) + 15 * wasted
 
     def test_done_panels_move_with_their_jobs(self, monkeypatch):
         # pairs of jumps far from 0, whose panels reach the width floor and
         # go to done with less error than tol while their jobs go on: the
-        # jobs that engage their epsilon tables take those panels to their
-        # heaps' done lists, and each ends as a lone integral does
+        # jobs that would engage their epsilon tables restart, and keep
+        # done panels as a lone integral does, and each ends as one does
         rng = np.random.default_rng(31)
         specs = []
         for _ in range(60):
@@ -508,16 +584,16 @@ class TestIntegrateMany:
             jump = 10.0 ** float(rng.uniform(-1.5, 1.0))
             specs.append((lambda ts, c1=c1, c2=c2, jump=jump: np.where(ts > c1, jump, 0.0)
                           + np.where(ts > c2, jump, 0.0), off, off + 2.0, []))
-        handed = []
-        handover = quadrature._handover
+        engaged = []
+        engage = quadrature._Job._engage
 
-        def counted(*args):
-            handed.append(handover(*args))
-            return handed[-1]
+        def counted(job, *args):
+            engaged.append(job)
+            return engage(job, *args)
 
-        monkeypatch.setattr(quadrature, "_handover", counted)
-        got, _ = self._lockstep(specs)
-        assert any(job.done for job in handed) and len(handed) < len(specs)
+        monkeypatch.setattr(quadrature._Job, "_engage", counted)
+        _, _, restart, restarted = self._lockstep(specs)
+        assert any(job.done for job in engaged) and restart and 0 < len(restarted) < len(specs)
 
     def test_integrate_is_the_one_job_case(self):
         seen = []
@@ -808,8 +884,8 @@ class TestExtrapolation:
 
 
 class TestWideEngagedJobs:
-    """A job of a wide call that reaches `_ENGAGE` leaves the table for a
-    `_Job` and still equals a lone `integrate` bit for bit."""
+    """A job of a wide call whose bisection would reach `_ENGAGE` leaves the
+    table and restarts alone, and equals a lone `integrate` bit for bit."""
 
     @staticmethod
     def _same(got, want):
@@ -818,14 +894,7 @@ class TestWideEngagedJobs:
         assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
 
     def test_mixed_singular_and_smooth_jobs(self, monkeypatch):
-        handed = []
-        handover = quadrature._handover
-
-        def counted(table, n, j, start, sums):
-            handed.append(j)
-            return handover(table, n, j, start, sums)
-
-        monkeypatch.setattr(quadrature, "_handover", counted)
+        _, restarts = _watch_restarts(monkeypatch)
         rng = np.random.default_rng(83)
         kinds = [
             lambda c: (lambda ts: np.log(np.abs(ts - c)), (c,)),
@@ -856,10 +925,21 @@ class TestWideEngagedJobs:
 
         tol = 1e-10
         got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        (restarted,) = restarts
         for (fn, a, b, cuts), res in zip(specs, got):
             self._same(res, integrate(Vectorized(fn), a, b, tol, cuts))
-        assert len(handed) >= 20 and len(set(handed)) == len(handed)
+        assert len(restarted) >= 20 and restarted == sorted(set(restarted))
         assert sum(r.converged for r in got) >= len(got) - 5
+
+    def test_serial_suite_restarts_no_job(self, monkeypatch):
+        # every job of a wide call in verify --all stops short of depth
+        # _ENGAGE (only the lone golden `euler` integral extrapolates), so
+        # no job restarts.  A family that makes wide calls of log kernels
+        # would restart jobs and spend their table rounds, and trips this
+        monkeypatch.setattr(verify, "_cpus", lambda: 1)
+        tables, restarts = _watch_restarts(monkeypatch)
+        verify.standard_suite(verify.DEFAULT_GRID)
+        assert len(tables) >= 40 and restarts == []
 
     def test_log_sine_convolution_values(self):
         e10 = make("E10")

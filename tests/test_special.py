@@ -313,10 +313,12 @@ class TestArrayTwinsPastTheDoubles:
         # the scale power y^(m-1) or y^-s.  Past the long double too (y^-s
         # at y = 1e-200 and 1e200, (x/y)^-s near x/y = 1e-3 at s = 1000),
         # where both rules give inf without a warning; and where y^(m-1)
-        # underflows to 0 and B_m(x/y) overflows, both rules warn of 0 * inf
-        # alike
+        # underflows to 0 and B_m(x/y) is past the doubles, both give 0.0,
+        # since B_m(x/y) stays a long double.  E13 still rounds zeta(s, x/y)
+        # to a double before it multiplies by y^-s, so where one is 0 and
+        # the other inf both of its rules warn of 0 * inf alike
         rng = np.random.default_rng(160)
-        outcomes = []
+        outcomes, warned = [], set()
         for y in (1.0, 0.25, 7.0, 1e-3, 1e-200, 1e200):
             xs = (10.0 ** rng.uniform(-3.0, 5.0, 12) * y).tolist()
             rules = [(partial(bernoulli_scaled, m), partial(bernoulli_scaled_array, m), x)
@@ -327,8 +329,24 @@ class TestArrayTwinsPastTheDoubles:
                 want = _outcome(lambda: scalar(x, y))
                 assert _outcome(lambda: array(np.array([x]), y)[0]) == want, (scalar, x, y)
                 outcomes.append(want)
+                if want == "RuntimeWarning":
+                    warned.add(scalar.func)
         assert outcomes.count(math.inf) + outcomes.count(-math.inf) > 100
-        assert 0 < outcomes.count("RuntimeWarning") < len(outcomes) // 4
+        assert warned == {hurwitz_zeta_scaled}  # no E2 outcome warns
+
+    @pytest.mark.parametrize("m, x, y", [(100, 1e3, 1e-5), (120, 1e-195, 1e-200)])
+    def test_bernoulli_past_the_doubles_before_the_power(self, m, x, y):
+        # B_m(x/y) past the doubles, times a y^(m-1) that brings the value
+        # inside them (B_100(1e8) y^99 ~ 1e305) or below them (B_120(1e5)
+        # y^119 ~ 1e-23201, y^119 itself below the long double): both rules
+        # keep B_m(x/y) in the long double, and give neither inf nor 0 * inf
+        got = _outcome(lambda: bernoulli_scaled(m, x, y))
+        twin = _outcome(lambda: bernoulli_scaled_array(m, np.array([x]), y)[0])
+        assert got.hex() == float(twin).hex()
+        with mpmath.workdps(50):
+            want = float(mpmath.mpf(y) ** (m - 1) * mpmath.bernpoly(m, mpmath.mpf(x) / mpmath.mpf(y)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want != 0.0 or got == 0.0
 
     @pytest.mark.parametrize("rule, twin, args", [
         (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 2e-201, 1e-200)),  # y^-s
