@@ -4,10 +4,16 @@ The product of g and h is
 
     (g * h)(x, y) = int_0^x g(t,y) h(x-t,y) dt + int_x^y g(t,y) h(x+y-t,y) dt
 
-with oriented integrals, evaluated literally for any real x.  On 0 <= x < y
-this is the cyclic convolution of the operands' restrictions to one period,
-so it commutes and associates there, and the period integral of the product
-factorizes into the product of the period integrals.
+with oriented integrals.  On 0 <= x < y this is the cyclic convolution of
+the operands' restrictions to one period, so it associates there, and the
+period integral of the product factorizes into the product of the period
+integrals.  The formula commutes at every real x (substitute s = x - t in
+the first term and s = x + y - t in the second).  When an operand is
+y-periodic in x (`InvariantFunction.periodic`), so is the product: with h
+periodic, h(x - t) = h(x0 - t) for x0 = x mod y, and by commutation one
+periodic operand is enough.  Such a product is evaluated at x0 in [0, y),
+over at most one period; any other is evaluated literally, with integrals
+that grow with |x|.
 
 Every integrand here evaluates the operands through
 `InvariantFunction.values`, so an operand with an array rule costs one call
@@ -16,6 +22,8 @@ every point of one `values` call, share those rounds (`integrate_many`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,14 +43,18 @@ def _require_integrable(f: InvariantFunction, op: str) -> None:
 def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> InvariantFunction:
     """The convolution product g * h as an invariant function.
 
-    Panels are split at the operands' singular x-points, both directly (for g)
-    and pulled back through t -> x - t and t -> x + y - t (for h).  The
-    descriptor's array rule evaluates N points by running their 2N term
-    integrals through one `integrate_many`, so every quadrature round calls
-    each operand's `values` once; the scalar value is its one-point case.
-    Each term equals a lone `integrate` of its integrand bit for bit.  When a
+    When g or h is periodic, each x is first folded into [0, y): x0 =
+    fmod(x, y), exact, plus y when x0 < 0, so a point already in [0, y)
+    keeps its bits.  (The product is then periodic too, but its descriptor
+    leaves `periodic` False, as every combinator's does.)  Panels are split
+    at the operands' singular x-points, both directly (for g) and pulled
+    back through t -> x - t and t -> x + y - t (for h).  The descriptor's
+    array rule evaluates N points by running their 2N term integrals
+    through one `integrate_many`, so every quadrature round calls each
+    operand's `values` once; the scalar value is its one-point case.  Each
+    term equals a lone `integrate` of its integrand bit for bit.  When a
     term misses its tolerance, ConvergenceError names the first such term,
-    in point order, and its range.
+    in point order, and its range (at the folded x).
     """
     tol = positive("convolution tolerance", tol)
     _require_integrable(g, "convolution")
@@ -50,6 +62,7 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     half = 0.5 * tol
     label = f"convolve({g.name},{h.name})"
     g_points, h_points = (f.singular_points is not _no_points for f in (g, h))
+    fold = g.periodic or h.periodic
 
     def products(xs: list[float], ys: list[float] | float) -> list[float]:
         """(g * h)(xs[i], y_i), with y_i = ys[i], or ys itself when it is one scale."""
@@ -57,6 +70,10 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         jobs, shifts = [], []
         for i, x in enumerate(xs):
             y = ys[i] if per_point else ys
+            if fold:
+                x = math.fmod(x, y)
+                if x < 0.0:
+                    x += y
             pts1, pts2 = [], []  # an operand without singular points adds none
             lo1, hi1 = min(0.0, x), max(0.0, x)
             lo2, hi2 = min(x, y), max(x, y)

@@ -20,6 +20,9 @@ real arithmetic; only E6 computes with complex numbers.
 Every entry but E6 also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
 for bit; E6 keeps its `cmath` rule, which `values` maps point by point.
+The entries that are y-periodic in x, E1, E3b, E4, E7..E11, E13 (s < 0)
+and E14, say so (`periodic`), so a convolution with one of them runs over
+the base period.
 
 Entry summary (x, y real, y > 0, u = x/y):
 
@@ -91,6 +94,7 @@ def _make_e1() -> InvariantFunction:
         dx=lambda x, y: 0.0,
         dy=lambda x, y: -1.0 / (y * y),
         array_value=_e1_values,
+        periodic=True,
     )
 
 
@@ -151,6 +155,7 @@ def _make_e3b() -> InvariantFunction:
         singular_points=_lattice_locator(),
         piecewise=True,
         array_value=array_value,
+        periodic=True,
     )
 
 
@@ -171,6 +176,7 @@ def _make_e4(a: float) -> InvariantFunction:
         singular_points=_lattice_locator(offset=a),
         piecewise=True,
         array_value=array_value,
+        periodic=True,
     )
 
 
@@ -346,7 +352,8 @@ def _make_e7(r: float) -> InvariantFunction:
         return dD / D
 
     return InvariantFunction(
-        name="E7", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+        name="E7", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value,
+        periodic=True,
     )
 
 
@@ -372,7 +379,8 @@ def _make_e8(r: float) -> InvariantFunction:
         return -(q + (L * im + _TWO_PI * x * re) / y) / (y * y)
 
     return InvariantFunction(
-        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value
+        name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value,
+        periodic=True,
     )
 
 
@@ -394,7 +402,8 @@ def _make_e9(r: float) -> InvariantFunction:
         return -(q + 2.0 * (L * re - _TWO_PI * x * im) / y) / (y * y)
 
     return InvariantFunction(
-        name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value
+        name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value,
+        periodic=True,
     )
 
 
@@ -420,6 +429,7 @@ def _make_e10() -> InvariantFunction:
         singular_points=_lattice_locator(),
         piecewise=True,
         array_value=array_value,
+        periodic=True,
     )
 
 
@@ -445,6 +455,7 @@ def _make_e11() -> InvariantFunction:
         piecewise=True,
         integrable_in_x=False,
         array_value=array_value,
+        periodic=True,
     )
 
 
@@ -511,6 +522,7 @@ def _make_e13(s: float) -> InvariantFunction:
         piecewise=not pos,
         integrable_in_x=not pos,
         array_value=lambda xs, ys: hurwitz_zeta_scaled_array(s, xs, ys),
+        periodic=not pos,
     )
 
 
@@ -535,6 +547,7 @@ def _make_e14() -> InvariantFunction:
         singular_points=_lattice_locator(halves=True),
         piecewise=True,
         array_value=array_value,
+        periodic=True,
     )
 
 

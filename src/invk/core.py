@@ -151,6 +151,14 @@ class InvariantFunction:
     must agree: a descriptor made with `dataclasses.replace(f, value=...)`
     has to replace or clear `array_value` too, or `values` keeps evaluating
     the old rule.
+
+    `periodic` states that f(x + y, y) = f(x, y) for every x, and is False
+    when that is not known; `algebra.convolve` folds x into [0, y) when an
+    operand has it.  The catalog sets it on E1, E3b, E4, E7..E11, E13
+    (s < 0) and E14; no combinator sets it, so a combined descriptor is
+    False.  `dataclasses.replace(f, value=...)` keeps the flag, so a
+    replaced rule that is not y-periodic in x has to clear it; a flag left
+    False where it could be True costs only speed.
     """
 
     name: str
@@ -165,6 +173,7 @@ class InvariantFunction:
     integrable_in_x: bool = True
     flags: frozenset = frozenset()
     array_value: Optional[ArrayRule] = None
+    periodic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "series_tolerance",

@@ -979,12 +979,16 @@ def limit_scaled(f, x: float, tol: float = 1e-8) -> LimitResult:
     return extrapolate_limit(lambda a: a * f.value(x, a), tol, smooth=not f.piecewise)
 
 
+def fd_step(y: float) -> float:
+    """The step h of `y_partial_fd`'s central difference at scale y > 0."""
+    h = _EPS ** (1.0 / 3.0) * max(1.0, abs(y))
+    return 0.5 * y if h >= y else h
+
+
 def y_partial_fd(f, x: float, y: float) -> float:
     """d f / d y at (x, y); analytic rule when present, else central difference."""
     y = positive("y", y)
     if f.dy is not None:
         return f.dy(x, y)
-    h = _EPS ** (1.0 / 3.0) * max(1.0, abs(y))
-    if h >= y:
-        h = 0.5 * y
+    h = fd_step(y)
     return (f.value(x, y + h) - f.value(x, y - h)) / (2.0 * h)

@@ -133,7 +133,10 @@ def bernoulli_scaled(m: int, x: float, y: float) -> float:
     y^(m-1) in extended precision, rounded once.  So (m, x, y) =
     (100, 1e3, 1e-5) gives 9.999995e304, not inf, and (120, 1e-195, 1e-200)
     gives 0.0, not nan.  A value past the long double is inf, as in the
-    array twin, without numpy's overflow warning."""
+    array twin, without numpy's overflow warning.  Past |x/y| =
+    _BERNOULLI_REACH, where B_m(x/y) passes the doubles, the value is the
+    twin's x^m / y, so (256, 1e-180, 1e-200) gives 0.0, not 0 * inf =
+    nan."""
     yd = _LD(y)
     t = float(_LD(x) / yd)
     if not (-_BERNOULLI_REACH <= t <= _BERNOULLI_REACH and y <= _BERNOULLI_REACH):
@@ -154,12 +157,21 @@ def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
     longdouble where its double is inf.  A value past the largest double is
     inf, as `float` rounds a longdouble, without numpy's overflow warning."""
     yd = _LD(ys)  # one longdouble, or an array of them
-    ts = (xs.astype(_LD) / yd).astype(float).astype(_LD)
-    b = _horner(_poly_coeffs_ld(m), ts)
+    t = (xs.astype(_LD) / yd).astype(float)
+    b = _horner(_poly_coeffs_ld(m), t.astype(_LD))
     d = b.astype(float)
     if m == 1:
         return d
-    return _power_times(yd, m, np.where(np.isinf(d), b, d)).astype(float)
+    over = np.isinf(d)
+    if not over.any():
+        return _power_times(yd, m, d).astype(float)
+    # past the reach B_m(t) = t^m (1 - m/(2t) + ...), so y^(m-1) B_m(x/y) is
+    # x^m / y within an ulp for m up to ~400; unlike y^(m-1) times B_m(x/y)
+    # it cannot form 0 * inf, since x^m / y past the long double is past the
+    # doubles too
+    far = over & (np.abs(t) > _BERNOULLI_REACH)
+    scaled = _power_times(yd, m, np.where(far, 1.0, np.where(over, b, d)))
+    return np.where(far, xs.astype(_LD) ** m / yd, scaled).astype(float)
 
 
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:

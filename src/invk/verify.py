@@ -40,11 +40,12 @@ from .quadrature import (
     Vectorized,
     converged_integral,
     extrapolate_limit,
+    fd_step,
     limit_scaled,
     y_partial_fd,
 )
 from .report import VerificationReport, _report, _Worst, report_sort_key
-from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
+from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, bernoulli_scaled_array, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -348,6 +349,14 @@ def check_step_limit(
     )
 
 
+def _fd_y_partial(f: InvariantFunction, y: float) -> Vectorized:
+    """The central difference of `y_partial_fd` at scale y, as an integrand
+    over an array of x: two `values` calls, at y + h and y - h, equal to
+    the scalar difference bit for bit."""
+    h = fd_step(y)
+    return Vectorized(lambda ts: (f.values(ts, y + h) - f.values(ts, y - h)) / (2.0 * h))
+
+
 def check_y_derivative_identities(
     f: InvariantFunction,
     grid: GridSpec = DEFAULT_GRID,
@@ -359,7 +368,9 @@ def check_y_derivative_identities(
     (a) f(x, y) = int_x^{x-y} g(t, y) dt
     (b) df/dx  = g(x - y, y) - g(x, y)
 
-    df/dx is `x_derivative(f)`, whose flags the report carries.
+    df/dx is `x_derivative(f)`, whose flags the report carries.  In fd
+    mode (a) integrates `_fd_y_partial`, a panel's nodes at a time; an
+    analytic `dy` has no array rule, so that mode integrates node by node.
     """
     fd_mode = use_fd or f.dy is None
     probe = replace(f, dy=None) if fd_mode else f
@@ -375,7 +386,8 @@ def check_y_derivative_identities(
         flags.add("fd-fallback")
     for x, y in pts:
         fxy = f.value(x, y)
-        quad = converged_integral(lambda t: g(t, y), x, x - y, 1e-9, f"d/dy {f.name}")
+        phi = _fd_y_partial(f, y) if fd_mode else (lambda t: g(t, y))
+        quad = converged_integral(phi, x, x - y, 1e-9, f"d/dy {f.name}")
         err_a = abs(fxy - quad)
         err_b = abs(dfdx.value(x, y) - (g(x - y, y) - g(x, y)))
         worst.add(max(err_a, err_b), x, y, 0, fxy, quad)
@@ -507,6 +519,20 @@ def check_bernoulli_convolution(
     return _report("bernoulli-convolution", "E2*E2", {"m": m, "n": n}, samples, worst, tol)
 
 
+def _bernoulli_identity_integrands(m: int, n: int, x: float) -> tuple[Vectorized, Vectorized]:
+    """B_m(x - t) B_n(t) and (x - t)^(m-1) B_n(t) over an array of t, equal
+    to their scalar forms with `bernoulli_poly` bit for bit: B_k(t) is
+    `bernoulli_scaled_array(k, t, 1.0)`, and (x - t)^(m-1) stays Python's
+    float power per node, which numpy's power does not match in the last
+    bit."""
+    return (
+        Vectorized(lambda ts: bernoulli_scaled_array(m, x - ts, 1.0)
+                   * bernoulli_scaled_array(n, ts, 1.0)),
+        Vectorized(lambda ts: np.array([(x - t) ** (m - 1) for t in ts.tolist()])
+                   * bernoulli_scaled_array(n, ts, 1.0)),
+    )
+
+
 def check_bernoulli_integral_identity(
     m: int, n: int, x_count: int = 11, tol: float = 1e-8
 ) -> VerificationReport:
@@ -514,15 +540,18 @@ def check_bernoulli_integral_identity(
 
         B_{m+n}(x) = -C(m+n, m) ( int_0^1 B_m(x-t) B_n(t) dt
                                   + m int_x^1 (x-t)^(m-1) B_n(t) dt )
+
+    The integrands (`_bernoulli_identity_integrands`) take a panel's nodes
+    as one array.
     """
     m, n = integer("m", m, 1), integer("n", n, 1)
     cmn = math.comb(m + n, m)
     ctx = f"bernoulli-identity m={m} n={n}"
     worst = _Worst()
-    for x in np.linspace(0.0, 1.0, x_count):
-        x = float(x)
-        i1 = converged_integral(lambda t: bernoulli_poly(m, x - t) * bernoulli_poly(n, t), 0.0, 1.0, 1e-12, ctx)
-        i2 = converged_integral(lambda t: (x - t) ** (m - 1) * bernoulli_poly(n, t), x, 1.0, 1e-12, ctx)
+    for x in np.linspace(0.0, 1.0, x_count).tolist():
+        cyclic, tail = _bernoulli_identity_integrands(m, n, x)
+        i1 = converged_integral(cyclic, 0.0, 1.0, 1e-12, ctx)
+        i2 = converged_integral(tail, x, 1.0, 1e-12, ctx)
         lhs = -cmn * (i1 + m * i2)
         rhs = bernoulli_poly(m + n, x)
         worst.add(abs(lhs - rhs), x, 1.0, 0, lhs, rhs)

@@ -110,10 +110,83 @@ class TestConvolve:
         assert rep.passed, (rep.max_abs_error, rep.worst_witness)
 
 
+# operand name: (entry, params, its value in mpmath)
+_MP_OPERANDS = {
+    "E2(1)": ("E2", {"m": 1}, lambda t, y: t / y - mpmath.mpf(1) / 2),
+    "E2(2)": ("E2", {"m": 2}, lambda t, y: y * mpmath.bernpoly(2, t / y)),
+    "E5": ("E5", {"a": 2.0}, lambda t, y: mpmath.power(2, t) / (mpmath.power(2, y) - 1)),
+    "E9": ("E9", {"r": 0.5}, lambda t, y: (1 - mpmath.power(0.5, 2 / y)) / (y * (
+        1 - 2 * mpmath.power(0.5, 1 / y) * mpmath.cospi(2 * t / y) + mpmath.power(0.5, 2 / y)))),
+    "E10": ("E10", {}, lambda t, y: mpmath.log(abs(2 * mpmath.sinpi(t / y)))),
+}
+
+
+def _operand(name):
+    eid, params, _ = _MP_OPERANDS[name]
+    return make(eid, **params)
+
+
+def _literal_convolution(gid, hid, x, y):
+    """The two-term formula at x itself, unfolded, by mpmath quadrature split
+    at every lattice point of g and every one of h pulled back, which holds
+    every singular point of these operands."""
+    g, h = _MP_OPERANDS[gid][2], _MP_OPERANDS[hid][2]
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+
+    def term(a, b, shift):
+        lo, hi = min(a, b), max(a, b)
+        cuts = {lo, hi}
+        for k in range(int(mpmath.floor(lo / y)) - 1, int(mpmath.ceil(hi / y)) + 2):
+            cuts.update(c for c in (k * y, shift - k * y) if lo < c < hi)
+        v = mpmath.quad(lambda t: g(t, y) * h(shift - t, y), sorted(cuts))
+        return v if b >= a else -v
+
+    return float(term(0, x, x) + term(x, y, x + y))
+
+
+class TestPeriodicFold:
+    """With a periodic operand, `convolve` evaluates at x mod y in [0, y)."""
+
+    @pytest.mark.parametrize("pair", [
+        ("E5", "E9"), ("E2(1)", "E9"), ("E9", "E5"), ("E10", "E2(2)"), ("E5", "E10"),
+    ], ids="*".join)
+    def test_against_the_unfolded_formula(self, pair):
+        gid, hid = pair  # E9 * E5: only g is periodic
+        conv = convolve(_operand(gid), _operand(hid))
+        with mpmath.workdps(15):
+            for x in (-2.7, 3.9, 7.45):
+                want = _literal_convolution(gid, hid, x, 1.1)
+                assert conv.value(x, 1.1) == pytest.approx(want, abs=1e-10), x
+
+    def test_identity_on_the_base_period(self):
+        g, h = make("E5", a=2.0), make("E10")
+        folded = convolve(g, h)
+        literal = convolve(g, replace(h, periodic=False))
+        for x in (0.0, 0.3, 1.0999):
+            assert folded.value(x, 1.1).hex() == literal.value(x, 1.1).hex()
+
+    def test_far_point_converges(self):
+        # x is ~7 periods out, where the literal formula's long integrals stall
+        g, h = make("E10"), make("E2", m=2)
+        assert math.isfinite(convolve(g, h).value(7.45, 1.1))
+        with pytest.raises(ConvergenceError):
+            convolve(replace(g, periodic=False), h).value(7.45, 1.1)
+
+
+def _folded(g, h, x, y):
+    """The x at which `convolve(g, h)` evaluates its two terms: x mod y in
+    [0, y) when an operand is periodic, else x itself."""
+    if not (g.periodic or h.periodic):
+        return x
+    x = math.fmod(x, y)
+    return x + y if x < 0.0 else x
+
+
 def _scalar_convolution(g, h, x, y, tol):
     """`convolve(g, h, tol).value(x, y)` rebuilt from scalar integrands, for
     operands without singular points."""
     half = 0.5 * tol
+    x = _folded(g, h, x, y)
     term1 = integrate(lambda t: g.value(t, y) * h.value(x - t, y), 0.0, x, half).value
     term2 = integrate(lambda t: g.value(t, y) * h.value(x + y - t, y), x, y, half).value
     return term1 + term2
@@ -181,6 +254,7 @@ class TestLockstepConvolution:
         rounds, nodes = len(sizes), sum(sizes)
         lone_rounds, lone_nodes = [], 0
         for x, y in points:
+            x = _folded(g, h, x, y)
             for a, b, shift in ((0.0, x, x), (x, y, x + y)):
                 calls = []
 

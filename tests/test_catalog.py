@@ -458,6 +458,45 @@ class TestCatalogInvariance:
             assert f.dy(x, y) == pytest.approx(fd_y, rel=2e-7, abs=2e-7)
 
 
+_PERIODIC = {"E1", "E3b", "E4", "E7", "E8", "E9", "E10", "E11", "E13", "E14"}
+
+
+class TestPeriodicFlag:
+    """`periodic` promises f(x + y, y) = f(x, y) for every x."""
+
+    def test_flagged_entries(self):
+        flagged = {(e, str(p)) for e, p in standard_configs() if make(e, **p).periodic}
+        want = {(e, str(p)) for e, p in standard_configs()
+                if e in _PERIODIC and not (e == "E13" and p["s"] > 1.0)}
+        assert flagged == want
+        # no combinator carries it
+        assert not affine_transform(make("E9", r=0.5), a=2.0, b=0.0, c=1.0).periodic
+
+    @pytest.mark.parametrize(
+        "eid,params",
+        [(e, p) for e, p in standard_configs() if make(e, **p).periodic],
+        ids=lambda v: str(v),
+    )
+    def test_shift_by_one_period(self, eid, params):
+        f = make(eid, **params)
+        rng = np.random.default_rng(31)
+        checked = 0
+        for y, u in zip(rng.uniform(0.25, 4.0, 400).tolist(), rng.uniform(-3.0, 3.0, 400).tolist()):
+            x = u * y
+            near = f.singular_points(y, x - 0.05 * y, x + 1.05 * y)
+            if any(abs(s - x) < 0.05 * y or abs(s - x - y) < 0.05 * y for s in near):
+                continue
+            v = f.value(x, y)
+            # x + y carries one rounding, which moves u by a few ulps
+            assert abs(f.value(x + y, y) - v) <= 64.0 * 2.0 ** -52 * max(1.0, abs(v)), (x, y)
+            # where x + y is exact the two values are the same bits
+            y2 = round(y * 64.0) / 64.0
+            x2 = round(u * 2.0 ** 20) / 2.0 ** 20 * y2
+            assert f.value(x2 + y2, y2).hex() == f.value(x2, y2).hex(), (x2, y2)
+            checked += 1
+        assert checked > 200
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 

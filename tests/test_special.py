@@ -348,6 +348,19 @@ class TestArrayTwinsPastTheDoubles:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert want != 0.0 or got == 0.0
 
+    @pytest.mark.parametrize("m, x, y", [(256, 1e-180, 1e-200), (64, 1e-170, 1e-190), (256, 1e20, 1.0)])
+    def test_bernoulli_past_the_reach(self, m, x, y):
+        # |x/y| = 1e20 is past _BERNOULLI_REACH, where the value is x^m / y
+        # within an ulp: 0.0 where B_m(x/y) passes the long double and y^(m-1)
+        # falls below it (once 0 * inf = nan, with numpy's invalid-value
+        # warning), inf where x^m / y passes the doubles
+        got = _outcome(lambda: bernoulli_scaled(m, x, y))
+        twin = _outcome(lambda: bernoulli_scaled_array(m, np.array([x]), y)[0])
+        assert got.hex() == float(twin).hex()
+        with mpmath.workdps(50):
+            want = float(mpmath.mpf(y) ** (m - 1) * mpmath.bernpoly(m, mpmath.mpf(x) / mpmath.mpf(y)))
+        assert got == want
+
     @pytest.mark.parametrize("rule, twin, args", [
         (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 2e-201, 1e-200)),  # y^-s
         (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 1e-70, 1.0)),  # (x/y)^-s

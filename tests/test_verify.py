@@ -512,6 +512,45 @@ class TestLimits:
             golden_integral("euler")
 
 
+def _panel_nodes(a, b):
+    """The 15 Kronrod nodes of the panel [a, b], as `integrate` makes them."""
+    nodes = []
+    quadrature._nodes([a], [b], nodes)
+    return nodes
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedIntegrands:
+    """The array integrands of the y-derivative and Bernoulli-identity checks
+    equal their scalar forms bit for bit, on one panel's 15 nodes."""
+
+    @pytest.mark.parametrize("eid,params", verify._Y_DERIVATIVE_SET, ids=lambda v: str(v))
+    def test_central_difference(self, eid, params):
+        f = make(eid, **params)
+        probe = replace(f, dy=None)
+        for x, y in ((0.37, 1.3), (-2.1, 0.6), (5.5, 3.9), (0.1, 0.25)):
+            nodes = _panel_nodes(x, x - y)
+            got = verify._fd_y_partial(f, y).fn(np.array(nodes))
+            assert _hexes(got) == _hexes(quadrature.y_partial_fd(probe, t, y) for t in nodes)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bernoulli_identity(self, m, n):
+        # at x = 0.3159435453677002 numpy's (x - ts) ** 2 differs from
+        # Python's (x - t) ** 2 in the last bit at one node of [x, 1]
+        for x in (0.0, 0.3, 0.7, 0.3159435453677002):
+            cyclic, tail = verify._bernoulli_identity_integrands(m, n, x)
+            nodes = _panel_nodes(0.0, 1.0)
+            want = [bernoulli_poly(m, x - t) * bernoulli_poly(n, t) for t in nodes]
+            assert _hexes(cyclic.fn(np.array(nodes))) == _hexes(want)
+            nodes = _panel_nodes(x, 1.0)
+            want = [(x - t) ** (m - 1) * bernoulli_poly(n, t) for t in nodes]
+            assert _hexes(tail.fn(np.array(nodes))) == _hexes(want)
+
+
 class TestYDerivative:
     def test_scaled_quadratic_by_hand(self):
         # f = y B_2(x/y): int_1^{-1} (-t^2/4 + 1/6) dt = -1/6 = f(1, 2)
