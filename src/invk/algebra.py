@@ -18,7 +18,8 @@ that grow with |x|.
 Every integrand here evaluates the operands through
 `InvariantFunction.values`, so an operand with an array rule costs one call
 per refinement round of the quadrature.  The convolution's two terms, at
-every point of one `values` call, share those rounds (`integrate_many`).
+every point of a chunk of at most `_MAX_POINTS`, share those rounds
+(`integrate_many`), so the cap bounds the memory of any `values` call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .catalog import make
 from .core import InvariantFunction, _no_points
 from .errors import RejectedInputError, positive
 from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
+
+# The most points whose term integrals run in one `integrate_many`.  Peak
+# RSS of the standard suite, on a 2-vCPU x86-64 host: 37.9 MB at 21 points
+# (one sample), 40.7 MB at 176, 43.6 MB at 352 and 48.1 MB at 704.
+_MAX_POINTS = 176
 
 
 def _require_integrable(f: InvariantFunction, op: str) -> None:
@@ -49,10 +55,10 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     leaves `periodic` False, as every combinator's does.)  Panels are split
     at the operands' singular x-points, both directly (for g) and pulled
     back through t -> x - t and t -> x + y - t (for h).  The descriptor's
-    array rule evaluates N points by running their 2N term integrals
-    through one `integrate_many`, so every quadrature round calls each
-    operand's `values` once; the scalar value is its one-point case.  Each
-    term equals a lone `integrate` of its integrand bit for bit.  When a
+    array rule runs the 2N term integrals of each chunk of N <= `_MAX_POINTS`
+    consecutive points through one `integrate_many`, so every quadrature
+    round calls each operand's `values` once; the scalar value is its
+    one-point case.  Each term equals a lone `integrate` bit for bit.  When a
     term misses its tolerance, ConvergenceError names the first such term,
     in point order, and its range (at the folded x).
     """
@@ -101,7 +107,10 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         return [t1.value + t2.value for t1, t2 in zip(results[::2], results[1::2])]
 
     def array_value(xs, ys):
-        return np.array(products(xs.tolist(), ys.tolist() if isinstance(ys, np.ndarray) else ys))
+        xs, ys = xs.tolist(), ys.tolist() if isinstance(ys, np.ndarray) else ys
+        cut = isinstance(ys, list)
+        return np.array([v for i in range(0, len(xs), _MAX_POINTS) for v in products(
+            xs[i:i + _MAX_POINTS], ys[i:i + _MAX_POINTS] if cut else ys)])
 
     return InvariantFunction(
         name=f"conv({g.name},{h.name})",

@@ -155,15 +155,14 @@ def certificate_report(
     tol: float,
 ) -> VerificationReport:
     """Certificate identity sum_s f(x + a_s*y, n_s*y) against f(x, y) at each
-    (x, y) of pts, each sample from one `values` call.
+    (x, y) of pts, the points of all samples from one `values` call.
 
     The system must already be accepted (`require_accepted`).
     """
     k = len(system.classes)
+    xs, ys = np.array([p for x, y in pts for p in system.sample_points(x, y)]).reshape(-1, 2).T
     worst = _Worst()
-    for x, y in pts:
-        xs, ys = zip(*system.sample_points(x, y))
-        rhs, *shifted = f.values(np.array(xs), np.array(ys)).tolist()
+    for (x, y), (rhs, *shifted) in zip(pts, f.values(xs, ys).reshape(-1, k + 1).tolist()):
         lhs = math.fsum(shifted)
         worst.add(abs(lhs - rhs), x, y, k, lhs, rhs)
     eff_tol = tol + (k + 1) * f.series_tolerance

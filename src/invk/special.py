@@ -149,13 +149,14 @@ def bernoulli_scaled(m: int, x: float, y: float) -> float:
     return float(_power_times(yd, m, _LD(b)))
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
     """`bernoulli_scaled` at each x of a float ndarray, with ys one scale or
     a float ndarray aligned with xs: the same Horner loop run over the whole
     array, equal to the scalar function bit for bit: B_m(x/y) stays a
     longdouble where its double is inf.  A value past the largest double is
-    inf, as `float` rounds a longdouble, without numpy's overflow warning."""
+    inf, as `float` rounds a longdouble, without numpy's overflow warning;
+    an exact zero B_m(x/y) stays 0.0: (255, 0.0, 1e20) gives 0.0, not nan."""
     yd = _LD(ys)  # one longdouble, or an array of them
     t = (xs.astype(_LD) / yd).astype(float)
     b = _horner(_poly_coeffs_ld(m), t.astype(_LD))
@@ -164,14 +165,14 @@ def bernoulli_scaled_array(m: int, xs: np.ndarray, ys) -> np.ndarray:
         return d
     over = np.isinf(d)
     if not over.any():
-        return _power_times(yd, m, d).astype(float)
+        return np.where(d == 0.0, d, _power_times(yd, m, d)).astype(float)
     # past the reach B_m(t) = t^m (1 - m/(2t) + ...), so y^(m-1) B_m(x/y) is
     # x^m / y within an ulp for m up to ~400; unlike y^(m-1) times B_m(x/y)
     # it cannot form 0 * inf, since x^m / y past the long double is past the
     # doubles too
     far = over & (np.abs(t) > _BERNOULLI_REACH)
     scaled = _power_times(yd, m, np.where(far, 1.0, np.where(over, b, d)))
-    return np.where(far, xs.astype(_LD) ** m / yd, scaled).astype(float)
+    return np.where(far, xs.astype(_LD) ** m / yd, np.where(d == 0.0, d, scaled)).astype(float)
 
 
 def bernoulli_poly_exact(m: int, t: Fraction) -> Fraction:
@@ -248,6 +249,11 @@ def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
     """`_hurwitz_sum_branch` at each x of a float or longdouble ndarray, bit
     for bit: the same sums in the same order, masked, so that each element
     takes its own number of direct terms and stops its tail at its own term."""
+    return _hurwitz_sum_ld(s, xs).astype(float)
+
+
+def _hurwitz_sum_ld(s: float, xs: np.ndarray) -> np.ndarray:
+    """`_hurwitz_sum_array` before its sums are rounded to doubles."""
     sd = _LD(s)
     xd = xs.astype(_LD)
     xf = xd.astype(float)
@@ -276,7 +282,7 @@ def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
         acc = np.where(live, acc + term, acc)
         live &= ~(np.abs(term.astype(float)) <= 2e-17 * np.abs(acc.astype(float)))
         if not live.any():
-            return acc.astype(float)
+            return acc
         rising *= (sd + (2 * j - 1)) * (sd + 2 * j)
         apow /= a * a
     raise ConvergenceError(
@@ -353,31 +359,35 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
     long double is inf, as in the array twin, without numpy's overflow
     warning: y^-s passes it only where -s log y > _POWER_REACH, and for
     s > 1 the sum only where its first term (x/y)^-s does; for s < 0 the
-    periodized zeta stays small."""
+    periodized zeta stays small.  Such points, and those whose zeta rounds
+    to 0 or inf, take the twin's value."""
     if s > 1.0:
         reach = math.exp(-_POWER_REACH / s)  # y and x/y above it keep both inside
         past = y < reach or 0.0 < x < reach * y
     else:
         past = y > 1.0 and -s * math.log(y) > _POWER_REACH
-    if past:
-        return float(hurwitz_zeta_scaled_array(s, np.array([x]), y)[0])
-    yd = _LD(y)
-    if s > 1.0:
-        u = _LD(x) / yd
-    else:
-        _check_zeta(s, math.isfinite(x), 1.0)  # before the split: fmod(inf, y) raises
-        d = lattice_parts(x, y)[1]
-        u = d if d > 0.0 else 1.0 + d
-    return float(yd ** _LD(-s) * _LD(hurwitz_zeta(s, u)))
+    if not past:
+        yd = _LD(y)
+        if s > 1.0:
+            u = _LD(x) / yd
+        else:
+            _check_zeta(s, math.isfinite(x), 1.0)  # before the split: fmod(inf, y) raises
+            d = lattice_parts(x, y)[1]
+            u = d if d > 0.0 else 1.0 + d
+        zeta = hurwitz_zeta(s, u)
+        if zeta != 0.0 and not math.isinf(zeta):
+            return float(yd ** _LD(-s) * _LD(zeta))
+    return float(hurwitz_zeta_scaled_array(s, np.array([x]), y)[0])
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
     """`hurwitz_zeta_scaled` at each x of a float ndarray, with ys one scale
     or a float ndarray aligned with xs, bit for bit: the masked
     Euler-Maclaurin sum, or below s = -4 the trigonometric series per point.
     A value past the largest double is inf, as `float` rounds a longdouble,
-    without numpy's overflow warning."""
+    without numpy's overflow warning.  A sum whose double is 0 or inf stays
+    a long double and an exact zero stays 0.0, so no value is 0 * inf = nan."""
     yd = _LD(ys)
     if s > 1.0:
         u = xs.astype(_LD) / yd
@@ -387,10 +397,12 @@ def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
         d = lattice_split(xs, ys)[1]
         u = np.where(d > 0.0, d, 1.0 + d)
     if s >= _FOURIER_BELOW:
-        zeta = _hurwitz_sum_array(s, u)
+        acc = _hurwitz_sum_ld(s, u)
+        rounded = acc.astype(float)
+        zeta = np.where((rounded == 0.0) | np.isinf(rounded), acc, rounded)
     else:
-        zeta = np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()])
-    return (yd ** _LD(-s) * zeta.astype(_LD)).astype(float)
+        zeta = np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()], dtype=_LD)
+    return np.where(zeta == 0.0, zeta, yd ** _LD(-s) * zeta).astype(float)
 
 
 # ---------------------------------------------------------------------------

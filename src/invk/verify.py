@@ -150,12 +150,6 @@ def _sample_clear(f: InvariantFunction, scales: Iterable[tuple[float, list[float
     return True
 
 
-# Consecutive samples of a check share one `values` call of at most this
-# many points: eight samples of a convolution product at n_max = 6, 168
-# points whose 336 term integrals run in one `integrate_many`.
-_MAX_POINTS = 176
-
-
 def grid_points(
     f: InvariantFunction, grid: GridSpec, table: ShiftTable
 ) -> list[tuple[float, float]]:
@@ -197,28 +191,21 @@ def grid_points(
     return pts
 
 
-def _runs(pts: list[tuple[float, float]], table: ShiftTable) -> list[list[tuple[float, float]]]:
-    """The samples `pts` in consecutive runs of at most `_MAX_POINTS` points
-    of `table`, at least one sample a run."""
-    k = max(1, _MAX_POINTS // len(table.rows))
-    return [pts[i:i + k] for i in range(0, len(pts), k)]
-
-
 def _sample_values(
-    f: InvariantFunction, run: Sequence[tuple[float, float]], table: ShiftTable
+    f: InvariantFunction, pts: Sequence[tuple[float, float]], table: ShiftTable
 ) -> list[list[float]]:
-    """f at the points of `table` of each sample of `run`: the points from
-    one array expression, their values from one `f.values` call.  Row i
-    holds sample i's values, in the table's order."""
-    xs, ys = np.array(run).T
+    """f at the points of `table` of every sample of `pts`: the points from
+    one array expression, their values from one `f.values` call, however
+    many.  Row i holds sample i's values, in the table's order."""
+    xs, ys = np.array(pts).T
     px, py = table.arrays(xs, ys)
     return f.values(px.ravel(), py.ravel()).reshape(px.shape).tolist()
 
 
 def _worst_index(errs: list[float]) -> int:
     """Where `_Worst.add` over errs in order settles: the first NaN, else
-    the first maximum.  A check reduces each run's errors with it and then
-    adds that run's worst once."""
+    the first maximum.  A check reduces all its errors with it and then
+    adds the worst once."""
     if math.isnan(sum(errs)):
         return next(i for i, e in enumerate(errs) if math.isnan(e))
     return errs.index(max(errs))
@@ -243,29 +230,25 @@ def check_invariance(
     """sum_{r<n} f(x + r y, n y) against f(x, y) over the seeded grid.
 
     Each sample touches n_max (n_max + 1) / 2 points, (x, y) serving as the
-    n = 1 term too, and the points of a run of samples go to `f.values` in
-    one call (`_sample_values`).
+    n = 1 term too, and the points of all samples go to `f.values` in one
+    call (`_sample_values`).
     """
     pts = grid_points(f, grid, _invariance_table(grid.n_max))
     return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid.n_max, pts))
 
 
-def _invariance_worst(
-    f: InvariantFunction, n_max: int, pts: list[tuple[float, float]]
-) -> _Worst:
-    """The worst invariance error over the samples `pts`, one `_Worst.add`
-    a run."""
-    table = _invariance_table(n_max)
-    worst = _Worst()
+def _invariance_worst(f: InvariantFunction, n_max: int, pts: list[tuple[float, float]]) -> _Worst:
+    """The worst invariance error over the samples `pts`: one `values`
+    call, one reduction and one `_Worst.add`."""
     # term n sums the n values from n (n - 1) / 2 on; term 1 is row[0:1], the rhs
     terms = [(n * (n - 1) // 2, n) for n in range(1, n_max + 1)]
-    for run in _runs(pts, table):
-        vals = _sample_values(f, run, table)
-        lhs = [math.fsum(row[k:k + n]) for row in vals for k, n in terms]
-        rhs = [row[0] for row in vals for _ in terms]
-        errs = [abs(a - b) for a, b in zip(lhs, rhs)]
-        i = _worst_index(errs)
-        worst.add(errs[i], *run[i // n_max], i % n_max + 1, lhs[i], rhs[i])
+    vals = _sample_values(f, pts, _invariance_table(n_max))
+    lhs = [math.fsum(row[k:k + n]) for row in vals for k, n in terms]
+    rhs = [row[0] for row in vals for _ in terms]
+    errs = [abs(a - b) for a, b in zip(lhs, rhs)]
+    i = _worst_index(errs)
+    worst = _Worst()
+    worst.add(errs[i], *pts[i // n_max], i % n_max + 1, lhs[i], rhs[i])
     return worst
 
 
@@ -293,14 +276,13 @@ def check_exchange(
     m, n = integer("m", m, 1), integer("n", n, 1)
     table = _exchange_table(m, n)
     pts = grid_points(f, grid, table)
+    vals = _sample_values(f, pts, table)
+    lhs = [math.fsum(row[:n]) for row in vals]
+    rhs = [math.fsum(row[n:]) for row in vals]
+    errs = [abs(a - b) / (1.0 + abs(a) + abs(b)) for a, b in zip(lhs, rhs)]
+    i = _worst_index(errs)
     worst = _Worst()
-    for run in _runs(pts, table):
-        vals = _sample_values(f, run, table)
-        lhs = [math.fsum(row[:n]) for row in vals]
-        rhs = [math.fsum(row[n:]) for row in vals]
-        errs = [abs(a - b) / (1.0 + abs(a) + abs(b)) for a, b in zip(lhs, rhs)]
-        i = _worst_index(errs)
-        worst.add(errs[i], *run[i], n, lhs[i], rhs[i])
+    worst.add(errs[i], *pts[i], n, lhs[i], rhs[i])
     eff_tol = tol + (m + n) * f.series_tolerance
     return _report(
         "exchange", f, {**f.params, "m": m, "n": n}, len(pts), worst, eff_tol, f.flags
@@ -376,9 +358,7 @@ def check_y_derivative_identities(
     probe = replace(f, dy=None) if fd_mode else f
     dfdx = x_derivative(f)
 
-    def g(x, y):
-        return y_partial_fd(probe, x, y)
-
+    g = partial(y_partial_fd, probe)
     pts = grid_points(f, grid, _Y_DERIVATIVE_TABLE)
     worst = _Worst()
     flags = set(dfdx.flags)
@@ -401,8 +381,8 @@ def check_parity(
     grid: GridSpec = DEFAULT_GRID,
     tol: float = 1e-7,
 ) -> VerificationReport:
-    """Consequences of even/odd df/dy: reflection symmetry plus the
-    half-period (even) or full-period (odd) integral value."""
+    """Consequences of even/odd df/dy: reflection symmetry, from one `values`
+    call, plus the half-period (even) or full-period (odd) integral value."""
     if parity not in ("even", "odd"):
         raise RejectedInputError(f"parity must be 'even' or 'odd', got {parity!r}")
     even = parity == "even"
@@ -410,9 +390,8 @@ def check_parity(
 
     pts = grid_points(f, grid, _PARITY_TABLE)
     worst = _Worst()
-    for x, y in pts:
-        lhs = f.value(y - x, y)
-        rhs = sign * f.value(x, y)
+    for (x, y), (fxy, lhs) in zip(pts, _sample_values(f, pts, _PARITY_TABLE)):
+        rhs = sign * fxy
         worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
     # int_0^{y/2} f = (1/2) lim a f(0, a) when even, int_0^y f = 0 when odd
     expected = 0.0
@@ -466,15 +445,16 @@ def check_convolution_invariance(
 
 def _convolution_invariance_parts(g, h, grid, tol):
     """`check_convolution_invariance` cut into independent parts: (the
-    thunks that give each `_runs` run's worst error, the function
-    that makes the report from their results in order).  The report equals
-    the uncut check's bit for bit: each run makes the same `values` call, and
-    `_Worst.add` over the runs' worsts in sample order keeps the first
-    strictly largest error, as the uncut check does."""
+    thunks that give the worst error of each 8 consecutive samples, the
+    function that makes the report from their results in order).  The report
+    equals the uncut check's bit for bit: a convolution value does not depend
+    on the points beside it, and `_Worst.add` over the parts' worsts in order
+    keeps the first strictly largest error, as the uncut check does."""
     conv = convolve(g, h, tol=1e-9)
-    table = _invariance_table(grid.n_max)
-    pts = grid_points(conv, grid, table)
-    parts = [partial(_invariance_worst, conv, grid.n_max, run) for run in _runs(pts, table)]
+    pts = grid_points(conv, grid, _invariance_table(grid.n_max))
+    # at the suite's n_max = 6 a part is 168 points, one `convolve` chunk
+    parts = [partial(_invariance_worst, conv, grid.n_max, pts[i:i + 8])
+             for i in range(0, len(pts), 8)]
 
     def report(worsts: Sequence[_Worst]) -> VerificationReport:
         worst = _Worst()
@@ -734,8 +714,8 @@ def default_tolerance(f: InvariantFunction) -> float:
 def _suite_plan(grid: GridSpec) -> list[tuple[list[Callable[[], object]], Callable]]:
     """The standard suite in canonical order, one (parts, report) entry per
     report: `report` makes the report from the results of `parts`, in order.
-    A convolution-invariance check is cut into its sample runs; every other
-    check is one part."""
+    A convolution-invariance check is cut into parts of 8 samples; every
+    other check is one part."""
     plan: list[tuple[list[Callable[[], object]], Callable]] = []
 
     def add(check, *args, **kwargs):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from invk.algebra import antiderivative
 from invk.catalog import make, standard_configs
@@ -275,3 +276,36 @@ def test_c13_verify_all_is_byte_deterministic():
         f"exit={first.returncode} twice, failed={failed}",
     )
     assert ok
+
+
+# numpy's x86-64 dispatch groups above its X86_V2 baseline, and glibc's
+# AVX2, FMA and AVX-512 libm variants: with them off, numpy's ufuncs and
+# libm's log, exp and sin take other code paths, and some round otherwise
+_DISPATCH_GROUPS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+_GLIBC_HWCAPS = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"
+# the C13 run, after it checks that numpy really turned the groups off
+_DISPATCH_CHILD = """\
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+if any(__cpu_features__[group] for group in sys.argv[1:]):
+    sys.exit(99)
+from invk.cli import run
+sys.exit(run(["verify", "--all", "--seed", "42"]))
+"""
+
+
+def test_c13_verify_all_under_other_cpu_dispatch():
+    groups = [g for g in _DISPATCH_GROUPS if g in __cpu_dispatch__ and __cpu_features__.get(g)]
+    if not groups:
+        pytest.skip("numpy dispatches none of the x86-64 groups above its baseline here")
+    env = child_env()
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(groups)
+    env["GLIBC_TUNABLES"] = _GLIBC_HWCAPS
+    run = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, *groups],
+                         capture_output=True, timeout=500, env=env)
+    digest = hashlib.sha256(run.stdout).hexdigest()
+    ok = run.returncode == 1 and digest == VERIFY_ALL_SHA256
+    _line("C13-dispatch", ok, f"without {groups} and {_GLIBC_HWCAPS}: sha256={digest[:8]}, "
+          f"exit={run.returncode}")
+    assert run.returncode != 99, "numpy kept a disabled dispatch group"
+    assert ok, run.stderr.decode()[-2000:]

@@ -314,9 +314,9 @@ class TestArrayTwinsPastTheDoubles:
         # at y = 1e-200 and 1e200, (x/y)^-s near x/y = 1e-3 at s = 1000),
         # where both rules give inf without a warning; and where y^(m-1)
         # underflows to 0 and B_m(x/y) is past the doubles, both give 0.0,
-        # since B_m(x/y) stays a long double.  E13 still rounds zeta(s, x/y)
-        # to a double before it multiplies by y^-s, so where one is 0 and
-        # the other inf both of its rules warn of 0 * inf alike
+        # since B_m(x/y) stays a long double; and E13's zeta(s, x/y) stays a
+        # long double where its double is 0 or inf, so neither entry forms
+        # 0 * inf or warns
         rng = np.random.default_rng(160)
         outcomes, warned = [], set()
         for y in (1.0, 0.25, 7.0, 1e-3, 1e-200, 1e200):
@@ -332,7 +332,7 @@ class TestArrayTwinsPastTheDoubles:
                 if want == "RuntimeWarning":
                     warned.add(scalar.func)
         assert outcomes.count(math.inf) + outcomes.count(-math.inf) > 100
-        assert warned == {hurwitz_zeta_scaled}  # no E2 outcome warns
+        assert warned == set()
 
     @pytest.mark.parametrize("m, x, y", [(100, 1e3, 1e-5), (120, 1e-195, 1e-200)])
     def test_bernoulli_past_the_doubles_before_the_power(self, m, x, y):
@@ -360,6 +360,31 @@ class TestArrayTwinsPastTheDoubles:
         with mpmath.workdps(50):
             want = float(mpmath.mpf(y) ** (m - 1) * mpmath.bernpoly(m, mpmath.mpf(x) / mpmath.mpf(y)))
         assert got == want
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_bernoulli_exact_zero_past_the_long_double(self, x):
+        # B_255(0) = 0 exactly, and y^254 = 1e5080 passes the long double:
+        # the value is 0.0, once 0 * inf = nan with numpy's invalid-value
+        # warning.  (255, 5e19, 1e20) still gives -inf: B_255(1/2) = 0, but
+        # its ill-conditioned Horner sum rounds to a nonzero long double
+        got = _outcome(lambda: bernoulli_scaled(255, x, 1e20))
+        twin = _outcome(lambda: bernoulli_scaled_array(255, np.array([x]), 1e20)[0])
+        assert got.hex() == float(twin).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("s, x, y, want", [
+        (160.0, 1.3e-196, 1e-200, math.inf),  # zeta ~1e-658 rounds to 0, y^-s passes the long double
+        (160.0, 2.7e197, 1e200, 0.0),  # zeta ~1e411 rounds to inf, y^-s underflows it
+        (-40.0, 0.0, 1e200, 0.0),  # the trivial zero zeta(-40, 1) = 0 times y^40 = 1e8000
+        (-40.0, 5e199, 1e200, 0.0),  # zeta(-40, 1/2) = 0
+    ])
+    def test_zeta_rounded_to_zero_or_inf(self, s, x, y, want):
+        # once nan from 0 * inf, with numpy's invalid-value warning
+        got = _outcome(lambda: hurwitz_zeta_scaled(s, x, y))
+        twin = _outcome(lambda: hurwitz_zeta_scaled_array(s, np.array([x]), y)[0])
+        assert got.hex() == float(twin).hex() == want.hex()
+        if s > 1.0:
+            with mpmath.workdps(30):
+                assert float(mpmath.mpf(y) ** -s * mpmath.zeta(s, mpmath.mpf(x) / mpmath.mpf(y))) == want
 
     @pytest.mark.parametrize("rule, twin, args", [
         (hurwitz_zeta_scaled, hurwitz_zeta_scaled_array, (80.0, 2e-201, 1e-200)),  # y^-s

@@ -1,12 +1,13 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
-from invk import covering, quadrature, verify
+from invk import algebra, covering, quadrature, verify
 from invk.algebra import convolve
 from invk.catalog import make, standard_configs
 from invk.core import (
@@ -216,11 +217,10 @@ class TestGridPoints:
             want, attempts = self._all_pairs_grid(f, grid, points)
             got = grid_points(f, grid, table)
             assert got == want, (kind, f.name, grid)
-            for run in verify._runs(got, table):  # the points that the checks evaluate
-                xs, ys = np.array(run).T
-                px, py = table.arrays(xs, ys)
-                assert [_hex_points(zip(*row)) for row in zip(px.tolist(), py.tolist())] \
-                    == [_hex_points(points(x, y)) for x, y in run], (kind, f.name, grid)
+            xs, ys = np.array(got).T  # the points that the checks evaluate
+            px, py = table.arrays(xs, ys)
+            assert [_hex_points(zip(*row)) for row in zip(px.tolist(), py.tolist())] \
+                == [_hex_points(points(x, y)) for x, y in got], (kind, f.name, grid)
             if attempts > grid.samples:  # the grid took a second block of draws
                 second_block.add((kind, f.name))
         # E13(s > 0) and the E5s whose domain is x > 0
@@ -241,15 +241,40 @@ class TestGridPoints:
             for x, y, row_x, row_y in zip(xs.tolist(), ys.tolist(), px.tolist(), py.tolist()):
                 assert _hex_points(zip(row_x, row_y)) == _hex_points(points(x, y)), (kind, x, y)
 
-    def test_runs_hold_at_most_max_points(self):
-        e9 = make("E9", r=0.5)
-        for n_max, want in ((10, 3), (6, 8), (20, 1)):  # 55, 21 and 210 points a sample
-            table = verify._invariance_table(n_max)
-            pts = grid_points(e9, replace(SMALL_GRID, n_max=n_max), table)
-            runs = verify._runs(pts, table)
-            assert [len(r) for r in runs[:-1]] == [want] * (len(runs) - 1)
-            assert 0 < len(runs[-1]) <= want
-            assert [p for r in runs for p in r] == pts
+    def test_parts_and_chunks_hold_at_most_max_points(self, monkeypatch):
+        # the suite cuts each convolution check into parts of 8 samples, in
+        # order, 168 points each: one chunk of the convolution's values
+        cuts = [parts for parts, _ in verify._suite_plan(DEFAULT_GRID) if len(parts) > 1]
+        assert len(cuts) == len(verify._PRODUCT_PAIRS) and sum(map(len, cuts)) == 40
+        table = verify._invariance_table(6)
+        for cut in cuts:
+            conv, n_max, pts = cut[0].args
+            assert n_max == 6 and [len(part.args[2]) for part in cut] == [8] * 8
+            assert [p for part in cut for p in part.args[2]] == grid_points(
+                conv, replace(DEFAULT_GRID, n_max=6), table)
+        assert 8 * len(table.rows) <= algebra._MAX_POINTS
+        # N points of one `values` call run in ceil(N / 176) `integrate_many`
+        # calls of at most 176 points (two term integrals each), and equal
+        # the scalar values bit for bit, with one scale or a scale per point
+        jobs = []
+        many = algebra.integrate_many
+
+        def counted(batch, terms, tol):
+            jobs.append(len(terms))
+            return many(batch, terms, tol)
+
+        monkeypatch.setattr(algebra, "integrate_many", counted)
+        conv = convolve(make("E5", a=2.0), make("E1"), 1e-9)
+        rng = np.random.default_rng(5)
+        ys = rng.uniform(0.25, 4.0, 2 * algebra._MAX_POINTS + 5)
+        xs = rng.uniform(-3.0, 3.0, ys.size) * ys
+        for scales in (ys, 1.3):
+            jobs.clear()
+            got = conv.values(xs, scales).tolist()
+            assert jobs == [2 * algebra._MAX_POINTS] * 2 + [2 * 5]
+            at = np.broadcast_to(scales, xs.shape).tolist()
+            want = [conv.value(x, y) for x, y in zip(xs.tolist(), at)]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_worst_index_is_where_the_worst_settles(self, seed):
@@ -269,16 +294,27 @@ def _report_bytes(rep) -> str:
 
 
 class TestBatchedSamples:
-    """Consecutive samples of a check share one `values` call; every report
-    is the one that a call per sample gives, byte for byte."""
+    """A check evaluates the points of all its samples in one `values` call.
+    A catalog entry's reports are the ones that each sample's worst,
+    computed alone and folded with `_Worst.add` in sample order, gives, byte
+    for byte; a convolution's are the ones of one point a chunk."""
 
     CONV_GRID = replace(SMALL_GRID, n_max=6)
 
     @staticmethod
-    def _checks(f, grid):
-        return [check_invariance(f, grid, 1e-7), check_exchange(f, 2, 3, grid, 1e-8)]
+    def _checks(grid):
+        """(check, shift table, points a sample) of invariance and of the
+        (2, 3) exchange."""
+        n_max = grid.n_max
+        return [
+            (partial(check_invariance, grid=grid, tol=1e-7), verify._invariance_table(n_max),
+             n_max * (n_max + 1) // 2),
+            (partial(check_exchange, m=2, n=3, grid=grid, tol=1e-8), verify._exchange_table(2, 3),
+             2 + 3),
+        ]
 
-    def _compare(self, monkeypatch, f, grid):
+    def _batched(self, monkeypatch, f, grid):
+        """The checks' report bytes, each check making one `values` call on f."""
         calls = []
         values = InvariantFunction.values
 
@@ -288,28 +324,52 @@ class TestBatchedSamples:
             return values(self, xs, ys)
 
         monkeypatch.setattr(InvariantFunction, "values", counted)
-        batched = [_report_bytes(r) for r in self._checks(f, grid)]
-        assert max(calls) <= verify._MAX_POINTS and len(calls) < 2 * grid.samples
-        with monkeypatch.context() as m:
-            m.setattr(verify, "_MAX_POINTS", 1)  # one sample a call
+        reports = []
+        for check, _, points in self._checks(grid):
             calls.clear()
-            single = [_report_bytes(r) for r in self._checks(f, grid)]
-        assert len(calls) == 2 * grid.samples
-        assert batched == single
+            reports.append(_report_bytes(check(f)))
+            assert calls == [grid.samples * points]
+        return reports
+
+    def _alone(self, monkeypatch, f, grid):
+        """The checks' report bytes from each sample's worst computed alone,
+        folded with `_Worst.add` in sample order."""
+        reports = []
+        for check, table, _ in self._checks(grid):
+            pts = grid_points(f, grid, table)
+            alone = []
+            with monkeypatch.context() as m:
+                for p in pts:
+                    m.setattr(verify, "grid_points", lambda *_: [p])
+                    alone.append(check(f))
+            worst = verify._Worst()
+            for r in alone:
+                w = r.worst_witness
+                worst.add(r.max_abs_error, w["x"], w["y"], w["n"], w["lhs"], w["rhs"])
+            assert len({(r.tolerance, tuple(r.flags)) for r in alone}) == 1
+            reports.append(_report_bytes(replace(
+                alone[0], samples=len(pts), max_abs_error=worst.err, worst_witness=worst.witness(),
+                passed=bool(0.0 <= worst.err <= alone[0].tolerance))))
+        return reports
 
     @pytest.mark.parametrize("config", standard_configs(), ids=lambda c: f"{c[0]}{c[1]}")
     def test_standard_configs(self, config, monkeypatch):
         eid, params = config
-        self._compare(monkeypatch, make(eid, **params), DEFAULT_GRID)
+        f = make(eid, **params)
+        batched = self._batched(monkeypatch, f, DEFAULT_GRID)
+        assert batched == self._alone(monkeypatch, f, DEFAULT_GRID)
 
     @pytest.mark.parametrize("pair", verify._PRODUCT_PAIRS, ids=lambda p: f"{p[0][0]}*{p[1][0]}")
     def test_convolution_pairs(self, pair, monkeypatch):
         (g, gp), (h, hp) = pair
-        self._compare(monkeypatch, convolve(make(g, **gp), make(h, **hp), 1e-9), self.CONV_GRID)
+        f = convolve(make(g, **gp), make(h, **hp), 1e-9)
+        batched = self._batched(monkeypatch, f, self.CONV_GRID)
+        monkeypatch.setattr(algebra, "_MAX_POINTS", 1)  # one point an `integrate_many`
+        assert [_report_bytes(check(f)) for check, _, _ in self._checks(self.CONV_GRID)] == batched
 
     def test_stalled_term_raises_the_same_error(self, monkeypatch):
         # g is nan at scales from a threshold that the first three samples
-        # stay below, so a later sample, inside the first call, stalls first
+        # stay below, so a later sample, inside the first chunk, stalls first
         e5 = make("E5", a=2.0)
         grid = self.CONV_GRID
         e9 = make("E9", r=0.5)
@@ -323,7 +383,7 @@ class TestBatchedSamples:
         conv = convolve(replace(e5, array_value=nan_above), e9, 1e-9)
         with pytest.raises(ConvergenceError) as batched:
             check_invariance(conv, grid, 1e-7)
-        monkeypatch.setattr(verify, "_MAX_POINTS", 1)
+        monkeypatch.setattr(algebra, "_MAX_POINTS", 1)
         with pytest.raises(ConvergenceError) as single:
             check_invariance(conv, grid, 1e-7)
         assert "stalled" in str(batched.value)
@@ -385,28 +445,48 @@ class TestInvariance:
         assert math.isnan(rep.max_abs_error)
         assert (rep.worst_witness["x"], rep.worst_witness["y"]) == (x0, y0)
 
-    def test_one_values_call_per_sample(self):
-        calls = []
-        e9 = make("E9", r=0.5)
+    @pytest.mark.parametrize("config", [("E9", {"r": 0.5}), ("E2", {"m": 1}), ("E8", {"r": 0.5})],
+                             ids=lambda c: f"{c[0]}{c[1]}")
+    def test_one_values_call_per_check(self, config):
+        # the points of all samples go to `values` in one call, and no
+        # sample point to the scalar rule
+        calls, scalar_calls = [], []
+        eid, params = config
+        entry = make(eid, **params)
 
         def counted(xs, ys):
             calls.append(xs.size)
-            return e9.array_value(xs, ys)
+            return entry.array_value(xs, ys)
 
-        # a sample's points are never split between calls, and consecutive
-        # samples fill a call up to _MAX_POINTS points
-        f = replace(e9, array_value=counted)
+        def scalar(x, y):
+            scalar_calls.append(x)
+            return entry.value(x, y)
+
+        f = replace(entry, value=scalar, array_value=counted)
+        samples = SMALL_GRID.samples
         rep = check_invariance(f, SMALL_GRID, 1e-8)
-        points = SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2
-        per_call = verify._MAX_POINTS // points
-        assert per_call > 1
-        full, rest = divmod(SMALL_GRID.samples, per_call)
-        assert calls == [per_call * points] * full + [rest * points] * (rest > 0)
-        assert rep.to_json_dict() == check_invariance(e9, SMALL_GRID, 1e-8).to_json_dict()
+        assert calls == [samples * SMALL_GRID.n_max * (SMALL_GRID.n_max + 1) // 2]
+        assert rep.to_json_dict() == check_invariance(entry, SMALL_GRID, 1e-8).to_json_dict()
         calls.clear()
         rep = check_exchange(f, 2, 3, SMALL_GRID, 1e-8)
-        assert calls == [(2 + 3) * SMALL_GRID.samples]
-        assert rep.to_json_dict() == check_exchange(e9, 2, 3, SMALL_GRID, 1e-8).to_json_dict()
+        assert calls == [(2 + 3) * samples]
+        assert rep.to_json_dict() == check_exchange(entry, 2, 3, SMALL_GRID, 1e-8).to_json_dict()
+        calls.clear()
+        system = covering.CoveringSystem(verify._CERT_SYSTEM)
+        rep = check_covering_certificates(system, f, SMALL_GRID, 1e-8)
+        assert calls == [(1 + 3) * samples]
+        assert rep.to_json_dict() == check_covering_certificates(
+            system, entry, SMALL_GRID, 1e-8).to_json_dict()
+        assert scalar_calls == []
+        # parity's reflection: one call of 2 points a sample, before the
+        # period integrals, whose panels come 15 nodes at a time; only the
+        # limit a f(0, a) calls the scalar rule
+        parity = "even" if eid == "E9" else "odd"
+        calls.clear()
+        rep = check_parity(f, parity, SMALL_GRID, 1e-7)
+        assert calls[0] == 2 * samples and all(c % 15 == 0 for c in calls[1:])
+        assert set(scalar_calls) <= {0.0}
+        assert rep.to_json_dict() == check_parity(entry, parity, SMALL_GRID, 1e-7).to_json_dict()
 
     def test_each_point_is_evaluated_once(self):
         # (x, y) is the n = 1 term as well as the rhs, so `values` never
