@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, RejectedInputError, finite, positive
+from .errors import CapacityError, ConvergenceError, RejectedInputError, finite, positive
+from .quadrature import _MAX_PANELS
 
 _EPS = 2.220446049250313e-16
 _EXACT_INT = 2.0 ** 52  # every float at least this large is an integer
@@ -101,11 +102,16 @@ def _no_points(y: float, lo: float, hi: float) -> tuple[float, ...]:
 
 
 def lattice_points(offset: float, step: float, lo: float, hi: float) -> tuple[float, ...]:
-    """Points offset + k*step inside [lo, hi], k integer."""
+    """Points offset + k*step inside [lo, hi], k integer.  More points than
+    an integral may have panels raise CapacityError before any is listed:
+    no integral split at them could refine, and the list grows with hi - lo."""
     if step <= 0.0:
         return ()
     k0 = math.ceil((lo - offset) / step - 1e-12)
     k1 = math.floor((hi - offset) / step + 1e-12)
+    if k1 - k0 >= _MAX_PANELS:
+        raise CapacityError(
+            f"{k1 - k0 + 1} lattice points in [{lo:g}, {hi:g}] exceed the panel budget")
     return tuple(offset + k * step for k in range(k0, k1 + 1))
 
 

@@ -14,13 +14,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import EvalPoint, InvariantFunction
 from .errors import CapacityError, ParseError, RejectedInputError, integer
-from .report import VerificationReport, _report, _Worst
+from .report import ShiftTable, VerificationReport, _report, _sample_values, _Worst, _worst_index
 
 LCM_CAP = 10 ** 9
 _CHUNK = 1 << 22
@@ -53,10 +54,11 @@ class CoveringSystem:
     def __str__(self) -> str:
         return ",".join(f"{a}/{n}" for a, n in self.classes)
 
-    def sample_points(self, x: float, y: float) -> list[tuple[float, float]]:
+    @cached_property
+    def table(self) -> ShiftTable:
         """The points the certificate identity at (x, y) evaluates: (x, y),
-        then (x + a*y, n*y) for each class a(n)."""
-        return [(x, y)] + [(x + a * y, n * y) for a, n in self.classes]
+        then (x + a y, n y) for each class a(n)."""
+        return ShiftTable([(1, 0, 1)] + [(1, a, n) for a, n in self.classes])
 
 
 @dataclass(frozen=True)
@@ -155,16 +157,18 @@ def certificate_report(
     tol: float,
 ) -> VerificationReport:
     """Certificate identity sum_s f(x + a_s*y, n_s*y) against f(x, y) at each
-    (x, y) of pts, the points of all samples from one `values` call.
+    (x, y) of pts: one `values` call over the points of `system.table` of
+    every sample, one reduction and one `_Worst.add`.
 
     The system must already be accepted (`require_accepted`).
     """
     k = len(system.classes)
-    xs, ys = np.array([p for x, y in pts for p in system.sample_points(x, y)]).reshape(-1, 2).T
+    vals = _sample_values(f, pts, system.table)
+    lhs = [math.fsum(shifted) for _, *shifted in vals]
+    errs = [abs(a - row[0]) for a, row in zip(lhs, vals)]
+    i = _worst_index(errs)
     worst = _Worst()
-    for (x, y), (rhs, *shifted) in zip(pts, f.values(xs, ys).reshape(-1, k + 1).tolist()):
-        lhs = math.fsum(shifted)
-        worst.add(abs(lhs - rhs), x, y, k, lhs, rhs)
+    worst.add(errs[i], *pts[i], k, lhs[i], vals[i][0])
     eff_tol = tol + (k + 1) * f.series_tolerance
     params = {**f.params, "system": str(system)}
     return _report("covering-certificate", f, params, len(pts), worst, eff_tol, f.flags)

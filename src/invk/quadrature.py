@@ -4,9 +4,10 @@ The integrator runs an embedded 7/15 Gauss-Kronrod pair on each panel (no
 panel endpoint is ever sampled, so integrable endpoint singularities such as
 log t at 0 are safe), splits panels at caller-listed interior singular
 points, and refines the worst panel globally until the summed error estimate
-meets the tolerance, or until the tolerance is out of reach: the panels at
-the depth limit already exceed it, or every panel left sits at the roundoff
-floor of its estimate.  Orientation is handled by sign so that swapping the
+meets the tolerance, or until the tolerance is out of reach
+(`_out_of_reach`, one rule for both engines below): the panels at the depth
+limit already exceed it, or every panel left sits at the roundoff floor of
+its estimate.  Orientation is handled by sign so that swapping the
 endpoints negates the result exactly.
 
 `integrate_many` runs many independent integrals in lockstep.  Each round
@@ -36,7 +37,8 @@ Bisection alone reaches an endpoint singularity slowly: a log kernel takes
 about 33 levels per singular edge at tol 1e-10, and |t - c|^-1/2 cannot
 get below ~1e-6 within `MAX_DEPTH`.  So a job that a bisection takes to
 depth `_ENGAGE` (10) extrapolates, as QUADPACK's QAGS and QAGP do
-(Piessens et al. 1983): it resolves the panels above the current level,
+(Piessens et al. 1983), in the one loop of `_Job._level_step`, whose
+level 0 is plain bisection: it resolves the panels above the current level,
 then feeds the sum of all its panels, one area per level, to Wynn's epsilon
 algorithm (Wynn 1956; `_Wynn` is dqelg), and stops once the table's error,
 with the rounding noise of its areas (`_node_noise`), is within tol.  A
@@ -260,8 +262,9 @@ def _out_of_reach(heap_err: float, done_err: float, above: int, tol: float) -> b
     panels it can no longer split already exceed tol (their error sum only
     grows), or every panel left to split sits at its roundoff floor and the
     sum exceeds `_FLOOR_MARGIN` * tol (QUADPACK reports such a case as
-    roundoff, ier = 2).  `_table_rounds` tests the same elementwise."""
-    return done_err > tol or (not above and heap_err + done_err > _FLOOR_MARGIN * tol)
+    roundoff, ier = 2).  The one statement of the rule: `_Job._level_step`
+    calls it on floats, and `_table_rounds` on arrays, one element per job."""
+    return (done_err > tol) | ((above == 0) & (heap_err + done_err > _FLOOR_MARGIN * tol))
 
 
 class _Wynn:
@@ -372,23 +375,23 @@ def _node_noise(panel) -> float:
 class _Job:
     """The adaptive state of one integral: its heap of panels, the panels it
     can no longer split, their error sums, the number of panels left to
-    split whose error estimate is above its roundoff floor, the next serial
-    number and the evaluation count.  A panel is the tuple (-estimate,
-    serial, left, right, value, estimate, depth, floor), which orders the
-    heap.
+    split whose error estimate is above its roundoff floor, and the next
+    serial number, which counts its panels: each took 15 evaluations.  A
+    panel is the tuple (-estimate, serial, left, right, value, estimate,
+    depth, floor), which orders the heap.
 
-    Once a bisection takes the job to depth `_ENGAGE`, it extrapolates
-    (`_engage`, `_level_step`) and keeps: `wynn`, its epsilon table;
-    `best`, the table's best (result, error) so far; `levmax`, the depth
-    from which a panel counts as small, or 0 while it bisects plainly;
-    `erlarg`, the error of the large panels; `erlast`, the error of the
-    panel it bisected last; `extrap`, whether it bisects only large panels;
-    `parked`, the panels it sets aside meanwhile; `ktmin`, the number of
-    extrapolations since the table's result last improved; and
-    `area_serial`, its next serial number when it took its last area.
+    One loop, `_level_step`, runs the job.  Once a bisection takes it to
+    depth `_ENGAGE`, it extrapolates (`_engage`) and keeps: `wynn`, its
+    epsilon table; `best`, the table's best (result, error) so far;
+    `levmax`, the depth from which a panel counts as small, or 0 while it
+    bisects plainly; `erlarg`, the error of the large panels; `erlast`, the
+    error of the panel it bisected last; `extrap`, whether it bisects only
+    large panels; `parked`, the panels it sets aside meanwhile; `ktmin`,
+    the number of extrapolations since the table's result last improved;
+    and `area_serial`, its next serial number when it took its last area.
     """
 
-    __slots__ = ("sign", "span", "heap", "done", "heap_err", "done_err", "above", "serial", "evals",
+    __slots__ = ("sign", "span", "heap", "done", "heap_err", "done_err", "above", "serial",
                  "wynn", "best", "levmax", "erlarg", "erlast", "extrap", "parked", "ktmin", "area_serial")
 
     def __init__(self, lo: float, hi: float, sign: float):
@@ -400,10 +403,11 @@ class _Job:
         self.done_err = 0.0
         self.above = 0
         self.serial = 0
-        self.evals = 0
         self.wynn: _Wynn | None = None
         self.best: tuple[float, float] | None = None
         self.levmax = 0
+        self.erlarg = self.erlast = 0.0
+        self.extrap = False
         self.parked: list = []
 
     def step(self, lefts, rights, sums, depth: int, tol: float):
@@ -423,37 +427,9 @@ class _Job:
             above += up
             added += e
         self.serial = serial
-        self.evals += 15 * len(lefts)
         self.heap_err += added
         self.above = above
-        if self.levmax:
-            return self._level_step(added, depth, tol)
-        return self._pop(tol)
-
-    def _pop(self, tol: float):
-        """Pop the panel of largest error until one needs a bisection, as
-        plain adaptive bisection does: its halves, or None."""
-        heap = self.heap
-        heap_err, done_err, above = self.heap_err, self.done_err, self.above
-        halves = None
-        while heap and heap_err + done_err > tol and self.serial <= _MAX_PANELS:
-            if _out_of_reach(heap_err, done_err, above, tol):
-                break
-            panel = heapq.heappop(heap)
-            _, _, left, right, v, e, depth, floor = panel
-            heap_err -= e
-            above -= e > floor
-            if depth >= MAX_DEPTH or right - left <= 4.0 * _EPS * max(abs(left), abs(right), self.span):
-                self.done.append(panel)
-                done_err += e
-                continue
-            if depth + 1 >= _ENGAGE and self.wynn is None:
-                self._engage(depth + 1, heap_err, v)
-            mid = 0.5 * (left + right)
-            halves = [left, mid], [mid, right], depth + 1
-            break
-        self.heap_err, self.done_err, self.above = heap_err, done_err, above
-        return halves
+        return self._level_step(added, depth, tol)
 
     def _engage(self, depth: int, heap_err: float, v: float) -> None:
         """Start extrapolating as the job bisects a panel of value v into
@@ -467,21 +443,22 @@ class _Job:
         self.levmax = depth
         self.erlarg = heap_err
         self.erlast = 0.0
-        self.extrap = False
         self.ktmin = 0
 
     def _level_step(self, added: float, depth: int, tol: float):
-        """`step` for an extrapolating job, after it has pushed the halves
-        of its last bisection: the loop of QUADPACK's QAGP, with a panel's
-        depth as its level (Piessens et al. 1983, dqagpe).
+        """The rest of `step`, after the job has pushed its new panels: the
+        loop of QUADPACK's QAGP, with a panel's depth as its level
+        (Piessens et al. 1983, dqagpe), and plain bisection as its level 0.
 
-        It bisects the panel of largest error while that panel is large
-        (less deep than `levmax`).  Once the largest is small, it bisects
-        only the large ones (`_splits`), in order of error, until their
-        error sum `erlarg` is within tol or none is left.  Then it
-        extrapolates (`_extrapolate`), makes the small panels large, and
-        starts over.  It stops as a plain job does, or once the table's
-        error is within tol.
+        At `levmax` 0 it bisects the panel of largest error (`_bisect`).
+        Above it, it does so while that panel is large (less deep than
+        `levmax`).  Once the largest is small, it bisects only the large
+        ones (`_splits`), in order of error, until their error sum `erlarg`
+        is within tol or none is left.  Then it extrapolates
+        (`_extrapolate`), makes the small panels large, and starts over.
+        At any level it stops once the error sum is not above tol (a NaN
+        sum stops it too), the panel budget is spent, no panel is left,
+        the tol is `_out_of_reach`, or the table's error is within tol.
         """
         self.erlarg -= self.erlast
         if depth < self.levmax:
@@ -489,16 +466,15 @@ class _Job:
         heap, parked = self.heap, self.parked
         while True:
             heap_err, done_err = self.heap_err, self.done_err
-            if (heap_err + done_err <= tol or self.serial > _MAX_PANELS or not (heap or parked)
+            if (not heap_err + done_err > tol or self.serial > _MAX_PANELS or not (heap or parked)
                     or _out_of_reach(heap_err, done_err, self.above, tol)):
                 return None
-            if not self.extrap:
-                if self._splits(heap[0]):
-                    halves = self._bisect()
-                    if halves is not None:
-                        return halves
-                    continue
-                self.extrap = True
+            if not self.levmax or not self.extrap and self._splits(heap[0]):
+                halves = self._bisect()
+                if halves is not None:
+                    return halves
+                continue
+            self.extrap = True
             while heap and self.erlarg > tol:
                 if not self._splits(heap[0]):
                     parked.append(heapq.heappop(heap))
@@ -508,8 +484,6 @@ class _Job:
                     return halves
             if not self._extrapolate(tol):
                 return None
-            if not self.levmax:
-                return self._pop(tol)
 
     def _splits(self, panel) -> bool:
         """Whether an extrapolating job bisects this panel: a large one
@@ -519,8 +493,10 @@ class _Job:
         return panel[6] < self.levmax and panel[5] > panel[7]
 
     def _bisect(self):
-        """Pop the heap's top, a large panel: its halves, or None when it
-        can no longer be split and joins the done panels."""
+        """Pop the heap's top, the panel of largest error: its halves, or
+        None when it can no longer be split and joins the done panels.  A
+        job whose halves are the first at depth `_ENGAGE` starts
+        extrapolating."""
         panel = heapq.heappop(self.heap)
         _, _, left, right, _, e, depth, floor = panel
         self.heap_err -= e
@@ -531,6 +507,8 @@ class _Job:
             self.erlarg -= e
             return None
         self.erlast = e
+        if depth + 1 >= _ENGAGE and self.wynn is None:
+            self._engage(depth + 1, self.heap_err, panel[4])
         mid = 0.5 * (left + right)
         return [left, mid], [mid, right], depth + 1
 
@@ -591,7 +569,7 @@ class _Job:
             absarea = math.fsum([p[7] for p in kept]) / (50.0 * _EPS)
             if not _diverges(self.best[0], value, err, absarea):
                 value, err = self.best
-        return QuadratureResult(self.sign * value, err, self.evals, err <= tol)
+        return QuadratureResult(self.sign * value, err, 15 * self.serial, err <= tol)
 
 
 def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) -> list:
@@ -743,8 +721,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
             while active.size:
                 he, de = heap_err[active], done_err[active]
                 go = (size[active] > 0) & (he + de > tol) & (serial[active] <= _MAX_PANELS)
-                # and not `_out_of_reach`
-                go &= ~((de > tol) | ((above[active] == 0) & (he + de > _FLOOR_MARGIN * tol)))
+                go &= ~_out_of_reach(he, de, above[active], tol)
                 active = active[go]
                 if not active.size:
                     break

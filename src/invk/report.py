@@ -1,14 +1,17 @@
 """Verification reports: the JSON-ready record of one checked identity, its
-canonical sort key, and the worst-error reducer the checks build it from."""
+canonical sort key, and what the checks build it from: a sample's points
+(`ShiftTable`), their values and the worst-error reducers."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import InvariantFunction
 from .errors import positive
 
 
@@ -52,6 +55,47 @@ def _jsonable(obj):
 
 def report_sort_key(r: VerificationReport):
     return (r.property, r.function, json.dumps(_jsonable(r.params), sort_keys=True, default=str))
+
+
+class ShiftTable:
+    """The points a check evaluates at a sample (x, y), as rows (c, a, b) of
+    integers: row (c, a, b) is the point (c x + a y, b y), with c = 1
+    but for parity's reflection (y - x, y), row (-1, 1, 1).  As c = +-1 and
+    a and b are exact doubles, each coordinate is the written shift's float
+    operations, x + a y, y - x or b y, to the bit; (x, y) itself comes out
+    as x + 0.0, which is x for every draw (no draw is -0.0)."""
+
+    def __init__(self, rows: Iterable[tuple[int, int, int]]):
+        self.rows = tuple(rows)
+        self._c, self._a, self._b = np.array(self.rows, dtype=float).T
+        # (i, j): rows i to j - 1 share one b, and so one scale b y
+        edges = [i for i in range(1, len(self.rows)) if self.rows[i][2] != self.rows[i - 1][2]]
+        self.spans = list(zip([0, *edges], [*edges, len(self.rows)]))
+
+    def arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(px, py): point j of the sample (xs[i], ys[i]) is (px[i, j], py[i, j])."""
+        x, y = xs[:, None], ys[:, None]
+        return self._c * x + self._a * y, self._b * y
+
+
+def _sample_values(
+    f: InvariantFunction, pts: Sequence[tuple[float, float]], table: ShiftTable
+) -> list[list[float]]:
+    """f at the points of `table` of every sample of `pts`: the points from
+    one array expression, their values from one `f.values` call, however
+    many.  Row i holds sample i's values, in the table's order."""
+    xs, ys = np.array(pts).T
+    px, py = table.arrays(xs, ys)
+    return f.values(px.ravel(), py.ravel()).reshape(px.shape).tolist()
+
+
+def _worst_index(errs: list[float]) -> int:
+    """Where `_Worst.add` over errs in order settles: the first NaN, else
+    the first maximum.  A check reduces all its errors with it and then
+    adds the worst once."""
+    if math.isnan(sum(errs)):
+        return next(i for i, e in enumerate(errs) if math.isnan(e))
+    return errs.index(max(errs))
 
 
 class _Worst:

@@ -44,7 +44,15 @@ from .quadrature import (
     limit_scaled,
     y_partial_fd,
 )
-from .report import VerificationReport, _report, _Worst, report_sort_key
+from .report import (
+    ShiftTable,
+    VerificationReport,
+    _report,
+    _sample_values,
+    _Worst,
+    _worst_index,
+    report_sort_key,
+)
 from .special import ZETA_NEG_TOLERANCE, bernoulli_poly, bernoulli_scaled_array, log_gamma_abs
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -68,6 +76,9 @@ class GridSpec:
         integer("seed", self.seed, 0)
         integer("samples", self.samples, 1)
         integer("n_max", self.n_max, 1)
+        for name, pair in (("x_range", self.x_range), ("y_range", self.y_range)):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise RejectedInputError(f"{name} must be a pair of numbers, got {pair!r}")
         x0, x1 = (finite("x_range", x) for x in self.x_range)
         y0, y1 = (positive("y_range", y) for y in self.y_range)
         if not (x0 < x1 and y0 < y1):
@@ -82,27 +93,6 @@ DEFAULT_GRID = GridSpec()
 # ---------------------------------------------------------------------------
 
 
-class ShiftTable:
-    """The points a check evaluates at a sample (x, y), as rows (c, a, b) of
-    integers: row (c, a, b) is the point (c x + a y, b y), with c = 1
-    but for parity's reflection (y - x, y), row (-1, 1, 1).  As c = +-1 and
-    a and b are exact doubles, each coordinate is the written shift's float
-    operations, x + a y, y - x or b y, to the bit; (x, y) itself comes out
-    as x + 0.0, which is x for every draw (no draw is -0.0)."""
-
-    def __init__(self, rows: Iterable[tuple[int, int, int]]):
-        self.rows = tuple(rows)
-        self._c, self._a, self._b = np.array(self.rows, dtype=float).T
-        # (i, j): rows i to j - 1 share one b, and so one scale b y
-        edges = [i for i in range(1, len(self.rows)) if self.rows[i][2] != self.rows[i - 1][2]]
-        self.spans = list(zip([0, *edges], [*edges, len(self.rows)]))
-
-    def arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(px, py): point j of the sample (xs[i], ys[i]) is (px[i, j], py[i, j])."""
-        x, y = xs[:, None], ys[:, None]
-        return self._c * x + self._a * y, self._b * y
-
-
 @cache
 def _invariance_table(n_max: int) -> ShiftTable:
     """The points of an invariance sample: (x, y) itself, then the shifts
@@ -114,12 +104,6 @@ def _invariance_table(n_max: int) -> ShiftTable:
 def _exchange_table(m: int, n: int) -> ShiftTable:
     """(x + r m y, n y) for r < n, then (x + r n y, m y) for r < m."""
     return ShiftTable([(1, r * m, n) for r in range(n)] + [(1, r * n, m) for r in range(m)])
-
-
-def _covering_table(system: CoveringSystem) -> ShiftTable:
-    """The points of `system.sample_points`: (x, y), then (x + a y, n y)
-    for each class a(n)."""
-    return ShiftTable([(1, 0, 1)] + [(1, a, n) for a, n in system.classes])
 
 
 # (x, y) and (x + y, y); with (x - y, y) too; (x, y) and (y - x, y)
@@ -189,26 +173,6 @@ def grid_points(
             f"could not place {grid.samples} clear samples for {f.name}"
         )
     return pts
-
-
-def _sample_values(
-    f: InvariantFunction, pts: Sequence[tuple[float, float]], table: ShiftTable
-) -> list[list[float]]:
-    """f at the points of `table` of every sample of `pts`: the points from
-    one array expression, their values from one `f.values` call, however
-    many.  Row i holds sample i's values, in the table's order."""
-    xs, ys = np.array(pts).T
-    px, py = table.arrays(xs, ys)
-    return f.values(px.ravel(), py.ravel()).reshape(px.shape).tolist()
-
-
-def _worst_index(errs: list[float]) -> int:
-    """Where `_Worst.add` over errs in order settles: the first NaN, else
-    the first maximum.  A check reduces all its errors with it and then
-    adds the worst once."""
-    if math.isnan(sum(errs)):
-        return next(i for i, e in enumerate(errs) if math.isnan(e))
-    return errs.index(max(errs))
 
 
 def _period_integral(f: InvariantFunction, y: float, lo: float, hi: float, tol: float) -> float:
@@ -661,7 +625,7 @@ def check_covering_certificates(
     """`certificate_report` over seeded points clear of f's singular points;
     a rejected system raises RejectedInputError."""
     require_accepted(system)
-    return certificate_report(system, f, grid_points(f, grid, _covering_table(system)), tol)
+    return certificate_report(system, f, grid_points(f, grid, system.table), tol)
 
 
 # ---------------------------------------------------------------------------

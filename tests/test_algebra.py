@@ -1,4 +1,7 @@
 import math
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -7,8 +10,9 @@ import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
-from invk.core import EPS_SING, affine_transform, x_derivative
-from invk.errors import ConvergenceError, RejectedInputError
+from invk import quadrature
+from invk.core import EPS_SING, affine_transform, lattice_points, x_derivative
+from invk.errors import CapacityError, ConvergenceError, RejectedInputError
 from invk.quadrature import Vectorized, integrate
 from invk.special import bernoulli_poly
 from invk.verify import (
@@ -21,7 +25,7 @@ from invk.verify import (
     grid_points,
 )
 
-from conftest import SMALL_GRID, table_points
+from conftest import SMALL_GRID, child_env, table_points
 
 
 def _scaled_bernoulli(m):
@@ -325,6 +329,51 @@ class TestAntiderivative:
                 for r in range(n):
                     u = (x + r * y) / (n * y)
                     assert abs(u - round(u)) * n * y >= EPS_SING * n * y * (1 - 1e-9)
+
+
+# A child interpreter that may map at most this much memory: listing the
+# lattice points of [0, 1e9] would take tens of GB.
+_CHILD_AS = 512 << 20
+
+_ANTIDERIVATIVE_CHILD = """
+from invk.algebra import antiderivative
+from invk.catalog import make
+try:
+    antiderivative(make("E3a")).value(1e9, 1.0)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+def _limited(args):
+    """Run a child interpreter under an address-space limit of `_CHILD_AS`."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS, _CHILD_AS))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=2,
+                          env=child_env(), preexec_fn=limit)
+
+
+class TestWideLatticeWindow:
+    """A window of more lattice points than an integral may have panels
+    raises CapacityError before any point is listed, however wide it is."""
+
+    def test_lattice_points_refuse_a_window_past_the_panel_budget(self):
+        budget = quadrature._MAX_PANELS
+        assert len(lattice_points(0.0, 1.0, 0.0, budget - 1.0)) == budget
+        with pytest.raises(CapacityError):
+            lattice_points(0.0, 1.0, 0.0, float(budget))
+        with pytest.raises(CapacityError):
+            lattice_points(0.5, 1e-9, -1.0, 1.0)
+
+    def test_cli_convolution_is_a_usage_error(self):
+        proc = _limited(["-m", "invk", "convolve", "--g", "E3a", "--h", "E2:m=1", "--x", "1e9", "--y", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert "panel budget" in proc.stderr
+
+    def test_antiderivative_raises_capacity_error(self):
+        proc = _limited(["-c", _ANTIDERIVATIVE_CHILD])
+        assert proc.stdout.strip() == "CapacityError", proc.stderr
 
 
 class TestGeometricConvolve:

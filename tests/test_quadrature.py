@@ -348,7 +348,7 @@ class TestIntegrateMany:
             n, engaged = [], []
 
             def counted(job, *args, n=n, engaged=engaged):
-                engaged.append((len(n), job.evals))
+                engaged.append((len(n), 15 * job.serial))
                 return engage(job, *args)
 
             with pytest.MonkeyPatch.context() as m:
@@ -867,6 +867,18 @@ class TestExtrapolation:
         mid = 0.5 * (-1.0 + 0.9)
         assert halves == ([-1.0, mid], [mid, 0.9], 10)
         assert job.best is None and job.levmax == 0
+
+    @pytest.mark.parametrize("engaged", [False, True])
+    def test_a_nan_error_sum_stops_at_any_level(self, engaged):
+        # a NaN error sum is neither within tol nor above it: the one loop
+        # stops the job, whether it bisects plainly or extrapolates
+        job = quadrature._Job(-1.0, 1.0, 1.0)
+        job.heap = [(-1e-3, 0, -1.0, 0.0, 0.5, 1e-3, 5, 0.0)]
+        job.heap_err, job.above, job.serial = math.nan, 1, 1
+        if engaged:
+            job._engage(10, 1e-3, 0.0)
+        assert job._level_step(0.0, 10, 1e-10) is None
+        assert len(job.heap) == 1 and job.levmax == (10 if engaged else 0)
 
     def test_rounding_noise_bounds_the_table(self):
         # nodes near c = 0.6203... round by up to 5.5e-17, which moves

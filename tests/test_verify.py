@@ -74,6 +74,15 @@ class TestGridSpec:
             with pytest.raises(RejectedInputError):
                 GridSpec(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"x_range": (1.0, 2.0, 3.0)},
+        {"y_range": (1.0,)},
+        {"x_range": None},
+    ])
+    def test_a_range_must_be_a_pair(self, bad):
+        with pytest.raises(RejectedInputError, match="pair"):
+            GridSpec(**bad)
+
 
 def _points_clear(f, needed):
     """The per-point clearance test: each point asks for the singular points
@@ -112,8 +121,10 @@ def _point_kind(kind, grid):
         "limit": (verify._LIMIT_TABLE, lambda x, y: ((x, y), (x + y, y))),
         "y-derivative": (verify._Y_DERIVATIVE_TABLE, lambda x, y: ((x, y), (x - y, y), (x + y, y))),
         "parity": (verify._PARITY_TABLE, lambda x, y: ((x, y), (y - x, y))),
-        "covering": (verify._covering_table(_CERT), _CERT.sample_points),
-        "covering-wide": (verify._covering_table(_WIDE_COVER), _WIDE_COVER.sample_points),
+        "covering": (_CERT.table, lambda x, y: (
+            [(x, y)] + [(x + a * y, n * y) for a, n in _CERT.classes])),
+        "covering-wide": (_WIDE_COVER.table, lambda x, y: (
+            [(x, y)] + [(x + a * y, n * y) for a, n in _WIDE_COVER.classes])),
     }[kind]
 
 
@@ -848,7 +859,7 @@ class TestCoveringCertificates:
         rep = check_covering_certificates(sys_, f, PROBE_GRID, 1e-8)
         assert decisions == [sys_]
         monkeypatch.undo()
-        pts = verify.grid_points(f, PROBE_GRID, verify._covering_table(sys_))
+        pts = verify.grid_points(f, PROBE_GRID, sys_.table)
         pointwise = [covering.covering_identity_check(sys_, f, x, y, 1e-8) for x, y in pts]
         worst = max(pointwise, key=lambda r: r.max_abs_error)
         assert rep.samples == len(pointwise) == PROBE_GRID.samples
