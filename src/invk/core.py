@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, RejectedInputError, finite, positive
-from .quadrature import _MAX_PANELS
 
 _EPS = 2.220446049250313e-16
 _EXACT_INT = 2.0 ** 52  # every float at least this large is an integer
@@ -33,6 +32,9 @@ EPS_SING = 1e-6
 #: |x/y - round(x/y)| <= LATTICE_BAND counts as on-lattice: a few ulps, as a
 #: float lattice point k*y lies within |k| eps/2 of k (on for |k| <= 128)
 LATTICE_BAND = 64.0 * _EPS
+# the most points one lattice window lists, a memory cap: E3b's antiderivative
+# cut at 250,000 of them converges with a peak RSS of 420 MB
+_MAX_WINDOW_POINTS = 250_000
 
 ValueRule = Callable[[float, float], float]
 ArrayRule = Callable[[np.ndarray, "float | np.ndarray"], np.ndarray]
@@ -102,16 +104,14 @@ def _no_points(y: float, lo: float, hi: float) -> tuple[float, ...]:
 
 
 def lattice_points(offset: float, step: float, lo: float, hi: float) -> tuple[float, ...]:
-    """Points offset + k*step inside [lo, hi], k integer.  More points than
-    an integral may have panels raise CapacityError before any is listed:
-    no integral split at them could refine, and the list grows with hi - lo."""
+    """Points offset + k*step inside [lo, hi], k integer.  A window of more
+    than `_MAX_WINDOW_POINTS` raises CapacityError before any is listed."""
     if step <= 0.0:
         return ()
     k0 = math.ceil((lo - offset) / step - 1e-12)
     k1 = math.floor((hi - offset) / step + 1e-12)
-    if k1 - k0 >= _MAX_PANELS:
-        raise CapacityError(
-            f"{k1 - k0 + 1} lattice points in [{lo:g}, {hi:g}] exceed the panel budget")
+    if k1 - k0 >= _MAX_WINDOW_POINTS:
+        raise CapacityError(f"{k1 - k0 + 1} lattice points in [{lo:g}, {hi:g}] exceed the window cap")
     return tuple(offset + k * step for k in range(k0, k1 + 1))
 
 

@@ -469,7 +469,7 @@ class _Job:
             if (not heap_err + done_err > tol or self.serial > _MAX_PANELS or not (heap or parked)
                     or _out_of_reach(heap_err, done_err, self.above, tol)):
                 return None
-            if not self.levmax or not self.extrap and self._splits(heap[0]):
+            if not self.levmax or (not self.extrap and self._splits(heap[0])):
                 halves = self._bisect()
                 if halves is not None:
                     return halves

@@ -76,11 +76,12 @@ class GridSpec:
         integer("seed", self.seed, 0)
         integer("samples", self.samples, 1)
         integer("n_max", self.n_max, 1)
-        for name, pair in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                raise RejectedInputError(f"{name} must be a pair of numbers, got {pair!r}")
-        x0, x1 = (finite("x_range", x) for x in self.x_range)
-        y0, y1 = (positive("y_range", y) for y in self.y_range)
+        try:
+            (x0, x1), (y0, y1) = self.x_range, self.y_range
+        except (TypeError, ValueError):
+            raise RejectedInputError("x_range and y_range must be pairs of numbers") from None
+        x0, x1 = finite("x_range", x0), finite("x_range", x1)
+        y0, y1 = positive("y_range", y0), positive("y_range", y1)
         if not (x0 < x1 and y0 < y1):
             raise RejectedInputError("x_range and y_range must be increasing")
 

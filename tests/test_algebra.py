@@ -10,7 +10,7 @@ import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
-from invk import quadrature
+from invk import core, quadrature
 from invk.core import EPS_SING, affine_transform, lattice_points, x_derivative
 from invk.errors import CapacityError, ConvergenceError, RejectedInputError
 from invk.quadrature import Vectorized, integrate
@@ -355,21 +355,33 @@ def _limited(args):
 
 
 class TestWideLatticeWindow:
-    """A window of more lattice points than an integral may have panels
-    raises CapacityError before any point is listed, however wide it is."""
+    """A window of more lattice points than `core._MAX_WINDOW_POINTS`
+    raises CapacityError before any point is listed, however wide it is;
+    a narrower window past the panel budget still integrates."""
 
-    def test_lattice_points_refuse_a_window_past_the_panel_budget(self):
-        budget = quadrature._MAX_PANELS
-        assert len(lattice_points(0.0, 1.0, 0.0, budget - 1.0)) == budget
+    def test_lattice_points_refuse_a_window_past_the_cap(self):
+        cap = core._MAX_WINDOW_POINTS
+        assert cap > quadrature._MAX_PANELS
+        assert len(lattice_points(0.0, 1.0, 0.0, cap - 1.0)) == cap
         with pytest.raises(CapacityError):
-            lattice_points(0.0, 1.0, 0.0, float(budget))
+            lattice_points(0.0, 1.0, 0.0, float(cap))
         with pytest.raises(CapacityError):
             lattice_points(0.5, 1e-9, -1.0, 1.0)
+
+    @pytest.mark.parametrize("name, x, expected", [
+        # 30,000 panels at period 1e-3, each at its roundoff floor: the
+        # first pass converges though it starts past the panel budget
+        ("E3b", 30.0, "0x1.5d867c3f3827ap-14"),
+        # E14's points step by y/2: 30,000 of them
+        ("E14", 15.0, "-0x1.0624dd2f2c9fdp-12"),
+    ])
+    def test_a_bounded_operand_past_the_panel_budget_converges(self, name, x, expected):
+        assert antiderivative(make(name)).value(x, 1e-3).hex() == expected
 
     def test_cli_convolution_is_a_usage_error(self):
         proc = _limited(["-m", "invk", "convolve", "--g", "E3a", "--h", "E2:m=1", "--x", "1e9", "--y", "1"])
         assert proc.returncode == 2, proc.stderr
-        assert "panel budget" in proc.stderr
+        assert "window cap" in proc.stderr
 
     def test_antiderivative_raises_capacity_error(self):
         proc = _limited(["-c", _ANTIDERIVATIVE_CHILD])

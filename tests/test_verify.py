@@ -83,6 +83,11 @@ class TestGridSpec:
         with pytest.raises(RejectedInputError, match="pair"):
             GridSpec(**bad)
 
+    def test_any_pair_of_numbers_is_a_range(self):
+        grid = GridSpec(x_range=np.array([-3.0, 3.0]), y_range=[0.25, 4.0])
+        f, table = make("E2", m=1), verify._LIMIT_TABLE
+        assert grid_points(f, grid, table) == grid_points(f, DEFAULT_GRID, table)
+
 
 def _points_clear(f, needed):
     """The per-point clearance test: each point asks for the singular points
