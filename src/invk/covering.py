@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import EvalPoint, InvariantFunction
 from .errors import CapacityError, ParseError, RejectedInputError, integer
-from .report import ShiftTable, VerificationReport, _report, _sample_values, _Worst, _worst_index
+from .report import ShiftTable, VerificationReport, _report, _sample_values, _worst_index
 
 LCM_CAP = 10 ** 9
 _CHUNK = 1 << 22
@@ -158,7 +158,7 @@ def certificate_report(
 ) -> VerificationReport:
     """Certificate identity sum_s f(x + a_s*y, n_s*y) against f(x, y) at each
     (x, y) of pts: one `values` call over the points of `system.table` of
-    every sample, one reduction and one `_Worst.add`.
+    every sample, and one `_worst_index` reduction whose row goes to `_report`.
 
     The system must already be accepted (`require_accepted`).
     """
@@ -167,11 +167,10 @@ def certificate_report(
     lhs = [math.fsum(shifted) for _, *shifted in vals]
     errs = [abs(a - row[0]) for a, row in zip(lhs, vals)]
     i = _worst_index(errs)
-    worst = _Worst()
-    worst.add(errs[i], *pts[i], k, lhs[i], vals[i][0])
     eff_tol = tol + (k + 1) * f.series_tolerance
     params = {**f.params, "system": str(system)}
-    return _report("covering-certificate", f, params, len(pts), worst, eff_tol, f.flags)
+    return _report("covering-certificate", f, params, len(pts),
+                   [(errs[i], *pts[i], k, lhs[i], vals[i][0])], eff_tol, f.flags)
 
 
 def covering_identity_check(

@@ -747,7 +747,8 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
                 size[active] -= 1
                 lo, hi = t_left[top], t_right[top]
                 width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[active])
-                stuck = (t_depth[top] >= MAX_DEPTH) | (hi - lo <= 4.0 * _EPS * width)
+                # no row is deeper than _ENGAGE - 1, so MAX_DEPTH never binds here
+                stuck = hi - lo <= 4.0 * _EPS * width
                 state[top] = np.where(stuck, _DONE, _SPLIT)
                 done_err[active[stuck]] += e[stuck]
                 split.append(top[~stuck])

@@ -1,6 +1,6 @@
 """Verification reports: the JSON-ready record of one checked identity, its
 canonical sort key, and what the checks build it from: a sample's points
-(`ShiftTable`), their values and the worst-error reducers."""
+(`ShiftTable`), their values and the one worst-error rule (`_worst_index`)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .core import InvariantFunction
 from .errors import positive
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     property: str
     function: str
@@ -90,47 +90,32 @@ def _sample_values(
 
 
 def _worst_index(errs: list[float]) -> int:
-    """Where `_Worst.add` over errs in order settles: the first NaN, else
-    the first maximum.  A check reduces all its errors with it and then
-    adds the worst once."""
+    """The one worst-error rule: the index of the first NaN, else of the
+    first maximum.  A NaN is the worst, so a report fails instead of
+    passing on the samples that did compare."""
     if math.isnan(sum(errs)):
         return next(i for i, e in enumerate(errs) if math.isnan(e))
     return errs.index(max(errs))
 
 
-class _Worst:
-    """The first strictly largest error of a check and its witness.
-
-    A NaN error becomes the worst and stays there, so the report fails
-    instead of passing on the samples that did compare.
-    """
-
-    err = -1.0
-    sample = (0.0, 1.0, 0, 0.0, 0.0)  # x, y, n, lhs, rhs
-
-    def add(self, err, x=0.0, y=1.0, n=0, lhs=0.0, rhs=0.0) -> bool:
-        """Record one sample; True when it became the worst."""
-        if math.isnan(self.err) or not (err > self.err or math.isnan(err)):
-            return False
-        self.err, self.sample = err, (x, y, n, lhs, rhs)
-        return True
-
-    def witness(self) -> dict:
-        x, y, n, lhs, rhs = self.sample
-        return {"x": float(x), "y": float(y), "n": int(n), "lhs": float(lhs), "rhs": float(rhs)}
-
-
-def _report(prop, f_or_name, params, samples, worst: _Worst, tol, flags=()):
+def _report(prop, f_or_name, params, samples, rows, tol, flags=()):
+    """The report of a check from its rows (err, x, y, n, lhs, rhs), in
+    sample order: the row `_worst_index` picks is the error and witness.
+    With no rows the error is -1 at (0, 1, 0, 0, 0), and the report fails."""
     name = f_or_name if isinstance(f_or_name, str) else f_or_name.name
     tol = positive("tolerance", tol)
+    err, x, y, n, lhs, rhs = (
+        rows[_worst_index([row[0] for row in rows])] if rows else (-1.0, 0.0, 1.0, 0, 0.0, 0.0)
+    )
     return VerificationReport(
         property=prop,
         function=name,
         params=dict(params),
         samples=samples,
-        max_abs_error=float(worst.err),
+        max_abs_error=float(err),
         tolerance=tol,
-        passed=bool(0.0 <= worst.err <= tol),  # a report that compared nothing fails
-        worst_witness=worst.witness(),
+        passed=bool(0.0 <= err <= tol),  # a report that compared nothing fails
+        worst_witness={"x": float(x), "y": float(y), "n": int(n),
+                       "lhs": float(lhs), "rhs": float(rhs)},
         flags=sorted(flags),
     )

@@ -245,15 +245,11 @@ def _hurwitz_sum_branch(s: float, x: float) -> float:
     raise ConvergenceError(f"zeta({s}, {x}): Euler-Maclaurin tail not below 2e-17 relative")
 
 
-def _hurwitz_sum_array(s: float, xs: np.ndarray) -> np.ndarray:
-    """`_hurwitz_sum_branch` at each x of a float or longdouble ndarray, bit
-    for bit: the same sums in the same order, masked, so that each element
-    takes its own number of direct terms and stops its tail at its own term."""
-    return _hurwitz_sum_ld(s, xs).astype(float)
-
-
 def _hurwitz_sum_ld(s: float, xs: np.ndarray) -> np.ndarray:
-    """`_hurwitz_sum_array` before its sums are rounded to doubles."""
+    """`_hurwitz_sum_branch` at each x of a float or longdouble ndarray, in
+    long double; rounded to doubles, bit for bit: the same sums in the same
+    order, masked, so that each element takes its own number of direct terms
+    and stops its tail at its own term."""
     sd = _LD(s)
     xd = xs.astype(_LD)
     xf = xd.astype(float)

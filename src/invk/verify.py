@@ -49,7 +49,6 @@ from .report import (
     VerificationReport,
     _report,
     _sample_values,
-    _Worst,
     _worst_index,
     report_sort_key,
 )
@@ -199,12 +198,14 @@ def check_invariance(
     call (`_sample_values`).
     """
     pts = grid_points(f, grid, _invariance_table(grid.n_max))
-    return _invariance_report(f, grid, tol, len(pts), _invariance_worst(f, grid.n_max, pts))
+    return _invariance_report(
+        "invariance", f, f.params, grid, tol, len(pts), [_invariance_worst(f, grid.n_max, pts)]
+    )
 
 
-def _invariance_worst(f: InvariantFunction, n_max: int, pts: list[tuple[float, float]]) -> _Worst:
-    """The worst invariance error over the samples `pts`: one `values`
-    call, one reduction and one `_Worst.add`."""
+def _invariance_worst(f: InvariantFunction, n_max: int, pts: list[tuple[float, float]]) -> tuple:
+    """The worst invariance row (err, x, y, n, lhs, rhs) over the samples
+    `pts`: one `values` call and one `_worst_index` reduction."""
     # term n sums the n values from n (n - 1) / 2 on; term 1 is row[0:1], the rhs
     terms = [(n * (n - 1) // 2, n) for n in range(1, n_max + 1)]
     vals = _sample_values(f, pts, _invariance_table(n_max))
@@ -212,17 +213,15 @@ def _invariance_worst(f: InvariantFunction, n_max: int, pts: list[tuple[float, f
     rhs = [row[0] for row in vals for _ in terms]
     errs = [abs(a - b) for a, b in zip(lhs, rhs)]
     i = _worst_index(errs)
-    worst = _Worst()
-    worst.add(errs[i], *pts[i // n_max], i % n_max + 1, lhs[i], rhs[i])
-    return worst
+    return (errs[i], *pts[i // n_max], i % n_max + 1, lhs[i], rhs[i])
 
 
-def _invariance_report(f, grid, tol, samples, worst) -> VerificationReport:
+def _invariance_report(prop, f, params, grid, tol, samples, rows) -> VerificationReport:
     eff_tol = tol + grid.n_max * f.series_tolerance
     flags = set(f.flags)
     if grid.n_max * f.series_tolerance > tol:
         flags.add("truncation-dominated")
-    return _report("invariance", f, f.params, samples, worst, eff_tol, flags)
+    return _report(prop, f, params, samples, rows, eff_tol, flags)
 
 
 def check_exchange(
@@ -246,11 +245,10 @@ def check_exchange(
     rhs = [math.fsum(row[n:]) for row in vals]
     errs = [abs(a - b) / (1.0 + abs(a) + abs(b)) for a, b in zip(lhs, rhs)]
     i = _worst_index(errs)
-    worst = _Worst()
-    worst.add(errs[i], *pts[i], n, lhs[i], rhs[i])
     eff_tol = tol + (m + n) * f.series_tolerance
     return _report(
-        "exchange", f, {**f.params, "m": m, "n": n}, len(pts), worst, eff_tol, f.flags
+        "exchange", f, {**f.params, "m": m, "n": n}, len(pts),
+        [(errs[i], *pts[i], n, lhs[i], rhs[i])], eff_tol, f.flags,
     )
 
 
@@ -258,18 +256,16 @@ def _limit_report(prop, f, grid, tol, side, limit) -> VerificationReport:
     """side(x, y) against limit(x) over the seeded grid; samples
     whose limit does not converge are skipped and flagged."""
     pts = grid_points(f, grid, _LIMIT_TABLE)
-    worst = _Worst()
+    rows = []
     flags = set(f.flags)
-    used = 0
     for x, y in pts:
         lim = limit(x)
         if not lim.converged:
             flags.add("limit-nonconverged-skipped")
             continue
-        used += 1
         lhs = side(x, y)
-        worst.add(abs(lhs - lim.value), x, y, 0, lhs, lim.value)
-    return _report(prop, f, f.params, used, worst, tol, flags)
+        rows.append((abs(lhs - lim.value), x, y, 0, lhs, lim.value))
+    return _report(prop, f, f.params, len(rows), rows, tol, flags)
 
 
 def check_integral_limit(
@@ -325,7 +321,7 @@ def check_y_derivative_identities(
 
     g = partial(y_partial_fd, probe)
     pts = grid_points(f, grid, _Y_DERIVATIVE_TABLE)
-    worst = _Worst()
+    rows = []
     flags = set(dfdx.flags)
     if fd_mode:
         flags.add("fd-fallback")
@@ -335,9 +331,9 @@ def check_y_derivative_identities(
         quad = converged_integral(phi, x, x - y, 1e-9, f"d/dy {f.name}")
         err_a = abs(fxy - quad)
         err_b = abs(dfdx.value(x, y) - (g(x - y, y) - g(x, y)))
-        worst.add(max(err_a, err_b), x, y, 0, fxy, quad)
+        rows.append((max(err_a, err_b), x, y, 0, fxy, quad))
     params = {**f.params, "mode": "fd" if fd_mode else "analytic"}
-    return _report("y-derivative", f, params, len(pts), worst, tol, flags)
+    return _report("y-derivative", f, params, len(pts), rows, tol, flags)
 
 
 def check_parity(
@@ -354,10 +350,10 @@ def check_parity(
     sign = 1.0 if even else -1.0
 
     pts = grid_points(f, grid, _PARITY_TABLE)
-    worst = _Worst()
+    rows = []
     for (x, y), (fxy, lhs) in zip(pts, _sample_values(f, pts, _PARITY_TABLE)):
         rhs = sign * fxy
-        worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
+        rows.append((abs(lhs - rhs), x, y, 0, lhs, rhs))
     # int_0^{y/2} f = (1/2) lim a f(0, a) when even, int_0^y f = 0 when odd
     expected = 0.0
     if even:
@@ -370,8 +366,8 @@ def check_parity(
         expected = 0.5 * lim.value
     for y in sorted({y for _, y in pts[:5]}):
         quad = _period_integral(f, y, 0.0, 0.5 * y if even else y, 1e-10)
-        worst.add(abs(quad - expected), 0.0, y, 0, quad, expected)
-    return _report("parity", f, {**f.params, "parity": parity}, len(pts), worst, tol, f.flags)
+        rows.append((abs(quad - expected), 0.0, y, 0, quad, expected))
+    return _report("parity", f, {**f.params, "parity": parity}, len(pts), rows, tol, f.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +384,17 @@ def check_product_integral(
     """Period integral of g * h against the product of period integrals."""
     y_list = [positive("y", y) for y in y_list]
     conv = convolve(g, h, tol=1e-9)
-    worst = _Worst()
+    rows = []
     for y in y_list:
         lhs = _period_integral(conv, y, 0.0, y, 1e-9)
         rhs = _period_integral(g, y, 0.0, y, 1e-11) * _period_integral(h, y, 0.0, y, 1e-11)
-        worst.add(abs(lhs - rhs), 0.0, y, 0, lhs, rhs)
-    params = {"g": g.name, "g_params": dict(g.params), "h": h.name, "h_params": dict(h.params)}
-    return _report("product-integral", f"{g.name}*{h.name}", params, len(y_list), worst, tol)
+        rows.append((abs(lhs - rhs), 0.0, y, 0, lhs, rhs))
+    return _report("product-integral", f"{g.name}*{h.name}", _pair_params(g, h), len(y_list),
+                   rows, tol)
+
+
+def _pair_params(g: InvariantFunction, h: InvariantFunction) -> dict:
+    return {"g": g.name, "g_params": dict(g.params), "h": h.name, "h_params": dict(h.params)}
 
 
 def check_convolution_invariance(
@@ -410,27 +410,18 @@ def check_convolution_invariance(
 
 def _convolution_invariance_parts(g, h, grid, tol):
     """`check_convolution_invariance` cut into independent parts: (the
-    thunks that give the worst error of each 8 consecutive samples, the
-    function that makes the report from their results in order).  The report
+    thunks that give the worst row of each 8 consecutive samples, the
+    function that makes the report from their rows in order).  The report
     equals the uncut check's bit for bit: a convolution value does not depend
-    on the points beside it, and `_Worst.add` over the parts' worsts in order
-    keeps the first strictly largest error, as the uncut check does."""
+    on the points beside it, and `_worst_index` over the parts' worst rows in
+    order picks the first NaN, else the first maximum, as over all samples."""
     conv = convolve(g, h, tol=1e-9)
     pts = grid_points(conv, grid, _invariance_table(grid.n_max))
     # at the suite's n_max = 6 a part is 168 points, one `convolve` chunk
     parts = [partial(_invariance_worst, conv, grid.n_max, pts[i:i + 8])
              for i in range(0, len(pts), 8)]
-
-    def report(worsts: Sequence[_Worst]) -> VerificationReport:
-        worst = _Worst()
-        for part in worsts:
-            worst.add(part.err, *part.sample)
-        rep = _invariance_report(conv, grid, tol, len(pts), worst)
-        rep.property = "convolution-invariance"
-        rep.params = {"g": g.name, "g_params": dict(g.params),
-                      "h": h.name, "h_params": dict(h.params)}
-        return rep
-
+    report = partial(_invariance_report, "convolution-invariance", conv, _pair_params(g, h),
+                     grid, tol, len(pts))
     return parts, report
 
 
@@ -454,14 +445,14 @@ def check_bernoulli_convolution(
     y_list = [positive("y", y) for y in y_list]
     conv = convolve(_scaled_bernoulli_entry(m), _scaled_bernoulli_entry(n), tol=1e-10)
     fac = math.factorial(m + n)
-    worst = _Worst()
+    rows = []
     for y in y_list:
         xs = np.linspace(0.0, y, x_count)
         for x, lhs in zip(xs.tolist(), conv.values(xs, y).tolist()):
             rhs = -(y ** (m + n - 1)) * bernoulli_poly(m + n, x / y) / fac
-            worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
+            rows.append((abs(lhs - rhs), x, y, 0, lhs, rhs))
     samples = len(y_list) * x_count
-    return _report("bernoulli-convolution", "E2*E2", {"m": m, "n": n}, samples, worst, tol)
+    return _report("bernoulli-convolution", "E2*E2", {"m": m, "n": n}, samples, rows, tol)
 
 
 def _bernoulli_identity_integrands(m: int, n: int, x: float) -> tuple[Vectorized, Vectorized]:
@@ -492,15 +483,15 @@ def check_bernoulli_integral_identity(
     m, n = integer("m", m, 1), integer("n", n, 1)
     cmn = math.comb(m + n, m)
     ctx = f"bernoulli-identity m={m} n={n}"
-    worst = _Worst()
+    rows = []
     for x in np.linspace(0.0, 1.0, x_count).tolist():
         cyclic, tail = _bernoulli_identity_integrands(m, n, x)
         i1 = converged_integral(cyclic, 0.0, 1.0, 1e-12, ctx)
         i2 = converged_integral(tail, x, 1.0, 1e-12, ctx)
         lhs = -cmn * (i1 + m * i2)
         rhs = bernoulli_poly(m + n, x)
-        worst.add(abs(lhs - rhs), x, 1.0, 0, lhs, rhs)
-    return _report("bernoulli-identity", "B_{m+n}", {"m": m, "n": n}, x_count, worst, tol)
+        rows.append((abs(lhs - rhs), x, 1.0, 0, lhs, rhs))
+    return _report("bernoulli-identity", "B_{m+n}", {"m": m, "n": n}, x_count, rows, tol)
 
 
 def zeta_power_kernel(alpha: float) -> InvariantFunction:
@@ -536,17 +527,17 @@ def check_zeta_convolution(
     fb = zeta_power_kernel(beta)
     fab = zeta_power_kernel(alpha + beta)
     conv = convolve(fa, fb, tol=max(1e-10, tol * 1e-2))
-    worst = _Worst()
     xs = [float(u) * y for u in x_samples]
+    rows = []
     for x, lhs in zip(xs, conv.values(np.array(xs), y).tolist()):
         rhs = fab.value(x, y)
-        worst.add(abs(lhs - rhs), x, y, 0, lhs, rhs)
+        rows.append((abs(lhs - rhs), x, y, 0, lhs, rhs))
     return _report(
         "zeta-convolution",
         f"F({alpha:g})*F({beta:g})",
         {"alpha": alpha, "beta": beta, "y": y},
         len(x_samples),
-        worst,
+        rows,
         tol,
     )
 
@@ -599,16 +590,15 @@ def check_known_integrals(tol: float = 1e-7) -> VerificationReport:
         ("raabe", {"a": 2.0}),
         ("raabe", {"a": 0.5}),
     ]
-    worst = _Worst()
-    worst_case = ""
+    rows = []
     for name, params in cases:
         value, expected = golden_integral(name, **params)
         arg = next(iter(params.values()), 0.0)
-        if worst.add(abs(value - expected), arg, 1.0, 0, value, expected):
-            worst_case = name
+        rows.append((abs(value - expected), arg, 1.0, 0, value, expected))
+    worst_case = cases[_worst_index([row[0] for row in rows])][0]
     return _report(
         "known-integrals", "golden", {"cases": len(cases), "worst_case": worst_case},
-        len(cases), worst, tol,
+        len(cases), rows, tol,
     )
 
 

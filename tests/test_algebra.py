@@ -388,6 +388,26 @@ class TestWideLatticeWindow:
         assert proc.stdout.strip() == "CapacityError", proc.stderr
 
 
+class TestGrowingOperandReach:
+    """The tolerance of `antiderivative` and `convolve` is absolute, while
+    the roundoff floor of their term integrals, 50 eps int |f|, grows with
+    x for an operand that is neither periodic nor bounded: a few dozen
+    periods out the floor passes the tolerance, and the value raises
+    instead of returning."""
+
+    @pytest.mark.parametrize("make_f, at_ten, x", [
+        # floor 5.55e-11 > 5e-11 on the running term over [1, 100.5]
+        (lambda: antiderivative(make("E3a")), 50.0, 100.5),
+        # floor 5.24e-11 > 5e-11 on the second term
+        (lambda: convolve(make("E3a"), make("E2", m=1)), -50.0, 30.5),
+    ], ids=["antiderivative", "convolve"])
+    def test_past_the_reach_raises(self, make_f, at_ten, x):
+        f = make_f()
+        assert f.value(10.5, 1.0) == at_ten  # within reach: the exact sum
+        with pytest.raises(ConvergenceError, match="stalled"):
+            f.value(x, 1.0)
+
+
 class TestGeometricConvolve:
     def test_reciprocal_closed_form(self):
         f = geometric_convolve(make("E1"), 2.0)

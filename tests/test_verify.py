@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
 import mpmath
@@ -21,6 +21,7 @@ from invk.core import (
 from invk.covering import parse_system
 from invk.errors import ConvergenceError, RejectedInputError
 from invk.quadrature import LimitResult, QuadratureResult, integrate
+from invk.report import _report, _worst_index
 from invk.special import ZETA_NEG_TOLERANCE, bernoulli_poly, log_gamma_abs
 from invk.verify import (
     DEFAULT_GRID,
@@ -294,15 +295,42 @@ class TestGridPoints:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_worst_index_is_where_the_worst_settles(self, seed):
-        # ties, NaNs and infinities: one reduction picks the sample that
-        # `_Worst.add` over the errors in order keeps
+        # ties, NaNs and infinities: the index ranked first by (not a NaN,
+        # larger error first, earlier index first)
         rng = np.random.default_rng(seed)
         errs = rng.choice([0.0, 1e-9, 2e-9, 3.0, math.inf, math.nan], size=int(rng.integers(1, 30)),
                           p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05]).tolist()
-        worst = verify._Worst()
-        for i, e in enumerate(errs):
-            worst.add(e, float(i))
-        assert verify._worst_index(errs) == worst.sample[0]
+        rank = sorted(range(len(errs)), key=lambda i: (not math.isnan(errs[i]),
+                                                       0.0 if math.isnan(errs[i]) else -errs[i], i))
+        assert _worst_index(errs) == rank[0]
+
+    @pytest.mark.parametrize("errs, want", [
+        ([1.0, math.inf, 2.0, math.nan, math.nan], 3),  # a NaN wins even after an inf
+        ([1e-9, 3.0, 0.0, 3.0, 2.0], 1),  # the first of equal maxima wins
+        ([1e300, 1.7976931348623157e308, math.inf, 5.0, math.inf], 2),  # inf beats every finite
+    ])
+    def test_worst_index_by_hand(self, errs, want):
+        assert _worst_index(errs) == want
+
+    def test_report_of_the_picked_row(self):
+        rows = [(1e-9, 0.5, 1.0, 2, 3.0, 3.0), (math.inf, 1.5, 2.0, 3, math.inf, 1.0),
+                (math.nan, 2.5, 3.0, 4, math.nan, 2.0), (math.nan, 3.5, 4.0, 5, 1.0, math.nan)]
+        rep = _report("p", "f", {}, 4, rows, 1e-8)
+        assert math.isnan(rep.max_abs_error) and rep.passed is False
+        assert rep.worst_witness["x"] == 2.5 and rep.worst_witness["n"] == 4
+        rep = _report("p", "f", {}, 2, rows[:2], 1e-8)
+        assert rep.max_abs_error == math.inf and rep.passed is False
+        assert rep.worst_witness == {"x": 1.5, "y": 2.0, "n": 3, "lhs": math.inf, "rhs": 1.0}
+        rep = _report("p", "f", {}, 1, rows[:1], 1e-8)
+        assert rep.max_abs_error == 1e-9 and rep.passed is True
+
+    def test_no_rows_fail_the_report(self):
+        # a report that compared nothing: error -1 at (0, 1, 0, 0, 0)
+        rep = _report("p", "f", {}, 0, [], 1e-8)
+        assert rep.max_abs_error == -1.0 and rep.passed is False
+        assert rep.worst_witness == {"x": 0.0, "y": 1.0, "n": 0, "lhs": 0.0, "rhs": 0.0}
+        with pytest.raises(FrozenInstanceError):
+            rep.passed = True
 
 
 def _report_bytes(rep) -> str:
@@ -311,9 +339,9 @@ def _report_bytes(rep) -> str:
 
 class TestBatchedSamples:
     """A check evaluates the points of all its samples in one `values` call.
-    A catalog entry's reports are the ones that each sample's worst,
-    computed alone and folded with `_Worst.add` in sample order, gives, byte
-    for byte; a convolution's are the ones of one point a chunk."""
+    A catalog entry's reports are the ones that each sample's report,
+    computed alone and folded with `_worst_index` in sample order, gives,
+    byte for byte; a convolution's are the ones of one point a chunk."""
 
     CONV_GRID = replace(SMALL_GRID, n_max=6)
 
@@ -348,8 +376,8 @@ class TestBatchedSamples:
         return reports
 
     def _alone(self, monkeypatch, f, grid):
-        """The checks' report bytes from each sample's worst computed alone,
-        folded with `_Worst.add` in sample order."""
+        """The checks' report bytes from each sample's report computed alone,
+        folded with `_worst_index` in sample order."""
         reports = []
         for check, table, _ in self._checks(grid):
             pts = grid_points(f, grid, table)
@@ -358,14 +386,9 @@ class TestBatchedSamples:
                 for p in pts:
                     m.setattr(verify, "grid_points", lambda *_: [p])
                     alone.append(check(f))
-            worst = verify._Worst()
-            for r in alone:
-                w = r.worst_witness
-                worst.add(r.max_abs_error, w["x"], w["y"], w["n"], w["lhs"], w["rhs"])
             assert len({(r.tolerance, tuple(r.flags)) for r in alone}) == 1
-            reports.append(_report_bytes(replace(
-                alone[0], samples=len(pts), max_abs_error=worst.err, worst_witness=worst.witness(),
-                passed=bool(0.0 <= worst.err <= alone[0].tolerance))))
+            worst = alone[_worst_index([r.max_abs_error for r in alone])]
+            reports.append(_report_bytes(replace(worst, samples=len(pts))))
         return reports
 
     @pytest.mark.parametrize("config", standard_configs(), ids=lambda c: f"{c[0]}{c[1]}")
@@ -841,6 +864,24 @@ class TestGoldenIntegrals:
     def test_aggregate_report(self):
         rep = check_known_integrals(1e-7)
         assert rep.passed and rep.samples == 6
+
+    @pytest.mark.parametrize("case", [
+        ("euler", {}), ("poisson", {"r": 2.0}), ("poisson", {"r": 0.5}),
+        ("raabe", {"a": 1.0}), ("raabe", {"a": 2.0}), ("raabe", {"a": 0.5}),
+    ], ids=lambda c: f"{c[0]}{c[1]}")
+    def test_worst_case_names_the_witness(self, case, monkeypatch):
+        # the chosen case misses by 1e-3, every other by 1e-9: the report's
+        # worst case and witness are the chosen one's
+        def golden(name, **params):
+            miss = 1e-3 if (name, params) == case else 1e-9
+            return 1.0 + miss, 1.0
+
+        monkeypatch.setattr(verify, "golden_integral", golden)
+        rep = check_known_integrals(1e-7)
+        name, params = case
+        assert rep.params["worst_case"] == name
+        assert rep.worst_witness["x"] == next(iter(params.values()), 0.0)
+        assert rep.worst_witness["lhs"] == 1.0 + 1e-3 and rep.passed is False
 
 
 class TestCoveringCertificates:
