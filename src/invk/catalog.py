@@ -20,6 +20,13 @@ real arithmetic; only E6 computes with complex numbers.
 Every entry but E6 also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
 for bit; E6 keeps its `cmath` rule, which `values` maps point by point.
+So the scalar rules take numpy's sine and log, called on the Python float
+itself, not `math.sin` and `math.log`, which need not round as numpy's
+vector loops; the result is turned back into a float at once, so the
+arithmetic around it runs on floats, not on numpy scalars.  A rule that
+reads only |d| and the band test (the array rules of E7, E9 and E10)
+takes `core`'s offset-only fold, `lattice_offset`, without k and the tie
+rule.
 The entries that are y-periodic in x, E1, E3b, E4, E7..E11, E13 (s < 0)
 and E14, say so (`periodic`), so a convolution with one of them runs over
 the base period.
@@ -55,6 +62,7 @@ import numpy as np
 
 from .core import (
     InvariantFunction,
+    lattice_offset,
     lattice_parts,
     lattice_points,
     lattice_split,
@@ -252,12 +260,12 @@ def _trig_parts(x: float, y: float) -> tuple[float, float]:
 
     sin(pi u) only flips sign across the lattice; its magnitude equals
     |sin(pi d)| with d the offset, which keeps full relative accuracy when
-    u is large or d is tiny.  The sines are numpy's, as in
-    `_trig_parts_array`: `math.sin` need not round as numpy's vector loop.
+    u is large or d is tiny.  The sines are numpy's, taken on the floats, as
+    in `_trig_parts_array`: `math.sin` need not round as numpy's vector loop.
     """
     k, d, _ = lattice_parts(x, y)
-    s1, s2 = np.sin(np.array([math.pi * d, _TWO_PI * d])).tolist()
-    return (-s1 if k % 2.0 != 0.0 else s1), s2
+    s1 = float(np.sin(math.pi * d))
+    return (-s1 if k % 2.0 != 0.0 else s1), float(np.sin(_TWO_PI * d))
 
 
 def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +276,10 @@ def _trig_parts_array(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
     return s1, np.sin(_TWO_PI * d)
 
 
-def _rho_parts(r: float, y) -> tuple[float, float]:
-    """(r^(1/y), r^(1/y) - 1) with the difference free of cancellation; y may
-    also be a float ndarray, giving arrays, with one `expm1` per run of
-    equal scales."""
-    L = math.log(r)
+def _rho_parts(L: float, y) -> tuple[float, float]:
+    """(r^(1/y), r^(1/y) - 1) from L = log r, with the difference free of
+    cancellation; y may also be a float ndarray, giving arrays, with one
+    `expm1` per run of equal scales."""
     if isinstance(y, np.ndarray):
         rm1 = per_scale(lambda t: math.expm1(L / t), y)
     else:
@@ -288,30 +295,30 @@ def _denominator(rho, rm1, s):
     return rm1 * rm1 + 4.0 * rho * s * s
 
 
-def _quotient_parts(r: float, x, y):
+def _quotient_parts(L: float, x, y):
     """(rho, rho - 1, sin(pi u), sin(2 pi u), D) at u = x/y, the parts of E7,
-    E8 and E9 (see the module docstring).  x may also be a float ndarray, y
-    one scale or scales aligned with it: the same expression runs for
-    scalars and arrays, bit for bit."""
-    rho, rm1 = _rho_parts(r, y)
+    E8 and E9 (see the module docstring), from L = log r.  x may also be a
+    float ndarray, y one scale or scales aligned with it: the same
+    expression runs for scalars and arrays, bit for bit."""
+    rho, rm1 = _rho_parts(L, y)
     s1, s2 = _trig_parts_array(x, y) if isinstance(x, np.ndarray) else _trig_parts(x, y)
     return rho, rm1, s1, s2, _denominator(rho, rm1, s1)
 
 
-def _quotient_D(r: float, x, y):
+def _quotient_D(L: float, x, y):
     """(rho, rho - 1, D): `_quotient_parts` without the sines that E7's and
     E9's values never read.  D takes sin(pi u) squared, so it needs neither
-    sin(2 pi u) nor the parity sign of sin(pi u), only sin(pi d): the same
-    D, bit for bit."""
-    rho, rm1 = _rho_parts(r, y)
+    sin(2 pi u) nor the parity sign of sin(pi u), only sin(pi d), nor the
+    k of the split, nor the sign of d at a tie: the same D, bit for bit."""
+    rho, rm1 = _rho_parts(L, y)
     if isinstance(x, np.ndarray):
-        s = np.sin(math.pi * lattice_split(x, y)[1])
+        s = np.sin(math.pi * lattice_offset(x, y)[0])
     else:  # numpy's sine, as `_trig_parts` takes it
-        s = np.sin(np.array([math.pi * lattice_parts(x, y)[1]])).item()
+        s = float(np.sin(math.pi * lattice_parts(x, y)[1]))
     return rho, rm1, _denominator(rho, rm1, s)
 
 
-def _quotient_partials(r: float, x: float, y: float) -> tuple[float, float, float, float]:
+def _quotient_partials(L: float, x: float, y: float) -> tuple[float, float, float, float]:
     """(y E8, y E9, re, im) with re + i im = w/(1 - w)^2, w = rho e^(2 pi i u).
 
     y E8 = Im q and y E9 = 1 + 2 Re q with q = w/(1 - w), whose partials are
@@ -319,7 +326,7 @@ def _quotient_partials(r: float, x: float, y: float) -> tuple[float, float, floa
     In real form w (1 - conj w)^2 = rho ((rho - 1)^2 - 2 (1 + rho^2) sin^2(pi u))
     + i rho (1 - rho^2) sin(2 pi u), over D^2, with 1 - rho^2 = -(rho - 1)(1 + rho)
     free of cancellation."""
-    rho, rm1, s1, s2, D = _quotient_parts(r, x, y)
+    rho, rm1, s1, s2, D = _quotient_parts(L, x, y)
     one_minus_sq = -rm1 * (1.0 + rho)
     D2 = D * D
     re = rho * (rm1 * rm1 - 2.0 * (1.0 + rho * rho) * s1 * s1) / D2
@@ -331,20 +338,20 @@ def _make_e7(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        return float(np.log(_quotient_D(r, x, y)[2]))  # numpy's log, as the array rule's
+        return float(np.log(_quotient_D(L, x, y)[2]))  # numpy's log, as the array rule's
 
     # D past the doubles is inf, or nan where 4 rho is inf and x is on the
     # lattice, as in the scalar rule's floats
     @np.errstate(over="ignore", invalid="ignore")
     def array_value(xs, ys):
-        return np.log(_quotient_D(r, xs, ys)[2])
+        return np.log(_quotient_D(L, xs, ys)[2])
 
     def dx(x, y):
-        rho, _, _, s2, D = _quotient_parts(r, x, y)
+        rho, _, _, s2, D = _quotient_parts(L, x, y)
         return _TWO_PI / y * 2.0 * rho * s2 / D
 
     def dy(x, y):
-        rho, rm1, s1, s2, D = _quotient_parts(r, x, y)
+        rho, rm1, s1, s2, D = _quotient_parts(L, x, y)
         drho = -rho * L / y ** 2
         dc = s2 * _TWO_PI * x / y ** 2  # d/dy cos(2 pi x / y)
         # rho - cos(2 pi u) = (rho - 1) + 2 sin^2(pi u), free of cancellation
@@ -362,7 +369,7 @@ def _make_e8(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        rho, _, _, s2, D = _quotient_parts(r, x, y)
+        rho, _, _, s2, D = _quotient_parts(L, x, y)
         return rho * s2 / (y * D)
 
     # D past the doubles is inf, or nan where 4 rho is inf and x is on the
@@ -372,10 +379,10 @@ def _make_e8(r: float) -> InvariantFunction:
         return value(xs, ys)
 
     def dx(x, y):
-        return _TWO_PI * _quotient_partials(r, x, y)[2] / (y * y)
+        return _TWO_PI * _quotient_partials(L, x, y)[2] / (y * y)
 
     def dy(x, y):
-        q, _, re, im = _quotient_partials(r, x, y)
+        q, _, re, im = _quotient_partials(L, x, y)
         return -(q + (L * im + _TWO_PI * x * re) / y) / (y * y)
 
     return InvariantFunction(
@@ -391,14 +398,14 @@ def _make_e9(r: float) -> InvariantFunction:
     L = math.log(r)
 
     def value(x, y):
-        rho, rm1, D = _quotient_D(r, x, y)
+        rho, rm1, D = _quotient_D(L, x, y)
         return -rm1 * (1.0 + rho) / (y * D)
 
     def dx(x, y):
-        return -2.0 * _TWO_PI * _quotient_partials(r, x, y)[3] / (y * y)
+        return -2.0 * _TWO_PI * _quotient_partials(L, x, y)[3] / (y * y)
 
     def dy(x, y):
-        _, q, re, im = _quotient_partials(r, x, y)
+        _, q, re, im = _quotient_partials(L, x, y)
         return -(q + 2.0 * (L * re - _TWO_PI * x * im) / y) / (y * y)
 
     return InvariantFunction(
@@ -413,13 +420,13 @@ def _make_e10() -> InvariantFunction:
         if on:
             return -math.log(y)
         # |sin(pi u)| = |sin(pi d)|: the sign flip of `_trig_parts` is moot
-        return float(np.log(2.0 * abs(np.sin(math.pi * d))))
+        return float(np.log(2.0 * abs(float(np.sin(math.pi * d)))))
 
+    @np.errstate(divide="ignore")  # log 0 on the exact lattice
     def array_value(xs, ys):
-        _, d, on = lattice_split(xs, ys)
-        with np.errstate(divide="ignore"):  # log 0 on the exact lattice
-            out = np.log(2.0 * np.abs(np.sin(math.pi * d)))
-        if on.any():
+        d, on = lattice_offset(xs, ys)
+        out = np.log(2.0 * np.abs(np.sin(math.pi * d)))
+        if np.count_nonzero(on):
             out = np.where(on, -per_scale(math.log, ys), out)
         return out
 
@@ -471,29 +478,29 @@ def _make_e12() -> InvariantFunction:
             return k * logy + 0.5 * (_LOG_2PI + logy) - log_gamma_abs(1.0 - k)
         u = x / y
         if k <= 0.0:
-            log_sin = float(np.log(abs(np.sin(math.pi * d))))
+            log_sin = float(np.log(abs(float(np.sin(math.pi * d)))))
             log_gamma = _LOG_PI - log_sin - log_gamma_abs(1.0 - k - d)
         else:
             log_gamma = log_gamma_abs(u)
         return u * logy + log_gamma - 0.5 * (_LOG_2PI + logy)
 
+    # one pass: one log-gamma call on the argument of each point's branch,
+    # u right of the poles (k >= 1), 1 - k - d by reflection left of them
+    # and 1 - k on them, and one log-sine, at d left of the poles off them
+    # and at d = 1/2, where it is 0, elsewhere
     def array_value(xs, ys):
         k, d, on = lattice_split(xs, ys)
-        logy = np.broadcast_to(per_scale(math.log, ys), xs.shape)
+        logy = per_scale(math.log, ys)
+        half = 0.5 * (_LOG_2PI + logy)
         left = k <= 0.0
-        log_gamma = np.zeros(xs.shape)  # stays 0 at the poles, set below
-        u = xs / ys
-        log_gamma[~left] = log_gamma_abs_array(u[~left])
         near = left & ~on
-        if near.any():
-            dn = d[near]
-            log_sin = np.log(np.abs(np.sin(math.pi * dn)))
-            log_gamma[near] = _LOG_PI - log_sin - log_gamma_abs_array(1.0 - k[near] - dn)
-        out = u * logy + log_gamma - 0.5 * (_LOG_2PI + logy)
+        u = xs / ys
+        lg = log_gamma_abs_array(np.where(left, 1.0 - k - np.where(on, 0.0, d), u))
+        log_sin = np.log(np.abs(np.sin(math.pi * np.where(near, d, 0.5))))
+        out = u * logy + np.where(left, _LOG_PI - log_sin - lg, lg) - half
         pole = on & left
-        if pole.any():
-            k, ly = k[pole], logy[pole]
-            out[pole] = k * ly + 0.5 * (_LOG_2PI + ly) - log_gamma_abs_array(1.0 - k)
+        if np.count_nonzero(pole):
+            out = np.where(pole, k * logy + half - lg, out)
         return out
 
     return InvariantFunction(

@@ -51,7 +51,8 @@ def lattice_parts(x: float, y: float) -> tuple[float, float, bool]:
     so d = r/y carries one rounding: branch selection and near-lattice
     evaluation (log-sine, cotangent) keep the offset to full relative
     accuracy at any |u|.  The lattice-aware floor of u is k on the band,
-    else k - (d < 0)."""
+    else k - (d < 0).  The bounds are chained comparisons, not `abs`, which
+    would cost a builtin call each."""
     r = math.fmod(x, y) + 0.0  # a zero remainder is +0.0, as in `lattice_split`
     h = 0.5 * y
     if r > h:
@@ -59,21 +60,38 @@ def lattice_parts(x: float, y: float) -> tuple[float, float, bool]:
     elif r < -h:
         r += y
     q = (x - r) / y  # k, up to a rounding or two
-    k = float(round(q)) if abs(q) < _EXACT_INT else q
+    k = float(round(q)) if -_EXACT_INT < q < _EXACT_INT else q
     if (r == h or r == -h) and k % 2.0 != 0.0:  # a tie goes to even k
         k += 1.0 if r > 0.0 else -1.0
         r = -r
     d = r / y
-    return k, d, abs(d) <= LATTICE_BAND
+    return k, d, -LATTICE_BAND <= d <= LATTICE_BAND
 
 
-def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`lattice_parts` at each x of a float ndarray, at one scale ys or at
-    an array of scales aligned with xs, element for element."""
+def _fold(xs: np.ndarray, ys) -> np.ndarray:
+    """The remainder x - k y of each x, folded into [-y/2, y/2], exact."""
     r = np.fmod(xs, ys)
     # rint(r/y) is 1 exactly where r > y/2 and -1 where r < -y/2, since y/2
     # divides to 1/2 exactly: the fold of `lattice_parts` in one expression
     r -= np.rint(r / ys) * ys
+    return r
+
+
+def lattice_offset(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(d, on) of `lattice_split` without k: the offset d of each x/y to its
+    nearest integer and the band test, for a rule that reads only |d| and
+    `on`.  At a tie, |d| = 1/2, d may have the other sign than
+    `lattice_split`'s, which moves d to the even k; every other d has the
+    same bits."""
+    d = _fold(xs, ys) / ys
+    return d, np.abs(d) <= LATTICE_BAND
+
+
+def lattice_split(xs: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`lattice_parts` at each x of a float ndarray, at one scale ys or at
+    an array of scales aligned with xs, element for element: the fold of
+    `lattice_offset`, plus k and the tie rule."""
+    r = _fold(xs, ys)
     k = np.rint((xs - r) / ys) + 0.0  # +0.0 at x = -0.0, as `round` gives
     d = r / ys
     ad = np.abs(d)

@@ -53,8 +53,7 @@ _POWER_REACH = _LD_LOG_MAX - math.log(sys.float_info.max) - 1.0
 # sum_j |c_j| max(1, |x/y|)^m (tests/test_special.py checks both bounds)
 _BERNOULLI_REACH = 1e18
 
-# Hard cap on the Bernoulli index; import fills B_0..B_118 for the
-# Euler-Maclaurin coefficients.
+# Hard cap on the Bernoulli index
 TABLE_LIMIT = 256
 
 
@@ -77,6 +76,23 @@ def bernoulli_number(n: int) -> Fraction:
         if k < 3 or k % 2 == 0:  # skip the vanishing odd terms
             acc += math.comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
+
+
+def _even_bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
+    """(B_2, B_4, ..., B_2j, ...) up to B_n_max, from the tangent numbers
+    T_j, the integers with tan t = sum_j T_j t^(2j-1)/(2j-1)!, by
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).  The T_j come from Brent
+    and Harvey's integer recurrence (Fast computation of Bernoulli, tangent
+    and secant numbers, 2011), O(n^2) integer steps; the defining recurrence
+    of `bernoulli_number` takes O(n^2) Fraction steps, each a gcd."""
+    m = n_max // 2
+    t = [0, 1] + [0] * (m - 1)
+    for j in range(2, m + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, m + 1):
+        for j in range(i, m + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return tuple(Fraction((-1) ** (j - 1) * 2 * j * t[j], 4 ** j * (4 ** j - 1)) for j in range(1, m + 1))
 
 
 def _ld(q: Fraction) -> _LD:
@@ -198,9 +214,18 @@ _FOURIER_TERMS = 2512
 # 4e-14 * max(1, |zeta|) of mpmath.
 ZETA_NEG_TOLERANCE = 1e-10
 
+# The even s in [_FOURIER_BELOW, 0), where zeta(s, 1) = zeta(s) and
+# zeta(s, 1/2) = (2^s - 1) zeta(s) are trivial zeros that the direct sum
+# leaves at rounding size: zeta(-4, 1) sums to -2.9e-15, which y^4 at
+# y = 1e10 scales to -2.9e25
+_TRIVIAL_ZERO_S = (-4.0, -2.0)
 
-# B_2j / (2j)! for j = 1..59, the Euler-Maclaurin tail coefficients
-_EM_COEFFS = tuple(_ld(bernoulli_number(2 * j)) / _LD(math.factorial(2 * j)) for j in range(1, 60))
+
+# B_2j / (2j)! for j = 1..59, the Euler-Maclaurin tail coefficients; the
+# Bernoulli numbers come from the tangent numbers, which keeps import fast
+# and `bernoulli_number`'s cache empty
+_EM_COEFFS = tuple(_ld(b) / _LD(math.factorial(2 * j))
+                   for j, b in enumerate(_even_bernoulli_numbers(118), start=1))
 
 
 def _hurwitz_sum_branch(s: float, x: float) -> float:
@@ -330,9 +355,10 @@ def hurwitz_zeta(s: float, x: float) -> float:
     is what the scale-sum catalog needs.  On -4 <= s < 0 the same
     Euler-Maclaurin sum is used (within 4e-14 * max(1, |zeta|)); below -4 its
     direct sum cancels catastrophically, and the trigonometric series of the
-    analytic continuation, which converges like k^(s-1), takes over; it
-    returns the trivial zeros zeta(-2m, 1) = 0 exactly, and raises
-    UnsupportedRegionError below s ~ -170, where zeta overflows a double.
+    analytic continuation, which converges like k^(s-1), takes over, and
+    raises UnsupportedRegionError below s ~ -170, where zeta overflows a
+    double.  Both branches return the trivial zeros zeta(-2m, 1) =
+    zeta(-2m, 1/2) = 0 exactly.
     """
     _check_zeta(s, math.isfinite(x), x)
     if s > 1.0:
@@ -341,6 +367,8 @@ def hurwitz_zeta(s: float, x: float) -> float:
     if u == 0.0:
         u = 1.0
     if s >= _FOURIER_BELOW:
+        if s in _TRIVIAL_ZERO_S and (u == 1.0 or u == 0.5):
+            return 0.0
         return _hurwitz_sum_branch(s, u)
     return _hurwitz_fourier_sum(s, u)
 
@@ -355,8 +383,9 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
     long double is inf, as in the array twin, without numpy's overflow
     warning: y^-s passes it only where -s log y > _POWER_REACH, and for
     s > 1 the sum only where its first term (x/y)^-s does; for s < 0 the
-    periodized zeta stays small.  Such points, and those whose zeta rounds
-    to 0 or inf, take the twin's value."""
+    periodized zeta stays small.  Such points, and for s > 1 those whose
+    zeta rounds to 0 or inf, take the twin's value; for s < 0 a zeta of 0
+    is a trivial zero, and the value is 0.0 without the twin's sums."""
     if s > 1.0:
         reach = math.exp(-_POWER_REACH / s)  # y and x/y above it keep both inside
         past = y < reach or 0.0 < x < reach * y
@@ -373,6 +402,8 @@ def hurwitz_zeta_scaled(s: float, x: float, y: float) -> float:
         zeta = hurwitz_zeta(s, u)
         if zeta != 0.0 and not math.isinf(zeta):
             return float(yd ** _LD(-s) * _LD(zeta))
+        if zeta == 0.0 and s < 0.0:  # a trivial zero, which the twin's sums give as 0.0 too
+            return 0.0
     return float(hurwitz_zeta_scaled_array(s, np.array([x]), y)[0])
 
 
@@ -396,6 +427,8 @@ def hurwitz_zeta_scaled_array(s: float, xs: np.ndarray, ys) -> np.ndarray:
         acc = _hurwitz_sum_ld(s, u)
         rounded = acc.astype(float)
         zeta = np.where((rounded == 0.0) | np.isinf(rounded), acc, rounded)
+        if s in _TRIVIAL_ZERO_S:
+            zeta = np.where((u == 1.0) | (u == 0.5), 0.0, zeta)
     else:
         zeta = np.array([_hurwitz_fourier_sum(s, t) for t in u.tolist()], dtype=_LD)
     return np.where(zeta == 0.0, zeta, yd ** _LD(-s) * zeta).astype(float)

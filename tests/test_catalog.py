@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, standard_configs
-from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate
+from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate, lattice_split
 from invk.errors import RejectedInputError
 from invk.quadrature import integrate
 from invk.special import bernoulli_poly, bernoulli_poly_coeffs, bernoulli_poly_exact
@@ -136,7 +136,7 @@ class TestCrossIdentities:
         e7, L = make("E7", r=r), math.log(r)
 
         def two_splits(x, y):
-            rho, rm1 = _rho_parts(r, y)
+            rho, rm1 = _rho_parts(L, y)
             s1, _ = _trig_parts(x, y)
             D = rm1 * rm1 + 4.0 * rho * s1 * s1
             s1, s2 = _trig_parts(x, y)
@@ -585,14 +585,17 @@ class TestArrayRules:
 
     @pytest.mark.parametrize("eid,params", [
         ("E2", {"m": 1}), ("E2", {"m": 2}), ("E7", {"r": 0.5}), ("E7", {"r": 2.0}), ("E9", {"r": 0.5}),
+        ("E10", {}),
     ])
     def test_rules_without_unread_work(self, eid, params):
-        # E2 takes no power y^(m-1) at m <= 2, and E7 and E9 take neither
-        # sin(2 pi u) nor the parity sign of sin(pi u): each scalar rule
-        # still equals its array rule, at one scale and at mixed ones, on
-        # seeded points inside the lattice band and off it, at scales from
-        # 1e-3 to 1e3, and where E7's D overflows.  E2 also equals the old
-        # power form, up to overflow
+        # E2 takes no power y^(m-1) at m <= 2, and E7, E9 and E10 take
+        # neither sin(2 pi u) nor the parity sign of sin(pi u), nor k or
+        # the sign of d at a tie: each scalar rule still equals its array
+        # rule, at one scale and at mixed ones, on seeded points inside the
+        # lattice band and off it, at exact ties (|d| = 1/2, where the
+        # array rules' fold may give d the other sign), at scales from 1e-3
+        # to 1e3, and where E7's D overflows.  E2 also equals the old power
+        # form, up to overflow
         f = make(eid, **params)
         rng = np.random.default_rng(2020)
         ys = 10.0 ** rng.uniform(-3.0, 3.0, 300)
@@ -606,10 +609,17 @@ class TestArrayRules:
         else:  # log(r)/y where 4 rho overflows but rho - 1 does not, on the lattice and off it
             xs = np.concatenate([xs, [0.0, -2.0 * 9.77e-4, 0.3 * 9.77e-4]])
             ys = np.concatenate([ys, [9.77e-4, 9.77e-4, 9.77e-4]])
+        tie_ys = np.repeat([0.25, 0.5, 0.75, 1.0, 3.0, 40.0, 1e3], 8)
+        ties = (rng.integers(-60, 61, tie_ys.size) + 0.5) * tie_ys
+        assert (np.abs(lattice_split(ties, tie_ys)[1]) == 0.5).all()
+        xs, ys = np.concatenate([ties, xs]), np.concatenate([tie_ys, ys])
         scalar = [f.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         assert np.array_equal(_bits(f.values(xs, ys)), _bits(scalar))
         for y in (1e-3, 0.7, 1e3):
             assert np.array_equal(_bits(f.values(xs, y)), _bits([f.value(x, y) for x in xs.tolist()]))
+        for y in (0.75, 3.0):  # the ties at one scale
+            at = (np.arange(-60.0, 61.0) + 0.5) * y
+            assert np.array_equal(_bits(f.values(at, y)), _bits([f.value(x, y) for x in at.tolist()]))
         if eid == "E2":
             m = params["m"]
             old = [float(np.longdouble(y) ** (m - 1) * np.longdouble(bernoulli_poly(m, float(

@@ -18,6 +18,7 @@ from invk.core import (
     frac_compose,
     from_fourier,
     from_tail_series,
+    lattice_offset,
     lattice_parts,
     lattice_split,
     linear_combination,
@@ -160,6 +161,42 @@ class TestLatticeDetection:
         k, d, on = lattice_split(xs, ys)
         for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             assert (k[i], d[i], on[i]) == lattice_parts(x, y)
+
+    def test_offset_fold_equals_the_split(self):
+        # (d, on) of the fold without k equal the split's, bit for bit, signs
+        # of zero too, except that at a tie, |d| = 1/2, the split may turn d
+        # to the even k: at exact ties, -0.0, the band edges (+-64 eps from
+        # a lattice point, and the next floats out), past |x/y| = 2^52,
+        # seeded points, at one scale and at an array of them
+        rng = np.random.default_rng(41)
+        ks = np.arange(-9.0, 10.0)
+        edges = np.array([LATTICE_BAND, -LATTICE_BAND])
+        units = np.concatenate([
+            ks + 0.5, ks - 0.5,  # exact ties at a dyadic scale
+            (ks[:, None] + edges).ravel(),
+            np.nextafter((ks[:, None] + edges).ravel(), (ks[:, None] + 2.0 * edges).ravel()),
+            [0.0, -0.0, 2.0 ** 52, -(2.0 ** 52) - 2.0, 2.0 ** 60 + 2.0 ** 8, 3.0 * 2.0 ** 53],
+            rng.uniform(-40.0, 40.0, 200),
+        ])
+        for y in (0.25, 1.0, 0.75, 40.0):
+            xs = units * y
+            self._assert_offset_is_split(xs, y)
+        ys = rng.choice([0.25, 1.0, 0.75, 40.0, 3.0], units.size)
+        self._assert_offset_is_split(units * ys, ys)
+        tie = np.abs(lattice_split(ks * 1.0 + 0.5, 1.0)[1]) == 0.5
+        assert tie.all()
+        moved = lattice_offset(ks + 0.5, 1.0)[0] != lattice_split(ks + 0.5, 1.0)[1]
+        assert moved.any() and not moved.all()  # the tie rule turns every other d
+
+    @staticmethod
+    def _assert_offset_is_split(xs, ys):
+        d, on = lattice_offset(xs, ys)
+        _, want_d, want_on = lattice_split(xs, ys)
+        assert np.array_equal(on, want_on)
+        tie = np.abs(want_d) == 0.5
+        assert np.array_equal(np.abs(d), np.abs(want_d))
+        assert np.array_equal(d[~tie].view(np.int64), want_d[~tie].view(np.int64))
+        assert (on & ~tie).any() and (~on & ~tie).any() and tie.any()
 
 
 class TestExactSplit:

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -19,6 +20,7 @@ from invk.errors import (
     RejectedInputError,
     UnsupportedRegionError,
 )
+from conftest import child_env
 from invk.special import (
     TABLE_LIMIT,
     bernoulli_number,
@@ -64,6 +66,29 @@ class TestBernoulliNumbers:
                 bernoulli_number(bad)
         with pytest.raises(RejectedInputError):
             bernoulli_poly_coeffs(2.0)
+
+    def test_tangent_number_table_equals_the_defining_recurrence(self):
+        # the even Bernoulli numbers that import converts to the
+        # Euler-Maclaurin coefficients, at every even n up to the cap, and
+        # the coefficients themselves from the recurrence's Fractions
+        table = special._even_bernoulli_numbers(TABLE_LIMIT)
+        assert len(table) == TABLE_LIMIT // 2
+        for j, b in enumerate(table, start=1):
+            assert b == bernoulli_number(2 * j), 2 * j
+        want = tuple(special._ld(bernoulli_number(2 * j)) / np.longdouble(math.factorial(2 * j))
+                     for j in range(1, len(special._EM_COEFFS) + 1))
+        assert special._EM_COEFFS == want
+
+    def test_import_leaves_the_recurrence_cache_empty(self):
+        # the Euler-Maclaurin table no longer runs the O(n^2) Fraction
+        # recurrence at import
+        code = ("import invk, invk.cli\n"
+                "from invk.special import bernoulli_number\n"
+                "print(bernoulli_number.cache_info().currsize)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env(), timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0"
 
     def test_matches_akiyama_tanigawa_up_to_the_cap(self):
         oracle = _akiyama_tanigawa(TABLE_LIMIT)
@@ -280,6 +305,23 @@ class TestHurwitzZetaLowerBranch:
         for x in (1.0, 0.5, 3.0):
             assert math.copysign(1.0, hurwitz_zeta(s, x)) == 1.0 and hurwitz_zeta(s, x) == 0.0
 
+    @pytest.mark.parametrize("s", [-2.0, -4.0])
+    def test_trivial_zeros_of_the_direct_sum_are_exact(self, s):
+        # the Euler-Maclaurin side, where the sum once left -3.7e-17 at
+        # zeta(-2, 1) and -2.9e-15 at zeta(-4, 1), which y^-s scales up:
+        # E13 gave -3,708 at (x, y) = (0, 1e10) and -inf at y = 1e300
+        for x in (1.0, 0.5, 3.0, 2.5):
+            assert math.copysign(1.0, hurwitz_zeta(s, x)) == 1.0 and hurwitz_zeta(s, x) == 0.0
+        for y in (1.0, 0.75, 1e10, 1e300):
+            xs = np.array([0.0, 0.5 * y, -y, 2.5 * y, 0.3 * y])
+            got = [hurwitz_zeta_scaled(s, x, y) for x in xs.tolist()]
+            assert [v.hex() for v in got[:4]] == [(0.0).hex()] * 4, (s, y)
+            assert got[4] != 0.0
+            assert np.array_equal(hurwitz_zeta_scaled_array(s, xs, y), got)
+            assert make("E13", s=s).value(0.0, y) == 0.0
+        # off the zeros nothing moves: zeta(-2, u) = -B_3(u)/3
+        assert hurwitz_zeta(-2.0, 0.25) == pytest.approx(-bernoulli_poly(3, 0.25) / 3.0, abs=1e-15)
+
     @pytest.mark.parametrize("s", [-171.0, -200.0, -1e4])
     def test_overflowing_region_is_unsupported(self, s):
         with pytest.raises(UnsupportedRegionError, match="overflows"):
@@ -416,6 +458,9 @@ class TestArrayTwinsPastTheDoubles:
                     hurwitz_zeta_scaled(s, x, y)
                 for s in (2.0, 3.0):
                     hurwitz_zeta_scaled(s, abs(x) + 1e-3, y)
+        for s in (-2.0, -4.0, -6.0):  # the trivial zeros, at u = 1 and 1/2
+            for y in (0.75, 4.0):
+                assert hurwitz_zeta_scaled(s, 3.0 * y, y) == hurwitz_zeta_scaled(s, 2.5 * y, y) == 0.0
         assert calls == []
         assert bernoulli_scaled(200, 1e30, 1.0) == math.inf and len(calls) == 1
         assert hurwitz_zeta_scaled(80.0, 2e-201, 1e-200) == math.inf and len(calls) == 2
