@@ -8,22 +8,23 @@ exact-remainder split from `core`, and near-lattice trigonometry (E7..E11)
 is computed in float64 from the offset d to the nearest lattice point,
 which carries one rounding, so it stays accurate where the verification
 grids probe closest.  E2 and E13 are `special`'s scaled Bernoulli and Hurwitz
-values.  E5 and E6 with a growing base divide a^(x-y) by 1 - a^(-y), so they
-overflow only where the value does.
+values.  E5 with a growing base divides a^(x-y) by 1 - a^(-y), so it
+overflows only where the value does; E6 is E5(a = r) times a rotation and
+one factor per scale, which is 1 at theta = 0.
 
 E7, E8 and E9 are three views of one real quantity, D = |1 - rho e^(2 pi i u)|^2
 = (rho - 1)^2 + 4 rho sin^2(pi u) with rho = r^(1/y): E7 = log D,
 E8 = rho sin(2 pi u)/(y D) and E9 = -(rho - 1)(1 + rho)/(y D).  Their values
 and partials read D and its parts from one helper, `_quotient_parts`, in
-real arithmetic; only E6 computes with complex numbers.
+real arithmetic, as every entry computes.
 
-Every entry but E6 also has an array rule over an ndarray of points, built
+Every entry also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
-for bit; E6 keeps its `cmath` rule, which `values` maps point by point.
-So the scalar rules take numpy's sine and log, called on the Python float
-itself, not `math.sin` and `math.log`, which need not round as numpy's
-vector loops; the result is turned back into a float at once, so the
-arithmetic around it runs on floats, not on numpy scalars.  A rule that
+for bit (E5 and E6 map `math`'s exp, cos and sin over the points).
+So the other scalar rules take numpy's sine and log, called on the Python
+float itself, not `math.sin` and `math.log`, which need not round as
+numpy's vector loops; the result is turned back into a float at once, so
+the arithmetic around it runs on floats, not on numpy scalars.  A rule that
 reads only |d| and the band test (the array rules of E7, E9 and E10)
 takes `core`'s offset-only fold, `lattice_offset`, without k and the tie
 rule.
@@ -54,7 +55,6 @@ Entry summary (x, y real, y > 0, u = x/y):
 
 from __future__ import annotations
 
-import cmath  # for E6 alone, the catalog's one complex entry
 import math
 from typing import Callable
 
@@ -225,34 +225,53 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
     theta = finite("theta", theta)
     if part not in ("cos", "sin"):
         raise RejectedInputError(f"E6 part must be 'cos' or 'sin', got {part!r}")
-    L = complex(math.log(r), theta)
-    pick = (lambda z: z.real) if part == "cos" else (lambda z: z.imag)
+    # z^x/(z^y - 1) = E5(a = r) e^(i phi) q, phi = theta (x - shift y), w = z^(sign y)
+    # = rho e^(i psi), q = rm1 conj(w - 1)/|w - 1|^2 with E5's rm1 = rho - 1, and
+    # w - 1 = (rm1 - 2 rho h^2) + i rho sin(psi), h = sin(psi/2): |w - 1|^2 = rm1^2
+    # + 4 rho h^2 does not cancel at small y.  The value takes E5's from q's rm1; dx
+    # and dy are E5's times e^(i phi) (1 + i t) q and e^(i theta (x + sign y)) (1 + i t) q^2
+    e5, L = _make_e5(r), math.log(r)
+    shift, sign = (1.0, -1.0) if L > 0.0 else (0.0, 1.0)
+    sL, sT, t = sign * L, sign * theta, theta / L  # y sL = E5's sign y L exactly
+    cos = part == "cos"
 
-    def f_complex(x, y):
-        if r > 1.0:
-            # z^x / (z^y - 1) = z^(x-y) / (1 - z^(-y)): exp overflows only where the value does
-            return cmath.exp((x - y) * L) / (1.0 - cmath.exp(-y * L))
-        return cmath.exp(x * L) / (cmath.exp(y * L) - 1.0)
+    def q(y):  # (rm1, Re q, Im q)
+        rm1, psi = math.expm1(y * sL), y * sT
+        rho, h = rm1 + 1.0, math.sin(0.5 * psi)
+        hh = 2.0 * rho * h * h
+        n = rm1 * rm1 + 2.0 * hh
+        return rm1, rm1 * (rm1 - hh) / n, -rm1 * (rho * math.sin(psi)) / n
+
+    def turn(c, s, qr, qi):  # the part of (c + i s)(qr + i qi), floats or arrays
+        return c * qr - s * qi if cos else s * qr + c * qi
 
     def value(x, y):
-        return pick(f_complex(x, y))
+        rm1, qr, qi = q(y)
+        u = x - shift * y
+        return math.exp(u * L) / (sign * rm1) * turn(math.cos(theta * u), math.sin(theta * u), qr, qi)
+
+    def array_value(xs, ys):
+        u = xs - shift * ys
+        phi = (theta * u).tolist()
+        grow = np.fromiter(map(math.exp, (u * L).tolist()), float, xs.size)
+        c = np.fromiter(map(math.cos, phi), float, xs.size)
+        s = np.fromiter(map(math.sin, phi), float, xs.size)
+        rm1, qr, qi = per_scale(q, ys)
+        return grow / (sign * rm1) * turn(c, s, qr, qi)
+
+    def partial(e5_partial, phi, pr, pi):  # times the part of e^(i phi) (1 + i t)(pr + i pi)
+        return e5_partial * turn(math.cos(phi), math.sin(phi), pr - t * pi, pi + t * pr)
 
     def dx(x, y):
-        return pick(L * f_complex(x, y))
+        _, qr, qi = q(y)
+        return partial(e5.dx(x, y), theta * (x - shift * y), qr, qi)
 
     def dy(x, y):
-        if r > 1.0:
-            return pick(-L * f_complex(x, y) / (1.0 - cmath.exp(-y * L)))
-        g = cmath.exp(y * L)
-        return pick(-L * g * cmath.exp(x * L) / (g - 1.0) ** 2)
+        _, qr, qi = q(y)
+        return partial(e5.dy(x, y), theta * (x + sign * y), qr * qr - qi * qi, 2.0 * qr * qi)
 
-    return InvariantFunction(
-        name="E6",
-        value=value,
-        params={"r": r, "theta": theta, "part": part},
-        dx=dx,
-        dy=dy,
-    )
+    return InvariantFunction(name="E6", value=value, params={"r": r, "theta": theta, "part": part},
+                             dx=dx, dy=dy, array_value=array_value)
 
 
 def _trig_parts(x: float, y: float) -> tuple[float, float]:

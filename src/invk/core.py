@@ -107,14 +107,15 @@ def per_scale(fn: Callable[[float], float], ys):
     """fn at one scale ys, or at each scale of a float ndarray, called once
     per run of equal scales: a value that must come from a Python float
     function, such as `math.log` or `math.expm1`, which numpy may round
-    differently.
+    differently.  Where fn returns a tuple, the result unpacks into one
+    array per item.
     The nodes of one panel, of one quadrature job and the points of one
     check sample share a scale, so a batch holds few runs."""
     if not isinstance(ys, np.ndarray):
         return fn(ys)
     starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1]))[:ys.size])
     lengths = np.diff(np.append(starts, ys.size))
-    return np.repeat(np.array([fn(y) for y in ys[starts].tolist()]), lengths)
+    return np.repeat(np.array([fn(y) for y in ys[starts].tolist()]), lengths, axis=0).T
 
 
 def _no_points(y: float, lo: float, hi: float) -> tuple[float, ...]:
@@ -169,9 +170,9 @@ class InvariantFunction:
     `LATTICE_BAND`) too.  `values(xs, ys)` calls it, or maps the scalar
     `value` when it is absent, so an integrand can evaluate all the nodes
     of a quadrature round, and a check all the points of a sample, in one
-    call.  Every catalog entry but E6 has one, as do the zeta kernels
-    F(alpha), affine transforms of entries that have one, and every
-    convolution product; the other combinators map `value`.  The two rules
+    call.  Every catalog entry has one, as do the zeta kernels F(alpha),
+    affine transforms of entries that have one, and every convolution
+    product; the other combinators map `value`.  The two rules
     must agree: a descriptor made with `dataclasses.replace(f, value=...)`
     has to replace or clear `array_value` too, or `values` keeps evaluating
     the old rule.

@@ -453,9 +453,10 @@ def log_gamma_abs(t: float) -> float:
 def log_gamma_abs_array(ts: np.ndarray) -> np.ndarray:
     """`log_gamma_abs` at each t of a 1-D float ndarray: `math.lgamma`
     mapped over it, so equal to the scalar rule bit for bit."""
-    if not np.isfinite(ts).all():
+    if not np.isfinite(ts).all():  # lgamma(+-inf) is inf, without raising
         raise RejectedInputError("log_gamma_abs argument must be finite")
-    poles = (ts <= 0.0) & (ts == np.floor(ts))
-    if poles.any():
-        raise PoleError(f"Gamma pole at t={ts[poles][0]}")
-    return np.fromiter(map(math.lgamma, ts.tolist()), dtype=float, count=ts.size)
+    try:
+        return np.fromiter(map(math.lgamma, ts.tolist()), dtype=float, count=ts.size)
+    except ValueError:  # math.lgamma raises at every pole: look for them only then
+        pole = next(t for t in ts.tolist() if t <= 0.0 and t == math.floor(t))
+        raise PoleError(f"Gamma pole at t={pole}") from None

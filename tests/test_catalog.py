@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invk.catalog import _TWO_PI, ENTRY_IDS, _rho_parts, _trig_parts, make, standard_configs
-from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate, lattice_split
+from invk.core import LATTICE_BAND, EvalPoint, affine_transform, evaluate, lattice_split, reflect
 from invk.errors import RejectedInputError
 from invk.quadrature import integrate
 from invk.special import bernoulli_poly, bernoulli_poly_coeffs, bernoulli_poly_exact
@@ -119,10 +119,26 @@ class TestHandComputedIdentitySums:
 
 class TestCrossIdentities:
     def test_theta_zero_reduces_to_exponential(self):
-        e6 = make("E6", r=3.0, theta=0.0, part="cos")
-        e5 = make("E5", a=3.0)
-        for x, y in ((0.7, 1.1), (-0.4, 0.6), (2.0, 3.0)):
-            assert e6.value(x, y) == pytest.approx(e5.value(x, y), rel=1e-12)
+        # E6 is E5 times a rotation that is exactly 1 at theta = 0: the cos
+        # part and its partials are E5's bits, and the sin part is 0, on
+        # seeded points in the suite's range and, at r > 1, past the powers
+        rng = np.random.default_rng(2000)
+        for r in (0.5, 2.0, 3.0):
+            e5 = make("E5", a=r)
+            cos, sin = (make("E6", r=r, theta=0.0, part=part) for part in ("cos", "sin"))
+            ys = rng.uniform(0.25, 4.0, 1500)
+            xs = rng.uniform(-3.0, 3.0, 1500) * ys
+            if r > 1.0:
+                far = rng.uniform(700.0, 3000.0, 500)
+                xs = np.concatenate([xs, far + rng.uniform(-600.0, 600.0, 500) / math.log(r)])
+                ys = np.concatenate([ys, far])
+            for rule in ("value", "dx", "dy"):
+                want = [getattr(e5, rule)(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+                got = [getattr(cos, rule)(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+                assert np.array_equal(_bits(got), _bits(want)), (r, rule)
+                assert all(getattr(sin, rule)(x, y) == 0.0 for x, y in zip(xs.tolist(), ys.tolist()))
+            assert np.array_equal(_bits(cos.values(xs, ys)), _bits(e5.values(xs, ys)))
+            assert not sin.values(xs, ys).any()
 
     def test_log_quotient_derivative_is_sine_quotient(self):
         e7, e8 = make("E7", r=0.5), make("E8", r=0.5)
@@ -340,6 +356,50 @@ class TestGrowingBaseQuotients:
                     assert abs(rule(x, y) - pick(want)) <= tol * abs(want / value), (rule, x, y)
 
 
+def _e6_oracle(r, theta, x, y):
+    """(f, dx, dy) of z^x/(z^y - 1), z = r e^(i theta), at 60 digits, complex."""
+    with mpmath.workdps(60):
+        L = mpmath.log(r) + 1j * mpmath.mpf(theta)
+        g = mpmath.exp(y * L)
+        value = mpmath.exp(x * L) / (g - 1)
+        return value, L * value, -L * g * value / (g - 1)
+
+
+class TestTrigonometricQuotient:
+    """E6 is E5 times a rotation, in real arithmetic: against mpmath at a
+    shrinking base, and at small y, where w - 1 = z^(+-y) - 1 would cancel."""
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0])
+    def test_value_and_partials_at_a_shrinking_base(self, theta):
+        # each rule within 4 eps (1 + |x L|) of its own |complex value|
+        rng = np.random.default_rng(83)
+        ys = rng.uniform(0.25, 4.0, 60)
+        xs = rng.uniform(-3.0, 3.0, 60) * ys
+        L = abs(complex(math.log(0.5), theta))
+        for part, pick in (("cos", mpmath.re), ("sin", mpmath.im)):
+            f = make("E6", r=0.5, theta=theta, part=part)
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                tol = 4 * _EPS * (1 + abs(x) * L)
+                for rule, want in zip((f.value, f.dx, f.dy), _e6_oracle(0.5, theta, x, y)):
+                    assert abs(rule(x, y) - pick(want)) <= tol * abs(want), (part, rule, x, y)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_small_scales(self, r):
+        # |w - 1|^2 from expm1 and a half-angle sine: within 4 eps |f| at
+        # y in [1e-9, 1e-3], where exp(y L) - 1 had lost up to 6e-8 |f|
+        rng = np.random.default_rng(89)
+        ys = np.exp(rng.uniform(math.log(1e-9), math.log(1e-3), 80))
+        xs = rng.uniform(-3.0, 3.0, 80) * ys
+        for theta in (0.3, 1.0):
+            for part, pick in (("cos", mpmath.re), ("sin", mpmath.im)):
+                f = make("E6", r=r, theta=theta, part=part)
+                got = f.values(xs, ys)
+                for x, y, v in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                    want = _e6_oracle(r, theta, x, y)[0]
+                    assert v == f.value(x, y)
+                    assert abs(v - pick(want)) <= 4 * _EPS * abs(want), (theta, part, x, y)
+
+
 def _near_lattice_points(seed, count, k_max):
     """Seeded (x, y) with x/y within 1e-12 to 1e-4 of an integer k, |k| up to
     k_max (log-uniform), y in [0.25, 40]; float x rounds the offset, so an
@@ -515,8 +575,8 @@ def _probe_points(f, rng, y, n_random):
         lattice + 1e-10 * y, lattice - 1e-10 * y,
         lattice + 0.5 * LATTICE_BAND * y, lattice - 0.5 * LATTICE_BAND * y, [0.0, -0.0],
     ])
-    if f.name == "E5":  # keep a^x finite, as the scalar rule needs
-        xs = xs[np.abs(xs * math.log(f.params["a"])) < 700.0]
+    if f.name in ("E5", "E6"):  # keep a^x (r^x) finite, as the scalar rule needs
+        xs = xs[np.abs(xs * math.log(f.params.get("a", f.params.get("r")))) < 700.0]
     if f.name == "E13" and f.params["s"] > 1.0:
         xs = xs[xs / y > 0.0]
     return xs
@@ -535,6 +595,8 @@ _ARRAY_CONFIGS = [
     ("E13", {"s": 2.0}), ("E13", {"s": 3.0}), ("E13", {"s": -1.0}), ("E13", {"s": -2.0}),
     ("E13", {"s": -0.5}), ("E13", {"s": -3.7}),
     ("E14", {}),
+    *(("E6", {"r": r, "theta": th, "part": part})
+      for r in (0.5, 2.0) for th in (0.0, 1.0) for part in ("cos", "sin")),
 ]
 
 
@@ -670,7 +732,8 @@ class TestArrayRules:
                 f.values(np.array([x, 0.2]), np.array([1.3, 0.5]))
 
     def test_entry_without_array_rule_maps_its_value(self):
-        f = make("E6", r=2.0, theta=1.0, part="sin")
+        # every catalog entry has an array rule; a reflected one does not
+        f = reflect(make("E9", r=0.5))
         assert f.array_value is None
         xs = np.array([-1.3, 0.0, 0.25, 0.5, 2.0])
         assert np.array_equal(_bits(f.values(xs, 0.5)), _bits([f.value(x, 0.5) for x in xs.tolist()]))

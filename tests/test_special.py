@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -527,6 +528,20 @@ class TestLogGammaAbs:
             want = _log_gamma_ref(t)
             assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), t
         assert log_gamma_abs_array(ts).tolist() == got
+
+    @pytest.mark.parametrize("ts,pole", [
+        ([0.0, 0.5, 2.5], 0.0),
+        ([0.5, 2.5, -3.0, 1.5, -4.0], -3.0),
+        ([1.5, -0.0, 0.25], -0.0),
+        ([1.5, -2.0 ** 53, -0.5], -2.0 ** 53),
+        ([-1e300, -0.5], -1e300),
+    ])
+    def test_array_rule_names_the_first_pole(self, ts, pole):
+        # math.lgamma raises at each pole; the array rule names the first
+        with pytest.raises(PoleError, match=f"t={re.escape(repr(pole))}$"):
+            log_gamma_abs_array(np.array(ts))
+        with pytest.raises(RejectedInputError):
+            log_gamma_abs_array(np.array([0.5, math.inf]))
 
     def test_unit_arguments_are_exact(self):
         assert log_gamma_abs(1.0) == log_gamma_abs(2.0) == 0.0
