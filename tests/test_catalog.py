@@ -386,7 +386,7 @@ class TestTrigonometricQuotient:
     @pytest.mark.parametrize("r", [0.5, 2.0])
     def test_small_scales(self, r):
         # |w - 1|^2 from expm1 and a half-angle sine: within 4 eps |f| at
-        # y in [1e-9, 1e-3], where exp(y L) - 1 had lost up to 6e-8 |f|
+        # y in [1e-9, 1e-3], where exp(y L) - 1 would cancel
         rng = np.random.default_rng(89)
         ys = np.exp(rng.uniform(math.log(1e-9), math.log(1e-3), 80))
         xs = rng.uniform(-3.0, 3.0, 80) * ys
@@ -604,6 +604,12 @@ class TestArrayRules:
     """Each `array_value` equals the scalar `value` bit for bit, on, near and
     off the lattice, inside the lattice band too, at the scales that the
     invariance and exchange checks reach."""
+
+    def test_every_standard_config_has_one(self):
+        listed = {(eid, str(params)) for eid, params in _ARRAY_CONFIGS}
+        for eid, params in standard_configs():
+            assert make(eid, **params).array_value is not None, (eid, params)
+            assert (eid, str(params)) in listed, (eid, params)
 
     @pytest.mark.parametrize("eid,params", _ARRAY_CONFIGS)
     def test_equals_scalar_rule(self, eid, params):
