@@ -227,28 +227,29 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
         raise RejectedInputError(f"E6 part must be 'cos' or 'sin', got {part!r}")
     # z^x/(z^y - 1) = E5(a = r) e^(i phi) q, phi = theta (x - shift y), w = z^(sign y)
     # = rho e^(i psi), q = rm1 conj(w - 1)/|w - 1|^2 with E5's rm1 = rho - 1, and
-    # w - 1 = (rm1 - 2 rho h^2) + i rho sin(psi), h = sin(psi/2): |w - 1|^2 = rm1^2
-    # + 4 rho h^2 does not cancel at small y.  The value takes E5's from q's rm1; dx
-    # and dy are E5's times e^(i phi) (1 + i t) q and e^(i theta (x + sign y)) (1 + i t) q^2
+    # w - 1 = a + i b = (rm1 - 2 rho h^2) + i rho sin(psi), h = sin(psi/2), so
+    # |w - 1|^2 = rm1^2 + 4 rho h^2 does not cancel at small y.  The value is E5's,
+    # from q's rm1, times the part of e^(i phi) q; dx and dy are E5's times the part
+    # of e^(i phi) (1 + i t) q and of e^(i theta (x + sign y)) (1 + i t) q^2
     e5, L = _make_e5(r), math.log(r)
     shift, sign = (1.0, -1.0) if L > 0.0 else (0.0, 1.0)
-    sL, sT, t = sign * L, sign * theta, theta / L  # y sL = E5's sign y L exactly
-    cos = part == "cos"
+    sL, t = sign * L, theta / L  # y sL is E5's sign y L exactly
+    sT, hT, cos = sign * theta, 0.5 * sign * theta, part == "cos"  # psi = y sT
 
-    def q(y):  # (rm1, Re q, Im q)
-        rm1, psi = math.expm1(y * sL), y * sT
-        rho, h = rm1 + 1.0, math.sin(0.5 * psi)
+    def q(y):  # (rm1, a, b, |w - 1|^2)
+        rm1 = math.expm1(y * sL)
+        rho, h = rm1 + 1.0, math.sin(y * hT)
         hh = 2.0 * rho * h * h
-        n = rm1 * rm1 + 2.0 * hh
-        return rm1, rm1 * (rm1 - hh) / n, -rm1 * (rho * math.sin(psi)) / n
+        return rm1, rm1 - hh, rho * math.sin(y * sT), rm1 * rm1 + 2.0 * hh
 
-    def turn(c, s, qr, qi):  # the part of (c + i s)(qr + i qi), floats or arrays
-        return c * qr - s * qi if cos else s * qr + c * qi
+    def turn(c, s, a, b):  # the part of (c + i s)(a - i b), floats or arrays
+        return c * a + s * b if cos else s * a - c * b
 
     def value(x, y):
-        rm1, qr, qi = q(y)
+        rm1, a, b, n = q(y)
         u = x - shift * y
-        return math.exp(u * L) / (sign * rm1) * turn(math.cos(theta * u), math.sin(theta * u), qr, qi)
+        phi = theta * u
+        return math.exp(u * L) / (sign * rm1) * (rm1 * turn(math.cos(phi), math.sin(phi), a, b) / n)
 
     def array_value(xs, ys):
         u = xs - shift * ys
@@ -256,19 +257,19 @@ def _make_e6(r: float, theta: float, part: str) -> InvariantFunction:
         grow = np.fromiter(map(math.exp, (u * L).tolist()), float, xs.size)
         c = np.fromiter(map(math.cos, phi), float, xs.size)
         s = np.fromiter(map(math.sin, phi), float, xs.size)
-        rm1, qr, qi = per_scale(q, ys)
-        return grow / (sign * rm1) * turn(c, s, qr, qi)
-
-    def partial(e5_partial, phi, pr, pi):  # times the part of e^(i phi) (1 + i t)(pr + i pi)
-        return e5_partial * turn(math.cos(phi), math.sin(phi), pr - t * pi, pi + t * pr)
+        rm1, a, b, n = per_scale(q, ys)
+        return grow / (sign * rm1) * (rm1 * turn(c, s, a, b) / n)
 
     def dx(x, y):
-        _, qr, qi = q(y)
-        return partial(e5.dx(x, y), theta * (x - shift * y), qr, qi)
+        rm1, a, b, n = q(y)
+        phi = theta * (x - shift * y)
+        return e5.dx(x, y) * (rm1 * turn(math.cos(phi), math.sin(phi), a + t * b, b - t * a) / n)
 
     def dy(x, y):
-        _, qr, qi = q(y)
-        return partial(e5.dy(x, y), theta * (x + sign * y), qr * qr - qi * qi, 2.0 * qr * qi)
+        rm1, a, b, n = q(y)
+        a, b, phi = a * a - b * b, 2.0 * a * b, theta * (x + sign * y)  # (a - i b)^2
+        return e5.dy(x, y) * (rm1 * rm1 * turn(math.cos(phi), math.sin(phi), a + t * b, b - t * a)
+                              / (n * n))
 
     return InvariantFunction(name="E6", value=value, params={"r": r, "theta": theta, "part": part},
                              dx=dx, dy=dy, array_value=array_value)
