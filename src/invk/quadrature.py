@@ -35,18 +35,22 @@ and a job the same result, either way.
 
 Bisection alone reaches an endpoint singularity slowly: a log kernel takes
 about 33 levels per singular edge at tol 1e-10, and |t - c|^-1/2 cannot
-get below ~1e-6 within `MAX_DEPTH`.  So a job that a bisection takes to
-depth `_ENGAGE` (10) extrapolates, as QUADPACK's QAGS and QAGP do
-(Piessens et al. 1983), in the one loop of `_Job._level_step`, whose
-level 0 is plain bisection: it resolves the panels above the current level,
-then feeds the sum of all its panels, one area per level, to Wynn's epsilon
-algorithm (Wynn 1956; `_Wynn` is dqelg), and stops once the table's error,
-with the rounding noise of its areas (`_node_noise`), is within tol.  A
-job that never gets that deep keeps the bits of plain bisection.  A wide
-call keeps one batch per round for its table; a job of it that would
-engage leaves the table and, once the table is done, restarts alone on
-the heap code, so lone and lockstep results stay equal at the cost of
-its table rounds.  An extrapolation that fails QUADPACK's
+get below ~1e-6 within `MAX_DEPTH`.  So a job extrapolates, as QUADPACK's
+QAGS and QAGP do (Piessens et al. 1983), in the one loop of
+`_Job._level_step`, whose level 0 is plain bisection: it resolves the
+panels above the current level, then feeds the sum of all its panels, one
+area per level, to Wynn's epsilon algorithm (Wynn 1956; `_Wynn` is
+dqelg), and stops once the table's error, with the rounding noise of its
+areas (`_node_noise`), is within tol.  A job whose caller listed a
+singular point, as a cut or at an end, engages its table (`_Job._engage`)
+at its first bisection, as QAGP extrapolates from the start at its
+breakpoints; any other job once a bisection takes it to depth `_ENGAGE`
+(10), for a singularity no caller listed.  A job that never gets that
+deep keeps the bits of plain bisection.  A wide call keeps one batch per
+round for its table; a job of it that would engage leaves the table and,
+once the table is done, restarts alone on the heap code, so lone and
+lockstep results stay equal at the cost of its table rounds, one for a
+job with a listed point.  An extrapolation that fails QUADPACK's
 divergence test (`_diverges`) is dropped for the panel sum, and one that
 cannot meet tol hands the job back to plain bisection.
 """
@@ -111,11 +115,12 @@ _TABLE_MIN = 40
 # near the floor, even a margin of 1 left every converging result unchanged.
 _FLOOR_MARGIN = 2.0
 
-# A job starts extrapolating (`_Job._engage`) once a bisection takes it to
-# this depth.  Over `verify --all --seed 42` (15,660 jobs) every job but
-# golden `euler` stops by depth 9, while the log kernels' period and
-# convolution integrals reach depth 26-37 by bisection alone; a job that
-# never gets this deep keeps the bits of plain bisection.
+# A job without a listed singular point starts extrapolating
+# (`_Job._engage`) once a bisection takes it to this depth; one with a
+# listed point does at its first bisection (`_starts`).  Over `verify --all
+# --seed 42` (15,660 jobs) every job without one but golden `euler` stops
+# by depth 9, while log kernels reach depth 26-37 by bisection alone; a job
+# that never gets this deep keeps the bits of plain bisection.
 _ENGAGE = 10
 
 _OFLOW = 1.7976931348623157e308  # dqelg's "no error estimate yet"
@@ -275,8 +280,9 @@ class _Wynn:
     limit and its error.  As in QAGP, the table only starts working at its
     third area, and its error is `_OFLOW` (no estimate) until it has three
     earlier results to compare with.  A job extrapolates at most once per
-    level from `_ENGAGE` to MAX_DEPTH (`_Job._extrapolate`), so the table
-    never reaches dqelg's 50-element limit.
+    level, from the level it engages at, 1 at the earliest, to MAX_DEPTH
+    (`_Job._extrapolate`), so the table holds at most MAX_DEPTH + 1 = 41
+    areas and never reaches dqelg's 50-element limit.
     """
 
     __slots__ = ("tab", "last3", "calls")
@@ -381,22 +387,24 @@ class _Job:
     depth, floor), which orders the heap.
 
     One loop, `_level_step`, runs the job.  Once a bisection takes it to
-    depth `_ENGAGE`, it extrapolates (`_engage`) and keeps: `wynn`, its
-    epsilon table; `best`, the table's best (result, error) so far;
-    `levmax`, the depth from which a panel counts as small, or 0 while it
-    bisects plainly; `erlarg`, the error of the large panels; `erlast`, the
-    error of the panel it bisected last; `extrap`, whether it bisects only
-    large panels; `parked`, the panels it sets aside meanwhile; `ktmin`,
-    the number of extrapolations since the table's result last improved;
-    and `area_serial`, its next serial number when it took its last area.
+    depth `engage` (1 or `_ENGAGE`, from `_starts`), it extrapolates
+    (`_engage`) and keeps: `wynn`, its epsilon table; `best`, the table's
+    best (result, error) so far; `levmax`, the depth from which a panel
+    counts as small, or 0 while it bisects plainly; `erlarg`, the error of
+    the large panels; `erlast`, the error of the panel it bisected last;
+    `extrap`, whether it bisects only large panels; `parked`, the panels it
+    sets aside meanwhile; `ktmin`, the number of extrapolations since the
+    table's result last improved; and `area_serial`, its next serial number
+    when it took its last area.
     """
 
-    __slots__ = ("sign", "span", "heap", "done", "heap_err", "done_err", "above", "serial",
+    __slots__ = ("sign", "span", "engage", "heap", "done", "heap_err", "done_err", "above", "serial",
                  "wynn", "best", "levmax", "erlarg", "erlast", "extrap", "parked", "ktmin", "area_serial")
 
-    def __init__(self, lo: float, hi: float, sign: float):
+    def __init__(self, lo: float, hi: float, sign: float, engage: int = _ENGAGE):
         self.sign = sign
         self.span = hi - lo
+        self.engage = engage
         self.heap: list[tuple[float, int, float, float, float, float, int, float]] = []
         self.done: list[tuple[float, int, float, float, float, float, int, float]] = []
         self.heap_err = 0.0
@@ -495,7 +503,7 @@ class _Job:
     def _bisect(self):
         """Pop the heap's top, the panel of largest error: its halves, or
         None when it can no longer be split and joins the done panels.  A
-        job whose halves are the first at depth `_ENGAGE` starts
+        job whose halves are the first at depth `engage` starts
         extrapolating."""
         panel = heapq.heappop(self.heap)
         _, _, left, right, _, e, depth, floor = panel
@@ -507,7 +515,7 @@ class _Job:
             self.erlarg -= e
             return None
         self.erlast = e
-        if depth + 1 >= _ENGAGE and self.wynn is None:
+        if depth + 1 >= self.engage and self.wynn is None:
             self._engage(depth + 1, self.heap_err, panel[4])
         mid = 0.5 * (left + right)
         return [left, mid], [mid, right], depth + 1
@@ -573,32 +581,43 @@ class _Job:
 
 
 def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) -> list:
-    """The (lo, hi, sign, edges) of each job (a, b, interior_singularities):
-    [lo, hi] is the range in order, sign its orientation and edges the ends
-    of its initial panels, none when a == b.  A singular point no farther
-    from an end than the bisection floor makes no cut; a job without
+    """The (lo, hi, sign, edges, engage) of each job (a, b,
+    interior_singularities): [lo, hi] is the range in order, sign its
+    orientation, edges the ends of its initial panels, none when a == b,
+    and engage the depth of the bisection at which it starts extrapolating.
+    A singular point no farther from an end than the bisection floor makes
+    no cut, but that end is singular all the same.  A job with a singular
+    edge, a cut or such an end, has one on every initial panel, so it
+    engages at its first bisection, depth 1, as QAGP extrapolates from the
+    start at its breakpoints; any other job at `_ENGAGE`.  A job without
     singular points takes [lo, hi] without a scan."""
     positive("quadrature tolerance", tol)
     starts = []
     for a, b, singular in jobs:
         lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
+        engage = _ENGAGE
         if a == b:
             edges = []
         elif singular := list(singular):
             floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
             cuts = sorted({float(p) for p in singular if p - lo > floor and hi - p > floor})
             edges = [lo, *cuts, hi]
+            # a point listed at an end itself, as callers list lattice
+            # points, needs no scan for the ulps within the floor
+            if cuts or lo in singular or hi in singular or any(
+                    abs(p - lo) <= floor or abs(hi - p) <= floor for p in singular):
+                engage = 1
         else:
             edges = [lo, hi]
-        starts.append((lo, hi, sign, edges))
+        starts.append((lo, hi, sign, edges, engage))
     return starts
 
 
 def _heap_rounds(batch: Callable[[list[float], list[int]], Sequence[float]], starts, tol: float):
     """The rounds of a narrow call: a heap per job, and each round's nodes
     built and summed panel by panel.  `batch` gets the nodes as a list."""
-    states = [_Job(lo, hi, sign) for lo, hi, sign, _ in starts]
-    pending = [(j, edges[:-1], edges[1:], 0) for j, (*_, edges) in enumerate(starts) if edges]
+    states = [_Job(lo, hi, sign, engage) for lo, hi, sign, _, engage in starts]
+    pending = [(j, edges[:-1], edges[1:], 0) for j, (_, _, _, edges, _) in enumerate(starts) if edges]
     while pending:
         nodes: list[float] = []
         owners: list[int] = []
@@ -650,16 +669,18 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     inf - inf is nan.
 
     Every round is one batch of table panels.  A job whose next bisection
-    would reach depth `_ENGAGE` leaves the table instead.  Once the table
-    is empty, the jobs that left restart from their initial panels in
-    `_heap_rounds`, in a lockstep of their own whose batch gets their
-    indices in `starts`, and their results replace the table's: a restart
-    is a lone integral, so it extrapolates as one does.  The table rounds
-    such a job took are spent.
+    would reach its depth `engage` leaves the table instead: after its
+    first round when it has a listed singular point, else at `_ENGAGE`.
+    Once the table is empty, the jobs that left restart from their initial
+    panels in `_heap_rounds`, in a lockstep of their own whose batch gets
+    their indices in `starts`, and their results replace the table's: a
+    restart is a lone integral, so it extrapolates as one does.  The table
+    rounds such a job took are spent.
     """
     n_jobs = len(starts)
     # the initial panels, straight from the flat list of every job's edges
-    edge_lists = [edges for *_, edges in starts]
+    edge_lists = [edges for _, _, _, edges, _ in starts]
+    engage = np.fromiter((e for _, _, _, _, e in starts), np.int64, n_jobs)
     lens = np.fromiter(map(len, edge_lists), np.int64, n_jobs)
     flat = np.fromiter(chain.from_iterable(edge_lists), float, int(lens.sum()))
     jobs = np.flatnonzero(lens)  # the jobs with panels to push, in order
@@ -747,7 +768,9 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
                 size[active] -= 1
                 lo, hi = t_left[top], t_right[top]
                 width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[active])
-                # no row is deeper than _ENGAGE - 1, so MAX_DEPTH never binds here
+                # a job leaves before a bisection takes it to its depth
+                # `engage`, at most _ENGAGE, so no row is deeper than
+                # _ENGAGE - 1 and MAX_DEPTH never binds here
                 stuck = hi - lo <= 4.0 * _EPS * width
                 state[top] = np.where(stuck, _DONE, _SPLIT)
                 done_err[active[stuck]] += e[stuck]
@@ -759,7 +782,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
             if len(split) > 1:
                 top = top[np.argsort(t_job[top])]
             depth = t_depth[top] + 1
-            deep = depth >= _ENGAGE
+            deep = depth >= engage[t_job[top]]
             if deep.any():  # these jobs leave the table
                 restart += t_job[top[deep]].tolist()
                 top, depth = top[~deep], depth[~deep]
@@ -790,7 +813,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
         value[j] = math.fsum(values[a:b])
         err[j] = math.fsum(ests[a:b])
-    value *= [sign for _, _, sign, _ in starts]
+    value *= [sign for _, _, sign, _, _ in starts]
     out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
                    (err <= tol).tolist()))
     if restart:
@@ -812,9 +835,13 @@ def integrate_many(
     Each job (a, b, interior_singularities) is the oriented integral over
     [a, b] of one integrand, with panels split at its interior singular
     points.  A point no farther from an end than the bisection floor,
-    4 eps max(|a|, |b|, |b - a|), is dropped: a cut there, such as a point
-    that rounding pulled back an ulp inside, would make a panel too narrow
-    to bisect whose nodes all sit on the singularity.  The first round
+    4 eps max(|a|, |b|, |b - a|), makes no cut: a cut there, such as a
+    point that rounding pulled back an ulp inside, would make a panel too
+    narrow to bisect whose nodes all sit on the singularity.  It marks that
+    end singular instead, as listing the end itself does.  A job with a
+    listed point, as a cut or at an end, starts extrapolating at its first
+    bisection; any other job once a bisection reaches depth `_ENGAGE`
+    (see the module docstring).  The first round
     evaluates the initial panels of every job.  Each later round lets every
     unfinished job pop panels as a lone integral does, until it needs a
     bisection, and then evaluates the halves of all those bisections
@@ -827,10 +854,11 @@ def integrate_many(
     `_TABLE_MIN` jobs keeps every panel in one table and runs each round's
     nodes and Kronrod sums as ndarray columns; a narrower call keeps a heap
     per job and sums panel by panel.  The choice is made once per call, and
-    both give the same bits.  A job of a wide call whose bisection would
-    reach depth `_ENGAGE` leaves the table and, after the table's last
-    round, restarts as a lone integral, in more rounds of one batch each
-    for all such jobs; its evaluations are those of the restart.
+    both give the same bits.  A job of a wide call leaves the table instead
+    of starting to extrapolate, at its first bisection when it has a
+    listed point, and, after the table's last round, restarts as a lone
+    integral, in more rounds of one batch each for all such jobs; its
+    evaluations are those of the restart.
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it
@@ -867,7 +895,10 @@ def integrate(
 
     Points in `interior_singularities` that fall strictly inside the range,
     farther than the bisection floor from its ends, become panel boundaries,
-    so the integrand is never evaluated there.
+    so the integrand is never evaluated there.  A point at an end, or
+    within the floor of one, makes no boundary.  Either way the integral
+    extrapolates from its first bisection, where one with no listed point
+    bisects plainly to depth `_ENGAGE` first (see `integrate_many`).
     Returns converged=False (never raises) when the error estimate cannot be
     pushed below `tol` within the depth and panel budgets, and stops early
     once no bisection can reach `tol` (see `integrate_many`).

@@ -99,15 +99,16 @@ class TestIntegrate:
     ])
     def test_cut_within_ulps_of_an_end_is_dropped(self, cut, sing):
         # a cut there would make a panel too narrow to bisect, its 15 nodes
-        # on the log singularity at the end
+        # on the log singularity at the end; the point marks that end
+        # singular instead, as listing the end itself does
         a, b = 0.02, 0.5
         assert 0.0 < min(cut - a, b - cut) <= 4.0 * 2.220446049250313e-16 * b  # the floor
         phi = Vectorized(lambda ts: np.log(np.abs(ts - sing)))
         cut_res = integrate(phi, a, b, 1e-10, (cut,))
-        plain = integrate(phi, a, b, 1e-10)
-        assert plain.converged
+        listed = integrate(phi, a, b, 1e-10, (sing,))
+        assert listed.converged
         assert (cut_res.value.hex(), cut_res.error_estimate.hex(), cut_res.evaluations) == (
-            plain.value.hex(), plain.error_estimate.hex(), plain.evaluations
+            listed.value.hex(), listed.error_estimate.hex(), listed.evaluations
         )
 
     def test_converged_respects_tolerance_invariant(self):
@@ -416,8 +417,11 @@ class TestIntegrateMany:
     def test_wide_rounds_run_as_columns(self):
         # a call of at least _TABLE_MIN jobs runs every table round as
         # columns, its late rounds of a few panels too; the three singular
-        # jobs of each copy of JOBS engage and restart on the heap path
-        specs = self.JOBS * 8
+        # jobs of each copy of JOBS engage and restart on the heap path.
+        # The copies list no points, so a singular job bisects to depth
+        # _ENGAGE in the table before it leaves, and the shallow job that
+        # JOBS cuts does not engage at its cuts
+        specs = [(fn, a, b, ()) for fn, a, b, _ in self.JOBS] * 8
         assert len(specs) >= quadrature._TABLE_MIN
         got, widths, restart, restarted = self._lockstep(specs)
         assert len(widths) >= 3 and min(widths) <= 16 < max(widths)  # wide and narrow rounds
@@ -522,8 +526,9 @@ class TestIntegrateMany:
             specs.append((lambda ts, c=c: np.abs(ts - c) * np.cos(ts), -1.0, 1.0, ()))
         for k in (30.0, 45.0):
             specs.append((lambda ts, k=k: np.cos(k * ts) * np.exp(ts), -2.0, 2.0, ()))
-        specs.append((lambda ts: np.log(np.abs(ts - 0.3)), 1.0, -0.5, (0.3,)))
-        specs.append((lambda ts: np.abs(ts - 0.7) ** -0.5, 0.0, 1.0, (0.7,)))
+        # singular at points they do not list, so they bisect to _ENGAGE
+        specs.append((lambda ts: np.log(np.abs(ts - 0.3)), 1.0, -0.5, ()))
+        specs.append((lambda ts: np.abs(ts - 0.7) ** -0.5, 0.0, 1.0, ()))
         specs.append((lambda ts: ts * ts, 0.5, 0.5, ()))
         engaged, rounds = [], []
         engage = quadrature._Job._engage
@@ -735,19 +740,33 @@ class _CountedWynn(quadrature._Wynn):
         super().__init__()
 
 
-def _e10_conv_reference(x):
-    """(E10 * E10)(x, 1) for 0 < x < 1 by mpmath at 30 digits."""
-    def f(t):
-        return mpmath.log(abs(2 * mpmath.sin(mpmath.pi * t)))
-
+def _conv_reference(g, h, x, y=1.0):
+    """(g * h)(x, y) for 0 < x < y by mpmath at 30 digits: the integral of
+    g(t) h(x - t) over [0, x] plus that of g(t) h(x + y - t) over [x, y].
+    g and h are mpmath functions of (t, y) for t in [0, y]."""
     with mpmath.workdps(30):
-        return float(mpmath.quad(lambda t: f(t) * f(x - t), [0, x])
-                     + mpmath.quad(lambda t: f(t) * f(1 + x - t), [x, 1]))
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        return float(mpmath.quad(lambda t: g(t, y) * h(x - t, y), [0, x])
+                     + mpmath.quad(lambda t: g(t, y) * h(x + y - t, y), [x, y]))
+
+
+def _mp_e10(t, y):
+    return mpmath.log(abs(2 * mpmath.sin(mpmath.pi * t / y)))
+
+
+def _mp_e12(t, y):
+    u, log_y = t / y, mpmath.log(y)
+    return u * log_y + mpmath.log(abs(mpmath.gamma(u))) - (mpmath.log(2 * mpmath.pi) + log_y) / 2
+
+
+def _mp_e2_m2(t, y):
+    return y * mpmath.bernpoly(2, t / y)
 
 
 class TestExtrapolation:
-    """A job that a bisection takes to depth `_ENGAGE` extrapolates its
-    level areas with Wynn's epsilon algorithm (QUADPACK's QAGP)."""
+    """A job extrapolates its level areas with Wynn's epsilon algorithm
+    (QUADPACK's QAGP), from its first bisection when it lists a singular
+    point, else once a bisection takes it to depth `_ENGAGE`."""
 
     def _cases(self):
         """Seeded integrands singular at an end or at a cut c: (name, phi,
@@ -800,7 +819,8 @@ class TestExtrapolation:
         e10 = make("E10")
         x, y = 0.123, 1.0
         period = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
-        assert period.converged and period.evaluations <= 1_000  # 2,010 by bisection alone
+        # 360 evaluations; 960 with the table engaged at depth _ENGAGE, 2,010 by bisection alone
+        assert period.converged and period.evaluations <= 400
         assert abs(period.value) <= 1e-10  # E10 has period integral 0
         rounds = []
         heap_rounds = quadrature._heap_rounds
@@ -814,8 +834,8 @@ class TestExtrapolation:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(quadrature, "_heap_rounds", counted)
             value = convolve(e10, e10).value(0.35, 1.0)
-        assert len(rounds) <= 40  # 67 by bisection alone
-        assert abs(value - _e10_conv_reference(0.35)) <= 1e-10
+        assert len(rounds) <= 16  # 14; 28 engaged at depth _ENGAGE, 67 by bisection alone
+        assert abs(value - _conv_reference(_mp_e10, _mp_e10, 0.35)) <= 1e-10
         euler = integrate(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11)
         assert euler.converged and euler.evaluations <= 600  # 1,125 by bisection alone
         assert golden_integral("euler") == (euler.value, -0.5 * math.pi * math.log(2.0))
@@ -881,13 +901,14 @@ class TestExtrapolation:
         assert len(job.heap) == 1 and job.levmax == (10 if engaged else 0)
 
     def test_rounding_noise_bounds_the_table(self):
-        # nodes near c = 0.6203... round by up to 5.5e-17, which moves
-        # |t - c|^-3/4 by ~1e-10 relative on the panels the levels add;
-        # the epsilon table fed those areas settles 2.6e-10 from the
-        # integral with an error of its own of 9e-12, so only its noise
+        # nodes near c = 3.16... round by up to 2.2e-16, which moves
+        # |t - c|^-3/4 by 0.75 x 2.2e-16 / |t - c| relative, 1.6e-10 at
+        # 1e-6 from c, on the small panels the levels add; the epsilon
+        # table fed those areas settles 1.4e-10 from the
+        # integral with an error of its own of 9.9e-11, so only its noise
         # term keeps the result from a false convergence
-        c = 0.6203785659431267
-        a, b = 0.978097476344518, -0.26632330094654133
+        c = 3.1618392208381576
+        a, b = 3.1446805611000626, 3.8656861773076807
         want = _offset_reference(lambda d: abs(d) ** -0.75, a, b, c)
         res = integrate(Vectorized(lambda ts: np.abs(ts - c) ** -0.75), a, b, 1e-10, (c,))
         assert not res.converged and abs(res.value - want) > 1e-10
@@ -896,8 +917,8 @@ class TestExtrapolation:
 
 
 class TestWideEngagedJobs:
-    """A job of a wide call whose bisection would reach `_ENGAGE` leaves the
-    table and restarts alone, and equals a lone `integrate` bit for bit."""
+    """A job of a wide call that would start extrapolating leaves the table
+    and restarts alone, and equals a lone `integrate` bit for bit."""
 
     @staticmethod
     def _same(got, want):
@@ -961,7 +982,149 @@ class TestWideEngagedJobs:
         assert 2 * xs.size >= quadrature._TABLE_MIN
         for x, value in zip(xs.tolist(), got.tolist()):
             assert value.hex() == conv.value(x, 1.0).hex()
-        assert abs(got[7] - _e10_conv_reference(xs[7])) <= 1e-10
+        assert abs(got[7] - _conv_reference(_mp_e10, _mp_e10, xs[7])) <= 1e-10
+
+
+def _log_antiderivative(t, c):
+    """(t - c) log|t - c| - t, an antiderivative of log|t - c|."""
+    return -t if t == c else (t - c) * math.log(abs(t - c)) - t
+
+
+def _ulps_inside(end, toward, k):
+    """The float k ulps from `end` toward `toward`."""
+    for _ in range(k):
+        end = math.nextafter(end, toward)
+    return end
+
+
+class TestListedSingularPoints:
+    """A job starts extrapolating at its first bisection of a panel that
+    ends at a listed singular point: an interior cut, or an end that a
+    listed point lies within the bisection floor of.  A singularity that no
+    caller listed waits for depth `_ENGAGE`."""
+
+    @staticmethod
+    def _engaged(m):
+        """Wrap `_Job._engage` with the monkeypatch context m; returns the
+        list that gets the depth of each engagement."""
+        depths = []
+        engage = quadrature._Job._engage
+
+        def counted(job, depth, *args):
+            depths.append(depth)
+            return engage(job, depth, *args)
+
+        m.setattr(quadrature._Job, "_engage", counted)
+        return depths
+
+    @pytest.mark.parametrize("a, b, c, listed", [
+        (-0.4, 0.9, 0.3, 0.3),                                 # an interior cut
+        (0.3, 1.1, 0.3, 0.3),                                  # at the left end
+        (0.9, -0.2, 0.9, 0.9),                                 # at the right end, reversed
+        (0.3, 1.1, 0.3, math.nextafter(0.3, 1.0)),             # 1 ulp inside the left end
+        (-0.2, 0.7, 0.7, _ulps_inside(0.7, 0.0, 5)),           # 5 ulps inside the right end
+        (1.3, 0.02, 0.02, 0.02 + 0.4 - 0.4),                   # pulled back 5 ulps inside, reversed
+    ])
+    def test_a_listed_log_singularity_engages_at_depth_one(self, a, b, c, listed):
+        assert abs(listed - c) <= 4.0 * _EPS * max(abs(a), abs(b), abs(b - a))  # within the floor
+        phi = Vectorized(lambda ts: np.log(np.abs(ts - c)))
+        tol = 1e-10
+        exact = _log_antiderivative(b, c) - _log_antiderivative(a, c)
+        with pytest.MonkeyPatch.context() as m:
+            depths = self._engaged(m)
+            res = integrate(phi, a, b, tol, (listed,))
+            early, depths[:] = depths[:], []
+            plain = integrate(phi, a, b, tol)
+        assert early == [1] and depths == [quadrature._ENGAGE]
+        assert res.converged and abs(res.value - exact) <= tol
+        assert plain.converged and res.evaluations < plain.evaluations
+
+    def test_wide_call_restarts_them_after_one_table_round(self, monkeypatch):
+        # 24 log kernels, each listing its singular point as a cut, an end
+        # or an ulp inside an end, so that every initial panel ends at it,
+        # between 24 oscillating jobs that list none and keep the table
+        # going: each singular job leaves the table after round 1, restarts
+        # alone and ends as a lone integral does, bit for bit
+        rng = np.random.default_rng(29)
+        specs = []
+        for k in range(24):
+            c = float(rng.uniform(-1.0, 1.0))
+            w = float(rng.uniform(0.2, 1.5))
+            a, b, listed = ((c - w, c + w, c), (c, c + w, c), (c - w, c, c),
+                            (c, c + w, math.nextafter(c, 2.0)))[k % 4]
+            if rng.random() < 0.3:
+                a, b = b, a
+            specs.append((lambda ts, c=c: np.log(np.abs(ts - c)), a, b, (listed,)))
+            p = float(rng.uniform(10.0, 40.0))
+            specs.append((lambda ts, p=p: np.cos(p * ts) * np.exp(ts), -1.0, 1.0, ()))
+        assert len(specs) >= quadrature._TABLE_MIN
+        tol = 1e-10
+        rounds = []
+        (restarted,) = TestIntegrateMany._kernel_rounds(monkeypatch, specs, tol, rounds)
+        first = sum(not begun for *_, begun in rounds)  # the table's rounds
+        assert restarted == list(range(0, len(specs), 2)) and first > 1
+        assert all(sum(j in owners for owners, *_ in rounds[:first]) == 1 for j in restarted)
+        got = integrate_many(lambda ts, owners: np.concatenate(
+            [specs[j][0](ts[15 * k:15 * k + 15]) for k, j in enumerate(owners)]),
+            [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        for j, ((fn, a, b, cuts), res) in enumerate(zip(specs, got)):
+            with pytest.MonkeyPatch.context() as m:
+                depths = self._engaged(m)
+                want = integrate(Vectorized(fn), a, b, tol, cuts)
+            assert depths == ([1] if j in restarted else [])
+            TestWideEngagedJobs._same(res, want)
+            assert res.converged
+
+    def test_table_stays_within_dqelg_limit(self, monkeypatch):
+        # t^-1/2 times a factor that is constant on each dyadic shell
+        # [2^-k-1, 2^-k) and drawn with no pattern: the level areas defeat
+        # the epsilon table, so the job engaged at depth 1 takes one area
+        # per level up to MAX_DEPTH, and its table never holds more than
+        # dqelg's 50 elements
+        sizes = []
+
+        class Sized(quadrature._Wynn):
+            def add(self, area):
+                out = super().add(area)
+                sizes.append(len(self.tab) - 1)
+                return out
+
+        monkeypatch.setattr(quadrature, "_Wynn", Sized)
+        depths = self._engaged(monkeypatch)
+        phi = Vectorized(lambda ts: ts ** -0.5 * (1.0 + (np.floor(-np.log2(ts)) * 0.37) % 1.0))
+        integrate(phi, 0.0, 1.0, 1e-10, (0.0,))
+        assert depths == [1] and len(sizes) == quadrature.MAX_DEPTH + 1
+        assert max(sizes) <= 50
+
+
+class TestAcceleratedFamilies:
+    """The integrals of the paper's log-sine and Gamma entries, whose jobs
+    extrapolate from their listed singular points: E10 period integrals and
+    the E10*E10 and E12*E2(m=2) convolution values, at seeded points, each
+    within its tolerance of the exact value or of mpmath at 30 digits."""
+
+    def test_log_sine_period_integrals_vanish(self):
+        e10 = make("E10")
+        rng = np.random.default_rng(10)
+        for _ in range(12):
+            y = float(rng.uniform(0.5, 2.0))
+            x = float(rng.uniform(-3.0, 3.0)) * y
+            res = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
+            assert res.converged and abs(res.value) <= 1e-10, (x, y, res)
+
+    @pytest.mark.parametrize("g, h, mp_g, mp_h", [
+        (("E10", {}), ("E10", {}), _mp_e10, _mp_e10),
+        (("E12", {}), ("E2", {"m": 2}), _mp_e12, _mp_e2_m2),
+    ])
+    def test_convolution_values(self, g, h, mp_g, mp_h):
+        conv = convolve(make(g[0], **g[1]), make(h[0], **h[1]))
+        tol = conv.params["tol"]
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            y = float(rng.uniform(0.5, 2.0))
+            x = float(rng.uniform(0.04, 0.96)) * y
+            value = conv.value(x, y)
+            assert abs(value - _conv_reference(mp_g, mp_h, x, y)) <= tol, (x, y, value)
 
 
 class TestLimitScaled:
