@@ -17,9 +17,11 @@ that grow with |x|.
 
 Every integrand here evaluates the operands through
 `InvariantFunction.values`, so an operand with an array rule costs one call
-per refinement round of the quadrature.  The convolution's two terms, at
-every point of a chunk of at most `_MAX_POINTS`, share those rounds
-(`integrate_many`), so the cap bounds the memory of any `values` call.
+per refinement round of the quadrature, a round of Kronrod panels or of
+tanh-sinh levels at the operands' singular points.  The convolution's two
+terms, at every point of a chunk of at most `_MAX_POINTS`, share those
+rounds (`integrate_many`, whose batch names the term of each node), so the
+cap bounds the memory of any `values` call.
 """
 
 from __future__ import annotations
@@ -95,9 +97,8 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         scales = np.repeat(ys, 2) if per_point else None  # the scale of each job
 
         def batch(ts, owners):
-            own = np.repeat(owners, 15)  # the job of each node
-            at = ys if scales is None else scales[own]
-            return g.values(ts, at) * h.values(shifts[own] - ts, at)
+            at = ys if scales is None else scales[owners]
+            return g.values(ts, at) * h.values(shifts[owners] - ts, at)
 
         results = integrate_many(batch, jobs, half)
         for k, ((a, b, _), res) in enumerate(zip(jobs, results)):

@@ -12,7 +12,8 @@ endpoints negates the result exactly.
 
 `integrate_many` runs many independent integrals in lockstep.  Each round
 evaluates the nodes of every job's next refinement step in one batch: first
-those of every initial panel, then those of both halves of each bisection.
+those of every initial panel, then those of both halves of each bisection,
+or of a tanh-sinh level (below).
 This is the batching of `scipy.integrate.quad_vec`, applied across
 integrals rather than within one.  Every job keeps its own QUADPACK-style
 panel choice and error control (Piessens et al., 1983), so its result is
@@ -52,7 +53,24 @@ once the table is done, restarts alone on the heap code, so lone and
 lockstep results stay equal at the cost of its table rounds, one for a
 job with a listed point.  An extrapolation that fails QUADPACK's
 divergence test (`_diverges`) is dropped for the panel sum, and one that
-cannot meet tol hands the job back to plain bisection.
+cannot meet tol hands the job back to plain bisection, keeping the
+table's best result once the table has an error of its own.
+
+A job with a listed point does not bisect at all while it can help it:
+when its initial panels miss tol, the heap code runs them as levels of the
+double-exponential (tanh-sinh) rule (`_Levels`; Takahasi and Mori 1974,
+Mori and Sugihara 2001), which takes an endpoint log or algebraic
+singularity at a geometric rate.  Each level halves the step in u and
+evaluates only its new nodes, whose places are fixed per level (`_DE`), so
+a level is one batch shared with the round's other jobs, and a job gives
+the same bits alone or in lockstep.  The job settles once the difference
+of its last two level sums, with a truncation term and the rounding noise
+of its nodes, is within tol.  One that cannot settle (a noise or
+truncation term above tol, as at |t - c|^-1/2 with c != 0, a value that is
+not finite, differences that stop shrinking, or the last level) takes up
+the bisection its first round set out on, with its table engaged at depth
+1: its value and estimate are those of the table path, and its
+evaluations add the nodes its levels spent.
 """
 
 from __future__ import annotations
@@ -117,13 +135,43 @@ _FLOOR_MARGIN = 2.0
 
 # A job without a listed singular point starts extrapolating
 # (`_Job._engage`) once a bisection takes it to this depth; one with a
-# listed point does at its first bisection (`_starts`).  Over `verify --all
+# listed point does at its first bisection (`_starts`), when its tanh-sinh
+# levels (`_Levels`) cannot settle it.  Over `verify --all
 # --seed 42` (15,660 jobs) every job without one but golden `euler` stops
 # by depth 9, while log kernels reach depth 26-37 by bisection alone; a job
 # that never gets this deep keeps the bits of plain bisection.
 _ENGAGE = 10
 
 _OFLOW = 1.7976931348623157e308  # dqelg's "no error estimate yet"
+
+
+def _de_table(levels: int) -> tuple:
+    """The nodes of the double-exponential (tanh-sinh) levels (Takahasi and
+    Mori 1974; Mori and Sugihara 2001): t = lo + d or hi - d on a panel of
+    half-width `half`, with d = half r, r = 1 - tanh s = 2/(e^(2s) + 1) and
+    s = (pi/2) sinh u, over the grid u = k / 2^(L+1) of level L, |u| <= 3.2.
+    For each level, the (r, w) of its new nodes u > 0, by increasing u, with
+    w = (pi/2) cosh u (1 - tanh^2 s) the weight in u: level 0 takes u = 1/2,
+    1, ..., 3, each later level the odd multiples of its step.  u = 0, the
+    centre, with r = 1 and w = pi/2, is level 0's own.  Both are formed from
+    e^(-2s), so neither cancels.  At u = 3.2, r ~ 4e-17, below the node
+    floor of any panel, 128 eps half at least (`_Levels`)."""
+    table = []
+    for level in range(levels + 1):
+        step = 0.5 ** (level + 1)
+        us = [k * step for k in range(1, int(3.2 / step) + 1, 1 if level == 0 else 2)]
+        rows = []
+        for u in us:
+            e = math.exp(-math.pi * math.sinh(u))
+            rows.append((2.0 * e / (1.0 + e), 0.5 * math.pi * math.cosh(u) * 4.0 * e / (1.0 + e) ** 2))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+# The last tanh-sinh level (`_Levels`), of step 1/64, and the node table.
+_DE_LEVELS = 5
+_DE = _de_table(_DE_LEVELS)
+_DE_W0 = 0.5 * math.pi  # the centre's weight
 
 
 @dataclass(frozen=True)
@@ -378,6 +426,106 @@ def _node_noise(panel) -> float:
     return floor * max(abs(left), abs(right)) / (50.0 * (1.0 - _XGK[0]) * (right - left))
 
 
+class _Levels:
+    """The tanh-sinh stage of a job with a listed singular point that missed
+    tol on its initial panels: those panels run as double-exponential levels
+    (`_DE`), one level a round, each evaluating only the nodes that halve
+    the step of the one before.
+
+    A node d from its panel's nearer end is evaluated only if d is at least
+    64 eps max(|lo|, |hi|, span), 16 bisection floors: nearer, rounding moves
+    the node by more than 1/128 of d, and a lattice entry's own band test
+    calls it on its lattice point and returns the value at the point.  After
+    level L the job has S_L, the level's step times the weighted values of
+    every node so far (one fsum), and its error estimate: |S_L - S_(L-1)|,
+    plus the truncation term, 4 |f| d at each panel's two outermost kept
+    nodes, which bounds the integral over the d left out for |f| ~ d^-p
+    with p <= 3/4 or a log, plus the rounding noise of the nodes, the step
+    times |half w f| eps |t| / (2 d) summed over them (a node moves by up to
+    eps |t| / 2, and the integrand by |f| / d times that, as `_node_noise`
+    prices a panel).  The job settles once the estimate is within tol.  It
+    cannot settle when a node value is not finite, when the noise plus the
+    least truncation term it could reach, 4 |f| floor at its outermost nodes
+    (|f| does not fall toward a singular end), exceeds tol, when a difference
+    is no smaller than the one before, or after level `_DE_LEVELS`; it then
+    goes back to the bisection it had set out on (`halves`).
+    """
+
+    __slots__ = ("panels", "halves", "level", "terms", "noise", "outer", "last", "diff", "spent", "took",
+                 "result")
+
+    def __init__(self, lefts, rights, span: float, halves):
+        self.panels = [(lo, hi, 0.5 * (hi - lo), 64.0 * _EPS * max(abs(lo), abs(hi), span))
+                       for lo, hi in zip(lefts, rights)]
+        self.halves = halves
+        self.level = 0
+        self.terms: list[float] = []  # half w f of every node so far
+        self.noise = 0.0  # the sum of |half w f| |t| / d over them
+        self.outer = [(math.inf, 0.0)] * len(self.panels)  # per panel: d and |f| + |f| outermost
+        self.last = self.diff = math.inf  # S_(L-1) and |S_(L-1) - S_(L-2)|
+        self.spent = 0  # nodes evaluated
+        self.took: list = []  # this level's half w and |t| / d per node, and per panel its end
+        self.result: tuple[float, float] | None = None
+
+    def nodes(self, out: list[float]) -> None:
+        """Append this level's nodes to `out`: per panel, the centre at level
+        0, then lo + d and hi - d for each d down to the floor."""
+        rows = _DE[self.level]
+        hws, qs, ends = [], [], []
+        for lo, hi, half, floor in self.panels:
+            if not self.level:
+                c = 0.5 * (lo + hi)
+                out.append(c)
+                hws.append(half * _DE_W0)
+                qs.append(abs(c) / half)
+            d = math.inf
+            for r, w in rows:
+                dr = half * r
+                if dr < floor:
+                    break
+                d = dr
+                a, b = lo + d, hi - d
+                out += (a, b)
+                hw = half * w
+                hws += (hw, hw)
+                qs += (abs(a) / d, abs(b) / d)
+            ends.append((d, len(hws)))
+        self.took = [hws, qs, ends]
+
+    def take(self, fv: list[float], tol: float) -> bool:
+        """Fold in this level's node values fv; True once the stage is over,
+        with `result` its (value, error estimate) when it settled and None
+        when it cannot settle."""
+        hws, qs, ends = self.took
+        self.spent += len(fv)
+        terms = [hw * f for hw, f in zip(hws, fv)]
+        if not math.isfinite(sum(terms)):  # also keeps inf - inf out of the fsum below
+            return True
+        self.terms += terms
+        self.noise += sum([abs(p) * q for p, q in zip(terms, qs)])
+        outer = self.outer
+        for k, (d, end) in enumerate(ends):
+            if d < outer[k][0]:
+                outer[k] = d, abs(fv[end - 2]) + abs(fv[end - 1])
+        step = 0.5 ** (self.level + 1)
+        value = step * math.fsum(self.terms)
+        noise = step * 0.5 * _EPS * self.noise
+        if noise + 4.0 * math.fsum([p[3] * f for p, (_, f) in zip(self.panels, outer)]) > tol:
+            return True
+        if self.level:
+            diff = abs(value - self.last)
+            err = diff + 4.0 * math.fsum([d * f for d, f in outer]) + noise
+            if err <= tol:
+                self.result = value, err
+                return True
+            if self.level == _DE_LEVELS or not diff < self.diff:
+                return True
+            self.diff = diff
+        self.last = value
+        self.level += 1
+        return False
+
+
 class _Job:
     """The adaptive state of one integral: its heap of panels, the panels it
     can no longer split, their error sums, the number of panels left to
@@ -395,11 +543,14 @@ class _Job:
     `extrap`, whether it bisects only large panels; `parked`, the panels it
     sets aside meanwhile; `ktmin`, the number of extrapolations since the
     table's result last improved; and `area_serial`, its next serial number
-    when it took its last area.
+    when it took its last area.  `spent` counts the nodes its tanh-sinh
+    levels evaluated, and `settled` is their (value, error estimate) when
+    they settled it (`_heap_rounds`).
     """
 
     __slots__ = ("sign", "span", "engage", "heap", "done", "heap_err", "done_err", "above", "serial",
-                 "wynn", "best", "levmax", "erlarg", "erlast", "extrap", "parked", "ktmin", "area_serial")
+                 "wynn", "best", "levmax", "erlarg", "erlast", "extrap", "parked", "ktmin", "area_serial",
+                 "spent", "settled")
 
     def __init__(self, lo: float, hi: float, sign: float, engage: int = _ENGAGE):
         self.sign = sign
@@ -417,6 +568,8 @@ class _Job:
         self.erlarg = self.erlast = 0.0
         self.extrap = False
         self.parked: list = []
+        self.spent = 0
+        self.settled: tuple[float, float] | None = None
 
     def step(self, lefts, rights, sums, depth: int, tol: float):
         """Push the panels [lefts[i], rights[i]] at `depth`, whose Kronrod
@@ -557,7 +710,7 @@ class _Job:
                 self.best = reseps, abseps
                 if abseps <= tol:
                     return False
-            plain = (stalled or noise > tol or self.levmax >= MAX_DEPTH
+            plain = (stalled or (noise > tol and self.best is not None) or self.levmax >= MAX_DEPTH
                      or (self.wynn.calls and len(self.wynn.tab) == 2))
         self.levmax = 0 if plain else self.levmax + 1
         for p in self.parked:
@@ -570,6 +723,9 @@ class _Job:
     def result(self, tol: float) -> QuadratureResult:
         """One fsum over the panels the job kept, or the table's result when
         its error is the smaller and it passes `_diverges`."""
+        if self.settled is not None:
+            value, err = self.settled
+            return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, True)
         kept = self._kept()
         value = math.fsum([p[4] for p in kept])
         err = math.fsum([p[5] for p in kept])
@@ -577,7 +733,7 @@ class _Job:
             absarea = math.fsum([p[7] for p in kept]) / (50.0 * _EPS)
             if not _diverges(self.best[0], value, err, absarea):
                 value, err = self.best
-        return QuadratureResult(self.sign * value, err, 15 * self.serial, err <= tol)
+        return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, err <= tol)
 
 
 def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) -> list:
@@ -613,30 +769,61 @@ def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) ->
     return starts
 
 
-def _heap_rounds(batch: Callable[[list[float], list[int]], Sequence[float]], starts, tol: float):
+def _heap_rounds(batch: Callable[[list[float], list[int], list[int]], Sequence[float]], starts, tol: float):
     """The rounds of a narrow call: a heap per job, and each round's nodes
-    built and summed panel by panel.  `batch` gets the nodes as a list."""
+    built and summed panel by panel.  `batch` gets the nodes as a list, the
+    jobs that own them in order, and the number of nodes of each.
+
+    A job with a listed singular point (`engage` 1) that misses tol on its
+    initial panels runs them as tanh-sinh levels (`_Levels`), one a round,
+    instead of the bisection `step` sets out on.  When the levels cannot
+    settle, it takes up that bisection in the next round, from the state
+    its first round left."""
     states = [_Job(lo, hi, sign, engage) for lo, hi, sign, _, engage in starts]
-    pending = [(j, edges[:-1], edges[1:], 0) for j, (_, _, _, edges, _) in enumerate(starts) if edges]
+    # per running job: (j, lefts, rights, depth, None) for Kronrod panels, or
+    # (j, None, None, None, levels) for its tanh-sinh stage
+    pending = [(j, edges[:-1], edges[1:], 0, None) for j, (_, _, _, edges, _) in enumerate(starts) if edges]
     while pending:
         nodes: list[float] = []
-        owners: list[int] = []
-        for j, lefts, rights, _ in pending:
-            _nodes(lefts, rights, nodes)
-            owners += [j] * len(lefts)
-        fv = batch(nodes, owners)
+        jobs: list[int] = []
+        counts: list[int] = []
+        for j, lefts, rights, _, levels in pending:
+            jobs.append(j)
+            if levels is None:
+                _nodes(lefts, rights, nodes)
+                counts.append(15 * len(lefts))
+            else:
+                n = len(nodes)
+                levels.nodes(nodes)
+                counts.append(len(nodes) - n)
+        fv = batch(nodes, jobs, counts)
         if isinstance(fv, np.ndarray):
             fv = fv.tolist()
         split = []
         pos = 0
-        for j, lefts, rights, depth in pending:
+        for (j, lefts, rights, depth, levels), n in zip(pending, counts):
+            job = states[j]
+            if levels is not None:
+                if not levels.take(fv[pos:pos + n], tol):
+                    split.append((j, None, None, None, levels))
+                elif levels.result is None:
+                    job.spent = levels.spent
+                    split.append((j, *levels.halves, None))
+                else:
+                    job.spent, job.settled = levels.spent, levels.result
+                pos += n
+                continue
             sums = []
             for left, right in zip(lefts, rights):
                 sums.append(_gk15(fv[pos:pos + 15], 0.5 * (right - left)))
                 pos += 15
-            halves = states[j].step(lefts, rights, sums, depth, tol)
-            if halves is not None:
-                split.append((j, *halves))
+            halves = job.step(lefts, rights, sums, depth, tol)
+            if halves is None:
+                continue
+            if depth == 0 and job.engage == 1:
+                split.append((j, None, None, None, _Levels(lefts, rights, job.span, halves)))
+            else:
+                split.append((j, *halves, None))
         pending = split
     return [job.result(tol) for job in states]
 
@@ -704,7 +891,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
     restart: list[int] = []  # the jobs that left the table to extrapolate
     while jobs.size:
         ts, h = _column_nodes(left, right)
-        fv = np.asarray(batch(ts, job.tolist()), dtype=float)
+        fv = np.asarray(batch(ts, job.repeat(15)), dtype=float)
         value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
         with np.errstate(all="ignore"):
             # push: a job's new panels take its next serials, and their
@@ -818,7 +1005,8 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
                    (err <= tol).tolist()))
     if restart:
         restart.sort()
-        restarted = _heap_rounds(lambda nodes, owners: batch(np.array(nodes), [restart[k] for k in owners]),
+        jobs = np.array(restart)
+        restarted = _heap_rounds(lambda nodes, ks, counts: batch(np.array(nodes), jobs[ks].repeat(counts)),
                                  [starts[j] for j in restart], tol)
         for j, res in zip(restart, restarted):
             out[j] = res
@@ -873,7 +1061,7 @@ def integrate_many(
     starts = _starts(jobs, tol)
     if len(starts) >= _TABLE_MIN:
         return _table_rounds(batch, starts, tol)
-    return _heap_rounds(lambda nodes, owners: batch(np.array(nodes), owners), starts, tol)
+    return _heap_rounds(lambda nodes, jobs, counts: batch(np.array(nodes), np.array(jobs).repeat(counts)), starts, tol)
 
 
 def integrate(
@@ -888,7 +1076,8 @@ def integrate(
     `phi` is either a scalar function of one float or a `Vectorized`
     integrand.  Each refinement step makes one batch of nodes: first the 15
     nodes of every initial panel, then the 30 nodes of the two halves of the
-    bisected panel.  A `Vectorized` integrand receives the batch as one
+    bisected panel, or the new nodes of a tanh-sinh level when the caller
+    listed a singular point.  A `Vectorized` integrand receives the batch as one
     ndarray; a scalar one is called node by node, straight from the node
     list.  Panel choice, error control and summation do not depend on which
     form is given.
@@ -897,8 +1086,10 @@ def integrate(
     farther than the bisection floor from its ends, become panel boundaries,
     so the integrand is never evaluated there.  A point at an end, or
     within the floor of one, makes no boundary.  Either way the integral
-    extrapolates from its first bisection, where one with no listed point
-    bisects plainly to depth `_ENGAGE` first (see `integrate_many`).
+    runs tanh-sinh levels on its initial panels when they miss tol, and
+    extrapolates from its first bisection if the levels cannot settle it,
+    where one with no listed point bisects plainly to depth `_ENGAGE`
+    first (see `integrate_many`).
     Returns converged=False (never raises) when the error estimate cannot be
     pushed below `tol` within the depth and panel budgets, and stops early
     once no bisection can reach `tol` (see `integrate_many`).
@@ -906,8 +1097,8 @@ def integrate(
     starts = _starts(((a, b, interior_singularities),), tol)
     if isinstance(phi, Vectorized):
         fn = phi.fn
-        return _heap_rounds(lambda nodes, owners: fn(np.array(nodes)), starts, tol)[0]
-    return _heap_rounds(lambda nodes, owners: list(map(phi, nodes)), starts, tol)[0]
+        return _heap_rounds(lambda nodes, jobs, counts: fn(np.array(nodes)), starts, tol)[0]
+    return _heap_rounds(lambda nodes, jobs, counts: list(map(phi, nodes)), starts, tol)[0]
 
 
 def stall_error(context: str, a: float, b: float, res: QuadratureResult, tol: float) -> ConvergenceError:

@@ -246,15 +246,28 @@ class TestVectorized:
         assert got.error_estimate.hex() == want.error_estimate.hex()
         assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
 
-    def test_one_call_per_refinement_step(self):
-        sizes = []
+    def test_one_call_per_refinement_step(self, monkeypatch):
+        sizes, levels = [], []
+        nodes = quadrature._Levels.nodes
+
+        def level(lv, out):
+            n = len(out)
+            nodes(lv, out)
+            levels.append(len(out) - n)
 
         def phi(ts):
             sizes.append(ts.size)
             return np.exp(-ts * ts)
 
+        monkeypatch.setattr(quadrature._Levels, "nodes", level)
         res = integrate(Vectorized(phi), -3.0, 3.0, tol=1e-12, interior_singularities=(-1.0, 1.0))
         assert sizes[0] == 3 * 15  # every initial panel at once
+        assert sizes[1:] == levels and len(levels) >= 2  # a listed job's tanh-sinh levels, one a call
+        assert sum(sizes) == res.evaluations
+        sizes.clear()
+        levels.clear()
+        res = integrate(Vectorized(phi), -3.0, 3.0, tol=1e-12)
+        assert sizes[0] == 15 and not levels  # no level without a listed point
         assert sizes[1:] and all(n == 30 for n in sizes[1:])  # both halves of a bisection
         assert sum(sizes) == res.evaluations
 
@@ -283,6 +296,20 @@ def _watch_restarts(m):
     m.setattr(quadrature, "_table_rounds", table)
     m.setattr(quadrature, "_heap_rounds", heap)
     return tables, restarts
+
+
+def _owner_batch(specs):
+    """A batch for `integrate_many` over `specs`, whose job j has the array
+    integrand specs[j][0]: each job's integrand at the nodes it owns."""
+
+    def batch(ts, owners):
+        out = np.empty(ts.size)
+        for j in np.unique(owners).tolist():
+            at = owners == j
+            out[at] = specs[j][0](ts[at])
+        return out
+
+    return batch
 
 
 class TestIntegrateMany:
@@ -318,16 +345,22 @@ class TestIntegrateMany:
         A job that does not restart takes part in exactly its lone rounds.
         A restarted job takes part in its lone rounds up to the one in
         which it engages, in the table, and then in all of them alone."""
-        rounds = []  # per round: its owners, panels summed as columns, one by one, and restarts begun
+        rounds = []  # per round: its owners, panels summed as columns, one by one, restarts begun, level nodes
         kernels = quadrature._gk15_columns, quadrature._gk15
+        level_nodes = [0]
+        nodes = quadrature._Levels.nodes
+
+        def levels(lv, out):
+            n = len(out)
+            nodes(lv, out)
+            level_nodes[0] += len(out) - n
 
         def batch(ts, owners):
-            assert isinstance(ts, np.ndarray) and owners == sorted(owners)
-            own = np.repeat(owners, 15)
-            out = np.empty(ts.size)
-            for j in set(owners):
-                out[own == j] = specs[j][0](ts[own == j])
-            rounds.append([owners, 0, 0, len(restarts)])
+            assert isinstance(owners, np.ndarray) and owners.shape == ts.shape
+            assert isinstance(ts, np.ndarray) and np.all(np.diff(owners) >= 0)
+            out = _owner_batch(specs)(ts, owners)
+            rounds.append([owners, 0, 0, len(restarts), level_nodes[0]])
+            level_nodes[0] = 0
             return out
 
         def columns(fv, h):
@@ -342,6 +375,7 @@ class TestIntegrateMany:
             _, restarts = _watch_restarts(m)
             m.setattr(quadrature, "_gk15_columns", columns)
             m.setattr(quadrature, "_gk15", panel)
+            m.setattr(quadrature._Levels, "nodes", levels)
             got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
         lone = []  # per job: its rounds, and its rounds and evaluations before it engages
         engage = quadrature._Job._engage
@@ -362,20 +396,24 @@ class TestIntegrateMany:
         wide = len(specs) >= quadrature._TABLE_MIN
         restarted = [j for j, (_, k, _) in enumerate(lone) if wide and k is not None]
         assert restarts == ([restarted] if restarted else [])
-        first = sum(not begun for *_, begun in rounds)  # the table's rounds, or a narrow call's
+        first = sum(not begun for *_, begun, _ in rounds)  # the table's rounds, or a narrow call's
         for j, (n, k, _) in enumerate(lone):
             took = [sum(j in owners for owners, *_ in part) for part in (rounds[:first], rounds[first:])]
             assert took == ([k, n] if j in restarted else [n, 0])
         # batch calls = table rounds + restart rounds
         assert first == max(k if j in restarted else n for j, (n, k, _) in enumerate(lone))
         assert len(rounds) - first == max((lone[j][0] for j in restarted), default=0)
-        widths = [len(owners) for owners, *_ in rounds]
+        widths = [len(owners) for owners, *_ in rounds]  # nodes
         wasted = sum(lone[j][2] for j in restarted)  # 15 x the restarted jobs' table panels
-        assert 15 * sum(widths) == sum(r.evaluations for r in got) + wasted
+        assert sum(widths) == sum(r.evaluations for r in got) + wasted
         # a wide call's table rounds run as columns, its restart rounds and
-        # every round of a narrow call on the heap path
-        for owners, summed, one_by_one, begun in rounds:
-            assert (summed, one_by_one) == ((len(owners), 0) if wide and not begun else (0, len(owners)))
+        # every round of a narrow call on the heap path, where a tanh-sinh
+        # level's nodes join the round's panels
+        for owners, summed, one_by_one, begun, level in rounds:
+            panels = (len(owners) - level) // 15
+            assert 15 * panels + level == len(owners)
+            assert (summed, one_by_one, level) == (
+                (panels, 0, 0) if wide and not begun else (0, panels, level))
         return got, widths[:first], widths[first:], restarted
 
     def test_each_job_equals_a_lone_integral(self):
@@ -401,11 +439,7 @@ class TestIntegrateMany:
 
         def batch(ts, owners):
             rounds.append([owners, 0, 0, len(restarts)])
-            own = np.repeat(owners, 15)
-            out = np.empty(ts.size)
-            for j in set(owners):
-                out[own == j] = specs[j][0](ts[own == j])
-            return out
+            return _owner_batch(specs)(ts, owners)
 
         with monkeypatch.context() as m:
             _, restarts = _watch_restarts(m)
@@ -424,7 +458,7 @@ class TestIntegrateMany:
         specs = [(fn, a, b, ()) for fn, a, b, _ in self.JOBS] * 8
         assert len(specs) >= quadrature._TABLE_MIN
         got, widths, restart, restarted = self._lockstep(specs)
-        assert len(widths) >= 3 and min(widths) <= 16 < max(widths)  # wide and narrow rounds
+        assert len(widths) >= 3 and min(widths) <= 15 * 16 < max(widths)  # wide and narrow rounds
         assert restart and restarted == [j for j in range(len(specs)) if j % 7 in (4, 5, 6)]
         assert [r.converged for r in got] == [True, True, True, True, True, False, True] * 8
 
@@ -489,12 +523,8 @@ class TestIntegrateMany:
                           + np.where(ts > c2, jump, 0.0) + np.cos(3.0 * (ts - off)), off, off + 2.0, []))
 
         def batch(ts, owners):
-            assert owners == sorted(owners)
-            own = np.repeat(owners, 15)
-            out = np.empty(ts.size)
-            for j in set(owners):
-                out[own == j] = specs[j][0](ts[own == j])
-            return out
+            assert owners.shape == ts.shape and np.all(np.diff(owners) >= 0)
+            return _owner_batch(specs)(ts, owners)
 
         tol = 1e-10
         got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
@@ -546,15 +576,13 @@ class TestIntegrateMany:
         assert len(rounds) >= 20 and len(jobs[0]) == len(specs) - 1 >= quadrature._TABLE_MIN
         assert len(jobs[1]) < quadrature._TABLE_MIN
         # table rounds run as columns, restart rounds on the heap path
-        assert all(summed == len(owners) and not heap for owners, summed, heap, _ in rounds[:first])
-        assert all(heap == len(owners) and not summed for owners, summed, heap, _ in rounds[first:])
+        assert all(15 * summed == len(owners) and not heap for owners, summed, heap, _ in rounds[:first])
+        assert all(15 * heap == len(owners) and not summed for owners, summed, heap, _ in rounds[first:])
         assert restarted == [56, 57, 58, 61, 62] == sorted(set().union(*jobs[first:]))
         table_rounds = [sum(j in js for js in jobs[:first]) for j in restarted]
         assert sorted(first + k for k in table_rounds) == sorted(engaged)
         assert min(table_rounds) > 1 and _CountedWynn.started == len(engaged)
-        got = integrate_many(lambda ts, owners: np.concatenate(
-            [specs[j][0](ts[15 * k:15 * k + 15]) for k, j in enumerate(owners)]),
-            [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
+        got = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
         long, lone_rounds = 0, []
         for (fn, a, b, cuts), res in zip(specs, got):
             n = []
@@ -572,9 +600,9 @@ class TestIntegrateMany:
         # table panels
         assert first == max([n for j, n in enumerate(lone_rounds) if j not in restarted] + table_rounds)
         assert len(rounds) - first == max(lone_rounds[j] for j in restarted)
-        panels = sum(len(owners) for owners, *_ in rounds)
-        wasted = sum(owners.count(j) for owners, *_ in rounds[:first] for j in restarted)
-        assert 15 * panels == sum(r.evaluations for r in got) + 15 * wasted
+        nodes = sum(len(owners) for owners, *_ in rounds)
+        wasted = sum(np.count_nonzero(owners == j) for owners, *_ in rounds[:first] for j in restarted)
+        assert nodes == sum(r.evaluations for r in got) + wasted
 
     def test_done_panels_move_with_their_jobs(self, monkeypatch):
         # pairs of jumps far from 0, whose panels reach the width floor and
@@ -604,13 +632,16 @@ class TestIntegrateMany:
         seen = []
 
         def batch(ts, owners):
-            seen.append(owners)
+            seen.append((ts.size, owners.tolist()))
             return np.cos(np.array(ts)).tolist()
 
         (res,) = integrate_many(batch, [(0.0, 5.0, (1.0,))], 1e-12)
         want = integrate(math.cos, 0.0, 5.0, 1e-12, (1.0,))
         assert (res.value.hex(), res.evaluations) == (want.value.hex(), want.evaluations)
-        assert seen[0] == [0, 0] and all(o == [0, 0] for o in seen[1:])
+        # `owners` names the job of each node: the 30 of the two initial
+        # panels first, then those of each later round
+        assert seen[0] == (30, [0] * 30) and all(owners == [0] * n for n, owners in seen[1:])
+        assert sum(n for n, _ in seen) == res.evaluations
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RejectedInputError):
@@ -715,6 +746,25 @@ class TestOutOfReach:
         assert converged > 40 and stopped > 10
 
 
+def _watch_levels(m):
+    """Wrap `_Levels.take` with the monkeypatch context m.  Returns a list
+    that gets, per job that leaves the tanh-sinh stage, True when it settled
+    there and False when it went back to bisection, and the list of the
+    nodes each level evaluated."""
+    ends, nodes = [], []
+    take = quadrature._Levels.take
+
+    def watched(lv, fv, tol):
+        nodes.append(len(fv))
+        done = take(lv, fv, tol)
+        if done:
+            ends.append(lv.result is not None)
+        return done
+
+    m.setattr(quadrature._Levels, "take", watched)
+    return ends, nodes
+
+
 def _offset_reference(g, a, b, c):
     """The oriented integral over [a, b] of g(t - c), with g singular at 0,
     by mpmath at 30 digits.  Each side of c is integrated in s, with
@@ -803,6 +853,7 @@ class TestExtrapolation:
     def test_converged_results_are_within_tol_of_mpmath(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_Wynn", _CountedWynn)
         _CountedWynn.started = 0
+        ends, _ = _watch_levels(monkeypatch)
         runs = converged = 0
         for name, phi, g, a, b, c in self._cases():
             want = _offset_reference(g, a, b, c)
@@ -812,29 +863,36 @@ class TestExtrapolation:
                 if res.converged:
                     converged += 1
                     assert abs(res.value - want) <= tol, (name, a, b, c, tol, res)
-        assert _CountedWynn.started == runs  # every run extrapolated
+        # every run missed tol on its initial panels and ran tanh-sinh
+        # levels, then settled there or extrapolated from the table it had
+        # engaged at its first bisection
+        assert _CountedWynn.started == runs == len(ends)
+        assert 0 < sum(ends) < runs
         assert converged >= 0.7 * runs
 
     def test_log_kernel_counts(self):
         e10 = make("E10")
         x, y = 0.123, 1.0
         period = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
-        # 360 evaluations; 960 with the table engaged at depth _ENGAGE, 2,010 by bisection alone
-        assert period.converged and period.evaluations <= 400
+        # 222 evaluations by tanh-sinh levels; 360 by the table from depth 1,
+        # 960 with it engaged at depth _ENGAGE, 2,010 by bisection alone
+        assert period.converged and period.evaluations <= 222
         assert abs(period.value) <= 1e-10  # E10 has period integral 0
         rounds = []
         heap_rounds = quadrature._heap_rounds
 
         def counted(batch, starts, tol):
-            def counting(nodes, owners):
-                rounds.append(len(owners))
-                return batch(nodes, owners)
+            def counting(nodes, jobs, counts):
+                rounds.append(len(nodes))
+                return batch(nodes, jobs, counts)
             return heap_rounds(counting, starts, tol)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(quadrature, "_heap_rounds", counted)
             value = convolve(e10, e10).value(0.35, 1.0)
-        assert len(rounds) <= 16  # 14; 28 engaged at depth _ENGAGE, 67 by bisection alone
+        # 5 by tanh-sinh levels; 14 by the table from depth 1, 28 engaged at
+        # depth _ENGAGE, 67 by bisection alone
+        assert len(rounds) <= 5
         assert abs(value - _conv_reference(_mp_e10, _mp_e10, 0.35)) <= 1e-10
         euler = integrate(lambda t: math.log(math.sin(t)), 0.0, 0.5 * math.pi, 1e-11)
         assert euler.converged and euler.evaluations <= 600  # 1,125 by bisection alone
@@ -915,6 +973,18 @@ class TestExtrapolation:
         at_zero = integrate(Vectorized(lambda ts: np.abs(ts) ** -0.75), a - c, b - c, 1e-10, (0.0,))
         assert at_zero.converged and abs(at_zero.value - want) <= 1e-10
 
+    def test_noise_stop_keeps_the_table_result(self):
+        # the noise of the areas exceeds tol from the first extrapolation
+        # on, before the table has an error of its own; the job extrapolates
+        # until it has one and keeps that result, with its error plus the
+        # noise, where it used to drop it for the panel sum 8.8e-4 off
+        c = 0.9355749558027877
+        a, b = 0.9846342338366979, 0.6725765374415519
+        want = _offset_reference(lambda d: abs(d) ** -0.75, a, b, c)
+        res = integrate(Vectorized(lambda ts: np.abs(ts - c) ** -0.75), a, b, 1e-12, (c,))
+        assert not res.converged and 1e-12 < res.error_estimate <= 1e-10
+        assert abs(res.value - want) <= res.error_estimate
+
 
 class TestWideEngagedJobs:
     """A job of a wide call that would start extrapolating leaves the table
@@ -949,12 +1019,8 @@ class TestWideEngagedJobs:
             specs.append((fn, a, b, cuts))
 
         def batch(ts, owners):
-            assert owners == sorted(owners)
-            own = np.repeat(owners, 15)
-            out = np.empty(ts.size)
-            for j in set(owners):
-                out[own == j] = specs[j][0](ts[own == j])
-            return out
+            assert owners.shape == ts.shape and np.all(np.diff(owners) >= 0)
+            return _owner_batch(specs)(ts, owners)
 
         tol = 1e-10
         got = integrate_many(batch, [(a, b, cuts) for _, a, b, cuts in specs], tol)
@@ -1026,16 +1092,23 @@ class TestListedSingularPoints:
         (1.3, 0.02, 0.02, 0.02 + 0.4 - 0.4),                   # pulled back 5 ulps inside, reversed
     ])
     def test_a_listed_log_singularity_engages_at_depth_one(self, a, b, c, listed):
+        # the job engages its table at its first bisection, and then runs
+        # that bisection's round as its first tanh-sinh level instead; the
+        # levels settle it.  Without the listed point it bisects plainly
+        # and engages at depth _ENGAGE, with no level
         assert abs(listed - c) <= 4.0 * _EPS * max(abs(a), abs(b), abs(b - a))  # within the floor
         phi = Vectorized(lambda ts: np.log(np.abs(ts - c)))
         tol = 1e-10
         exact = _log_antiderivative(b, c) - _log_antiderivative(a, c)
         with pytest.MonkeyPatch.context() as m:
             depths = self._engaged(m)
+            ends, _ = _watch_levels(m)
             res = integrate(phi, a, b, tol, (listed,))
             early, depths[:] = depths[:], []
+            settled, ends[:] = ends[:], []
             plain = integrate(phi, a, b, tol)
         assert early == [1] and depths == [quadrature._ENGAGE]
+        assert settled == [True] and ends == []
         assert res.converged and abs(res.value - exact) <= tol
         assert plain.converged and res.evaluations < plain.evaluations
 
@@ -1044,7 +1117,8 @@ class TestListedSingularPoints:
         # or an ulp inside an end, so that every initial panel ends at it,
         # between 24 oscillating jobs that list none and keep the table
         # going: each singular job leaves the table after round 1, restarts
-        # alone and ends as a lone integral does, bit for bit
+        # alone, settles by tanh-sinh levels and ends as a lone integral
+        # does, bit for bit
         rng = np.random.default_rng(29)
         specs = []
         for k in range(24):
@@ -1064,9 +1138,9 @@ class TestListedSingularPoints:
         first = sum(not begun for *_, begun in rounds)  # the table's rounds
         assert restarted == list(range(0, len(specs), 2)) and first > 1
         assert all(sum(j in owners for owners, *_ in rounds[:first]) == 1 for j in restarted)
-        got = integrate_many(lambda ts, owners: np.concatenate(
-            [specs[j][0](ts[15 * k:15 * k + 15]) for k, j in enumerate(owners)]),
-            [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        ends, _ = _watch_levels(monkeypatch)
+        got = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], tol)
+        assert ends == [True] * len(restarted)
         for j, ((fn, a, b, cuts), res) in enumerate(zip(specs, got)):
             with pytest.MonkeyPatch.context() as m:
                 depths = self._engaged(m)
@@ -1097,11 +1171,116 @@ class TestListedSingularPoints:
         assert max(sizes) <= 50
 
 
+class TestTanhSinhLevels:
+    """A job with a listed singular point that misses tol on its initial
+    panels runs them as tanh-sinh levels, one batch a level.  Its nodes and
+    sums do not depend on the integrand's form or on the jobs beside it, and
+    a job that cannot settle goes back to the bisection it set out on."""
+
+    E10 = make("E10")
+
+    def _periods(self, count, seed=10):
+        """Seeded E10 period integrals, as (scalar, array, a, b, points)."""
+        rng = np.random.default_rng(seed)
+        e10, out = self.E10, []
+        for _ in range(count):
+            y = float(rng.uniform(0.5, 2.0))
+            x = float(rng.uniform(-3.0, 3.0)) * y
+            out.append((lambda t, y=y: e10.value(t, y), lambda ts, y=y: e10.values(ts, y),
+                        x, x + y, e10.singular_points(y, x, x + y)))
+        return out
+
+    @staticmethod
+    def _same(got, want):
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
+
+    def test_scalar_and_vectorized_forms_agree(self, monkeypatch):
+        ends, _ = _watch_levels(monkeypatch)
+        for tol in (1e-8, 1e-10):
+            for scalar, array, a, b, points in self._periods(8):
+                want = integrate(scalar, a, b, tol, points)
+                self._same(integrate(Vectorized(array), a, b, tol, points), want)
+                assert want.converged
+        assert len(ends) == 32 and all(ends)
+
+    def test_lone_equals_lockstep_narrow_and_restarted(self, monkeypatch):
+        # the same E10 period jobs, with smooth unlisted ones between them,
+        # in a narrow call and in a wide one, where they leave the table
+        # after round 1 and restart; each equals a lone integral
+        ends, _ = _watch_levels(monkeypatch)
+        periods = self._periods(12, seed=31)
+        specs = []
+        for k, (_, array, a, b, points) in enumerate(periods):
+            specs.append((array, a, b, points))
+            specs.append((lambda ts, k=k: np.cos((k + 1.0) * ts) * np.exp(ts), -1.0, 1.0, ()))
+        tol = 1e-10
+        for width in (10, 2 * quadrature._TABLE_MIN):
+            jobs = (specs * 4)[:width]
+            got = integrate_many(_owner_batch(jobs), [(a, b, cuts) for _, a, b, cuts in jobs], tol)
+            for (fn, a, b, cuts), res in zip(jobs, got):
+                self._same(res, integrate(Vectorized(fn), a, b, tol, cuts))
+        assert ends and all(ends)
+
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    def test_unsettled_kernels_keep_the_table_bits(self, p, monkeypatch):
+        # |t - c|^-p at a cut c != 0: rounding a node moves it by eps |t| / 2,
+        # so the noise of the nodes near c keeps the levels from settling,
+        # and the job returns the value and estimate of the table path; its
+        # evaluations add the nodes the levels spent
+        rng = np.random.default_rng(75)
+        specs = []
+        for _ in range(6):
+            c = float(rng.uniform(0.2, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+            a, b = c - float(rng.uniform(0.1, 1.0)), c + float(rng.uniform(0.1, 1.0))
+            specs.append((c, *((b, a) if rng.random() < 0.3 else (a, b))))
+        for c, a, b in specs:
+            phi = Vectorized(lambda ts, c=c: np.abs(ts - c) ** -p)
+            want = _offset_reference(lambda d: abs(d) ** -p, a, b, c)
+            for tol in (1e-8, 1e-10):
+                with pytest.MonkeyPatch.context() as m:
+                    ends, nodes = _watch_levels(m)
+                    res = integrate(phi, a, b, tol, (c,))
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(quadrature._Levels, "nodes", lambda lv, out: None)
+                    m.setattr(quadrature._Levels, "take", lambda lv, fv, tol: True)
+                    table = integrate(phi, a, b, tol, (c,))
+                assert ends == [False] and sum(nodes) > 0
+                assert res.value.hex() == table.value.hex()
+                assert res.error_estimate.hex() == table.error_estimate.hex()
+                assert (res.evaluations, res.converged) == (table.evaluations + sum(nodes), table.converged)
+                assert not res.converged or abs(res.value - want) <= tol
+
+    def test_evaluation_pins(self, monkeypatch):
+        e10 = self.E10
+        x, y = 0.123, 1.0
+        period = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
+        # 30 for the two initial panels, then levels 0-3 of both: 360 by
+        # the table from depth 1
+        assert period.converged and period.evaluations == 222
+        rounds = []
+        heap_rounds = quadrature._heap_rounds
+
+        def counted(batch, starts, tol):
+            def counting(nodes, jobs, counts):
+                rounds.append(len(nodes))
+                return batch(nodes, jobs, counts)
+            return heap_rounds(counting, starts, tol)
+
+        monkeypatch.setattr(quadrature, "_heap_rounds", counted)
+        value = convolve(e10, e10).value(0.35, 1.0)
+        # both terms in every round: 810 nodes in 14 rounds by the table
+        assert rounds == [30, 24, 24, 48, 48]
+        assert abs(value - _conv_reference(_mp_e10, _mp_e10, 0.35)) <= 1e-10
+
+
 class TestAcceleratedFamilies:
     """The integrals of the paper's log-sine and Gamma entries, whose jobs
-    extrapolate from their listed singular points: E10 period integrals and
-    the E10*E10 and E12*E2(m=2) convolution values, at seeded points, each
-    within its tolerance of the exact value or of mpmath at 30 digits."""
+    run tanh-sinh levels, or extrapolate, from their listed singular
+    points: E10 period integrals and the E10*E10 and E12*E2(m=2)
+    convolution values, at seeded points, each within its tolerance of the
+    exact value or of mpmath at 30 digits."""
 
     def test_log_sine_period_integrals_vanish(self):
         e10 = make("E10")
@@ -1111,6 +1290,23 @@ class TestAcceleratedFamilies:
             x = float(rng.uniform(-3.0, 3.0)) * y
             res = integrate(lambda t: e10.value(t, y), x, x + y, 1e-10, e10.singular_points(y, x, x + y))
             assert res.converged and abs(res.value) <= 1e-10, (x, y, res)
+
+    def test_log_sine_period_integrals_at_tol_1e_12(self):
+        # at 1e-12 the truncation term of a log singularity, 4 |f| d at
+        # d = 64 eps max(|lo|, |hi|, span), is 1.8e-12 and up a side, so
+        # the levels cannot settle and the table path takes over: every
+        # converged result is within tol of 0 all the same
+        e10 = make("E10")
+        rng = np.random.default_rng(12)
+        converged = 0
+        for _ in range(12):
+            y = float(rng.uniform(0.5, 2.0))
+            x = float(rng.uniform(-3.0, 3.0)) * y
+            res = integrate(lambda t: e10.value(t, y), x, x + y, 1e-12, e10.singular_points(y, x, x + y))
+            converged += res.converged
+            assert not res.converged or abs(res.value) <= 1e-12, (x, y, res)
+            assert abs(res.value) <= res.error_estimate, (x, y, res)
+        assert converged >= 4
 
     @pytest.mark.parametrize("g, h, mp_g, mp_h", [
         (("E10", {}), ("E10", {}), _mp_e10, _mp_e10),
