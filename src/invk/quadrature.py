@@ -70,7 +70,9 @@ truncation term above tol, as at |t - c|^-1/2 with c != 0, a value that is
 not finite, differences that stop shrinking, or the last level) takes up
 the bisection its first round set out on, with its table engaged at depth
 1: its value and estimate are those of the table path, and its
-evaluations add the nodes its levels spent.
+evaluations add the nodes its levels spent.  A job with an initial panel
+too narrow for level 0's nodes, next to a listed point a few dozen ulps
+from an end, takes up that bisection at once.
 """
 
 from __future__ import annotations
@@ -443,20 +445,29 @@ class _Levels:
     with p <= 3/4 or a log, plus the rounding noise of the nodes, the step
     times |half w f| eps |t| / (2 d) summed over them (a node moves by up to
     eps |t| / 2, and the integrand by |f| / d times that, as `_node_noise`
-    prices a panel).  The job settles once the estimate is within tol.  It
-    cannot settle when a node value is not finite, when the noise plus the
-    least truncation term it could reach, 4 |f| floor at its outermost nodes
-    (|f| does not fall toward a singular end), exceeds tol, when a difference
-    is no smaller than the one before, or after level `_DE_LEVELS`; it then
-    goes back to the bisection it had set out on (`halves`).
+    prices a panel).  The job settles once the estimate is within tol.
+
+    A panel too narrow for level 0's nodes past the centre, as between a
+    listed point a few dozen ulps from an end and that end, would keep only
+    its centre, and neither difference nor truncation term would see the
+    rest of its integral; a job with such a panel does not run levels at
+    all (`fits`), so every panel of one that does has a node off its centre
+    from level 0 on.  The job cannot settle when a node value is not
+    finite, when the noise plus the least truncation term it could reach,
+    4 |f| floor at its outermost nodes (|f| does not fall toward a singular
+    end), exceeds tol, when a difference is no smaller than the one before,
+    or after level `_DE_LEVELS`; it then goes back to the bisection it had
+    set out on (`halves`).
     """
 
-    __slots__ = ("panels", "halves", "level", "terms", "noise", "outer", "last", "diff", "spent", "took",
-                 "result")
+    __slots__ = ("panels", "fits", "halves", "level", "terms", "noise", "outer", "last", "diff", "spent",
+                 "took", "result")
 
     def __init__(self, lefts, rights, span: float, halves):
         self.panels = [(lo, hi, 0.5 * (hi - lo), 64.0 * _EPS * max(abs(lo), abs(hi), span))
                        for lo, hi in zip(lefts, rights)]
+        r = _DE[0][0][0]  # level 0's largest node distance, at u = 1/2, per unit half-width
+        self.fits = all(half * r >= floor for _, _, half, floor in self.panels)
         self.halves = halves
         self.level = 0
         self.terms: list[float] = []  # half w f of every node so far
@@ -820,8 +831,9 @@ def _heap_rounds(batch: Callable[[list[float], list[int], list[int]], Sequence[f
             halves = job.step(lefts, rights, sums, depth, tol)
             if halves is None:
                 continue
-            if depth == 0 and job.engage == 1:
-                split.append((j, None, None, None, _Levels(lefts, rights, job.span, halves)))
+            levels = _Levels(lefts, rights, job.span, halves) if depth == 0 and job.engage == 1 else None
+            if levels is not None and levels.fits:
+                split.append((j, None, None, None, levels))
             else:
                 split.append((j, *halves, None))
         pending = split
@@ -843,7 +855,7 @@ def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
     return grown
 
 
-def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], starts, tol: float):
+def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], starts, tol: float):
     """The rounds of a wide call, with every panel in one table.
 
     The table has one row per panel, in push order: left, right, value,
@@ -1014,7 +1026,7 @@ def _table_rounds(batch: Callable[[np.ndarray, list[int]], Sequence[float]], sta
 
 
 def integrate_many(
-    batch: Callable[[np.ndarray, list[int]], Sequence[float]],
+    batch: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     jobs: Iterable[tuple[float, float, Iterable[float]]],
     tol: float,
 ) -> list[QuadratureResult]:
@@ -1026,27 +1038,37 @@ def integrate_many(
     4 eps max(|a|, |b|, |b - a|), makes no cut: a cut there, such as a
     point that rounding pulled back an ulp inside, would make a panel too
     narrow to bisect whose nodes all sit on the singularity.  It marks that
-    end singular instead, as listing the end itself does.  A job with a
-    listed point, as a cut or at an end, starts extrapolating at its first
-    bisection; any other job once a bisection reaches depth `_ENGAGE`
-    (see the module docstring).  The first round
+    end singular instead, as listing the end itself does.  The first round
     evaluates the initial panels of every job.  Each later round lets every
     unfinished job pop panels as a lone integral does, until it needs a
     bisection, and then evaluates the halves of all those bisections
     together.
 
-    `batch(ts, owners)` gets the round's nodes as a float ndarray, 15 per
-    panel, and `owners`, the list of the index in `jobs` of each panel's
-    job, in increasing order: panel p covers ts[15p:15p + 15].  It returns the integrand values
-    at ts as a float ndarray or a list of floats.  A call of at least
-    `_TABLE_MIN` jobs keeps every panel in one table and runs each round's
-    nodes and Kronrod sums as ndarray columns; a narrower call keeps a heap
-    per job and sums panel by panel.  The choice is made once per call, and
-    both give the same bits.  A job of a wide call leaves the table instead
-    of starting to extrapolate, at its first bisection when it has a
-    listed point, and, after the table's last round, restarts as a lone
-    integral, in more rounds of one batch each for all such jobs; its
-    evaluations are those of the restart.
+    A job with a listed point, as a cut or at an end, whose initial panels
+    miss tol does not bisect them at once: it runs them as tanh-sinh
+    levels, one a round, each adding the nodes that halve the step of the
+    one before (`_Levels`).  It settles there once the difference of two
+    level sums, with a truncation and a rounding-noise term, is within tol.
+    When it cannot settle, or when a panel is too narrow for level 0's
+    nodes, it bisects and starts extrapolating at its first bisection, and
+    its value and estimate are those of that path; its evaluations add the
+    nodes its levels spent.  Any other job extrapolates once a bisection
+    reaches depth `_ENGAGE` (see the module docstring).
+
+    `batch(ts, owners)` gets the round's nodes as a float ndarray and
+    `owners`, an int ndarray aligned with ts that holds, for each node, the
+    index in `jobs` of the job it belongs to, in non-decreasing order.  A
+    round's nodes are 15 per Kronrod panel, or a tanh-sinh level's, whose
+    count is no multiple of 15.  It returns the integrand values at ts as a
+    float ndarray or a list of floats.  A call of at least `_TABLE_MIN`
+    jobs keeps every panel in one table and runs each round's nodes and
+    Kronrod sums as ndarray columns; a narrower call keeps a heap per job
+    and sums panel by panel.  The choice is made once per call, and both
+    give the same bits.  A job of a wide call that needs a bisection at
+    depth 1 with a listed point, or at `_ENGAGE` without one, leaves the
+    table, and, after the table's last round, restarts as a lone integral
+    on the heap code, tanh-sinh levels included, in more rounds of one
+    batch each for all such jobs; its evaluations are those of the restart.
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it
@@ -1087,9 +1109,9 @@ def integrate(
     so the integrand is never evaluated there.  A point at an end, or
     within the floor of one, makes no boundary.  Either way the integral
     runs tanh-sinh levels on its initial panels when they miss tol, and
-    extrapolates from its first bisection if the levels cannot settle it,
-    where one with no listed point bisects plainly to depth `_ENGAGE`
-    first (see `integrate_many`).
+    extrapolates from its first bisection if the levels cannot settle it
+    or a panel is too narrow for them, where one with no listed point
+    bisects plainly to depth `_ENGAGE` first (see `integrate_many`).
     Returns converged=False (never raises) when the error estimate cannot be
     pushed below `tol` within the depth and panel budgets, and stops early
     once no bisection can reach `tol` (see `integrate_many`).

@@ -1252,6 +1252,40 @@ class TestTanhSinhLevels:
                 assert (res.evaluations, res.converged) == (table.evaluations + sum(nodes), table.converged)
                 assert not res.converged or abs(res.value - want) <= tol
 
+    @pytest.mark.parametrize("ulps", [8, 40, 100, 1000])
+    def test_a_listed_jump_ulps_from_an_end(self, ulps):
+        # the cut makes a panel of a few ulps; too narrow for level 0's
+        # nodes (under ~400 ulps of 1 here), its job bisects at once, with
+        # the bits of the table path; a wider one runs levels.  Either way
+        # a converged value is within tol
+        for left in (True, False):
+            if left:
+                c = ulps * _EPS
+                true = 3e4 * c + (math.sin(50.0) - math.sin(50.0 * c)) / 50.0
+
+                def f(t):
+                    return 3e4 if t < c else math.cos(50.0 * t)
+            else:
+                c = 1.0 - ulps * _EPS
+                true = 3e4 * (1.0 - c) + math.sin(50.0 * c) / 50.0
+
+                def f(t):
+                    return 3e4 if t > c else math.cos(50.0 * t)
+            for tol in (1e-10, 1e-12):
+                with pytest.MonkeyPatch.context() as m:
+                    ends, nodes = _watch_levels(m)
+                    res = integrate(f, 0.0, 1.0, tol, (c,))
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(quadrature._Levels, "nodes", lambda lv, out: None)
+                    m.setattr(quadrature._Levels, "take", lambda lv, fv, tol: True)
+                    table = integrate(f, 0.0, 1.0, tol, (c,))
+                if ulps < 400:
+                    assert nodes == []
+                    self._same(res, table)
+                else:
+                    assert nodes
+                assert not res.converged or abs(res.value - true) <= tol
+
     def test_evaluation_pins(self, monkeypatch):
         e10 = self.E10
         x, y = 0.123, 1.0
