@@ -27,6 +27,7 @@ cap bounds the memory of any `values` call.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -40,12 +41,96 @@ from .quadrature import Vectorized, converged_integral, integrate_many, stall_er
 # (one sample), 40.7 MB at 176, 43.6 MB at 352 and 48.1 MB at 704.
 _MAX_POINTS = 176
 
+_TERMS = ("first", "second")
+
 
 def _require_integrable(f: InvariantFunction, op: str) -> None:
     if not f.integrable_in_x:
         raise RejectedInputError(
             f"{f.name} has a non-integrable singularity and cannot enter {op}"
         )
+
+
+def _sinh_cosh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S(s), S'(s)) for the sinh of `convolve`'s map, S = (E - 1/E)/2 with
+    E(s) = (1 + s/16)^16 in place of e^s, for s > -16.  The map only has to
+    be smooth and increasing, with S' = (E + 1/E)/(2 (1 + s/16)) its exact
+    derivative, for the change of variables to be exact; E grows like e^s
+    over the few units of s a term spans.  It takes only IEEE arithmetic,
+    which rounds alike on every CPU, where numpy's and libm's sinh, cosh and
+    exp take other code paths under other CPU dispatch and round otherwise."""
+    p = 1.0 + s * 0.0625
+    e = p * p
+    for _ in range(3):
+        e = e * e
+    inv = 1.0 / e
+    return 0.5 * (e - inv), 0.5 * (e + inv) / p
+
+
+def _arsinh(v: np.ndarray) -> np.ndarray:
+    """The s with S(s) = v (`_sinh_cosh`), from IEEE arithmetic and square
+    roots: E = v + sqrt(v^2 + 1), and s = 16 (E^(1/16) - 1)."""
+    root = np.sqrt(v * v + 1.0)
+    with np.errstate(divide="ignore"):
+        e = np.where(v >= 0.0, v + root, 1.0 / (root - v))
+    for _ in range(4):
+        e = np.sqrt(e)
+    return 16.0 * (e - 1.0)
+
+
+def _pole_columns(f: InvariantFunction, scales: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """f's near poles with real parts in [-y, 2y], for each scale y of
+    `scales`, as rows (real parts, distances) padded with (inf, 1.0)."""
+    lists = [f.near_poles(y, -y, 2.0 * y) for y in scales]
+    width = max(map(len, lists), default=0)
+    cs, ds = np.full((len(lists), width), np.inf), np.ones((len(lists), width))
+    for i, poles in enumerate(lists):
+        if poles:
+            cs[i, :len(poles)], ds[i, :len(poles)] = zip(*poles)
+    return cs, ds
+
+
+def _sinh_pieces(g: InvariantFunction, h: InvariantFunction, lo: np.ndarray, hi: np.ndarray,
+                 shift: np.ndarray, scale: np.ndarray):
+    """The pieces of the terms g(t) h(shift - t) over [lo, hi] (float
+    ndarrays, one element per term, lo <= hi <= lo + scale, within
+    [0, scale]), each to be integrated in s with t = c + d sinh(s) about the
+    pole c + i d: (term, a, b, c, d, share) per piece, in term order, with
+    share the number of pieces of its term.
+
+    The candidates are g's near poles and h's pulled back through
+    t -> shift - t, of real part in [-y, 2y] of each operand's argument.
+    Each end of a term takes the candidate of real part nearest to it, the
+    first listed on a tie.  When both ends take the same pole, the term is
+    one piece about it; else it is cut at its midpoint, and each half is
+    mapped about its end's pole.  A term without candidates is one piece
+    about lo with d = hi - lo, or 1 when that is 0: the map is exact for
+    any d > 0."""
+    scales, which = np.unique(scale, return_inverse=True)
+    scales = scales.tolist()
+    gc, gd = _pole_columns(g, scales)
+    hc, hd = _pole_columns(h, scales)
+    span = hi - lo
+    cs = np.column_stack((lo, gc[which], shift[:, None] - hc[which]))
+    ds = np.column_stack((np.where(span > 0.0, span, 1.0), gd[which], hd[which]))
+    rows = np.arange(lo.size)
+    # the first column, the fallback, is taken only where no pole is listed
+    ends = []
+    for end in (lo, hi):
+        gap = np.abs(cs - end[:, None])
+        gap[:, 0] = np.inf
+        k = np.argmin(gap, axis=1)
+        ends.append((cs[rows, k], ds[rows, k]))
+    (c_lo, d_lo), (c_hi, d_hi) = ends
+    cut = (c_lo != c_hi) | (d_lo != d_hi)
+    share = 1 + cut
+    term = np.repeat(rows, share)
+    a, b, c, d = lo[term], hi[term], c_lo[term], d_lo[term]
+    first = np.cumsum(share)[cut] - 2  # the first piece of each cut term
+    mid = 0.5 * (lo[cut] + hi[cut])
+    b[first] = mid
+    a[first + 1], c[first + 1], d[first + 1] = mid, c_hi[cut], d_hi[cut]
+    return term, a, b, c, d, share[term]
 
 
 def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> InvariantFunction:
@@ -63,6 +148,20 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     one-point case.  Each term equals a lone `integrate` bit for bit.  When a
     term misses its tolerance, ConvergenceError names the first such term,
     in point order, and its range (at the folded x).
+
+    A folded product whose operand lists near poles (`near_poles`, as E7,
+    E8 and E9 do) integrates each term in the variable s of t = c + d sinh(s)
+    about a pole c + i d, pulled back through t -> shift - t for h: the
+    integrand becomes g(t) h(shift - t) d cosh(s), smooth on a scale of d
+    near c, where panels in t would crowd.  Every term of such a product has
+    a pole at an end; it is cut at its midpoint when another pole lies
+    within the term's length of its far end, and each half is mapped about
+    the pole nearest its end (`_sinh_pieces`).  Each piece is one job, with
+    its singular points mapped along.  The pieces of a term share its
+    tolerance, tol/2: a term cut in two integrates twice its integrand at
+    tol/2 and halves the result, which is exact, so the declared
+    `series_tolerance` still bounds the error.  The choice is made here,
+    once: any other product integrates in t.
     """
     tol = positive("convolution tolerance", tol)
     _require_integrable(g, "convolution")
@@ -71,6 +170,7 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     label = f"convolve({g.name},{h.name})"
     g_points, h_points = (f.singular_points is not _no_points for f in (g, h))
     fold = g.periodic or h.periodic
+    mapped = fold and (g.near_poles is not _no_points or h.near_poles is not _no_points)
 
     def products(xs: list[float], ys: list[float] | float) -> list[float]:
         """(g * h)(xs[i], y_i), with y_i = ys[i], or ys itself when it is one scale."""
@@ -94,6 +194,8 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
             jobs += ((0.0, x, pts1), (x, y, pts2))
             shifts += (x, x + y)  # h's argument is shift - t in each term
         shifts = np.array(shifts)
+        if mapped:
+            return mapped_products(jobs, shifts, ys, per_point)
         scales = np.repeat(ys, 2) if per_point else None  # the scale of each job
 
         def batch(ts, owners):
@@ -103,9 +205,40 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         results = integrate_many(batch, jobs, half)
         for k, ((a, b, _), res) in enumerate(zip(jobs, results)):
             if not res.converged:
-                term = "second" if k % 2 else "first"
-                raise stall_error(f"{label} {term} term", a, b, res, half)
+                raise stall_error(f"{label} {_TERMS[k % 2]} term", a, b, res, half)
         return [t1.value + t2.value for t1, t2 in zip(results[::2], results[1::2])]
+
+    def mapped_products(terms, shifts, ys, per_point):
+        """`products` of a mapped product from its term jobs (0, x, pts1),
+        (x, y, pts2) at the folded x, each term cut into `_sinh_pieces`."""
+        x0 = shifts[0::2]
+        y0 = np.array(ys) if per_point else np.full(x0.size, ys)
+        lo = np.column_stack((np.zeros(x0.size), x0)).ravel()
+        hi = np.column_stack((x0, y0)).ravel()
+        term, a, b, c, d, share = _sinh_pieces(g, h, lo, hi, shifts, np.repeat(y0, 2))
+        s_a, s_b = _arsinh((a - c) / d).tolist(), _arsinh((b - c) / d).tolist()
+        pts = repeat(())
+        if g_points or h_points:
+            pts = [_arsinh((np.array([p for p in terms[k][2] if lo_k <= p <= hi_k]) - c_k) / d_k).tolist()
+                   for k, lo_k, hi_k, c_k, d_k in zip(term.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist())]
+        weight = share * d  # a cut term's pieces take twice its integrand
+        at_shift = shifts[term]
+        scales = y0[term // 2] if per_point else None
+
+        def batch(ss, owners):
+            at = ys if scales is None else scales[owners]
+            sinh, cosh = _sinh_cosh(ss)
+            ts = c[owners] + d[owners] * sinh
+            return g.values(ts, at) * h.values(at_shift[owners] - ts, at) * (weight[owners] * cosh)
+
+        results = integrate_many(batch, list(zip(s_a, s_b, pts)), half)
+        for k, res in enumerate(results):
+            if not res.converged:
+                i = int(term[k])
+                raise stall_error(f"{label} {_TERMS[i % 2]} term", lo[i], hi[i], res, half)
+        firsts = np.flatnonzero(np.diff(term, prepend=-1))
+        values = np.add.reduceat(np.array([res.value for res in results]), firsts) / share[firsts]
+        return (values[0::2] + values[1::2]).tolist()
 
     def array_value(xs, ys):
         xs, ys = xs.tolist(), ys.tolist() if isinstance(ys, np.ndarray) else ys

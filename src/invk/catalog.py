@@ -16,7 +16,11 @@ E7, E8 and E9 are three views of one real quantity, D = |1 - rho e^(2 pi i u)|^2
 = (rho - 1)^2 + 4 rho sin^2(pi u) with rho = r^(1/y): E7 = log D,
 E8 = rho sin(2 pi u)/(y D) and E9 = -(rho - 1)(1 + rho)/(y D).  Their values
 and partials read D and its parts from one helper, `_quotient_parts`, in
-real arithmetic, as every entry computes.
+real arithmetic, as every entry computes.  D vanishes at the complex points
+x = k y +- i |log r|/(2 pi), 0.110 off the real axis for r = 1/2 at every
+scale, and the three entries list them (`near_poles`), so a convolution
+with one of them integrates in a variable that spreads its nodes about
+them.
 
 Every entry also has an array rule over an ndarray of points, built
 from the array forms of the same helpers, that equals its value rule bit
@@ -93,6 +97,17 @@ def _lattice_locator(offset: float = 0.0, halves: bool = False, nonpositive: boo
         return pts
 
     return points
+
+
+def _pole_locator(L: float):
+    """The `near_poles` of E7, E8 and E9 from L = log r: the zeros of D,
+    k y +- i |L|/(2 pi), one per lattice point k y."""
+    dist = abs(L) / _TWO_PI
+
+    def poles(y, lo, hi):
+        return tuple((c, dist) for c in lattice_points(0.0, y, lo, hi))
+
+    return poles
 
 
 def _make_e1() -> InvariantFunction:
@@ -380,7 +395,7 @@ def _make_e7(r: float) -> InvariantFunction:
 
     return InvariantFunction(
         name="E7", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value,
-        periodic=True,
+        periodic=True, near_poles=_pole_locator(L),
     )
 
 
@@ -407,7 +422,7 @@ def _make_e8(r: float) -> InvariantFunction:
 
     return InvariantFunction(
         name="E8", value=value, params={"r": r}, dx=dx, dy=dy, array_value=array_value,
-        periodic=True,
+        periodic=True, near_poles=_pole_locator(L),
     )
 
 
@@ -430,7 +445,7 @@ def _make_e9(r: float) -> InvariantFunction:
 
     return InvariantFunction(
         name="E9", value=value, params={"r": r}, dx=dx, dy=dy, array_value=value,
-        periodic=True,
+        periodic=True, near_poles=_pole_locator(L),
     )
 
 

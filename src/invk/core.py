@@ -184,6 +184,19 @@ class InvariantFunction:
     False.  `dataclasses.replace(f, value=...)` keeps the flag, so a
     replaced rule that is not y-periodic in x has to clear it; a flag left
     False where it could be True costs only speed.
+
+    `near_poles(y, lo, hi)` lists the poles of the value at scale y that sit
+    near the real x-axis, off it, as (real part, distance) pairs whose real
+    part lies in [lo, hi]: a pole c +- i*distance makes the value smooth on
+    the real line but slow to integrate over panels in x near c.  The rule
+    of `singular_points` holds: a wider window lists the same pairs plus
+    more.  It lists none by default.  The catalog sets it on E7, E8 and E9,
+    whose D vanishes at x = k y +- i |log r|/(2 pi); `algebra.convolve`
+    integrates a folded product of such an operand in a sinh variable about
+    them.  No combinator sets it, as none sets `periodic`, and
+    `dataclasses.replace(f, value=...)` keeps it, as it keeps `periodic`:
+    a replaced rule with other poles has to replace it too.  The map is
+    exact for any pole listed, so a wrong list costs only speed.
     """
 
     name: str
@@ -199,6 +212,7 @@ class InvariantFunction:
     flags: frozenset = frozenset()
     array_value: Optional[ArrayRule] = None
     periodic: bool = False
+    near_poles: Callable[[float, float, float], Sequence[tuple[float, float]]] = _no_points
 
     def __post_init__(self):
         object.__setattr__(self, "series_tolerance",

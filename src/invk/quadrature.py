@@ -414,6 +414,16 @@ def _diverges(result: float, area: float, errsum: float, absarea: float) -> bool
     return not (area != 0.0 and 0.01 <= result / area <= 100.0) or errsum > abs(area)
 
 
+def _fsum(values: list[float]) -> float:
+    """`math.fsum`, or nan where the values hold both infinities: panel
+    values that overflow to +inf and -inf sum to nan, as Python floats
+    add, where fsum raises, so the job ends unconverged."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
 def _node_noise(panel) -> float:
     """A bound on the change in a panel's value from rounding its nodes to
     doubles, when the integrand has an integrable singularity of order
@@ -610,7 +620,7 @@ class _Job:
         epsilon table starts from the area at that moment, as QAGP's starts
         from its first."""
         self.wynn = _Wynn()
-        self.wynn.add(math.fsum([p[4] for p in self._kept()] + [v]))
+        self.wynn.add(_fsum([p[4] for p in self._kept()] + [v]))
         self.area_serial = self.serial
         self.levmax = depth
         self.erlarg = heap_err
@@ -710,7 +720,7 @@ class _Job:
             self.area_serial = self.serial
             errsum = self.heap_err + self.done_err
             kept = self._kept()
-            reseps, abseps = self.wynn.add(math.fsum([p[4] for p in kept]))
+            reseps, abseps = self.wynn.add(_fsum([p[4] for p in kept]))
             noise = math.fsum([_node_noise(p) for p in kept])
             abseps += noise
             self.ktmin += 1
@@ -738,10 +748,10 @@ class _Job:
             value, err = self.settled
             return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, True)
         kept = self._kept()
-        value = math.fsum([p[4] for p in kept])
-        err = math.fsum([p[5] for p in kept])
+        value = _fsum([p[4] for p in kept])
+        err = _fsum([p[5] for p in kept])
         if self.best is not None and self.best[1] < err:
-            absarea = math.fsum([p[7] for p in kept]) / (50.0 * _EPS)
+            absarea = _fsum([p[7] for p in kept]) / (50.0 * _EPS)
             if not _diverges(self.best[0], value, err, absarea):
                 value, err = self.best
         return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, err <= tol)
@@ -1010,8 +1020,8 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     many = np.flatnonzero(sizes > 1)
     values, ests = t_value[kept].tolist(), t_est[kept].tolist()
     for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
-        value[j] = math.fsum(values[a:b])
-        err[j] = math.fsum(ests[a:b])
+        value[j] = _fsum(values[a:b])
+        err[j] = _fsum(ests[a:b])
     value *= [sign for _, _, sign, _, _ in starts]
     out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
                    (err <= tol).tolist()))

@@ -10,7 +10,7 @@ import pytest
 
 from invk.algebra import antiderivative, convolve, geometric_convolve
 from invk.catalog import make
-from invk import core, quadrature
+from invk import algebra, core, quadrature
 from invk.core import EPS_SING, affine_transform, lattice_points, x_derivative
 from invk.errors import CapacityError, ConvergenceError, RejectedInputError
 from invk.quadrature import Vectorized, integrate
@@ -186,13 +186,52 @@ def _folded(g, h, x, y):
     return x + y if x < 0.0 else x
 
 
+def _mapped(g, h):
+    """Whether `convolve(g, h)` integrates its terms in the sinh variable:
+    folded, with an operand that lists near poles."""
+    return (g.periodic or h.periodic) and any(f.near_poles is not core._no_points for f in (g, h))
+
+
+def _lone_pieces(g, h, x, y):
+    """The lone jobs of `convolve(g, h)`'s terms at the folded x, for
+    operands without singular points: (term, a, b, shift, phi) with phi
+    the integrand over [a, b] as a function of a float node.  A mapped
+    product's term is one job or two, in the sinh variable, whose pieces
+    `algebra._sinh_pieces` picks; phi then applies the map in float
+    arithmetic and carries the share of a cut term's pieces in its weight."""
+    x = _folded(g, h, x, y)
+    if not _mapped(g, h):
+        return [(k, a, b, shift, lambda t, shift=shift: g.value(t, y) * h.value(shift - t, y))
+                for k, (a, b, shift) in enumerate(((0.0, x, x), (x, y, x + y)))]
+    term, a, b, c, d, share = algebra._sinh_pieces(
+        g, h, np.array([0.0, x]), np.array([x, y]), np.array([x, x + y]), np.array([y, y]))
+    pieces = []
+    for k, ak, bk, ck, dk, n in zip(term.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                                     share.tolist()):
+        shift = (x, x + y)[k]
+
+        def phi(s, shift=shift, c=ck, d=dk, w=n * dk):
+            p = 1.0 + s * 0.0625
+            e = p * p
+            e = e * e
+            e = e * e
+            e = e * e
+            t = c + d * (0.5 * (e - 1.0 / e))
+            return g.value(t, y) * h.value(shift - t, y) * (w * (0.5 * (e + 1.0 / e) / p))
+
+        s_a, s_b = algebra._arsinh((np.array([ak, bk]) - ck) / dk).tolist()
+        pieces.append((k, s_a, s_b, shift, phi))
+    return pieces
+
+
 def _scalar_convolution(g, h, x, y, tol):
     """`convolve(g, h, tol).value(x, y)` rebuilt from scalar integrands, for
-    operands without singular points."""
-    half = 0.5 * tol
-    x = _folded(g, h, x, y)
-    term1 = integrate(lambda t: g.value(t, y) * h.value(x - t, y), 0.0, x, half).value
-    term2 = integrate(lambda t: g.value(t, y) * h.value(x + y - t, y), x, y, half).value
+    operands without singular points: a cut term is the mean of its
+    pieces, each integrated over twice its integrand."""
+    terms = [[], []]
+    for k, a, b, _, phi in _lone_pieces(g, h, x, y):
+        terms[k].append(integrate(phi, a, b, 0.5 * tol).value)
+    term1, term2 = (v[0] if len(v) == 1 else (v[0] + v[1]) / 2 for v in terms)
     return term1 + term2
 
 
@@ -258,15 +297,14 @@ class TestLockstepConvolution:
         rounds, nodes = len(sizes), sum(sizes)
         lone_rounds, lone_nodes = [], 0
         for x, y in points:
-            x = _folded(g, h, x, y)
-            for a, b, shift in ((0.0, x, x), (x, y, x + y)):
+            for _, a, b, _, phi in _lone_pieces(g, h, x, y):
                 calls = []
 
-                def phi(ts):
+                def counted_phi(ts, phi=phi):
                     calls.append(ts.size)
-                    return g.values(ts, y) * h.values(shift - ts, y)
+                    return np.array([phi(t) for t in ts.tolist()])
 
-                lone_nodes += integrate(Vectorized(phi), a, b, 0.5e-9).evaluations
+                lone_nodes += integrate(Vectorized(counted_phi), a, b, 0.5e-9).evaluations
                 lone_rounds.append(len(calls))
         assert rounds == max(lone_rounds) and nodes == lone_nodes
         assert nodes > 10 * rounds  # the batches are wide

@@ -958,6 +958,24 @@ class TestExtrapolation:
         assert job._level_step(0.0, 10, 1e-10) is None
         assert len(job.heap) == 1 and job.levmax == (10 if engaged else 0)
 
+    def test_panels_that_overflow_both_ways_end_unconverged(self):
+        # finite values whose Kronrod sums overflow to +inf on one panel and
+        # -inf on the other: their sum is nan, as Python floats add, where
+        # fsum raises, so the job ends unconverged as the unlisted one does,
+        # lone and in a wide call alike
+        def step(ts):
+            return np.where(ts > 0.5, 1e308, -1e308)
+
+        unlisted = integrate(lambda t: 1e308 if t > 0.5 else -1e308, -3.0, 3.0, 1e-10)
+        assert not unlisted.converged
+        lone = integrate(lambda t: 1e308 if t > 0.5 else -1e308, -3.0, 3.0, 1e-10, (0.5,))
+        assert not lone.converged and math.isnan(lone.value)
+        specs = [(step, -3.0, 3.0, (0.5,))] + [(np.cos, 0.0, 1.0 + k, ()) for k in range(quadrature._TABLE_MIN)]
+        wide = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], 1e-10)
+        assert not wide[0].converged and math.isnan(wide[0].value)
+        assert (wide[0].error_estimate, wide[0].evaluations) == (lone.error_estimate, lone.evaluations)
+        assert all(res.converged for res in wide[1:])
+
     def test_rounding_noise_bounds_the_table(self):
         # nodes near c = 3.16... round by up to 2.2e-16, which moves
         # |t - c|^-3/4 by 0.75 x 2.2e-16 / |t - c| relative, 1.6e-10 at
