@@ -34,7 +34,7 @@ import numpy as np
 from .catalog import make
 from .core import InvariantFunction, _no_points
 from .errors import RejectedInputError, positive
-from .quadrature import Vectorized, converged_integral, integrate_many, stall_error
+from .quadrature import _EPS, Vectorized, converged_integral, integrate_many, stall_error
 
 # The most points whose term integrals run in one `integrate_many`.  Peak
 # RSS of the standard suite, on a 2-vCPU x86-64 host: 37.9 MB at 21 points
@@ -52,13 +52,15 @@ def _require_integrable(f: InvariantFunction, op: str) -> None:
 
 
 def _sinh_cosh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S(s), S'(s)) for the sinh of `convolve`'s map, S = (E - 1/E)/2 with
-    E(s) = (1 + s/16)^16 in place of e^s, for s > -16.  The map only has to
-    be smooth and increasing, with S' = (E + 1/E)/(2 (1 + s/16)) its exact
-    derivative, for the change of variables to be exact; E grows like e^s
-    over the few units of s a term spans.  It takes only IEEE arithmetic,
-    which rounds alike on every CPU, where numpy's and libm's sinh, cosh and
-    exp take other code paths under other CPU dispatch and round otherwise."""
+    """(S(s), S'(s)) for the sinh of `convolve`'s map: S = (E - 1/E)/2 with
+    E(s) = (1 + s/16)^16 in place of e^s, for s > -16.  The change of
+    variables is exact for any smooth increasing S whose weight is its exact
+    derivative, here S' = (E + 1/E)/(2 (1 + s/16)), and E grows much as e^s
+    does over the few units of s a term spans, so the nodes still grade
+    geometrically away from the pole.  It takes only IEEE arithmetic, which
+    rounds alike on every CPU: numpy's and libm's sinh, cosh and exp take
+    other code paths under other CPU dispatch and round otherwise (numpy's
+    sinh at a quarter of seeded nodes, libm's at ~1 in 2,000)."""
     p = 1.0 + s * 0.0625
     e = p * p
     for _ in range(3):
@@ -94,9 +96,9 @@ def _sinh_pieces(g: InvariantFunction, h: InvariantFunction, lo: np.ndarray, hi:
                  shift: np.ndarray, scale: np.ndarray):
     """The pieces of the terms g(t) h(shift - t) over [lo, hi] (float
     ndarrays, one element per term, lo <= hi <= lo + scale, within
-    [0, scale]), each to be integrated in s with t = c + d sinh(s) about the
-    pole c + i d: (term, a, b, c, d, share) per piece, in term order, with
-    share the number of pieces of its term.
+    [0, scale]), each to be integrated in s with t = c + d S(s) about the
+    pole c + i d (`_sinh_cosh`): (term, a, b, c, d, share) per piece, in
+    term order, with share the number of pieces of its term.
 
     The candidates are g's near poles and h's pulled back through
     t -> shift - t, of real part in [-y, 2y] of each operand's argument.
@@ -150,18 +152,24 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
     in point order, and its range (at the folded x).
 
     A folded product whose operand lists near poles (`near_poles`, as E7,
-    E8 and E9 do) integrates each term in the variable s of t = c + d sinh(s)
-    about a pole c + i d, pulled back through t -> shift - t for h: the
-    integrand becomes g(t) h(shift - t) d cosh(s), smooth on a scale of d
-    near c, where panels in t would crowd.  Every term of such a product has
-    a pole at an end; it is cut at its midpoint when another pole lies
-    within the term's length of its far end, and each half is mapped about
-    the pole nearest its end (`_sinh_pieces`).  Each piece is one job, with
-    its singular points mapped along.  The pieces of a term share its
-    tolerance, tol/2: a term cut in two integrates twice its integrand at
-    tol/2 and halves the result, which is exact, so the declared
-    `series_tolerance` still bounds the error.  The choice is made here,
-    once: any other product integrates in t.
+    E8 and E9 do) integrates each term in the variable s of t = c + d S(s)
+    about a pole c + i d, g's or h's pulled back through t -> shift - t:
+    the sinh transformation of Johnston and Elliott (2005), with S a sinh
+    built from IEEE arithmetic (`_sinh_cosh`).  The integrand
+    becomes g(t) h(shift - t) d S'(s), smooth on the scale of s where in t
+    it peaks within d of c and panels would crowd there.  The map is exact
+    for any d > 0, so d sets only the speed.  Every term of such a product
+    has a pole at an end (at the x-end for h's lattice poles, at 0 or y for
+    g's); it is cut at its midpoint when the pole nearest its far end is
+    another one, such as the next lattice pole just past that end, and each
+    half is mapped about the pole nearest its own end (`_sinh_pieces`).
+    Each piece is one job, with its singular points mapped along, so a
+    point's value is still one lockstep of jobs that each equal a lone
+    `integrate`.  The pieces of a term share its tolerance, tol/2: each
+    integrates twice its integrand at tol/2 and the term is half their sum,
+    which is exact, so the declared `series_tolerance` still bounds the
+    error.  Whether a product maps is decided here, once: any other product
+    integrates in t, with the bits it always had.
     """
     tol = positive("convolution tolerance", tol)
     _require_integrable(g, "convolution")
@@ -219,8 +227,15 @@ def convolve(g: InvariantFunction, h: InvariantFunction, tol: float = 1e-10) -> 
         s_a, s_b = _arsinh((a - c) / d).tolist(), _arsinh((b - c) / d).tolist()
         pts = repeat(())
         if g_points or h_points:
-            pts = [_arsinh((np.array([p for p in terms[k][2] if lo_k <= p <= hi_k]) - c_k) / d_k).tolist()
-                   for k, lo_k, hi_k, c_k, d_k in zip(term.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist())]
+            # a point within the bisection floor of a piece's end, as a
+            # pulled-back lattice point an ulp off x, is that end: mapped, it
+            # could land outside the floor in s and cut a sliver there
+            pts = []
+            for k, lo_k, hi_k, c_k, d_k in zip(term.tolist(), a.tolist(), b.tolist(), c.tolist(), d.tolist()):
+                floor = 4.0 * _EPS * max(abs(lo_k), abs(hi_k), hi_k - lo_k)
+                near = [lo_k if abs(p - lo_k) <= floor else hi_k if abs(p - hi_k) <= floor else p
+                        for p in terms[k][2] if lo_k - floor <= p <= hi_k + floor]
+                pts.append(_arsinh((np.array(near) - c_k) / d_k).tolist())
         weight = share * d  # a cut term's pieces take twice its integrand
         at_shift = shifts[term]
         scales = y0[term // 2] if per_point else None

@@ -177,6 +177,150 @@ class TestPeriodicFold:
             convolve(replace(g, periodic=False), h).value(7.45, 1.1)
 
 
+def _mp_e9(r):
+    def value(t, y):
+        rho = mpmath.power(r, 1 / y)
+        return (1 - rho * rho) / (y * (1 - 2 * rho * mpmath.cospi(2 * t / y) + rho * rho))
+
+    return value
+
+
+def _mp_e7(r):
+    def value(t, y):
+        rho = mpmath.power(r, 1 / y)
+        return mpmath.log(1 - 2 * rho * mpmath.cospi(2 * t / y) + rho * rho)
+
+    return value
+
+
+def _mp_convolution(g, h, x, y, delta):
+    """(g * h)(x, y) at the folded x in [0, y), by mpmath at 30 digits: each
+    term split at its ends' poles' real parts and at distances delta 4^j
+    from them, so every piece keeps its nodes at least its own length from
+    a pole.  g and h are mpmath functions of (t, y)."""
+    with mpmath.workdps(30):
+        x, y, delta = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(delta)
+
+        def term(lo, hi, shift):
+            cuts = {lo, hi}
+            for j in range(12):
+                step = delta * mpmath.power(4, j)
+                cuts.update(c for c in (lo + step, hi - step) if lo < c < hi)
+            return mpmath.quad(lambda t: g(t, y) * h(shift - t, y), sorted(cuts))
+
+        return float(term(0, x, x) + term(x, y, x + y))
+
+
+def _pole_points(rng, delta, count):
+    """Seeded (x, y) with y up to 24: x inside the period, within delta of
+    0 and of y, and some periods out, where the product folds."""
+    points = [(0.3 * 24.0, 24.0), (24.0 - 0.5 * delta, 24.0), (0.5 * delta, 24.0)]
+    for _ in range(count):
+        y = float(rng.uniform(0.3, 24.0))
+        x = [float(rng.uniform(0.0, y)), float(rng.uniform(0.0, delta)),
+             y - float(rng.uniform(0.0, delta))][len(points) % 3]
+        points.append((x + int(rng.integers(-2, 3)) * y, y))
+    return points
+
+
+class TestPoleMappedProducts:
+    """A folded product with an E7..E9 operand integrates its terms in the
+    sinh variable about the operand's complex poles, 0.110 off the real
+    axis for r = 1/2 or 2, whatever the scale."""
+
+    @pytest.mark.parametrize("case", [
+        ("E5", {"a": 2.0}, "E9", {"r": 0.5}),
+        ("E2", {"m": 1}, "E9", {"r": 0.5}),
+        ("E9", {"r": 0.5}, "E2", {"m": 1}),  # the poles are g's
+        ("E7", {"r": 2.0}, "E2", {"m": 1}),
+    ], ids=lambda c: f"{c[0]}*{c[2]}")
+    def test_against_mpmath(self, case):
+        gid, gp, hid, hp = case
+        g, h = make(gid, **gp), make(hid, **hp)
+        mp = {"E2": lambda t, y: t / y - mpmath.mpf(1) / 2,
+              "E5": lambda t, y: mpmath.power(2, t) / (mpmath.power(2, y) - 1),
+              "E7": _mp_e7(2), "E9": _mp_e9(mpmath.mpf(1) / 2)}
+        delta = math.log(2.0) / (2.0 * math.pi)
+        conv = convolve(g, h)
+        points = _pole_points(np.random.default_rng(2005), delta, 5)
+        xs, ys = (np.array(c) for c in zip(*points))
+        got = conv.values(xs, ys).tolist()
+        for (x, y), value in zip(points, got):
+            assert value.hex() == conv.value(x, y).hex()
+            want = _mp_convolution(mp[gid], mp[hid], _folded(g, h, x, y), y, delta)
+            assert abs(value - want) <= conv.series_tolerance, (x, y, value - want)
+
+    def test_pole_sum_is_the_product_of_radii(self):
+        # E9(r) * E9(s) = E9(rs): c_k(E9(r)) = r^(|k|/y)/y and
+        # c_k(g * h) = y c_k(g) c_k(h), so the Fourier coefficients agree.
+        # Each term has a pole at both ends, so every term is cut
+        rng = np.random.default_rng(31)
+        for r, s in ((0.5, 0.5), (0.5, 0.3), (0.8, 0.6)):
+            conv, want = convolve(make("E9", r=r), make("E9", r=s)), make("E9", r=r * s)
+            points = _pole_points(rng, math.log(1.0 / max(r, s)) / (2.0 * math.pi), 5)
+            xs, ys = (np.array(c) for c in zip(*points))
+            got = conv.values(xs, ys).tolist()
+            for (x, y), value in zip(points, got):
+                assert value.hex() == conv.value(x, y).hex()
+                assert abs(value - want.value(x, y)) <= conv.series_tolerance, (r, s, x, y)
+
+    def test_log_sine_operand_keeps_its_singular_points(self):
+        # E9(r) * E10 = E7(r)/2 on the Fourier side.  E10's log singularity
+        # sits at each term's x-end, pulled back an ulp off x at some x, and
+        # goes through the map with the piece that ends there
+        conv, e7 = convolve(make("E9", r=0.5), make("E10")), make("E7", r=0.5)
+        rng = np.random.default_rng(1974)
+        ys = rng.uniform(0.3, 6.0, 30)
+        xs = rng.uniform(-2.0, 2.0, 30) * ys
+        got = conv.values(xs, ys)
+        for x, y, value in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            assert value.hex() == conv.value(x, y).hex()
+        assert np.max(np.abs(got - 0.5 * e7.values(xs, ys))) <= conv.series_tolerance
+
+    def test_pieces(self):
+        # E5 * E9: h's poles sit at t = x - k y, so each term has one at its
+        # x-end; the first term is cut once x >= y/2 puts x - y within its
+        # length of 0, the second once x <= y/2 puts x + y within its length
+        # of y
+        g, h = make("E5", a=2.0), make("E9", r=0.5)
+        delta = math.log(2.0) / (2.0 * math.pi)
+        y = 2.0
+        for x, cut in ((0.3, 1), (1.7, 0)):
+            term, a, b, c, d, share = algebra._sinh_pieces(
+                g, h, np.array([0.0, x]), np.array([x, y]), np.array([x, x + y]), np.array([y, y]))
+            assert term.tolist() == sorted([0, 1, cut])
+            assert share.tolist() == [2 if k == cut else 1 for k in term.tolist()]
+            assert d.tolist() == [delta] * term.size
+            # h's poles pulled back through t -> shift - t, an ulp from x
+            if cut == 1:  # [x, mid] about x, [mid, y] about x + y
+                assert c.tolist() == pytest.approx([x, x, x + y], abs=1e-15)
+                assert a.tolist() == [0.0, x, 0.5 * (x + y)]
+            else:  # [0, mid] about x - y, [mid, x] about x
+                assert c.tolist() == pytest.approx([x - y, x, x], abs=1e-15)
+                assert b.tolist() == [0.5 * x, x, y]
+
+    def test_map_is_exact_for_any_distance(self):
+        # the distance sets only the speed: E5 * E9 with E9's poles listed at
+        # other distances gives the same value within the tolerance
+        g, h = make("E5", a=2.0), make("E9", r=0.5)
+        base = convolve(g, h).value(1.3, 2.5)
+        for dist in (1e-3, 1.0, 10.0):
+            moved = replace(h, near_poles=lambda y, lo, hi, dist=dist: tuple(
+                (c, dist) for c in lattice_points(0.0, y, lo, hi)))
+            assert abs(convolve(g, moved).value(1.3, 2.5) - base) <= 2e-10, dist
+
+    def test_unmapped_products_keep_the_t_variable(self):
+        # without a listed pole, or unfolded, a product integrates in t
+        g, h = make("E5", a=2.0), make("E9", r=0.5)
+        assert _mapped(g, h) and not _mapped(g, replace(h, near_poles=core._no_points))
+        assert not _mapped(g, replace(h, periodic=False))
+        assert make("E7", r=0.5).near_poles(1.0, -1.0, 1.0) == (
+            (-1.0, math.log(2.0) / (2.0 * math.pi)), (0.0, math.log(2.0) / (2.0 * math.pi)),
+            (1.0, math.log(2.0) / (2.0 * math.pi)))
+        for f in (core.reflect(h), core.x_derivative(h), affine_transform(h, 1.0, 0.0, 1.0)):
+            assert f.near_poles is core._no_points
+
+
 def _folded(g, h, x, y):
     """The x at which `convolve(g, h)` evaluates its two terms: x mod y in
     [0, y) when an operand is periodic, else x itself."""
@@ -324,6 +468,18 @@ class TestLockstepConvolution:
         assert str(batched.value) == str(scalar.value)
         assert str(scalar.value).startswith(
             "convolve(E1,E1) first term: quadrature stalled on [0, 0.4] (estimate "
+        )
+
+    def test_stalled_mapped_batch_names_the_term_in_t(self):
+        # a mapped term's pieces run in s; the error names the term's range in t
+        conv = convolve(make("E5", a=2.0), make("E9", r=0.5), tol=1e-18)
+        with pytest.raises(ConvergenceError) as scalar:
+            conv.value(0.4, 1.0)
+        with pytest.raises(ConvergenceError) as batched:
+            conv.values(np.array([0.4, 1.3, -0.6]), 1.0)
+        assert str(batched.value) == str(scalar.value)
+        assert str(scalar.value).startswith(
+            "convolve(E5,E9) first term: quadrature stalled on [0, 0.4] (estimate "
         )
 
 
