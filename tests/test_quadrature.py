@@ -1049,10 +1049,14 @@ class TestWideEngagedJobs:
         assert sum(r.converged for r in got) >= len(got) - 5
 
     def test_serial_suite_restarts_no_job(self, monkeypatch):
-        # every job of a wide call in verify --all stops short of depth
-        # _ENGAGE (only the lone golden `euler` integral extrapolates), so
-        # no job restarts.  A family that makes wide calls of log kernels
-        # would restart jobs and spend their table rounds, and trips this
+        # no job of a wide call in verify --all lists a singular point: the
+        # 29 that do (zeta-convolution, integral-limit) run in narrow calls,
+        # where they may extrapolate without a restart.  The wide calls'
+        # jobs, the convolution terms and the E2*E9 and E5*E9 products'
+        # sinh-mapped pieces among them, stop short of depth _ENGAGE, so no
+        # job restarts.  A family that makes wide calls of log kernels, or of
+        # terms that list a point, would restart jobs and spend their table
+        # rounds, and trips this
         monkeypatch.setattr(verify, "_cpus", lambda: 1)
         tables, restarts = _watch_restarts(monkeypatch)
         verify.standard_suite(verify.DEFAULT_GRID)
