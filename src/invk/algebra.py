@@ -73,8 +73,7 @@ def _arsinh(v: np.ndarray) -> np.ndarray:
     """The s with S(s) = v (`_sinh_cosh`), from IEEE arithmetic and square
     roots: E = v + sqrt(v^2 + 1), and s = 16 (E^(1/16) - 1)."""
     root = np.sqrt(v * v + 1.0)
-    with np.errstate(divide="ignore"):
-        e = np.where(v >= 0.0, v + root, 1.0 / (root - v))
+    e = np.where(v >= 0.0, v + root, 1.0 / (root + np.abs(v)))  # no cancellation either side
     for _ in range(4):
         e = np.sqrt(e)
     return 16.0 * (e - 1.0)
@@ -124,7 +123,7 @@ def _sinh_pieces(g: InvariantFunction, h: InvariantFunction, lo: np.ndarray, hi:
         k = np.argmin(gap, axis=1)
         ends.append((cs[rows, k], ds[rows, k]))
     (c_lo, d_lo), (c_hi, d_hi) = ends
-    cut = (c_lo != c_hi) | (d_lo != d_hi)
+    cut = c_lo != c_hi  # both ends take the first column of a real part they share
     share = 1 + cut
     term = np.repeat(rows, share)
     a, b, c, d = lo[term], hi[term], c_lo[term], d_lo[term]

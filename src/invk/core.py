@@ -193,10 +193,11 @@ class InvariantFunction:
     more.  It lists none by default.  The catalog sets it on E7, E8 and E9,
     whose D vanishes at x = k y +- i |log r|/(2 pi); `algebra.convolve`
     integrates a folded product of such an operand, when neither operand
-    lists singular points, in a sinh variable about them.  No combinator sets it, as none sets `periodic`, and
-    `dataclasses.replace(f, value=...)` keeps it, as it keeps `periodic`:
-    a replaced rule with other poles has to replace it too.  The map is
-    exact for any pole listed, so a wrong list costs only speed.
+    lists singular points, in a sinh variable about them.  No combinator
+    sets it, as none sets `periodic`, and `dataclasses.replace(f,
+    value=...)` keeps it, as it keeps `periodic`: a replaced rule with
+    other poles has to replace it too.  The map is exact for any pole
+    listed, so a wrong list costs only speed.
     """
 
     name: str

@@ -749,9 +749,9 @@ class _Job:
             return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, True)
         kept = self._kept()
         value = _fsum([p[4] for p in kept])
-        err = _fsum([p[5] for p in kept])
+        err = math.fsum([p[5] for p in kept])
         if self.best is not None and self.best[1] < err:
-            absarea = _fsum([p[7] for p in kept]) / (50.0 * _EPS)
+            absarea = math.fsum([p[7] for p in kept]) / (50.0 * _EPS)
             if not _diverges(self.best[0], value, err, absarea):
                 value, err = self.best
         return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, err <= tol)
@@ -1021,7 +1021,7 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     values, ests = t_value[kept].tolist(), t_est[kept].tolist()
     for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
         value[j] = _fsum(values[a:b])
-        err[j] = _fsum(ests[a:b])
+        err[j] = math.fsum(ests[a:b])
     value *= [sign for _, _, sign, _, _ in starts]
     out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
                    (err <= tol).tolist()))
