@@ -107,13 +107,13 @@ def _sinh_pieces(g: InvariantFunction, h: InvariantFunction, lo: np.ndarray, hi:
     mapped about its end's pole.  A term without candidates is one piece
     about lo with d = hi - lo, or 1 when that is 0: the map is exact for
     any d > 0."""
-    scales, which = np.unique(scale, return_inverse=True)
-    scales = scales.tolist()
-    gc, gd = _pole_columns(g, scales)
-    hc, hd = _pole_columns(h, scales)
+    index: dict[float, int] = {}
+    which = np.array([index.setdefault(y, len(index)) for y in scale.tolist()])
+    gc, gd = _pole_columns(g, list(index))
+    hc, hd = _pole_columns(h, list(index))
     span = hi - lo
-    cs = np.column_stack((lo, gc[which], shift[:, None] - hc[which]))
-    ds = np.column_stack((np.where(span > 0.0, span, 1.0), gd[which], hd[which]))
+    cs = np.concatenate((lo[:, None], gc[which], shift[:, None] - hc[which]), axis=1)
+    ds = np.concatenate((np.where(span > 0.0, span, 1.0)[:, None], gd[which], hd[which]), axis=1)
     rows = np.arange(lo.size)
     # the first column, the fallback, is taken only where no pole is listed
     ends = []

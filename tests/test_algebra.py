@@ -122,6 +122,8 @@ _MP_OPERANDS = {
     "E9": ("E9", {"r": 0.5}, lambda t, y: (1 - mpmath.power(0.5, 2 / y)) / (y * (
         1 - 2 * mpmath.power(0.5, 1 / y) * mpmath.cospi(2 * t / y) + mpmath.power(0.5, 2 / y)))),
     "E10": ("E10", {}, lambda t, y: mpmath.log(abs(2 * mpmath.sinpi(t / y)))),
+    "E7(2)": ("E7", {"r": 2.0}, lambda t, y: mpmath.log(
+        1 - 2 * mpmath.power(2, 1 / y) * mpmath.cospi(2 * t / y) + mpmath.power(2, 2 / y))),
 }
 
 
@@ -177,27 +179,11 @@ class TestPeriodicFold:
             convolve(replace(g, periodic=False), h).value(7.45, 1.1)
 
 
-def _mp_e9(r):
-    def value(t, y):
-        rho = mpmath.power(r, 1 / y)
-        return (1 - rho * rho) / (y * (1 - 2 * rho * mpmath.cospi(2 * t / y) + rho * rho))
-
-    return value
-
-
-def _mp_e7(r):
-    def value(t, y):
-        rho = mpmath.power(r, 1 / y)
-        return mpmath.log(1 - 2 * rho * mpmath.cospi(2 * t / y) + rho * rho)
-
-    return value
-
-
 def _mp_convolution(g, h, x, y, delta):
     """(g * h)(x, y) at the folded x in [0, y), by mpmath at 30 digits: each
-    term split at its ends' poles' real parts and at distances delta 4^j
-    from them, so every piece keeps its nodes at least its own length from
-    a pole.  g and h are mpmath functions of (t, y)."""
+    term split at its ends, where the poles' real parts lie, and at
+    distances delta 4^j from them, so that no piece is much longer than its
+    distance from a pole.  g and h are mpmath functions of (t, y)."""
     with mpmath.workdps(30):
         x, y, delta = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(delta)
 
@@ -228,18 +214,12 @@ class TestPoleMappedProducts:
     sinh variable about the operand's complex poles, 0.110 off the real
     axis for r = 1/2 or 2, whatever the scale."""
 
-    @pytest.mark.parametrize("case", [
-        ("E5", {"a": 2.0}, "E9", {"r": 0.5}),
-        ("E2", {"m": 1}, "E9", {"r": 0.5}),
-        ("E9", {"r": 0.5}, "E2", {"m": 1}),  # the poles are g's
-        ("E7", {"r": 2.0}, "E2", {"m": 1}),
-    ], ids=lambda c: f"{c[0]}*{c[2]}")
-    def test_against_mpmath(self, case):
-        gid, gp, hid, hp = case
-        g, h = make(gid, **gp), make(hid, **hp)
-        mp = {"E2": lambda t, y: t / y - mpmath.mpf(1) / 2,
-              "E5": lambda t, y: mpmath.power(2, t) / (mpmath.power(2, y) - 1),
-              "E7": _mp_e7(2), "E9": _mp_e9(mpmath.mpf(1) / 2)}
+    @pytest.mark.parametrize("pair", [
+        ("E5", "E9"), ("E2(1)", "E9"), ("E9", "E2(1)"), ("E7(2)", "E2(1)"),  # E9 * E2: g's poles
+    ], ids="*".join)
+    def test_against_mpmath(self, pair):
+        gid, hid = pair
+        g, h = _operand(gid), _operand(hid)
         delta = math.log(2.0) / (2.0 * math.pi)
         conv = convolve(g, h)
         points = _pole_points(np.random.default_rng(2005), delta, 5)
@@ -247,7 +227,8 @@ class TestPoleMappedProducts:
         got = conv.values(xs, ys).tolist()
         for (x, y), value in zip(points, got):
             assert value.hex() == conv.value(x, y).hex()
-            want = _mp_convolution(mp[gid], mp[hid], _folded(g, h, x, y), y, delta)
+            want = _mp_convolution(_MP_OPERANDS[gid][2], _MP_OPERANDS[hid][2],
+                                   _folded(g, h, x, y), y, delta)
             assert abs(value - want) <= conv.series_tolerance, (x, y, value - want)
 
     def test_pole_sum_is_the_product_of_radii(self):

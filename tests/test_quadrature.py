@@ -970,7 +970,8 @@ class TestExtrapolation:
         assert not unlisted.converged
         lone = integrate(lambda t: 1e308 if t > 0.5 else -1e308, -3.0, 3.0, 1e-10, (0.5,))
         assert not lone.converged and math.isnan(lone.value)
-        specs = [(step, -3.0, 3.0, (0.5,))] + [(np.cos, 0.0, 1.0 + k, ()) for k in range(quadrature._TABLE_MIN)]
+        specs = [(step, -3.0, 3.0, (0.5,))]
+        specs += [(np.cos, 0.0, 1.0 + k, ()) for k in range(quadrature._TABLE_MIN)]
         wide = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], 1e-10)
         assert not wide[0].converged and math.isnan(wide[0].value)
         assert (wide[0].error_estimate, wide[0].evaluations) == (lone.error_estimate, lone.evaluations)
