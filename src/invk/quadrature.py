@@ -47,11 +47,12 @@ singular point, as a cut or at an end, engages its table (`_Job._engage`)
 at its first bisection, as QAGP extrapolates from the start at its
 breakpoints; any other job once a bisection takes it to depth `_ENGAGE`
 (10), for a singularity no caller listed.  A job that never gets that
-deep keeps the bits of plain bisection.  A wide call keeps one batch per
-round for its table; a job of it that would engage leaves the table and,
-once the table is done, restarts alone on the heap code, so lone and
-lockstep results stay equal at the cost of its table rounds, one for a
-job with a listed point.  An extrapolation that fails QUADPACK's
+deep keeps the bits of plain bisection.  Only the heap code runs levels
+(below) or extrapolates: a wide call's table never holds a job with a
+listed point, and a job of it that would engage leaves the table.  Once
+the table is done, those jobs run alone on the heap code, so lone and
+lockstep results stay equal, at the cost of the table rounds of the jobs
+that left.  An extrapolation that fails QUADPACK's
 divergence test (`_diverges`) is dropped for the panel sum, and one that
 cannot meet tol hands the job back to plain bisection, keeping the
 table's best result once the table has an error of its own.
@@ -80,7 +81,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -136,7 +137,8 @@ _TABLE_MIN = 40
 _FLOOR_MARGIN = 2.0
 
 # A job without a listed singular point starts extrapolating
-# (`_Job._engage`) once a bisection takes it to this depth; one with a
+# (`_Job._engage`) once a bisection takes it to this depth, so a wide call's
+# table lets none of its jobs get this deep (`_table_rounds`); one with a
 # listed point does at its first bisection (`_starts`), when its tanh-sinh
 # levels (`_Levels`) cannot settle it.  Over `verify --all
 # --seed 42` (15,660 jobs) every job without one but golden `euler` stops
@@ -791,9 +793,10 @@ def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) ->
 
 
 def _heap_rounds(batch: Callable[[list[float], list[int], list[int]], Sequence[float]], starts, tol: float):
-    """The rounds of a narrow call: a heap per job, and each round's nodes
-    built and summed panel by panel.  `batch` gets the nodes as a list, the
-    jobs that own them in order, and the number of nodes of each.
+    """The rounds of a narrow call, and of the jobs a wide call's table
+    does not finish (`_table_rounds`): a heap per job, and each round's
+    nodes built and summed panel by panel.  `batch` gets the nodes as a
+    list, the jobs that own them in order, and the number of nodes of each.
 
     A job with a listed singular point (`engage` 1) that misses tol on its
     initial panels runs them as tanh-sinh levels (`_Levels`), one a round,
@@ -866,7 +869,8 @@ def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
 
 
 def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], starts, tol: float):
-    """The rounds of a wide call, with every panel in one table.
+    """The rounds of a wide call, with the panels of its jobs that list no
+    singular point in one table.
 
     The table has one row per panel, in push order: left, right, value,
     estimate, roundoff floor, depth, serial, job, and whether the panel is
@@ -877,30 +881,26 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     bookkeeping runs with numpy's warnings off, as Python floats run:
     inf - inf is nan.
 
-    Every round is one batch of table panels.  A job whose next bisection
-    would reach its depth `engage` leaves the table instead: after its
-    first round when it has a listed singular point, else at `_ENGAGE`.
-    Once the table is empty, the jobs that left restart from their initial
+    Every round is one batch of table panels.  A job with a listed point
+    (`engage` 1 in `_starts`) never enters the table, so each job the
+    table holds starts from its one panel [lo, hi], none when lo == hi.  A job leaves
+    the table when its next bisection would reach depth `_ENGAGE`, so the
+    table never runs levels or extrapolates.  Once the table is empty, the
+    jobs with a listed point and those that left run from their initial
     panels in `_heap_rounds`, in a lockstep of their own whose batch gets
-    their indices in `starts`, and their results replace the table's: a
-    restart is a lone integral, so it extrapolates as one does.  The table
-    rounds such a job took are spent.
+    their indices in `starts`, and their results replace the table's: each
+    is a lone integral, so it runs levels or extrapolates as one does.  The
+    table rounds a job that left took are spent.
     """
     n_jobs = len(starts)
-    # the initial panels, straight from the flat list of every job's edges
-    edge_lists = [edges for _, _, _, edges, _ in starts]
-    engage = np.fromiter((e for _, _, _, _, e in starts), np.int64, n_jobs)
-    lens = np.fromiter(map(len, edge_lists), np.int64, n_jobs)
-    flat = np.fromiter(chain.from_iterable(edge_lists), float, int(lens.sum()))
-    jobs = np.flatnonzero(lens)  # the jobs with panels to push, in order
-    ends = np.cumsum(lens)[jobs]  # one past each job's last edge
-    firsts = ends - lens[jobs]
-    span = np.zeros(n_jobs)
-    span[jobs] = flat[ends - 1] - flat[firsts]  # hi - lo
-    left = np.delete(flat, ends - 1)  # every edge but a job's last
-    right = np.delete(flat, firsts)  # every edge but a job's first
-    count = lens[jobs] - 1
-    job = np.repeat(jobs, count)  # the job of each panel to push
+    lo = np.fromiter((s[0] for s in starts), float, n_jobs)
+    hi = np.fromiter((s[1] for s in starts), float, n_jobs)
+    listed = np.fromiter((s[4] == 1 for s in starts), bool, n_jobs)
+    restart = np.flatnonzero(listed).tolist()  # the jobs the heap code runs
+    jobs = np.flatnonzero(~listed & (lo != hi))  # the jobs with panels to push, in order
+    span = hi - lo
+    left, right = lo[jobs], hi[jobs]
+    job = jobs  # the job of each panel to push
     depth = np.zeros(job.size, dtype=np.int64)
     heap_err = np.zeros(n_jobs)
     done_err = np.zeros(n_jobs)
@@ -909,29 +909,18 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     n = 0  # rows in use
     picked = np.zeros(n_jobs, dtype=bool)
     row_of = np.zeros(n_jobs, dtype=np.int64)
-    halves = False  # whether the panels to push are the halves of bisections
-    restart: list[int] = []  # the jobs that left the table to extrapolate
     while jobs.size:
         ts, h = _column_nodes(left, right)
         fv = np.asarray(batch(ts, job.repeat(15)), dtype=float)
         value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
         with np.errstate(all="ignore"):
-            # push: a job's new panels take its next serials, and their
-            # estimates add up in order before they join heap_err
-            up = est > floor
-            if halves:
-                added = est[0::2] + est[1::2]
-                ups = up[0::2].astype(np.int64) + up[1::2]
-                rank = np.arange(job.size) & 1
-                count = 2
-            else:
-                first = np.cumsum(count) - count
-                added = np.zeros(jobs.size)
-                for k in range(int(count.max())):
-                    has = count > k
-                    added[has] += est[first[has] + k]
-                ups = np.add.reduceat(up.astype(np.int64), first)
-                rank = np.arange(job.size) - np.repeat(first, count)
+            # push: a job's new panels, its initial one or the two halves of
+            # a bisection, take its next serials, and their estimates add
+            # up in order before they join heap_err
+            count = job.size // jobs.size
+            added = est.reshape(-1, count).sum(axis=1)
+            ups = (est > floor).reshape(-1, count).sum(axis=1)
+            rank = np.arange(job.size) % count
             if n + job.size > table[0].size:
                 table = _grow(table, 2 * (n + job.size))
             t_left, t_right, t_value, t_est, t_floor, t_depth, t_serial, t_job, state = table
@@ -977,9 +966,9 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
                 size[active] -= 1
                 lo, hi = t_left[top], t_right[top]
                 width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[active])
-                # a job leaves before a bisection takes it to its depth
-                # `engage`, at most _ENGAGE, so no row is deeper than
-                # _ENGAGE - 1 and MAX_DEPTH never binds here
+                # a job leaves before a bisection takes it to depth
+                # _ENGAGE, so no row is deeper than _ENGAGE - 1 and
+                # MAX_DEPTH never binds here
                 stuck = hi - lo <= 4.0 * _EPS * width
                 state[top] = np.where(stuck, _DONE, _SPLIT)
                 done_err[active[stuck]] += e[stuck]
@@ -991,7 +980,7 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             if len(split) > 1:
                 top = top[np.argsort(t_job[top])]
             depth = t_depth[top] + 1
-            deep = depth >= engage[t_job[top]]
+            deep = depth >= _ENGAGE
             if deep.any():  # these jobs leave the table
                 restart += t_job[top[deep]].tolist()
                 top, depth = top[~deep], depth[~deep]
@@ -1002,7 +991,6 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             left = np.column_stack((lo, mid)).ravel()
             right = np.column_stack((mid, hi)).ravel()
             depth = np.repeat(depth, 2)
-            halves = True
     # value and error: one fsum over the panels a job kept, heap and done,
     # or, for a job that kept one panel, its value and estimate plus 0.0,
     # which is that fsum
@@ -1074,11 +1062,13 @@ def integrate_many(
     jobs keeps every panel in one table and runs each round's nodes and
     Kronrod sums as ndarray columns; a narrower call keeps a heap per job
     and sums panel by panel.  The choice is made once per call, and both
-    give the same bits.  A job of a wide call that needs a bisection at
-    depth 1 with a listed point, or at `_ENGAGE` without one, leaves the
-    table, and, after the table's last round, restarts as a lone integral
-    on the heap code, tanh-sinh levels included, in more rounds of one
-    batch each for all such jobs; its evaluations are those of the restart.
+    give the same bits.  Only the heap code runs tanh-sinh levels or
+    extrapolates: a wide call's table holds only the jobs without a listed
+    point, each from its one panel, and one of them that needs a bisection
+    at `_ENGAGE` leaves it.  After the table's last round, the jobs with a
+    listed point and those that left run as lone integrals on the heap
+    code, in more rounds of one batch each for all of them; a job that
+    left reports only the evaluations of its restart.
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it
@@ -1121,10 +1111,12 @@ def integrate(
     runs tanh-sinh levels on its initial panels when they miss tol, and
     extrapolates from its first bisection if the levels cannot settle it
     or a panel is too narrow for them, where one with no listed point
-    bisects plainly to depth `_ENGAGE` first (see `integrate_many`).
-    Returns converged=False (never raises) when the error estimate cannot be
-    pushed below `tol` within the depth and panel budgets, and stops early
-    once no bisection can reach `tol` (see `integrate_many`).
+    bisects plainly to depth `_ENGAGE` first.  Only this one-job code runs
+    levels or extrapolates: a wide `integrate_many` call runs a job with a
+    listed point, or one that reaches `_ENGAGE`, alone on it.  Returns
+    converged=False (never raises) when the error estimate cannot be pushed
+    below `tol` within the depth and panel budgets, and stops early once no
+    bisection can reach `tol` (see `integrate_many`).
     """
     starts = _starts(((a, b, interior_singularities),), tol)
     if isinstance(phi, Vectorized):

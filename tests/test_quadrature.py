@@ -314,10 +314,11 @@ def _owner_batch(specs):
 
 class TestIntegrateMany:
     """Lockstep integrals: each job's result is a lone `integrate` of its
-    integrand, bit for bit.  Every table round is one batch call; a job of
-    a wide call that would engage its epsilon table leaves the table and
-    restarts alone once the table is done, in rounds of one batch call for
-    all such jobs, on the heap path."""
+    integrand, bit for bit.  Every table round is one batch call.  A job of
+    a wide call with a listed singular point never enters the table, and
+    one that would engage its epsilon table leaves it; once the table is
+    done, both run alone on the heap path, in rounds of one batch call for
+    all such jobs."""
 
     E9 = make("E9", r=0.5)
     E10 = make("E10")
@@ -1007,7 +1008,8 @@ class TestExtrapolation:
 
 class TestWideEngagedJobs:
     """A job of a wide call that would start extrapolating leaves the table
-    and restarts alone, and equals a lone `integrate` bit for bit."""
+    and restarts alone, one with a listed point runs alone without a table
+    round, and each equals a lone `integrate` bit for bit."""
 
     @staticmethod
     def _same(got, want):
@@ -1036,6 +1038,20 @@ class TestWideEngagedJobs:
             if rng.random() < 0.3:
                 a, b = b, a
             specs.append((fn, a, b, cuts))
+        # jobs that stay in the table: a == b, with and without a listed
+        # point, and smooth ones that list only points outside their range
+        kept = range(len(specs), len(specs) + 12)
+        for k in range(12):
+            c = float(rng.uniform(-1.0, 1.0))
+            if k < 4:
+                a = b = c
+                cuts = (c,) if k < 2 else ()
+            else:
+                a, b = c, c + float(rng.uniform(0.2, 2.0))
+                cuts = (a - 0.5, b + 1e-3, 9.0)
+            if k % 2:
+                a, b = b, a
+            specs.append((lambda ts, c=c: np.exp(c * ts) + ts * ts, a, b, cuts))
 
         def batch(ts, owners):
             assert owners.shape == ts.shape and np.all(np.diff(owners) >= 0)
@@ -1047,6 +1063,8 @@ class TestWideEngagedJobs:
         for (fn, a, b, cuts), res in zip(specs, got):
             self._same(res, integrate(Vectorized(fn), a, b, tol, cuts))
         assert len(restarted) >= 20 and restarted == sorted(set(restarted))
+        assert not set(kept) & set(restarted)
+        assert [got[j].evaluations for j in kept[:4]] == [0] * 4 and all(got[j].converged for j in kept)
         assert sum(r.converged for r in got) >= len(got) - 5
 
     def test_serial_suite_restarts_no_job(self, monkeypatch):
@@ -1056,8 +1074,8 @@ class TestWideEngagedJobs:
         # jobs, the convolution terms and the E2*E9 and E5*E9 products'
         # sinh-mapped pieces among them, stop short of depth _ENGAGE, so no
         # job restarts.  A family that makes wide calls of log kernels, or of
-        # terms that list a point, would restart jobs and spend their table
-        # rounds, and trips this
+        # terms that list a point, would run jobs on the heap path after the
+        # table, and trips this
         monkeypatch.setattr(verify, "_cpus", lambda: 1)
         tables, restarts = _watch_restarts(monkeypatch)
         verify.standard_suite(verify.DEFAULT_GRID)
@@ -1135,13 +1153,48 @@ class TestListedSingularPoints:
         assert res.converged and abs(res.value - exact) <= tol
         assert plain.converged and res.evaluations < plain.evaluations
 
-    def test_wide_call_restarts_them_after_one_table_round(self, monkeypatch):
+    def test_an_unlisted_job_starts_from_at_most_one_panel(self):
+        # the table takes a job from `_starts` only when it lists no point,
+        # at `_ENGAGE`, and pushes its one panel [lo, hi], or none when
+        # lo == hi.  Seeded jobs list points outside [a, b], at an end,
+        # within the floor of an end and strictly inside, over reversed
+        # and equal ranges too
+        rng = np.random.default_rng(33)
+        jobs, want = [], []
+        for k in range(600):
+            a, b = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+            kind = k % 6
+            if kind == 5:
+                b = a
+            lo, hi = min(a, b), max(a, b)
+            floor = 4.0 * _EPS * max(abs(lo), abs(hi), hi - lo)
+            points = [float(p) for p in rng.uniform(hi + 2.0 * floor, 3.0, 2)]
+            points.append(float(rng.uniform(-3.0, lo - 2.0 * floor)))  # outside, beyond the floor
+            if kind in (1, 5):
+                points.append(a if rng.random() < 0.5 else b)  # at an end
+            elif kind == 2:
+                points.append(_ulps_inside(lo, hi, int(rng.integers(1, 4))))  # within the floor of an end
+            elif kind == 3:
+                points.append(_ulps_inside(hi, hi + 1.0, int(rng.integers(1, 4))))  # just past an end
+            elif kind == 4:
+                points.append(float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))))  # inside
+            jobs.append((a, b, points))
+            want.append(1 if kind in (1, 2, 3, 4) and a != b else quadrature._ENGAGE)
+        starts = quadrature._starts(jobs, 1e-10)
+        assert [engage for *_, engage in starts] == want
+        for lo, hi, _, edges, engage in starts:
+            if engage == quadrature._ENGAGE:
+                assert edges == ([] if lo == hi else [lo, hi])
+        assert {len(edges) for *_, edges, engage in starts if engage == 1} == {2, 3}
+
+    def test_wide_call_runs_them_on_the_heap_only(self, monkeypatch):
         # 24 log kernels, each listing its singular point as a cut, an end
         # or an ulp inside an end, so that every initial panel ends at it,
         # between 24 oscillating jobs that list none and keep the table
-        # going: each singular job leaves the table after round 1, restarts
-        # alone, settles by tanh-sinh levels and ends as a lone integral
-        # does, bit for bit
+        # going: no singular job's node is in a table round.  Once the table
+        # is done, each runs alone on the heap path, settles by tanh-sinh
+        # levels and ends as a lone integral does, bit for bit, so the
+        # rounds evaluate exactly the nodes the results report
         rng = np.random.default_rng(29)
         specs = []
         for k in range(24):
@@ -1160,7 +1213,8 @@ class TestListedSingularPoints:
         (restarted,) = TestIntegrateMany._kernel_rounds(monkeypatch, specs, tol, rounds)
         first = sum(not begun for *_, begun in rounds)  # the table's rounds
         assert restarted == list(range(0, len(specs), 2)) and first > 1
-        assert all(sum(j in owners for owners, *_ in rounds[:first]) == 1 for j in restarted)
+        assert not any(j in owners for owners, *_ in rounds[:first] for j in restarted)
+        assert all(15 * summed == len(owners) and not heap for owners, summed, heap, _ in rounds[:first])
         ends, _ = _watch_levels(monkeypatch)
         got = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], tol)
         assert ends == [True] * len(restarted)
@@ -1171,6 +1225,7 @@ class TestListedSingularPoints:
             assert depths == ([1] if j in restarted else [])
             TestWideEngagedJobs._same(res, want)
             assert res.converged
+        assert sum(len(owners) for owners, *_ in rounds) == sum(r.evaluations for r in got)
 
     def test_table_stays_within_dqelg_limit(self, monkeypatch):
         # t^-1/2 times a factor that is constant on each dyadic shell
@@ -1230,8 +1285,8 @@ class TestTanhSinhLevels:
 
     def test_lone_equals_lockstep_narrow_and_restarted(self, monkeypatch):
         # the same E10 period jobs, with smooth unlisted ones between them,
-        # in a narrow call and in a wide one, where they leave the table
-        # after round 1 and restart; each equals a lone integral
+        # in a narrow call and in a wide one, where they run on the heap
+        # path once the table is done; each equals a lone integral
         ends, _ = _watch_levels(monkeypatch)
         periods = self._periods(12, seed=31)
         specs = []
