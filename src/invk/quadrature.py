@@ -5,10 +5,10 @@ panel endpoint is ever sampled, so integrable endpoint singularities such as
 log t at 0 are safe), splits panels at caller-listed interior singular
 points, and refines the worst panel globally until the summed error estimate
 meets the tolerance, or until the tolerance is out of reach
-(`_out_of_reach`, one rule for both engines below): the panels at the depth
-limit already exceed it, or every panel left sits at the roundoff floor of
-its estimate.  Orientation is handled by sign so that swapping the
-endpoints negates the result exactly.
+(`_out_of_reach`, one rule for both engines below): the panels set aside at
+the depth or width limit already exceed it, or every panel left sits at the
+roundoff floor of its estimate.  Orientation is handled by sign so that
+swapping the endpoints negates the result exactly.
 
 `integrate_many` runs many independent integrals in lockstep.  Each round
 evaluates the nodes of every job's next refinement step in one batch: first
@@ -28,11 +28,12 @@ A call decides once, from its job count, how it keeps its panels.  A wide
 call, of at least `_TABLE_MIN` jobs, keeps every panel in one
 structure-of-arrays table: each round builds its nodes and runs its Kronrod
 sums as ndarray columns, one element per panel (`_gk15_columns`), and each
-job's pop is a segmented selection over the table.  A narrow call, such as
-a lone `integrate` or a one-point convolution, keeps a heap per job and
-builds and sums its panels one by one in Python (`_gk15`).  Both do the
-same float operations in the same order, so a panel gets the same bits,
-and a job the same result, either way.
+job's pop is a segmented selection over the table, one panel a job a
+round.  A narrow call, such as a lone `integrate` or a one-point
+convolution, keeps a heap per job and builds and sums its panels one by
+one in Python (`_gk15`).  Both do the same float operations in the same
+order, so a panel gets the same bits, and a job the same result, either
+way.
 
 Bisection alone reaches an endpoint singularity slowly: a log kernel takes
 about 33 levels per singular edge at tol 1e-10, and |t - c|^-1/2 cannot
@@ -48,11 +49,12 @@ at its first bisection, as QAGP extrapolates from the start at its
 breakpoints; any other job once a bisection takes it to depth `_ENGAGE`
 (10), for a singularity no caller listed.  A job that never gets that
 deep keeps the bits of plain bisection.  Only the heap code runs levels
-(below) or extrapolates: a wide call's table never holds a job with a
-listed point, and a job of it that would engage leaves the table.  Once
-the table is done, those jobs run alone on the heap code, so lone and
-lockstep results stay equal, at the cost of the table rounds of the jobs
-that left.  An extrapolation that fails QUADPACK's
+(below), extrapolates or sets aside a panel it cannot split: a wide call's
+table never holds a job with a listed point, and a job of it leaves the
+table when it would engage, or when it pops a panel at the width floor,
+too narrow to split.  Once the table is done, those jobs run alone on the
+heap code, so lone and lockstep results stay equal, at the cost of the
+table rounds of the jobs that left.  An extrapolation that fails QUADPACK's
 divergence test (`_diverges`) is dropped for the panel sum, and one that
 cannot meet tol hands the job back to plain bisection, keeping the
 table's best result once the table has an error of its own.
@@ -86,7 +88,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, positive
+from .errors import ConvergenceError, RejectedInputError, positive
 
 _EPS = 2.220446049250313e-16
 
@@ -137,13 +139,15 @@ _TABLE_MIN = 40
 _FLOOR_MARGIN = 2.0
 
 # A job without a listed singular point starts extrapolating
-# (`_Job._engage`) once a bisection takes it to this depth, so a wide call's
-# table lets none of its jobs get this deep (`_table_rounds`); one with a
-# listed point does at its first bisection (`_starts`), when its tanh-sinh
-# levels (`_Levels`) cannot settle it.  Over `verify --all
-# --seed 42` (15,660 jobs) every job without one but golden `euler` stops
-# by depth 9, while log kernels reach depth 26-37 by bisection alone; a job
-# that never gets this deep keeps the bits of plain bisection.
+# (`_Job._engage`) once a bisection takes it to this depth.  A wide call's
+# table lets none of its jobs get this deep: a job leaves it when its next
+# bisection would, as it does when it pops a panel at the width floor
+# (`_table_rounds`).  One with a listed point engages at its first
+# bisection (`_starts`), when its tanh-sinh levels (`_Levels`) cannot
+# settle it.  Over `verify --all --seed 42` (15,660 jobs) every job without
+# one but golden `euler` stops by depth 9, while log kernels reach depth
+# 26-37 by bisection alone; a job that never gets this deep keeps the bits
+# of plain bisection.
 _ENGAGE = 10
 
 _OFLOW = 1.7976931348623157e308  # dqelg's "no error estimate yet"
@@ -320,7 +324,9 @@ def _out_of_reach(heap_err: float, done_err: float, above: int, tol: float) -> b
     grows), or every panel left to split sits at its roundoff floor and the
     sum exceeds `_FLOOR_MARGIN` * tol (QUADPACK reports such a case as
     roundoff, ier = 2).  The one statement of the rule: `_Job._level_step`
-    calls it on floats, and `_table_rounds` on arrays, one element per job."""
+    calls it on floats, and `_table_rounds` on arrays, one element per job,
+    with a done_err of 0.0, since a job that would set a panel aside leaves
+    the table."""
     return (done_err > tol) | ((above == 0) & (heap_err + done_err > _FLOOR_MARGIN * tol))
 
 
@@ -774,6 +780,8 @@ def _starts(jobs: Iterable[tuple[float, float, Iterable[float]]], tol: float) ->
     starts = []
     for a, b, singular in jobs:
         lo, hi, sign = (a, b, 1.0) if a <= b else (b, a, -1.0)
+        if not math.isfinite(hi - lo):  # an end that is inf or nan, or a span past the doubles
+            raise RejectedInputError(f"quadrature range [{a}, {b}] must be finite, with a finite length")
         engage = _ENGAGE
         if a == b:
             edges = []
@@ -853,15 +861,12 @@ def _heap_rounds(batch: Callable[[list[float], list[int], list[int]], Sequence[f
     return [job.result(tol) for job in states]
 
 
-_HEAP, _DONE, _SPLIT = 0, 1, 2  # where a table row's panel is
-
-
-_TABLE_COLUMNS = (float, float, float, float, float, np.int64, np.int64, np.int64, np.int8)
+_TABLE_COLUMNS = (float, float, float, float, float, np.int64, np.int64, np.int64, bool)
 
 
 def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
     """The table's columns (left, right, value, est, floor, depth, serial,
-    job and state) with room for `rows` rows, its rows copied over."""
+    job and alive) with room for `rows` rows, its rows copied over."""
     grown = [np.empty(rows, dtype=t) for t in _TABLE_COLUMNS]
     for new, old in zip(grown, table):
         new[:old.size] = old
@@ -874,23 +879,26 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
 
     The table has one row per panel, in push order: left, right, value,
     estimate, roundoff floor, depth, serial, job, and whether the panel is
-    on its job's heap, done, or split.  Each job's running sums and counts
-    are per-job arrays that advance by `_Job.step`'s operations in its
-    order.  A job's pop is its heap row of largest estimate, ties to the
-    smaller serial, as `heapq` orders (-estimate, serial).  The
+    alive, on its job's heap and not yet popped.  Each job's running sums
+    and counts are per-job arrays that advance by `_Job.step`'s operations
+    in its order.  A job's pop is its alive row of largest estimate, ties
+    to the smaller serial, as `heapq` orders (-estimate, serial).  The
     bookkeeping runs with numpy's warnings off, as Python floats run:
     inf - inf is nan.
 
     Every round is one batch of table panels.  A job with a listed point
     (`engage` 1 in `_starts`) never enters the table, so each job the
-    table holds starts from its one panel [lo, hi], none when lo == hi.  A job leaves
-    the table when its next bisection would reach depth `_ENGAGE`, so the
-    table never runs levels or extrapolates.  Once the table is empty, the
-    jobs with a listed point and those that left run from their initial
-    panels in `_heap_rounds`, in a lockstep of their own whose batch gets
-    their indices in `starts`, and their results replace the table's: each
-    is a lone integral, so it runs levels or extrapolates as one does.  The
-    table rounds a job that left took are spent.
+    table holds starts from its one panel [lo, hi], none when lo == hi.
+    After the batch, every running job pops exactly one panel, its top,
+    and either bisects it or leaves the table: when its next bisection
+    would reach depth `_ENGAGE`, or when the top is at the width floor,
+    too narrow to split.  So the table never runs levels, extrapolates or
+    keeps a done panel.  Once the table is empty, the jobs with a listed
+    point and those that left run from their initial panels in
+    `_heap_rounds`, in a lockstep of their own whose batch gets their
+    indices in `starts`, and their results replace the table's: each is a
+    lone integral, so it runs levels, extrapolates or sets panels aside as
+    one does.  The table rounds a job that left took are spent.
     """
     n_jobs = len(starts)
     lo = np.fromiter((s[0] for s in starts), float, n_jobs)
@@ -903,8 +911,7 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     job = jobs  # the job of each panel to push
     depth = np.zeros(job.size, dtype=np.int64)
     heap_err = np.zeros(n_jobs)
-    done_err = np.zeros(n_jobs)
-    above, serial, size = (np.zeros(n_jobs, dtype=np.int64) for _ in range(3))  # size: heap panels
+    above, serial = np.zeros(n_jobs, dtype=np.int64), np.zeros(n_jobs, dtype=np.int64)
     table = _grow([], 4 * job.size + 64)
     n = 0  # rows in use
     picked = np.zeros(n_jobs, dtype=bool)
@@ -920,82 +927,65 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             count = job.size // jobs.size
             added = est.reshape(-1, count).sum(axis=1)
             ups = (est > floor).reshape(-1, count).sum(axis=1)
-            rank = np.arange(job.size) % count
             if n + job.size > table[0].size:
                 table = _grow(table, 2 * (n + job.size))
-            t_left, t_right, t_value, t_est, t_floor, t_depth, t_serial, t_job, state = table
+            t_left, t_right, t_value, t_est, t_floor, t_depth, t_serial, t_job, alive = table
             rows = slice(n, n + job.size)
             n += job.size
             t_left[rows], t_right[rows], t_value[rows], t_est[rows] = left, right, value, est
-            t_floor[rows], t_depth[rows], t_serial[rows], t_job[rows] = floor, depth, serial[job] + rank, job
-            state[rows] = _HEAP
+            t_floor[rows], t_depth[rows], t_job[rows] = floor, depth, job
+            t_serial[rows] = serial[job] + np.arange(job.size) % count
+            alive[rows] = True
             heap_err[jobs] += added
             above[jobs] += ups
             serial[jobs] += count
-            size[jobs] += count
-            # pop until each job needs a bisection or is finished; an active
-            # job has no nan estimate on its heap, or its heap_err is nan
-            active = jobs
-            split = []  # the rows that each pass bisects
-            while active.size:
-                he, de = heap_err[active], done_err[active]
-                go = (size[active] > 0) & (he + de > tol) & (serial[active] <= _MAX_PANELS)
-                go &= ~_out_of_reach(he, de, above[active], tol)
-                active = active[go]
-                if not active.size:
-                    break
-                picked[:] = False
-                picked[active] = True
-                rows = np.flatnonzero((state[:n] == _HEAP) & picked[t_job[:n]])
-                owner, e = t_job[rows], t_est[rows]
-                best = np.full(n_jobs, -np.inf)
-                np.maximum.at(best, owner, e)
-                hit = e == best[owner]
-                rows, owner = rows[hit], owner[hit]
-                if rows.size > active.size:  # ties: each job's smaller serial
-                    serials = t_serial[rows]
-                    low = np.full(n_jobs, np.iinfo(np.int64).max)
-                    np.minimum.at(low, owner, serials)
-                    won = serials == low[owner]
-                    rows, owner = rows[won], owner[won]
-                row_of[owner] = rows
-                top = row_of[active]
-                e = t_est[top]
-                heap_err[active] -= e
-                above[active] -= e > t_floor[top]
-                size[active] -= 1
-                lo, hi = t_left[top], t_right[top]
-                width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[active])
-                # a job leaves before a bisection takes it to depth
-                # _ENGAGE, so no row is deeper than _ENGAGE - 1 and
-                # MAX_DEPTH never binds here
-                stuck = hi - lo <= 4.0 * _EPS * width
-                state[top] = np.where(stuck, _DONE, _SPLIT)
-                done_err[active[stuck]] += e[stuck]
-                split.append(top[~stuck])
-                active = active[stuck]
-            # the halves of every bisection, in job order, which each pass
-            # keeps on its own
-            top = np.concatenate(split) if split else jobs[:0]
-            if len(split) > 1:
-                top = top[np.argsort(t_job[top])]
-            depth = t_depth[top] + 1
-            deep = depth >= _ENGAGE
-            if deep.any():  # these jobs leave the table
-                restart += t_job[top[deep]].tolist()
-                top, depth = top[~deep], depth[~deep]
-            jobs = t_job[top]
-            job = np.repeat(jobs, 2)
+            # pop each running job's top; a running job has no nan estimate
+            # on its heap, or its heap_err is nan
+            he = heap_err[jobs]
+            go = (he > tol) & (serial[jobs] <= _MAX_PANELS) & ~_out_of_reach(he, 0.0, above[jobs], tol)
+            jobs = jobs[go]
+            picked[:] = False
+            picked[jobs] = True
+            rows = np.flatnonzero(alive[:n] & picked[t_job[:n]])
+            owner, e = t_job[rows], t_est[rows]
+            best = np.full(n_jobs, -np.inf)
+            np.maximum.at(best, owner, e)
+            hit = e == best[owner]
+            rows, owner = rows[hit], owner[hit]
+            if rows.size > jobs.size:  # ties: each job's smaller serial
+                serials = t_serial[rows]
+                low = np.full(n_jobs, np.iinfo(np.int64).max)
+                np.minimum.at(low, owner, serials)
+                won = serials == low[owner]
+                rows, owner = rows[won], owner[won]
+            row_of[owner] = rows
+            top = row_of[jobs]  # in job order
+            e = t_est[top]
+            heap_err[jobs] -= e
+            above[jobs] -= e > t_floor[top]
+            alive[top] = False
             lo, hi = t_left[top], t_right[top]
+            depth = t_depth[top] + 1
+            # a job leaves before a bisection takes it to depth _ENGAGE, so
+            # no row is deeper than _ENGAGE - 1 and MAX_DEPTH never binds
+            # here, and when its top is at the width floor, where a lone job
+            # sets the panel aside
+            width = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), span[jobs])
+            leave = (depth >= _ENGAGE) | (hi - lo <= 4.0 * _EPS * width)
+            if leave.any():
+                restart += jobs[leave].tolist()
+                stay = ~leave
+                jobs, lo, hi, depth = jobs[stay], lo[stay], hi[stay], depth[stay]
+            job = np.repeat(jobs, 2)
             mid = 0.5 * (lo + hi)
             left = np.column_stack((lo, mid)).ravel()
             right = np.column_stack((mid, hi)).ravel()
             depth = np.repeat(depth, 2)
-    # value and error: one fsum over the panels a job kept, heap and done,
-    # or, for a job that kept one panel, its value and estimate plus 0.0,
-    # which is that fsum
-    _, _, t_value, t_est, _, _, _, t_job, state = table
-    kept = np.flatnonzero(state[:n] != _SPLIT)
+    # value and error: one fsum over the panels a job kept, or, for a job
+    # that kept one panel, its value and estimate plus 0.0, which is that
+    # fsum
+    _, _, t_value, t_est, _, _, _, t_job, alive = table
+    kept = np.flatnonzero(alive[:n])
     owner = t_job[kept]
     order = np.argsort(owner, kind="stable")
     kept = kept[order]
@@ -1036,7 +1026,9 @@ def integrate_many(
     4 eps max(|a|, |b|, |b - a|), makes no cut: a cut there, such as a
     point that rounding pulled back an ulp inside, would make a panel too
     narrow to bisect whose nodes all sit on the singularity.  It marks that
-    end singular instead, as listing the end itself does.  The first round
+    end singular instead, as listing the end itself does.  A range with an
+    end that is not finite, or whose length overflows, raises
+    RejectedInputError before any node is evaluated.  The first round
     evaluates the initial panels of every job.  Each later round lets every
     unfinished job pop panels as a lone integral does, until it needs a
     bisection, and then evaluates the halves of all those bisections
@@ -1062,13 +1054,15 @@ def integrate_many(
     jobs keeps every panel in one table and runs each round's nodes and
     Kronrod sums as ndarray columns; a narrower call keeps a heap per job
     and sums panel by panel.  The choice is made once per call, and both
-    give the same bits.  Only the heap code runs tanh-sinh levels or
-    extrapolates: a wide call's table holds only the jobs without a listed
-    point, each from its one panel, and one of them that needs a bisection
-    at `_ENGAGE` leaves it.  After the table's last round, the jobs with a
-    listed point and those that left run as lone integrals on the heap
-    code, in more rounds of one batch each for all of them; a job that
-    left reports only the evaluations of its restart.
+    give the same bits.  Only the heap code runs tanh-sinh levels,
+    extrapolates or sets aside a panel too narrow to split: a wide call's
+    table holds only the jobs without a listed point, each from its one
+    panel, and each round every running job of it pops one panel and
+    bisects it, or leaves the table when that bisection would reach
+    `_ENGAGE` or the panel is at the width floor.  After the table's last
+    round, the jobs with a listed point and those that left run as lone
+    integrals on the heap code, in more rounds of one batch each for all
+    of them; a job that left reports only the evaluations of its restart.
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it
@@ -1112,11 +1106,13 @@ def integrate(
     extrapolates from its first bisection if the levels cannot settle it
     or a panel is too narrow for them, where one with no listed point
     bisects plainly to depth `_ENGAGE` first.  Only this one-job code runs
-    levels or extrapolates: a wide `integrate_many` call runs a job with a
-    listed point, or one that reaches `_ENGAGE`, alone on it.  Returns
+    levels, extrapolates or sets aside a panel at the width floor: a wide
+    `integrate_many` call runs a job with a listed point, or one that
+    reaches `_ENGAGE` or the width floor, alone on it.  Returns
     converged=False (never raises) when the error estimate cannot be pushed
     below `tol` within the depth and panel budgets, and stops early once no
-    bisection can reach `tol` (see `integrate_many`).
+    bisection can reach `tol` (see `integrate_many`).  A range that is not
+    finite raises RejectedInputError.
     """
     starts = _starts(((a, b, interior_singularities),), tol)
     if isinstance(phi, Vectorized):

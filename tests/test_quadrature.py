@@ -316,9 +316,9 @@ class TestIntegrateMany:
     """Lockstep integrals: each job's result is a lone `integrate` of its
     integrand, bit for bit.  Every table round is one batch call.  A job of
     a wide call with a listed singular point never enters the table, and
-    one that would engage its epsilon table leaves it; once the table is
-    done, both run alone on the heap path, in rounds of one batch call for
-    all such jobs."""
+    one that would engage its epsilon table, or that pops a panel at the
+    width floor, leaves it; once the table is done, both run alone on the
+    heap path, in rounds of one batch call for all such jobs."""
 
     E9 = make("E9", r=0.5)
     E10 = make("E10")
@@ -484,9 +484,10 @@ class TestIntegrateMany:
         # and inf values, and a panel budget of 400 that some jobs run out
         # of.  40 odd integrands
         # cut at the centre of a symmetric range, whose mirror panels tie
-        # on their estimates.  100 pairs of jumps far from 0, whose
-        # panels reach the width floor with less error than tol, so the job
-        # pops again after it
+        # on their estimates.  100 pairs of jumps far from 0, which bisect
+        # to _ENGAGE and leave the table before a panel of theirs reaches
+        # the width floor; on the heap path about half reach it, a few
+        # with less error than tol, so the lone job pops again after it
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 400)
         rng = np.random.default_rng(2024)
         kinds = [
@@ -629,6 +630,60 @@ class TestIntegrateMany:
         _, _, restart, restarted = self._lockstep(specs)
         assert any(job.done for job in engaged) and restart and 0 < len(restarted) < len(specs)
 
+    def test_a_job_at_the_width_floor_leaves_the_table(self, monkeypatch):
+        # pairs of jumps at 1e13-3e14 over a span of 2, where the width
+        # floor, 4 eps max(|a|, |b|), is 0.009-0.28, so a panel reaches it
+        # by depth 8, before _ENGAGE.  A job that pops such a panel leaves
+        # the table in that round and restarts alone on the heap path,
+        # where it sets the panel aside and stops (an error above tol) or
+        # pops again (below).  Oscillating jobs keep the table going after
+        # the last one leaves
+        rng = np.random.default_rng(35)
+        specs = []
+        for _ in range(30):
+            off = 10.0 ** float(rng.uniform(13.0, 14.5))
+            c1, c2 = (off + float(v) for v in rng.uniform((0.1, 1.1), (0.9, 1.9)))
+            jump = 10.0 ** float(rng.uniform(-9.0, -6.0))
+            specs.append((lambda ts, c1=c1, c2=c2, jump=jump: np.where(ts > c1, jump, 0.0)
+                          + np.where(ts > c2, jump, 0.0), off, off + 2.0, ()))
+        for k in np.linspace(20.0, 45.0, 12).tolist():
+            specs.append((lambda ts, k=k: np.cos(k * ts) * np.exp(ts), -2.0, 2.0, ()))
+        assert len(specs) >= quadrature._TABLE_MIN
+        # per lone run: its batch calls before its first pop of a panel at
+        # the floor, and that panel's error; none engages
+        floored, bisect = {}, quadrature._Job._bisect
+        lone = []
+        for j, (fn, a, b, cuts) in enumerate(specs):
+            n = []
+
+            def spied(job, j=j, n=n):
+                halves = bisect(job)
+                if halves is None and j not in floored:
+                    floored[j] = len(n), job.done[-1][5]
+                return halves
+
+            with monkeypatch.context() as m:
+                m.setattr(quadrature._Job, "_bisect", spied)
+                m.setattr(quadrature._Job, "_engage", lambda *args: pytest.fail("a lone job engaged"))
+                lone.append(integrate(Vectorized(lambda ts, fn=fn, n=n: n.append(0) or fn(ts)), a, b,
+                                      self.TOL, cuts))
+        reach = sorted(floored)
+        assert len(reach) >= 10 and max(reach) < 30
+        assert {e <= self.TOL for _, e in floored.values()} == {True, False}  # pops again, stops
+        rounds = []
+        restarts = self._kernel_rounds(monkeypatch, specs, self.TOL, rounds)
+        assert restarts == [reach]  # each restarts, and no other job does
+        first = sum(not begun for *_, begun in rounds)  # the table's rounds
+        for j in reach:
+            took = [r for r, (owners, *_) in enumerate(rounds[:first]) if j in owners]
+            assert took == list(range(floored[j][0]))  # no node after the round it left in
+        assert first > max(k for k, _ in floored.values())
+        got = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
+        for res, want in zip(got, lone):
+            assert res.value.hex() == want.value.hex()
+            assert res.error_estimate.hex() == want.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
+
     def test_integrate_is_the_one_job_case(self):
         seen = []
 
@@ -647,6 +702,25 @@ class TestIntegrateMany:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(RejectedInputError):
             integrate_many(lambda ts, owners: ts, [(0.0, 1.0, ())], -1.0)
+
+    @pytest.mark.parametrize("phi, a, b", [
+        (math.cos, 0.0, math.inf),            # math.cos(inf) raised a domain error
+        (Vectorized(np.cos), math.nan, 1.0),  # a nan end gave an unconverged nan
+        (Vectorized(np.cos), -1e308, 1e308),  # the span overflows
+    ])
+    def test_rejects_a_non_finite_range(self, phi, a, b):
+        # alone and in a wide call, before any node is evaluated, with a
+        # message that names the range
+        def batch(ts, owners):
+            raise AssertionError("a rejected call evaluated its nodes")
+
+        with pytest.raises(RejectedInputError) as lone:
+            integrate(phi, a, b)
+        jobs = [(0.0, 1.0, ())] * quadrature._TABLE_MIN + [(a, b, ())]
+        with pytest.raises(RejectedInputError) as wide:
+            integrate_many(batch, jobs, 1e-10)
+        assert f"[{a}, {b}]" in str(lone.value)
+        assert str(wide.value) == str(lone.value)
 
 
 class TestOutOfReach:
@@ -1072,10 +1146,10 @@ class TestWideEngagedJobs:
         # 29 that do (zeta-convolution, integral-limit) run in narrow calls,
         # where they may extrapolate without a restart.  The wide calls'
         # jobs, the convolution terms and the E2*E9 and E5*E9 products'
-        # sinh-mapped pieces among them, stop short of depth _ENGAGE, so no
-        # job restarts.  A family that makes wide calls of log kernels, or of
-        # terms that list a point, would run jobs on the heap path after the
-        # table, and trips this
+        # sinh-mapped pieces among them, stop short of depth _ENGAGE and of
+        # the width floor, so no job restarts.  A family that makes wide
+        # calls of log kernels, or of terms that list a point, would run jobs
+        # on the heap path after the table, and trips this
         monkeypatch.setattr(verify, "_cpus", lambda: 1)
         tables, restarts = _watch_restarts(monkeypatch)
         verify.standard_suite(verify.DEFAULT_GRID)
