@@ -106,9 +106,10 @@ def parse_system(text: str) -> CoveringSystem:
 def is_disjoint_covering(system: CoveringSystem) -> CoveringDecision:
     """Exact partition test over one full period of the system.
 
-    Scans residues 0..lcm-1 with a coverage counter.  The witness is the
-    smallest uncovered residue when one exists, otherwise the smallest
-    multiply-covered one.
+    Scans residues 0..lcm-1 with a coverage counter, in the smallest
+    unsigned type that holds the number of classes, so no count wraps.  The
+    witness is the smallest uncovered residue when one exists, otherwise
+    the smallest multiply-covered one.
     """
     L = system.lcm
     if L > LCM_CAP:
@@ -116,9 +117,10 @@ def is_disjoint_covering(system: CoveringSystem) -> CoveringDecision:
     density = system.density
     first_uncovered: Optional[int] = None
     first_multiple: Optional[int] = None
+    count_type = np.min_scalar_type(len(system.classes))
     for start in range(0, L, _CHUNK):
         end = min(L, start + _CHUNK)
-        counts = np.zeros(end - start, dtype=np.uint16)
+        counts = np.zeros(end - start, dtype=count_type)
         for a, n in system.classes:
             first = start + ((a - start) % n)
             if first < end:

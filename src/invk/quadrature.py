@@ -26,14 +26,14 @@ forms give identical results.
 
 A call decides once, from its job count, how it keeps its panels.  A wide
 call, of at least `_TABLE_MIN` jobs, keeps every panel in one
-structure-of-arrays table: each round builds its nodes and runs its Kronrod
-sums as ndarray columns, one element per panel (`_gk15_columns`), and each
-job's pop is a segmented selection over the table, one panel a job a
-round.  A narrow call, such as a lone `integrate` or a one-point
-convolution, keeps a heap per job and builds and sums its panels one by
-one in Python (`_gk15`).  Both do the same float operations in the same
-order, so a panel gets the same bits, and a job the same result, either
-way.
+structure-of-arrays table: each round builds its nodes as ndarray columns
+and each job's pop is a segmented selection over the table, one panel a
+job a round.  A narrow call, such as a lone `integrate` or a one-point
+convolution, keeps a heap per job and builds its panels one by one in
+Python.  One Kronrod kernel, `_gk15`, serves both engines: the same
+straight-line sums run on the 15 floats of a heap panel or on the 15 rows
+of a table round, one column per panel, so a panel gets the same bits,
+and a job the same result, either way.
 
 Bisection alone reaches an endpoint singularity slowly: a log kernel takes
 about 33 levels per singular edge at tol 1e-10, and |t - c|^-1/2 cannot
@@ -83,7 +83,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -218,14 +217,22 @@ def _nodes(lefts: list[float], rights: list[float], out: list[float]) -> None:
                 c + d6, c + d5, c + d4, c + d3, c + d2, c + d1, c + d0)
 
 
-def _gk15(fv: list, h: float) -> tuple[float, float, float]:
+def _gk15(fv, h: float | np.ndarray) -> tuple:
     """One Kronrod application from the 15 node values `fv` (in the order of
     `_nodes`) of a panel of half-width h: (integral, error estimate, floor).
 
     The floor is the estimate's roundoff term 50 eps resabs |h|; the error
     estimate never falls below it.  Straight-line code over the unpacked
     values: the sums run in QUADPACK's order, pair by pair from the
-    outermost nodes in, and the power stays Python's float `**`.
+    outermost nodes in, and its scale (200 err / resasc)^1.5 is q sqrt(q),
+    with `sqrt` correctly rounded on every CPU.
+
+    The same code sums one panel of Python floats, in `_heap_rounds`, or
+    the columns of (15, P) node values of P panels with an ndarray h, in
+    `_table_rounds`, each column bit for bit the panel's own sums.  Only
+    the last selects depend on the type.  The column form runs under
+    `np.errstate(all="ignore")`, as Python floats run: inf - inf is nan,
+    and a column with resasc or err 0 keeps err.
     """
     f0, f1, f2, f3, f4, f5, f6, fc, f8, f9, f10, f11, f12, f13, f14 = fv
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
@@ -250,19 +257,21 @@ def _gk15(fv: list, h: float) -> tuple[float, float, float]:
     ah = abs(h)
     resasc *= ah
     err = abs((resk - resg) * h)
-    if resasc != 0.0 and err != 0.0:
-        scale = (200.0 * err / resasc) ** 1.5
-        err = resasc * scale if scale < 1.0 else resasc
     floor = 50.0 * _EPS * resabs * ah
+    if isinstance(h, np.ndarray):
+        q = 200.0 * err / resasc
+        scale = q * np.sqrt(q)
+        err = np.where((resasc != 0.0) & (err != 0.0), np.where(scale < 1.0, resasc * scale, resasc), err)
+        return resk * h, np.where(floor > err, floor, err), floor
+    if resasc != 0.0 and err != 0.0:
+        q = 200.0 * err / resasc
+        scale = q * math.sqrt(q)
+        err = resasc * scale if scale < 1.0 else resasc
     return resk * h, (floor if floor > err else err), floor
 
 
-# The 15 abscissae in the order of `_nodes` and the Kronrod weights as a
-# column (centre weight first, then the pair weights from the outermost nodes
-# in), for the column forms of `_nodes` and `_gk15`.
+# The 15 abscissae in the order of `_nodes`, for its column form.
 _X15 = np.array((*(-x for x in _XGK[:7]), 0.0, *_XGK[6::-1]))
-_WK_COL = np.array((_WGK[7], *_WGK[:7]))[:, None]
-_WG_COL = np.array((_WG[3], *_WG[:3]))[:, None]
 
 
 def _column_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,47 +284,6 @@ def _column_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ts = c[:, None] + h[:, None] * _X15
     ts[:, 7] = c
     return ts.ravel(), h
-
-
-def _centre_and_pairs(f: np.ndarray) -> np.ndarray:
-    """The rows f[7], f[0] + f[14], f[1] + f[13], ..., f[6] + f[8]."""
-    out = np.empty((8, f.shape[1]))
-    out[0] = f[7]
-    np.add(f[:7], f[14:7:-1], out=out[1:])
-    return out
-
-
-def _weighted_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weights[0] rows[0] + weights[1] rows[1] + ..., per column, added left
-    to right: `np.add.accumulate` is sequential, unlike `sum` or `@`."""
-    return np.add.accumulate(weights * rows)[-1]
-
-
-def _gk15_columns(fv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_gk15` over the columns of the (15, P) node values `fv` of P panels
-    with half-widths h: the arrays of their integrals, error estimates and
-    floors, bit for bit those of `_gk15` panel by panel.
-
-    Each step is one ndarray operation with `_gk15`'s order of operations;
-    only the power `** 1.5` runs per panel, on Python floats, because
-    numpy's `power` rounds ~5 % of its inputs differently.
-    """
-    n = h.size
-    with np.errstate(all="ignore"):
-        pairs = _centre_and_pairs(np.concatenate((fv, np.abs(fv)), axis=1))  # f, then |f|
-        resg = _weighted_sum(pairs[0:7:2, :n], _WG_COL)  # g3 fc + g0 p1 + g1 p3 + g2 p5
-        sums = _weighted_sum(pairs, _WK_COL)
-        resk, resabs = sums[:n], sums[n:]
-        resasc = _weighted_sum(_centre_and_pairs(np.abs(fv - 0.5 * resk)), _WK_COL)
-        ah = np.abs(h)
-        resasc *= ah
-        err = np.abs((resk - resg) * h)
-        scale = np.fromiter(map(pow, (200.0 * err / resasc).tolist(), repeat(1.5)), float, n)
-        scaled = np.where(scale < 1.0, resasc * scale, resasc)
-        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-        floor = 50.0 * _EPS * resabs * ah
-        est = np.where(floor > err, floor, err)
-        return resk * h, est, floor
 
 
 def _out_of_reach(heap_err: float, done_err: float, above: int, tol: float) -> bool:
@@ -919,8 +887,8 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     while jobs.size:
         ts, h = _column_nodes(left, right)
         fv = np.asarray(batch(ts, job.repeat(15)), dtype=float)
-        value, est, floor = _gk15_columns(fv.reshape(job.size, 15).T, h)
         with np.errstate(all="ignore"):
+            value, est, floor = _gk15(fv.reshape(job.size, 15).T, h)
             # push: a job's new panels, its initial one or the two halves of
             # a bisection, take its next serials, and their estimates add
             # up in order before they join heap_err
@@ -1051,10 +1019,11 @@ def integrate_many(
     round's nodes are 15 per Kronrod panel, or a tanh-sinh level's, whose
     count is no multiple of 15.  It returns the integrand values at ts as a
     float ndarray or a list of floats.  A call of at least `_TABLE_MIN`
-    jobs keeps every panel in one table and runs each round's nodes and
-    Kronrod sums as ndarray columns; a narrower call keeps a heap per job
-    and sums panel by panel.  The choice is made once per call, and both
-    give the same bits.  Only the heap code runs tanh-sinh levels,
+    jobs keeps every panel in one table and builds each round's nodes as
+    ndarray columns; a narrower call keeps a heap per job and builds them
+    panel by panel.  The choice is made once per call, and both give the
+    same bits: one Kronrod kernel, `_gk15`, sums a heap panel of floats or
+    a table round's columns with the same operations.  Only the heap code runs tanh-sinh levels,
     extrapolates or sets aside a panel too narrow to split: a wide call's
     table holds only the jobs without a listed point, each from its one
     panel, and each round every running job of it pops one panel and

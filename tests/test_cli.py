@@ -111,6 +111,17 @@ class TestVerify:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_malformed_parameter_usage_error(self, capsys):
+        code, out, err = run_cli(["verify", "--fn", "E5", "--params", "a2"], capsys)
+        assert code == 2 and out == ""
+        assert "malformed parameter 'a2'" in err
+
+    def test_nmax_bounds_the_scales(self, capsys):
+        code, out, _ = run_cli(["verify", "--fn", "E1", "--nmax", "3"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["pass"] is True and 1 <= rep["worst_witness"]["n"] <= 3
+
     def test_needs_fn_or_all(self, capsys):
         code, _, err = run_cli(["verify"], capsys)
         assert code == 2
@@ -218,6 +229,18 @@ class TestCovering:
         assert rep["accepted"] is True
         assert rep["certificate"]["pass"] is True
         assert rep["certificate"]["worst_witness"]["lhs"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_accepted_system_with_failing_certificate(self, capsys):
+        # E14 is invariant at odd n only: 0/2,1/4,3/4 covers the integers,
+        # but its certificate at x = 0.7 sums +1 against -1
+        code, out, _ = run_cli(
+            ["covering", "--check", "0/2,1/4,3/4", "--certify", "--fn", "E14",
+             "--params", "", "--x", "0.7"], capsys
+        )
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["accepted"] is True and rep["certificate"]["pass"] is False
+        assert rep["certificate"]["max_abs_error"] == 2.0
 
     def test_certify_bytes_pinned(self, capsys):
         # sha256 of the report bytes; a change that moves one byte must say why

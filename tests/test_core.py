@@ -20,6 +20,7 @@ from invk.core import (
     from_tail_series,
     lattice_offset,
     lattice_parts,
+    lattice_points,
     lattice_split,
     linear_combination,
     reflect,
@@ -56,6 +57,12 @@ class TestEvalPoint:
             evaluate(f, EvalPoint(-1.0, 1.0))
         assert evaluate(f, EvalPoint(1.0, 1.0)) == pytest.approx(math.pi ** 2 / 6, abs=1e-10)
 
+    def test_evaluate_takes_a_plain_pair(self):
+        f = make("E5", a=2.0)
+        assert evaluate(f, (0.3, 1.5)) == evaluate(f, EvalPoint(0.3, 1.5))
+        with pytest.raises(RejectedInputError):
+            evaluate(f, (0.3, 0.0))
+
     def test_descriptor_immutable(self):
         f = make("E5", a=2.0)
         with pytest.raises(Exception):
@@ -72,6 +79,11 @@ def _exact_offset(x, y):
 
 
 class TestLatticeDetection:
+    @pytest.mark.parametrize("step", [0.0, -0.0, -1.0])
+    def test_no_lattice_points_without_a_positive_step(self, step):
+        # the guard keeps a step of 0 from dividing by zero
+        assert lattice_points(0.25, step, -1.0, 1.0) == ()
+
     def test_binary_exact_ratios(self):
         assert lattice_parts(3.0 * 0.25, 0.25)[2]
         assert lattice_parts(-8.0, 2.0)[2]

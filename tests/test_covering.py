@@ -47,6 +47,11 @@ def test_classes_are_integers(classes):
         CoveringSystem(classes)
 
 
+def test_a_system_needs_a_class():
+    with pytest.raises(RejectedInputError, match="at least one class"):
+        CoveringSystem(())
+
+
 class TestDecision:
     def test_accepts_partition(self):
         d = is_disjoint_covering(parse_system("0/2,1/4,3/4"))
@@ -76,6 +81,14 @@ class TestDecision:
         for text in ("0/1", "0/2,1/2", "0/2,1/4,3/4", "0/2,1/4,3/8,7/8"):
             d = is_disjoint_covering(parse_system(text))
             assert d.accepted and d.density == 1
+
+    @pytest.mark.parametrize("copies", [65_535, 65_536, 65_537])
+    def test_counts_past_the_uint16_range(self, copies):
+        # residue 0 is hit `copies` times: a 16-bit counter would read
+        # 65,536 as 0 (uncovered) and 65,537 as 1 (accepted)
+        d = is_disjoint_covering(CoveringSystem(((0, 1),) * copies))
+        assert not d.accepted and d.density == copies
+        assert d.witness == 0 and d.witness_kind == "multiply-covered"
 
     def test_capacity_cap(self):
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

@@ -512,6 +512,12 @@ class TestLogGammaAbs:
         else:
             assert got == pytest.approx(want, rel=5e-14)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_argument(self, t):
+        # math.lgamma(+-inf) is inf without raising
+        with pytest.raises(RejectedInputError, match="finite"):
+            log_gamma_abs(t)
+
     def test_near_pole_reflection_accuracy(self):
         t = -3.0 + 1e-7
         assert log_gamma_abs(t) == pytest.approx(_log_gamma_ref(t), rel=1e-11)

@@ -152,6 +152,13 @@ POINT_KINDS["limit"].append(replace(make("E5", a=2.0), domain=lambda x, y: x > 0
 
 class TestGridPoints:
     E10 = make("E10")
+
+    def test_no_clear_sample_is_rejected(self):
+        # a domain that refuses every point: the draws run out
+        f = replace(make("E5", a=2.0), domain=lambda x, y: False)
+        grid = replace(DEFAULT_GRID, samples=4)
+        with pytest.raises(RejectedInputError, match="could not place 4 clear samples"):
+            grid_points(f, grid, verify._invariance_table(grid.n_max))
     CASES = [
         make("E3a"), E10, make("E12"), make("E14"), make("E13", s=2.0),
         affine_transform(E10, 2.0, -0.3, 0.75),
@@ -793,6 +800,24 @@ class TestConvolutionChecks:
     def test_zeta_kernel_rejects_small_order(self):
         with pytest.raises(RejectedInputError):
             zeta_power_kernel(1.0)
+
+
+class TestReportJson:
+    def test_tuples_become_lists(self):
+        f = linear_combination([(1.0, make("E1")), (2.0, make("E2", m=2))])
+        rep = check_invariance(f, SMALL_GRID)
+        assert rep.params == {"coefficients": (1.0, 2.0)}
+        assert rep.to_json_dict()["params"] == {"coefficients": [1.0, 2.0]}
+
+    def test_numpy_scalars_become_python_numbers(self):
+        rep = check_zeta_convolution(1.5, 2.5, y=np.int64(1))
+        params = rep.to_json_dict()["params"]
+        assert params == {"alpha": 1.5, "beta": 2.5, "y": 1} and type(params["y"]) is int
+        rep = replace(rep, params={"scale": np.float32(0.5), "ks": (np.int8(3), [np.float64(2.0)])})
+        params = rep.to_json_dict()["params"]
+        assert params == {"scale": 0.5, "ks": [3, [2.0]]}
+        assert type(params["scale"]) is float and type(params["ks"][0]) is int
+        assert json.loads(json.dumps(params)) == params
 
 
 @pytest.mark.parametrize("call", [
