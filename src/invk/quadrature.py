@@ -25,12 +25,13 @@ control and the order of every sum are the same either way, so the two
 forms give identical results.
 
 A call decides once, from its job count, how it keeps its panels.  A wide
-call, of at least `_TABLE_MIN` jobs, keeps every panel in one
-structure-of-arrays table: each round builds its nodes as ndarray columns
-and each job's pop is a segmented selection over the table, one panel a
-job a round.  A narrow call, such as a lone `integrate` or a one-point
-convolution, keeps a heap per job and builds its panels one by one in
-Python.  One Kronrod kernel, `_gk15`, serves both engines: the same
+call, of at least `_TABLE_MIN` jobs, keeps its live panels in one
+structure-of-arrays table, in push order: each round builds its nodes as
+ndarray columns, each job's pop is a segmented selection over the table,
+one panel a job a round, and the round drops the popped rows as it
+appends the next round's.  A narrow call, such as a lone `integrate` or a
+one-point convolution, keeps a heap per job and builds its panels one by
+one in Python.  One Kronrod kernel, `_gk15`, serves both engines: the same
 straight-line sums run on the 15 floats of a heap panel or on the 15 rows
 of a table round, one column per panel, so a panel gets the same bits,
 and a job the same result, either way.
@@ -391,13 +392,22 @@ def _diverges(result: float, area: float, errsum: float, absarea: float) -> bool
 
 
 def _fsum(values: list[float]) -> float:
-    """`math.fsum`, or nan where the values hold both infinities: panel
-    values that overflow to +inf and -inf sum to nan, as Python floats
-    add, where fsum raises, so the job ends unconverged."""
+    """`math.fsum`, the correctly rounded sum, but where fsum raises: nan
+    where the values hold both infinities, as Python floats add (panel
+    values that overflow to +inf and -inf), and, where a partial sum
+    overflows, 16 times the sum of the values scaled by 1/16, again while
+    that overflows too: the correctly rounded sum, or +-inf when the sum
+    itself overflows.  The scaling is exact for every value of magnitude
+    2^-1018 or more, so only a sum that cancels huge values down to the
+    subnormals can lose a bit.  Every panel sum of this module goes
+    through it, so none raises; a job whose sum is not finite ends
+    unconverged."""
     try:
         return math.fsum(values)
     except ValueError:
         return math.nan
+    except OverflowError:
+        return 16.0 * _fsum([v / 16.0 for v in values])
 
 
 def _node_noise(panel) -> float:
@@ -505,13 +515,13 @@ class _Levels:
             if d < outer[k][0]:
                 outer[k] = d, abs(fv[end - 2]) + abs(fv[end - 1])
         step = 0.5 ** (self.level + 1)
-        value = step * math.fsum(self.terms)
+        value = step * _fsum(self.terms)
         noise = step * 0.5 * _EPS * self.noise
-        if noise + 4.0 * math.fsum([p[3] * f for p, (_, f) in zip(self.panels, outer)]) > tol:
+        if noise + 4.0 * _fsum([p[3] * f for p, (_, f) in zip(self.panels, outer)]) > tol:
             return True
         if self.level:
             diff = abs(value - self.last)
-            err = diff + 4.0 * math.fsum([d * f for d, f in outer]) + noise
+            err = diff + 4.0 * _fsum([d * f for d, f in outer]) + noise
             if err <= tol:
                 self.result = value, err
                 return True
@@ -697,7 +707,7 @@ class _Job:
             errsum = self.heap_err + self.done_err
             kept = self._kept()
             reseps, abseps = self.wynn.add(_fsum([p[4] for p in kept]))
-            noise = math.fsum([_node_noise(p) for p in kept])
+            noise = _fsum([_node_noise(p) for p in kept])
             abseps += noise
             self.ktmin += 1
             best = _OFLOW if self.best is None else self.best[1]
@@ -725,9 +735,9 @@ class _Job:
             return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, True)
         kept = self._kept()
         value = _fsum([p[4] for p in kept])
-        err = math.fsum([p[5] for p in kept])
+        err = _fsum([p[5] for p in kept])
         if self.best is not None and self.best[1] < err:
-            absarea = math.fsum([p[7] for p in kept]) / (50.0 * _EPS)
+            absarea = _fsum([p[7] for p in kept]) / (50.0 * _EPS)
             if not _diverges(self.best[0], value, err, absarea):
                 value, err = self.best
         return QuadratureResult(self.sign * value, err, 15 * self.serial + self.spent, err <= tol)
@@ -829,30 +839,19 @@ def _heap_rounds(batch: Callable[[list[float], list[int], list[int]], Sequence[f
     return [job.result(tol) for job in states]
 
 
-_TABLE_COLUMNS = (float, float, float, float, float, np.int64, np.int64, np.int64, bool)
-
-
-def _grow(table: list[np.ndarray], rows: int) -> list[np.ndarray]:
-    """The table's columns (left, right, value, est, floor, depth, serial,
-    job and alive) with room for `rows` rows, its rows copied over."""
-    grown = [np.empty(rows, dtype=t) for t in _TABLE_COLUMNS]
-    for new, old in zip(grown, table):
-        new[:old.size] = old
-    return grown
-
-
 def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], starts, tol: float):
     """The rounds of a wide call, with the panels of its jobs that list no
     singular point in one table.
 
-    The table has one row per panel, in push order: left, right, value,
-    estimate, roundoff floor, depth, serial, job, and whether the panel is
-    alive, on its job's heap and not yet popped.  Each job's running sums
-    and counts are per-job arrays that advance by `_Job.step`'s operations
-    in its order.  A job's pop is its alive row of largest estimate, ties
-    to the smaller serial, as `heapq` orders (-estimate, serial).  The
-    bookkeeping runs with numpy's warnings off, as Python floats run:
-    inf - inf is nan.
+    The table holds the live panels, those on their jobs' heaps, one row
+    each, in push order: left, right, value, estimate, roundoff floor,
+    depth and job.  Each round drops the rows popped in the round before
+    and appends the panels it pushes, so a job's rows run in the order of
+    its serial numbers.  Each job's running sums and counts are per-job
+    arrays that advance by `_Job.step`'s operations in its order.  A job's
+    pop is its row of largest estimate, ties to its first row, as `heapq`
+    orders (-estimate, serial).  The bookkeeping runs with numpy's warnings
+    off, as Python floats run: inf - inf is nan.
 
     Every round is one batch of table panels.  A job with a listed point
     (`engage` 1 in `_starts`) never enters the table, so each job the
@@ -880,8 +879,9 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     depth = np.zeros(job.size, dtype=np.int64)
     heap_err = np.zeros(n_jobs)
     above, serial = np.zeros(n_jobs, dtype=np.int64), np.zeros(n_jobs, dtype=np.int64)
-    table = _grow([], 4 * job.size + 64)
-    n = 0  # rows in use
+    # left, right, value, est, floor, depth and job of each live panel
+    table = [np.empty(0)] * 5 + [np.empty(0, dtype=np.int64)] * 2
+    keep = slice(None)  # the rows not popped in the round before
     picked = np.zeros(n_jobs, dtype=bool)
     row_of = np.zeros(n_jobs, dtype=np.int64)
     while jobs.size:
@@ -895,15 +895,9 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             count = job.size // jobs.size
             added = est.reshape(-1, count).sum(axis=1)
             ups = (est > floor).reshape(-1, count).sum(axis=1)
-            if n + job.size > table[0].size:
-                table = _grow(table, 2 * (n + job.size))
-            t_left, t_right, t_value, t_est, t_floor, t_depth, t_serial, t_job, alive = table
-            rows = slice(n, n + job.size)
-            n += job.size
-            t_left[rows], t_right[rows], t_value[rows], t_est[rows] = left, right, value, est
-            t_floor[rows], t_depth[rows], t_job[rows] = floor, depth, job
-            t_serial[rows] = serial[job] + np.arange(job.size) % count
-            alive[rows] = True
+            table = [np.concatenate((col[keep], new))
+                     for col, new in zip(table, (left, right, value, est, floor, depth, job))]
+            t_left, t_right, _, t_est, t_floor, t_depth, t_job = table
             heap_err[jobs] += added
             above[jobs] += ups
             serial[jobs] += count
@@ -914,24 +908,21 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             jobs = jobs[go]
             picked[:] = False
             picked[jobs] = True
-            rows = np.flatnonzero(alive[:n] & picked[t_job[:n]])
+            rows = np.flatnonzero(picked[t_job])
             owner, e = t_job[rows], t_est[rows]
             best = np.full(n_jobs, -np.inf)
             np.maximum.at(best, owner, e)
             hit = e == best[owner]
             rows, owner = rows[hit], owner[hit]
-            if rows.size > jobs.size:  # ties: each job's smaller serial
-                serials = t_serial[rows]
-                low = np.full(n_jobs, np.iinfo(np.int64).max)
-                np.minimum.at(low, owner, serials)
-                won = serials == low[owner]
-                rows, owner = rows[won], owner[won]
             row_of[owner] = rows
+            if rows.size > jobs.size:  # ties: each job's first row, of the smaller serial
+                np.minimum.at(row_of, owner, rows)
             top = row_of[jobs]  # in job order
             e = t_est[top]
             heap_err[jobs] -= e
             above[jobs] -= e > t_floor[top]
-            alive[top] = False
+            keep = np.ones(t_est.size, dtype=bool)
+            keep[top] = False
             lo, hi = t_left[top], t_right[top]
             depth = t_depth[top] + 1
             # a job leaves before a bisection takes it to depth _ENGAGE, so
@@ -951,13 +942,11 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
             depth = np.repeat(depth, 2)
     # value and error: one fsum over the panels a job kept, or, for a job
     # that kept one panel, its value and estimate plus 0.0, which is that
-    # fsum
-    _, _, t_value, t_est, _, _, _, t_job, alive = table
-    kept = np.flatnonzero(alive[:n])
-    owner = t_job[kept]
-    order = np.argsort(owner, kind="stable")
-    kept = kept[order]
-    bounds = np.searchsorted(owner[order], np.arange(n_jobs + 1))
+    # fsum.  Every row is a kept panel but the tops popped in the last
+    # round, which belong to jobs that left, whose results are replaced
+    _, _, t_value, t_est, _, _, t_job = table
+    kept = np.argsort(t_job, kind="stable")
+    bounds = np.searchsorted(t_job[kept], np.arange(n_jobs + 1))
     sizes = np.diff(bounds)
     value, err = np.zeros(n_jobs), np.zeros(n_jobs)
     one = kept[bounds[:-1][sizes == 1]]
@@ -967,7 +956,7 @@ def _table_rounds(batch: Callable[[np.ndarray, np.ndarray], Sequence[float]], st
     values, ests = t_value[kept].tolist(), t_est[kept].tolist()
     for j, a, b in zip(many.tolist(), bounds[many].tolist(), bounds[many + 1].tolist()):
         value[j] = _fsum(values[a:b])
-        err[j] = math.fsum(ests[a:b])
+        err[j] = _fsum(ests[a:b])
     value *= [sign for _, _, sign, _, _ in starts]
     out = list(map(QuadratureResult, value.tolist(), err.tolist(), (15 * serial).tolist(),
                    (err <= tol).tolist()))
@@ -1019,14 +1008,16 @@ def integrate_many(
     round's nodes are 15 per Kronrod panel, or a tanh-sinh level's, whose
     count is no multiple of 15.  It returns the integrand values at ts as a
     float ndarray or a list of floats.  A call of at least `_TABLE_MIN`
-    jobs keeps every panel in one table and builds each round's nodes as
-    ndarray columns; a narrower call keeps a heap per job and builds them
-    panel by panel.  The choice is made once per call, and both give the
-    same bits: one Kronrod kernel, `_gk15`, sums a heap panel of floats or
-    a table round's columns with the same operations.  Only the heap code runs tanh-sinh levels,
-    extrapolates or sets aside a panel too narrow to split: a wide call's
-    table holds only the jobs without a listed point, each from its one
-    panel, and each round every running job of it pops one panel and
+    jobs keeps its live panels in one table, in push order, and builds
+    each round's nodes as ndarray columns; a narrower call keeps a heap per
+    job and builds them panel by panel.  The choice is made once per call,
+    and both give the same bits: one Kronrod kernel, `_gk15`, sums a heap
+    panel of floats or a table round's columns with the same operations,
+    and a table pop takes a job's first row of largest estimate, where the
+    heap takes its smaller serial.  Only the heap code runs tanh-sinh
+    levels, extrapolates or sets aside a panel too narrow to split: a wide
+    call's table holds only the jobs without a listed point, each from its
+    one panel, and each round every running job of it pops one panel and
     bisects it, or leaves the table when that bisection would reach
     `_ENGAGE` or the panel is at the width floor.  After the table's last
     round, the jobs with a listed point and those that left run as lone
@@ -1035,13 +1026,14 @@ def integrate_many(
 
     Every job keeps its own panel order, serial numbers, depth and panel
     budgets and error sums, and its result is one `fsum` over the panels it
-    kept, so it is the one a lone `integrate` of its integrand gives, bit
-    for bit.  A job that cannot meet `tol` within the depth and panel
-    budgets returns converged=False and does not raise.  So does a job that
-    no bisection can bring to tol, as soon as that shows (`_out_of_reach`):
-    the error of its panels at the depth or width limit exceeds tol, or tol
-    lies below the roundoff floor of its error estimate.  It stops there
-    instead of spending the panel budget.
+    kept (`_fsum`, which does not raise where a partial sum overflows), so
+    it is the one a lone `integrate` of its integrand gives, bit for bit.
+    A job that cannot meet `tol` within the depth and panel budgets returns
+    converged=False and does not raise.  So does a job that no bisection
+    can bring to tol, as soon as that shows (`_out_of_reach`): the error of
+    its panels at the depth or width limit exceeds tol, or tol lies below
+    the roundoff floor of its error estimate.  It stops there instead of
+    spending the panel budget.
     """
     starts = _starts(jobs, tol)
     if len(starts) >= _TABLE_MIN:

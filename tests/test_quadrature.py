@@ -682,6 +682,28 @@ class TestIntegrateMany:
             assert res.error_estimate.hex() == want.error_estimate.hex()
             assert (res.evaluations, res.converged) == (want.evaluations, want.converged)
 
+    def test_a_tie_pops_the_panel_pushed_first(self):
+        # a jump in each half of [0, 2], between the same two Kronrod nodes
+        # of the half but at different places: the halves have the same node
+        # values, so their estimates tie, and their own halves differ.  At
+        # these heights a job meets tol once it has bisected one of the two,
+        # so its value depends on which it pops first: the one pushed first,
+        # of the smaller serial, alone and in the table alike
+        rng = np.random.default_rng(37)
+        specs = []
+        for _ in range(quadrature._TABLE_MIN):
+            c1, c2 = (float(v) for v in rng.uniform((0.501, 1.501), (0.6, 1.6)))
+            jump = float(rng.uniform(1.1e-10, 1.5e-10))
+            specs.append((lambda ts, c1=c1, c2=c2, jump=jump:
+                          np.where((ts > c1) & (ts < 1.0) | (ts > c2), jump, 0.0), 0.0, 2.0, ()))
+        got = integrate_many(_owner_batch(specs), [(a, b, cuts) for _, a, b, cuts in specs], self.TOL)
+        for (fn, a, b, cuts), res in zip(specs, got):
+            want = integrate(Vectorized(fn), a, b, self.TOL, cuts)
+            assert res.value.hex() == want.value.hex()
+            assert res.error_estimate.hex() == want.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (want.evaluations, True)
+            assert res.evaluations == 15 * 5  # [0, 2], its halves, and the halves of one of them
+
     def test_integrate_is_the_one_job_case(self):
         seen = []
 
@@ -1049,6 +1071,68 @@ class TestExtrapolation:
         assert not wide[0].converged and math.isnan(wide[0].value)
         assert (wide[0].error_estimate, wide[0].evaluations) == (lone.error_estimate, lone.evaluations)
         assert all(res.converged for res in wide[1:])
+
+    def test_panels_whose_partial_sum_overflows_sum_exactly(self):
+        # three finite panel values, 1.6e308, 1.6e308 and -1.6e308: fsum's
+        # partial sum overflows, but their sum is finite, and the result is
+        # its correct rounding, unconverged, lone and in a wide call alike
+        def f(t):
+            return 8e307 if t < 4.0 else -8e307
+
+        values = []
+        for lo in (0.0, 2.0, 4.0):
+            nodes = []
+            quadrature._nodes([lo], [lo + 2.0], nodes)
+            values.append(_gk15(list(map(f, nodes)), 1.0)[0])
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        lone = integrate(f, 0.0, 6.0, 1e-10, (2.0, 4.0))
+        assert lone.value == float(sum(map(Fraction, values))) == 1.6000000000000002e308
+        assert not lone.converged
+        wide = integrate_many(lambda ts, owners: np.where(ts < 4.0, 8e307, -8e307),
+                              [(0.0, 6.0, (2.0, 4.0))] * quadrature._TABLE_MIN, 1e-10)
+        for res in wide:
+            assert res.value.hex() == lone.value.hex()
+            assert res.error_estimate.hex() == lone.error_estimate.hex()
+            assert (res.evaluations, res.converged) == (lone.evaluations, lone.converged)
+
+    def test_panels_whose_sum_overflows_sum_to_inf(self):
+        res = integrate(lambda t: 8e307, 0.0, 4.0, 1e-10, (2.0,))
+        assert res.value == math.inf and not res.converged
+
+    def test_fsum_is_math_fsum_where_that_does_not_raise(self):
+        # seeded lists of values of either sign, most from 1e307 to 1.8e308
+        # and the rest from 1e-300 to 1e300, with a few infinities and nans:
+        # where math.fsum returns, the same bits; where a partial sum
+        # overflows, the exact sum rounded once, or +-inf past the doubles;
+        # where both infinities meet, nan
+        rng = np.random.default_rng(37)
+        raised = 0
+        for _ in range(4000):
+            exponents = np.where(rng.random(12) < 0.7, rng.uniform(307.0, 308.25, 12), rng.uniform(-300.0, 300.0, 12))
+            values = (rng.choice((-1.0, 1.0), 12) * 10.0 ** exponents).tolist()
+            values = values[:int(rng.integers(1, 13))]
+            if rng.random() < 0.1:
+                values[int(rng.integers(len(values)))] = float(rng.choice((math.inf, -math.inf, math.nan)))
+            got = quadrature._fsum(values)
+            try:
+                want = math.fsum(values)
+            except ValueError:
+                assert math.isnan(got)
+                continue
+            except OverflowError:
+                raised += 1
+                if all(map(math.isfinite, values)):
+                    exact = sum(map(Fraction, values))
+                    try:
+                        want = float(exact)
+                    except OverflowError:
+                        want = math.inf if exact > 0 else -math.inf
+                else:
+                    want = math.fsum(v for v in values if not math.isfinite(v))
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert raised >= 50
 
     def test_rounding_noise_bounds_the_table(self):
         # nodes near c = 3.16... round by up to 2.2e-16, which moves

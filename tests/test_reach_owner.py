@@ -12,6 +12,11 @@ as the table's column kernel once was, kept equal to the first bit for bit.
 
 So in `src/invk` only the owner names each of these, besides its one
 assignment in `quadrature`.
+
+`quadrature._fsum` alone calls `math.fsum`, which raises where a partial
+sum overflows or both infinities meet: every panel sum of the module goes
+through it, so no sum of finite panel values raises.  Other modules may sum
+with `math.fsum`; in `quadrature.py` only `_fsum` names it.
 """
 
 import ast
@@ -71,6 +76,10 @@ def test_only_gk15_names_the_kronrod_weights():
     assert [hit for name, owner in OWNED if owner == "_gk15" for hit in _foreign_in_src(name, owner)] == []
 
 
+def test_only_fsum_names_math_fsum_in_quadrature():
+    assert _foreign_names(SRC / "quadrature.py", "fsum", "_fsum") == []
+
+
 def test_quadrature_assigns_the_margin_once_and_the_rule_reads_it():
     _assigned_once_and_read("_FLOOR_MARGIN", "_out_of_reach")
 
@@ -112,3 +121,21 @@ def test_planted_copy_of_the_rule_is_detected(tmp_path):
         "verify.py:1", "verify.py:3", "verify.py:8", "verify.py:11"]
     assert _foreign_names(other, "_WGK", "_gk15") == [
         "verify.py:4", "verify.py:14", "verify.py:14", "verify.py:17"]
+
+
+def test_planted_fsum_call_is_detected(tmp_path):
+    probe = tmp_path / "quadrature.py"
+    probe.write_text(
+        "import math\n"
+        "from math import fsum\n"
+        "\n"
+        "def _fsum(values):\n"
+        "    try:\n"
+        "        return math.fsum(values)\n"
+        "    except OverflowError:\n"
+        "        return 16.0 * _fsum([v / 16.0 for v in values])\n"
+        "\n"
+        "def result(kept):\n"
+        "    return _fsum(kept), math.fsum(kept), fsum(kept)\n"
+    )
+    assert _foreign_names(probe, "fsum", "_fsum") == ["quadrature.py:2", "quadrature.py:11", "quadrature.py:11"]
